@@ -9,8 +9,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# The bench/ module sits outside the root ./... pattern; its tests pin
+# the CLI paths to the benchmark replay.
 test:
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark matrix (E1-E12 plus the engine comparisons); one
 # iteration each, the CI smoke configuration. For real measurements

@@ -294,15 +294,19 @@ func BenchmarkE7LoopScaling(b *testing.B) {
 // BA, which beats the structural and random baselines.
 func BenchmarkE8GeneratorComparison(b *testing.B) {
 	const n = 2000
-	p := core.Pipeline{N: n, Seed: 1, Target: refdata.ASMap2001, PathSources: 200}
-	results, err := p.RunAll()
+	names := core.Names()
+	cells := make([]core.Cell, len(names))
+	for i, name := range names {
+		cells[i] = core.Cell{Model: name, N: n, Seed: 1, Target: refdata.ASMap2001, PathSources: 200}
+	}
+	results, _, err := core.RunCellsWith(cells, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	once("E8", func() {
 		reports := make(map[string]*compare.Report, len(results))
-		for name, res := range results {
-			reports[name] = res.Report
+		for i, name := range names {
+			reports[name] = results[i].Report
 		}
 		fmt.Printf("\nE8: generator shoot-out at N=%d (aggregate relative error vs AS map)\n", n)
 		for rank, name := range compare.RankModels(reports) {
@@ -311,7 +315,7 @@ func BenchmarkE8GeneratorComparison(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Run("glp"); err != nil {
+		if _, err := core.RunCell(core.Cell{Model: "glp", N: n, Seed: 1, Target: refdata.ASMap2001, PathSources: 200}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,11 +431,11 @@ func BenchmarkE12Economics(b *testing.B) {
 		for u := range masses {
 			masses[u] = res.Users[u]
 		}
-		tm, err := traffic.Gravity(masses, 1e6)
+		d, err := traffic.NewGravityDemand(masses, 1e6)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lr, err := traffic.Route(res.G, tm, true)
+		lr, err := traffic.RouteFrozenDemand(res.G.Freeze(), d, true, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -98,14 +98,20 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprint(stdout, rep.String())
 		return prof.Stop()
 	case *all:
-		p := core.Pipeline{N: *n, Seed: *seed, Target: tgt, PathSources: *sources, Workers: pool}
-		results, err := p.RunAll()
+		// One plan over every registered model, at pool width 1 so each
+		// cell keeps its internal Workers pools.
+		names := core.Names()
+		cells := make([]core.Cell, len(names))
+		for i, name := range names {
+			cells[i] = core.Cell{Model: name, N: *n, Seed: *seed, Target: tgt, PathSources: *sources, Workers: pool}
+		}
+		results, _, err := core.RunCellsWith(cells, 1, nil)
 		if err != nil {
 			return err
 		}
 		reports := make(map[string]*compare.Report, len(results))
-		for name, res := range results {
-			reports[name] = res.Report
+		for i, name := range names {
+			reports[name] = results[i].Report
 		}
 		fmt.Fprintf(stdout, "model ranking against %s (N=%d, lower is better)\n", tgt.Name, *n)
 		for rank, name := range compare.RankModels(reports) {
@@ -113,8 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return prof.Stop()
 	case *model != "":
-		p := core.Pipeline{N: *n, Seed: *seed, Target: tgt, PathSources: *sources, Workers: pool}
-		res, err := p.Run(*model)
+		res, err := core.RunCell(core.Cell{Model: *model, N: *n, Seed: *seed, Target: tgt, PathSources: *sources, Workers: pool})
 		if err != nil {
 			return err
 		}

@@ -84,4 +84,10 @@ func TestCompareErrors(t *testing.T) {
 	if err := run([]string{"-file", "/no/such/file"}, &out); err == nil {
 		t.Fatal("missing file should fail")
 	}
+	// An unknown model fails inside the run plan: one line naming it.
+	err := run([]string{"-model", "nope", "-n", "100"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown model "nope"`) ||
+		strings.Contains(err.Error(), "\n") {
+		t.Fatalf("want a one-line error naming the model, got %v", err)
+	}
 }

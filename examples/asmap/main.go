@@ -21,8 +21,7 @@ func main() {
 	const n = 11000
 	model := "pfp"
 	fmt.Printf("=== synthesizing %s map at N=%d ===\n", model, n)
-	p := core.Pipeline{N: n, Seed: 2001, Target: refdata.ASMap2001, PathSources: 400}
-	res, err := p.Run(model)
+	res, err := core.RunCell(core.Cell{Model: model, N: n, Seed: 2001, Target: refdata.ASMap2001, PathSources: 400})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- short cycles (on a 4000-node subsample scale) ---")
-	sub, err := core.Pipeline{N: 4000, Seed: 2001, Target: refdata.ASMap2001, PathSources: 1}.Run(model)
+	sub, err := core.RunCell(core.Cell{Model: model, N: 4000, Seed: 2001, Target: refdata.ASMap2001, PathSources: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

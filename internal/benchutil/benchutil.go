@@ -24,10 +24,28 @@ import (
 func MeasureAllocs(f func()) (allocs, bytes uint64) {
 	runtime.GC()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	readBaseline(&before)
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// readBaseline reads the counters that open a measured window. Reading
+// them stops the world, and restarting it may spawn an OS thread, whose
+// runtime structures (the m, its g0 and signal g) are heap-allocated
+// after the snapshot and would be charged to f — a handful of stray
+// allocations, sporadically, under load. So the read repeats until one
+// completes without creating a thread. Each retry leaves the new thread
+// in the runtime's idle pool, which only grows to peak demand, so the
+// loop ends after a read or two.
+func readBaseline(m *runtime.MemStats) {
+	for {
+		threads, _ := runtime.ThreadCreateProfile(nil)
+		runtime.ReadMemStats(m)
+		if after, _ := runtime.ThreadCreateProfile(nil); after == threads {
+			return
+		}
+	}
 }
 
 // CountAllocs is MeasureAllocs without the settling GC: it differences
@@ -38,7 +56,7 @@ func MeasureAllocs(f func()) (allocs, bytes uint64) {
 // flushed out first), which per-epoch accumulation amortizes away.
 func CountAllocs(f func()) (allocs, bytes uint64) {
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	readBaseline(&before)
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc

@@ -82,9 +82,10 @@ func BuildModel(name string, n int, overrides Params) (gen.Generator, error) {
 
 // Cell is one grid cell of a parameter sweep: a single (model, size,
 // seed) run through generation, measurement and validation, optionally
-// with trajectory observation. It is the unit the sweep driver fans out
-// and the unit Pipeline wraps for single runs — both paths execute
-// through RunCell, so there is exactly one pipeline implementation.
+// with trajectory observation and a workload stage. It is the only run
+// configuration: single runs (RunCell), shoot-outs and sweeps all
+// execute cells through RunCellsWith, so there is exactly one pipeline
+// implementation.
 type Cell struct {
 	// Model is the registry name of the family to run.
 	Model string
@@ -120,9 +121,9 @@ type Cell struct {
 	// Workload, when non-nil, appends a flow-level traffic stage: after
 	// measurement the workload is simulated over the cell's frozen
 	// snapshot with degree masses, drawing from the cell's own workload
-	// stream (PipelineResult.Workload). The simulation reuses the
-	// engine's memoized routing state, so it shares shortest-path trees
-	// with anything else that routed over the snapshot.
+	// stream (PipelineResult.Workload). Cells sharing a topology route
+	// over one shortest-path tree state, cached across runs when an
+	// artifact cache is given (RunCellsWith).
 	Workload *traffic.WorkloadSpec
 }
 
@@ -150,63 +151,18 @@ func (c Cell) streams() (gr, mr, cr, wr *rng.Rand) {
 
 // RunCell executes one cell: build the generator, generate (through the
 // sharded kernel when Workers > 1, observing epochs when MeasureEvery
-// > 0), freeze, measure, and score against the cell's target. Every
-// random draw comes from streams split off the cell seed, so the result
-// is a pure function of the Cell value — any cell of any grid can be
-// re-run alone, bit for bit.
+// > 0), freeze, measure, score against the cell's target and run the
+// workload stage if any. It is the one-cell plan of RunCellsWith, so a
+// single run and a sweep share one execution path. Every random draw
+// comes from streams split off the cell seed, so the result is a pure
+// function of the Cell value — any cell of any grid can be re-run
+// alone, bit for bit.
 func RunCell(c Cell) (*PipelineResult, error) {
-	res, eng, err := c.runTopology()
+	results, _, err := RunCellsWith([]Cell{c}, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	if c.Workload != nil {
-		if res.Workload, err = c.runWorkload(eng, *c.Workload); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// RunCellWorkloads executes the cell's topology stages once and then
-// simulates every workload spec over the warm engine. Each spec draws
-// from a fresh workload stream split off the cell seed — exactly the
-// stream a dedicated cell would use — and the engine's memoized routing
-// state carries across the specs, so the reports are bit-identical to
-// running one cell per spec at a single topology's cost: this is how
-// the sweep driver runs (load factor × tail index) grids. c.Workload is
-// ignored; the specs replace it.
-func RunCellWorkloads(c Cell, specs []*traffic.WorkloadSpec) (*PipelineResult, []*traffic.SimReport, error) {
-	c.Workload = nil
-	res, eng, err := c.runTopology()
-	if err != nil {
-		return nil, nil, err
-	}
-	reports := make([]*traffic.SimReport, len(specs))
-	for i, sp := range specs {
-		if reports[i], err = c.runWorkload(eng, *sp); err != nil {
-			return nil, nil, err
-		}
-	}
-	return res, reports, nil
-}
-
-// runTopology is the generate → freeze → measure → compare backbone of
-// a cell, returning the warm engine alongside the result so workload
-// stages can reuse its snapshot and memoized routing state.
-func (c Cell) runTopology() (*PipelineResult, *engine.Engine, error) {
-	ta, eng, err := c.buildTopology()
-	if err != nil {
-		return nil, nil, err
-	}
-	if eng == nil {
-		eng = engine.New(ta.snap, engine.WithWorkers(c.Workers))
-	}
-	snap, rep, err := c.measureTopology(eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &PipelineResult{Model: c.Model, Topology: ta.top, Snapshot: snap,
-		Report: rep, Trajectory: ta.trajectory}, eng, nil
+	return results[0], nil
 }
 
 // buildTopology runs the generation stage: build the generator,
@@ -271,36 +227,4 @@ func (c Cell) measureTopology(eng *engine.Engine) (metrics.Snapshot, *compare.Re
 		return metrics.Snapshot{}, nil, fmt.Errorf("core: comparing %s: %w", c.Model, err)
 	}
 	return snap, rep, nil
-}
-
-// runWorkload simulates one flow-level workload over the cell's warm
-// engine, with the standard degree masses (gravity demand proportional
-// to connectivity). SimulateWith reuses the engine's memoized routing
-// state and pool, and every draw comes from a fresh workload stream
-// split off the cell seed, so the stage is a pure function of
-// (Cell, spec) no matter how many specs share the engine.
-func (c Cell) runWorkload(eng *engine.Engine, spec traffic.WorkloadSpec) (*traffic.SimReport, error) {
-	_, _, _, wr := c.streams()
-	frozen := eng.Snapshot()
-	masses := make([]float64, frozen.N())
-	for u := range masses {
-		masses[u] = float64(frozen.Degree(u))
-	}
-	wl, err := traffic.SimulateWith(eng, masses, spec, wr)
-	if err != nil {
-		return nil, fmt.Errorf("core: workload on %s: %w", c.Model, err)
-	}
-	return wl, nil
-}
-
-// RunCells executes cells across a pool of the given width (<= 0 means
-// GOMAXPROCS, 1 runs every group in order on the caller's goroutine).
-// This is the one execution engine behind both Pipeline.RunAll (a
-// degenerate 1×N sweep at pool width 1) and the sweep driver; it is
-// RunCellsWith without an artifact cache. The output — including which
-// error surfaces, always the lowest-index failure — is invariant to
-// the worker count.
-func RunCells(cells []Cell, workers int) ([]*PipelineResult, error) {
-	results, _, err := RunCellsWith(cells, workers, nil)
-	return results, err
 }

@@ -79,21 +79,6 @@ func TestEveryKnobbedModelDefaultsMatchBuild(t *testing.T) {
 	}
 }
 
-func TestRunCellMatchesPipelineRun(t *testing.T) {
-	p := Pipeline{N: 400, Seed: 17, Target: refdata.ASMap2001, PathSources: 50}
-	a, err := p.Run("ba")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCell(p.Cell("ba"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Snapshot != b.Snapshot || a.Report.Score != b.Report.Score {
-		t.Fatalf("RunCell diverges from Pipeline.Run:\n%+v\n%+v", a.Snapshot, b.Snapshot)
-	}
-}
-
 func TestRunCellErrors(t *testing.T) {
 	if _, err := RunCell(Cell{Model: "ba", N: 0, Target: refdata.ASMap2001}); err == nil {
 		t.Fatal("zero size should fail")
@@ -101,6 +86,14 @@ func TestRunCellErrors(t *testing.T) {
 	if _, err := RunCell(Cell{Model: "ba", N: 200, Params: Params{"x": 1},
 		Target: refdata.ASMap2001}); err == nil {
 		t.Fatal("unknown knob should fail")
+	}
+	// An unknown model fails with one line naming it, wrapped with the
+	// cell's coordinates by the plan.
+	_, err := RunCell(Cell{Model: "unknown", N: 100, Seed: 1, Target: refdata.ASMap2001})
+	if err == nil || !strings.Contains(err.Error(), `unknown model "unknown"`) ||
+		!strings.Contains(err.Error(), "cell 0 (unknown, n=100, seed=1)") ||
+		strings.Contains(err.Error(), "\n") {
+		t.Fatalf("want a one-line unknown-model error with cell coordinates, got %v", err)
 	}
 }
 
@@ -115,12 +108,12 @@ func TestRunCellsWorkerInvariance(t *testing.T) {
 				Target: refdata.ASMap2001, PathSources: 40, Workers: 1})
 		}
 	}
-	base, err := RunCells(cells, 1)
+	base, _, err := RunCellsWith(cells, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := RunCells(cells, workers)
+		got, _, err := RunCellsWith(cells, workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +138,7 @@ func TestRunCellsFirstErrorDeterministic(t *testing.T) {
 		{Model: "bad-two", N: 200, Seed: 1, Target: refdata.ASMap2001},
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := RunCells(cells, workers)
+		_, _, err := RunCellsWith(cells, workers, nil)
 		if err == nil || !strings.Contains(err.Error(), "cell 1") ||
 			!strings.Contains(err.Error(), "bad-one") {
 			t.Fatalf("workers=%d: want the cell-1 failure, got %v", workers, err)

@@ -1,8 +1,9 @@
 // Package core is the front door of netmodel: a registry of every
 // topology model the toolkit implements, each with a sensible default
-// parameterization at any target size, and a pipeline that takes a model
-// name through generation, measurement and validation against the
-// published AS-map statistics in one call.
+// parameterization at any target size, and a pipeline that takes a cell
+// (model, size, seed, ...) through generation, measurement, validation
+// against the published AS-map statistics and an optional workload
+// stage (Cell, RunCell, RunCellsWith).
 //
 // The registry is the "generator shoot-out" surface: experiments and
 // command-line tools iterate over it so that every comparison
@@ -21,7 +22,6 @@ import (
 	"netmodel/internal/gen"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
-	"netmodel/internal/refdata"
 	"netmodel/internal/rng"
 	"netmodel/internal/traffic"
 )
@@ -346,88 +346,17 @@ func WriteTrajectory(w io.Writer, points []TrajectoryPoint) error {
 	return nil
 }
 
-// PipelineResult bundles the outputs of a full model run.
+// PipelineResult bundles the outputs of one cell's run.
 type PipelineResult struct {
 	Model    string
 	Topology *gen.Topology
 	Snapshot metrics.Snapshot
 	Report   *compare.Report
 	// Trajectory holds the per-epoch growth observations when the
-	// pipeline ran with MeasureEvery > 0 (one final entry for families
+	// cell ran with MeasureEvery > 0 (one final entry for families
 	// without a trajectory kernel), nil otherwise.
 	Trajectory []TrajectoryPoint
 	// Workload holds the flow-level traffic report when the cell ran a
 	// workload stage (Cell.Workload), nil otherwise.
 	Workload *traffic.SimReport
-}
-
-// Pipeline configures a run.
-type Pipeline struct {
-	N           int            // target size
-	Seed        uint64         // generation seed
-	Target      refdata.Target // reference to validate against
-	PathSources int            // BFS sampling for path metrics (0 = exact)
-	// Workers sizes the pool for both stages: sharded generation (when
-	// the family has a kernel; <= 1 runs the sequential reference) and
-	// the metrics engine (<= 0 means GOMAXPROCS).
-	Workers int
-	// MeasureEvery > 0 switches trajectory mode on: growth models pause
-	// every MeasureEvery committed nodes and the growing map is measured
-	// through delta-refreshed snapshots (PipelineResult.Trajectory).
-	MeasureEvery int
-	// TrajectoryPaths adds the incremental distance family (path
-	// lengths, diameter, closeness) to every trajectory observation;
-	// PathSources sizes the pivot sample (0 = exact). Requires
-	// MeasureEvery > 0.
-	TrajectoryPaths bool
-	// Workload, when non-nil, appends the flow-level traffic stage to
-	// every run (PipelineResult.Workload).
-	Workload *traffic.WorkloadSpec
-}
-
-// Cell returns the sweep cell a pipeline run of the named model
-// corresponds to: the pipeline is the 1×1 special case of the grid.
-func (p Pipeline) Cell(name string) Cell {
-	return Cell{
-		Model:           name,
-		N:               p.N,
-		Seed:            p.Seed,
-		Target:          p.Target,
-		PathSources:     p.PathSources,
-		Workers:         p.Workers,
-		MeasureEvery:    p.MeasureEvery,
-		TrajectoryPaths: p.TrajectoryPaths,
-		Workload:        p.Workload,
-	}
-}
-
-// Run generates the named model and validates it, by executing the
-// corresponding single cell.
-func (p Pipeline) Run(name string) (*PipelineResult, error) {
-	if _, err := Lookup(name); err != nil {
-		return nil, err
-	}
-	return RunCell(p.Cell(name))
-}
-
-// RunAll runs the pipeline for every registered model and returns the
-// results keyed by name — a degenerate 1×N sweep (every registered
-// model at one size and one seed) through the same cell runner the
-// sweep driver uses, at pool width 1 so cells keep their internal
-// Workers pools. Individual failures abort the sweep.
-func (p Pipeline) RunAll() (map[string]*PipelineResult, error) {
-	names := Names()
-	cells := make([]Cell, len(names))
-	for i, name := range names {
-		cells[i] = p.Cell(name)
-	}
-	results, err := RunCells(cells, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*PipelineResult, len(names))
-	for i, name := range names {
-		out[name] = results[i]
-	}
-	return out, nil
 }

@@ -51,8 +51,7 @@ func TestEveryModelBuildsAtSmallSize(t *testing.T) {
 }
 
 func TestPipelineRun(t *testing.T) {
-	p := Pipeline{N: 800, Seed: 11, Target: refdata.ASMap2001, PathSources: 100}
-	res, err := p.Run("glp")
+	res, err := RunCell(Cell{Model: "glp", N: 800, Seed: 11, Target: refdata.ASMap2001, PathSources: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,23 +67,23 @@ func TestPipelineRun(t *testing.T) {
 }
 
 func TestPipelineRunErrors(t *testing.T) {
-	p := Pipeline{N: 0, Seed: 1, Target: refdata.ASMap2001}
-	if _, err := p.Run("ba"); err == nil {
+	c := Cell{Model: "ba", N: 0, Seed: 1, Target: refdata.ASMap2001}
+	if _, err := RunCell(c); err == nil {
 		t.Fatal("zero size should fail")
 	}
-	p.N = 100
-	if _, err := p.Run("unknown"); err == nil {
+	c.Model, c.N = "unknown", 100
+	if _, err := RunCell(c); err == nil {
 		t.Fatal("unknown model should fail")
 	}
 }
 
 func TestPipelineDeterministic(t *testing.T) {
-	p := Pipeline{N: 400, Seed: 21, Target: refdata.ASMap2001, PathSources: 50}
-	a, err := p.Run("pfp")
+	c := Cell{Model: "pfp", N: 400, Seed: 21, Target: refdata.ASMap2001, PathSources: 50}
+	a, err := RunCell(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Run("pfp")
+	b, err := RunCell(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,18 +92,24 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunAllCoversRegistry runs the shoot-out shape: one cell per
+// registered model through a single plan at pool width 1.
 func TestRunAllCoversRegistry(t *testing.T) {
-	p := Pipeline{N: 250, Seed: 3, Target: refdata.ASMap2001, PathSources: 40}
-	out, err := p.RunAll()
+	names := Names()
+	cells := make([]Cell, len(names))
+	for i, name := range names {
+		cells[i] = Cell{Model: name, N: 250, Seed: 3, Target: refdata.ASMap2001, PathSources: 40}
+	}
+	out, st, err := RunCellsWith(cells, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(Names()) {
-		t.Fatalf("RunAll returned %d results for %d models", len(out), len(Names()))
+	if len(out) != len(names) || st.Groups != len(names) {
+		t.Fatalf("shoot-out returned %d results in %d groups for %d models", len(out), st.Groups, len(names))
 	}
-	for name, res := range out {
-		if res == nil || res.Report == nil {
-			t.Fatalf("%s: nil result", name)
+	for i, res := range out {
+		if res == nil || res.Report == nil || res.Model != names[i] {
+			t.Fatalf("%s: bad result %+v", names[i], res)
 		}
 	}
 }
@@ -118,14 +123,14 @@ func TestRunAllCoversRegistry(t *testing.T) {
 func TestPipelineTrajectoryMatchesPlainRun(t *testing.T) {
 	for _, model := range []string{"ba", "glp", "pfp"} {
 		for _, workers := range []int{1, 4} {
-			plain := Pipeline{N: 500, Seed: 11, Target: refdata.ASMap2001, PathSources: 60, Workers: workers}
-			a, err := plain.Run(model)
+			plain := Cell{Model: model, N: 500, Seed: 11, Target: refdata.ASMap2001, PathSources: 60, Workers: workers}
+			a, err := RunCell(plain)
 			if err != nil {
 				t.Fatal(err)
 			}
 			traj := plain
 			traj.MeasureEvery = 120
-			b, err := traj.Run(model)
+			b, err := RunCell(traj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,8 +172,7 @@ func TestPipelineTrajectoryMatchesPlainRun(t *testing.T) {
 // TestPipelineTrajectoryFallbackModels: families without a trajectory
 // kernel still run in trajectory mode, with a single completion epoch.
 func TestPipelineTrajectoryFallbackModels(t *testing.T) {
-	p := Pipeline{N: 300, Seed: 5, Target: refdata.ASMap2001, PathSources: 40, MeasureEvery: 50}
-	res, err := p.Run("gnp")
+	res, err := RunCell(Cell{Model: "gnp", N: 300, Seed: 5, Target: refdata.ASMap2001, PathSources: 40, MeasureEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

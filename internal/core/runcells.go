@@ -116,38 +116,33 @@ func probeGroup(ac *artifact.Cache, g *cellGroup) groupArtifacts {
 	return a
 }
 
-// groupOut is one group's execution outcome plus what the commit pass
-// should write back to the cache.
+// groupOut is one group's execution outcome plus the stage artifacts
+// the commit pass writes back to the cache: the ones its probe missed,
+// and the checked-out routing.
 type groupOut struct {
-	res             *PipelineResult
-	wls             []*traffic.SimReport // parallel to cellGroup.specs
-	topo            *topoArtifact
-	eng             *engineArtifact
-	rt              *traffic.Routing
-	topoNew, engNew bool
-	err             error
+	res  *PipelineResult
+	wls  []*traffic.SimReport // parallel to cellGroup.specs
+	topo *topoArtifact
+	eng  *engineArtifact
+	rt   *traffic.Routing
+	err  error
 }
 
-// run executes one group over its probed artifacts. cached selects the
-// workload path: with a cache active, simulation routes over an
-// explicitly owned Routing (cached or fresh) so the artifact is
-// committable; without one, it reuses the engine's memoized routing
-// state exactly as RunCellWorkloads always has. Both paths produce
-// byte-identical reports — routing state is a pure function of the
-// snapshot, warm or cold.
-func (g *cellGroup) run(a groupArtifacts, cached bool) groupOut {
+// run executes one group over its probed artifacts. The workload stage
+// always simulates over an owned Routing — the cache hit, or a fresh one
+// over the snapshot — which the commit pass stores when a cache is
+// present. Routing state is a pure function of the snapshot, so warm and
+// cold trees produce byte-identical reports.
+func (g *cellGroup) run(a groupArtifacts) groupOut {
 	c := g.topo
 	var out groupOut
 	ta, ea := a.topo, a.eng
 	var eng *engine.Engine
 	if ta == nil {
-		var warm *engine.Engine
-		ta, warm, out.err = c.buildTopology()
+		ta, eng, out.err = c.buildTopology()
 		if out.err != nil {
 			return out
 		}
-		out.topoNew = cached
-		eng = warm
 	}
 	if ea == nil {
 		if eng == nil {
@@ -159,7 +154,6 @@ func (g *cellGroup) run(a groupArtifacts, cached bool) groupOut {
 			return out
 		}
 		ea = &engineArtifact{eng: eng, metrics: ms, report: rep}
-		out.engNew = cached
 	}
 	out.topo, out.eng = ta, ea
 	out.res = &PipelineResult{Model: c.Model, Topology: ta.top, Snapshot: ea.metrics,
@@ -167,21 +161,11 @@ func (g *cellGroup) run(a groupArtifacts, cached bool) groupOut {
 	if len(g.specs) == 0 {
 		return out
 	}
-	if cached {
-		rt := a.rt
-		if rt == nil {
-			rt = traffic.NewRouting(ta.snap)
-		}
-		out.rt = rt
-		out.wls, out.err = c.runWorkloadsRouted(ta.snap, g.specs, rt)
-		return out
+	out.rt = a.rt
+	if out.rt == nil {
+		out.rt = traffic.NewRouting(ta.snap)
 	}
-	out.wls = make([]*traffic.SimReport, len(g.specs))
-	for i, sp := range g.specs {
-		if out.wls[i], out.err = c.runWorkload(ea.eng, *sp); out.err != nil {
-			return out
-		}
-	}
+	out.wls, out.err = c.runWorkloadsRouted(ta.snap, g.specs, out.rt)
 	return out
 }
 
@@ -210,8 +194,11 @@ func (c Cell) runWorkloadsRouted(snap *graph.Snapshot, specs []*traffic.Workload
 // grouped by topology key, each distinct topology generates/freezes/
 // measures/compares once, and the group's workload specs fan out
 // sequentially over the warm state, with groups running across a pool
-// of the given width (<= 0 means GOMAXPROCS). Exact-duplicate cells are
-// served from the first occurrence and counted in RunStats.
+// of the given width (<= 0 means GOMAXPROCS, 1 runs every group in order
+// on the caller's goroutine). Exact-duplicate cells are served from the
+// first occurrence and counted in RunStats. It is the only executor:
+// RunCell is its one-cell plan, and a model shoot-out is one call at
+// pool width 1, so cells keep their internal Workers pools.
 //
 // When ac is non-nil, stage outputs are looked up before and committed
 // after execution, amortizing topology and measurement work across
@@ -222,7 +209,8 @@ func (c Cell) runWorkloadsRouted(snap *graph.Snapshot, specs []*traffic.Workload
 // deterministic at every worker count.
 //
 // Errors are attributed to the lowest-index cell whose group failed,
-// wrapped with the cell's coordinates as RunCells always has.
+// wrapped with the cell's coordinates, so the error that surfaces is
+// invariant to the worker count.
 func RunCellsWith(cells []Cell, workers int, ac *artifact.Cache) ([]*PipelineResult, RunStats, error) {
 	groups, groupOf, dups := planGroups(cells)
 	st := RunStats{Groups: len(groups), DuplicateCells: dups}
@@ -234,7 +222,7 @@ func RunCellsWith(cells []Cell, workers int, ac *artifact.Cache) ([]*PipelineRes
 	}
 	outs := make([]groupOut, len(groups))
 	par.ForEach(len(groups), workers, func(_, gi int) {
-		outs[gi] = groups[gi].run(arts[gi], ac != nil)
+		outs[gi] = groups[gi].run(arts[gi])
 	})
 	if ac != nil {
 		for gi, g := range groups {
@@ -242,10 +230,10 @@ func RunCellsWith(cells []Cell, workers int, ac *artifact.Cache) ([]*PipelineRes
 			if out.err != nil {
 				continue
 			}
-			if out.topoNew {
+			if arts[gi].topo == nil {
 				ac.Put(StageSnapshot, g.key, out.topo, out.topo.memBytes())
 			}
-			if out.engNew {
+			if arts[gi].eng == nil {
 				ac.Put(StageEngine, g.key, out.eng, out.eng.memBytes())
 			}
 			if out.rt != nil {

@@ -128,36 +128,59 @@ func TestGroupedRunMatchesIndependentCells(t *testing.T) {
 	}
 }
 
-// TestCachedRunMatchesUncached pins stage reuse at the core layer:
-// warm rerun over a shared cache, byte-equal reports, hits on every
-// stage.
+// TestCachedRunMatchesUncached pins the single workload stage at the
+// core layer: with the cache off, cold and warm — unbounded, and under a
+// 32K budget that forces evictions — every report is byte-equal, for
+// both simulation engines and for the failure layer's private routing
+// (random outages with retries). The unbounded cache hits every stage on
+// the warm pass.
 func TestCachedRunMatchesUncached(t *testing.T) {
-	sp := &traffic.WorkloadSpec{Epochs: 3, LoadFactor: 0.6}
-	c1, c2 := testCell(1), testCell(2)
-	c1.Workload, c2.Workload = sp, sp
-	cells := []Cell{c1, c2}
+	specs := []*traffic.WorkloadSpec{
+		{Epochs: 3, LoadFactor: 0.6},
+		{Epochs: 3, LoadFactor: 0.6, Engine: traffic.EngineEvent},
+		{Epochs: 6, LoadFactor: 1.2, Failures: &traffic.FailureSpec{Mode: traffic.FailRandom,
+			Links: 4, Nodes: 1, MTBF: 2, MTTR: 1, MaxRetries: 2}},
+	}
+	var cells []Cell
+	for _, seed := range []uint64{1, 2} {
+		for _, sp := range specs {
+			c := testCell(seed)
+			c.Workload = sp
+			cells = append(cells, c)
+		}
+	}
 	baseline, _, err := RunCellsWith(cells, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac := NewArtifactCache(-1)
-	for pass := 0; pass < 2; pass++ {
-		got, _, err := RunCellsWith(cells, 2, ac)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cells {
-			if !reflect.DeepEqual(baseline[i].Report, got[i].Report) ||
-				!reflect.DeepEqual(baseline[i].Workload, got[i].Workload) {
-				t.Fatalf("pass %d cell %d: cached run diverged", pass, i)
+	if f := baseline[2].Workload.Failures; f == nil || f.Killed == 0 || f.Retried == 0 {
+		t.Fatalf("failure spec killed or retried no flows: %+v", f)
+	}
+	for _, budget := range []int64{-1, 32 << 10} {
+		ac := NewArtifactCache(budget)
+		for pass := 0; pass < 2; pass++ {
+			got, _, err := RunCellsWith(cells, 2, ac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range cells {
+				if !reflect.DeepEqual(baseline[i].Report, got[i].Report) ||
+					!reflect.DeepEqual(baseline[i].Workload, got[i].Workload) {
+					t.Fatalf("budget=%d pass %d cell %d: cached run diverged", budget, pass, i)
+				}
 			}
 		}
-	}
-	st := ac.Stats()
-	for _, stage := range st.Stages {
-		if stage.Hits != 2 || stage.Misses != 2 {
-			t.Fatalf("stage %s: hits=%d misses=%d, want 2/2 over cold+warm passes",
-				stage.Stage, stage.Hits, stage.Misses)
+		st := ac.Stats()
+		var evictions uint64
+		for _, stage := range st.Stages {
+			evictions += stage.Evictions
+			if budget < 0 && (stage.Hits != 2 || stage.Misses != 2) {
+				t.Fatalf("stage %s: hits=%d misses=%d, want 2/2 over cold+warm passes",
+					stage.Stage, stage.Hits, stage.Misses)
+			}
+		}
+		if budget > 0 && evictions == 0 {
+			t.Fatalf("budget=%d evicted nothing: %+v", budget, st)
 		}
 	}
 }

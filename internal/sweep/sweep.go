@@ -8,7 +8,7 @@
 // first and reports moments across the replicas.
 //
 // Determinism contract: every cell draws exclusively from streams split
-// off its own seed (core.RunCell), cells merge by grid index, and the
+// off its own seed (core.Cell), cells merge by grid index, and the
 // aggregation pass is sequential — so a Summary is a pure function of
 // the Grid, bit-identical at every pool width, and any single cell can
 // be reproduced in isolation from its row in the summary.

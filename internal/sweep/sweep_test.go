@@ -371,7 +371,7 @@ func TestWorkloadJSONGridRoundTrip(t *testing.T) {
 }
 
 // TestWorkloadSharedTopologyMatchesPerComboCells pins the optimization
-// contract of runWorkloadGrid: sharing one topology across the (load,
+// contract of the grouped plan: sharing one topology across the (load,
 // tail) combos must reproduce, bit for bit, the summary of running one
 // full cell per combo.
 func TestWorkloadSharedTopologyMatchesPerComboCells(t *testing.T) {
@@ -384,9 +384,11 @@ func TestWorkloadSharedTopologyMatchesPerComboCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := core.RunCells(cells, 2)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*core.PipelineResult, len(cells))
+	for i, c := range cells {
+		if results[i], err = core.RunCell(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perCombo, err := fold(g, cells, results)
 	if err != nil {

@@ -31,7 +31,7 @@ func TestRouteFrozenMatchesRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RouteFrozen(g.Freeze(), m, true, 4)
+		got, err := RouteFrozenDemand(g.Freeze(), m, true, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestRouteFrozenDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RouteFrozen(g.Freeze(), m, false, 4)
+	got, err := RouteFrozenDemand(g.Freeze(), m, false, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRouteFrozenErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := top.G.Freeze()
-	if _, err := RouteFrozen(s, &Matrix{Demand: make([][]float64, 3)}, false, 0); err == nil {
+	if _, err := RouteFrozenDemand(s, &Matrix{Demand: make([][]float64, 3)}, false, 0); err == nil {
 		t.Fatal("size mismatch must error")
 	}
 }
@@ -168,7 +168,7 @@ func TestRouteFrozenDemandMatchesMatrixPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := g.Freeze()
-	want, err := RouteFrozen(s, m, true, 4)
+	want, err := RouteFrozenDemand(s, m, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

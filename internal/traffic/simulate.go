@@ -545,9 +545,10 @@ func Simulate(s *graph.Snapshot, masses []float64, spec WorkloadSpec, r *rng.Ran
 
 // SimulateWith runs the flow-level workload over the engine's snapshot,
 // reusing the routing state memoized in the engine (RoutingOf) so
-// repeated simulations of one topology — a sweep cell's grid of load
-// factors, a trajectory epoch's re-measurement — share shortest-path
-// trees.
+// repeated simulations over one engine — load factors swept by hand
+// over a measured map — share shortest-path trees. The sweep planner
+// (core.RunCellsWith) owns its routing state instead, through Simulate
+// with WithRouting, so the trees can be cached across runs.
 //
 // Semantics: time advances in epochs of length spec.EpochLen. At each
 // epoch start every origin's arrival source emits flows (origin o with

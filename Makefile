@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-gen bench-trajectory bench-sweep bench-cache bench-traffic bench-failures bench-kernels bench-check staticcheck lint fmt ci
+.PHONY: all build test examples bench bench-gen bench-trajectory bench-sweep bench-cache bench-traffic bench-failures bench-kernels bench-check staticcheck lint fmt ci
 
 all: build
 
@@ -14,6 +14,15 @@ build:
 test:
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every program under examples/ run to completion (~10 s in total, the
+# workload example most of it); stdout is discarded, a failing example
+# stops the target.
+examples:
+	@for d in examples/*/; do \
+		echo "run $$d"; \
+		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
 
 # Full benchmark matrix (E1-E12 plus the engine comparisons); one
 # iteration each, the CI smoke configuration. For real measurements
@@ -110,4 +119,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint test bench bench-check
+ci: build lint test examples bench bench-check

@@ -10,7 +10,7 @@ import (
 
 	"netmodel/internal/compare"
 	"netmodel/internal/econ"
-	"netmodel/internal/metrics"
+	"netmodel/internal/engine"
 	"netmodel/internal/rng"
 )
 
@@ -59,12 +59,14 @@ func BenchmarkAblationLinearSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBetweennessExact measures full Brandes betweenness.
+// BenchmarkAblationBetweennessExact measures full Brandes betweenness
+// on one engine worker, so the row isolates the estimator's cost.
 func BenchmarkAblationBetweennessExact(b *testing.B) {
-	g := build(b, "pfp", 1000)
+	s := build(b, "pfp", 1000).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Betweenness(g)
+		// A fresh engine per iteration defeats memoization.
+		engine.New(s, engine.WithWorkers(1)).Betweenness()
 	}
 }
 
@@ -72,10 +74,10 @@ func BenchmarkAblationBetweennessExact(b *testing.B) {
 // estimator; accuracy is verified in internal/metrics tests (rank
 // correlation > 0.95 at these rates).
 func BenchmarkAblationBetweennessSampled(b *testing.B) {
-	g := build(b, "pfp", 1000)
+	eng := engine.New(build(b, "pfp", 1000).Freeze(), engine.WithWorkers(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.BetweennessSampled(g, rng.New(uint64(i)), 100); err != nil {
+		if _, err := eng.BetweennessSampled(rng.New(uint64(i)), 100); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,14 +97,16 @@ func BenchmarkAblationDistanceConstraint(b *testing.B) {
 		b.Fatal(err)
 	}
 	once("AblationDistance", func() {
-		spec := compare.MeasureSpectra(res.G)
-		specD := compare.MeasureSpectra(resD.G)
+		eng := engine.New(res.G.Freeze())
+		engD := engine.New(resD.G.Freeze())
+		spec := compare.MeasureSpectraFrozen(eng)
+		specD := compare.MeasureSpectraFrozen(engD)
 		fmt.Printf("\nAblation: econ distance constraint at N=2000\n")
 		fmt.Printf("%-14s %14s %14s %12s\n", "variant", "assortativity", "knn slope", "⟨c⟩")
 		fmt.Printf("%-14s %+14.3f %14.2f %12.4f\n", "no distance",
-			metrics.Assortativity(res.G), spec.KnnSlope, metrics.AvgClustering(res.G))
+			eng.Assortativity(), spec.KnnSlope, eng.AvgClustering())
 		fmt.Printf("%-14s %+14.3f %14.2f %12.4f\n", "distance",
-			metrics.Assortativity(resD.G), specD.KnnSlope, metrics.AvgClustering(resD.G))
+			engD.Assortativity(), specD.KnnSlope, engD.AvgClustering())
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@ import (
 	"netmodel/internal/compare"
 	"netmodel/internal/core"
 	"netmodel/internal/econ"
+	"netmodel/internal/engine"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/refdata"
@@ -75,7 +76,7 @@ func BenchmarkE1DegreeDistribution(b *testing.B) {
 	var rows []row
 	for _, m := range models {
 		g := build(b, m, n)
-		degs := metrics.DegreesAsFloats(g)
+		degs := metrics.DegreesAsFloatsFrozen(g.Freeze())
 		var gamma float64
 		if fit, err := stats.FitPowerLawDiscrete(degs); err == nil {
 			gamma = fit.Alpha
@@ -90,10 +91,10 @@ func BenchmarkE1DegreeDistribution(b *testing.B) {
 			fmt.Printf("%-8s %8.2f %8.2f %8d\n", r.model, r.gamma, r.hill, r.maxDeg)
 		}
 	})
+	s := build(b, "glp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := build(b, "glp", n)
-		if _, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(g)); err != nil {
+		if _, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(s)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,12 +108,11 @@ func BenchmarkE2ClusteringSpectrum(b *testing.B) {
 	once("E2", func() {
 		fmt.Printf("\nE2: clustering at N=%d (AS map: ⟨c⟩≈0.30, slope≈-0.75)\n", n)
 		fmt.Printf("%-8s %10s %10s %12s\n", "model", "⟨c⟩", "c(k)slope", "⟨c⟩/⟨c_ER⟩")
-		er := build(b, "gnp", n)
-		cer := metrics.AvgClustering(er)
+		cer := metrics.AvgClusteringFrozen(build(b, "gnp", n).Freeze())
 		for _, m := range []string{"glp", "pfp", "econ", "gnp"} {
-			g := build(b, m, n)
-			c := metrics.AvgClustering(g)
-			sp := compare.MeasureSpectra(g)
+			eng := engine.New(build(b, m, n).Freeze())
+			c := eng.AvgClustering()
+			sp := compare.MeasureSpectraFrozen(eng)
 			ratio := math.Inf(1)
 			if cer > 0 {
 				ratio = c / cer
@@ -120,10 +120,10 @@ func BenchmarkE2ClusteringSpectrum(b *testing.B) {
 			fmt.Printf("%-8s %10.4f %10.2f %12.1f\n", m, c, sp.CkSlope, ratio)
 		}
 	})
-	g := build(b, "pfp", n)
+	s := build(b, "pfp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.ClusteringSpectrum(g)
+		metrics.ClusteringSpectrumFrozen(s)
 	}
 }
 
@@ -136,15 +136,15 @@ func BenchmarkE3Knn(b *testing.B) {
 		fmt.Printf("\nE3: degree correlations at N=%d (AS map: slope≈-0.55, r≈-0.19)\n", n)
 		fmt.Printf("%-8s %10s %10s\n", "model", "knn slope", "r")
 		for _, m := range []string{"pfp", "glp", "econ", "ba", "gnp"} {
-			g := build(b, m, n)
-			sp := compare.MeasureSpectra(g)
-			fmt.Printf("%-8s %10.2f %+10.3f\n", m, sp.KnnSlope, metrics.Assortativity(g))
+			eng := engine.New(build(b, m, n).Freeze())
+			sp := compare.MeasureSpectraFrozen(eng)
+			fmt.Printf("%-8s %10.2f %+10.3f\n", m, sp.KnnSlope, metrics.AssortativityFrozen(eng.Snapshot()))
 		}
 	})
-	g := build(b, "pfp", n)
+	s := build(b, "pfp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Knn(g)
+		metrics.KnnFrozen(s)
 	}
 }
 
@@ -157,15 +157,14 @@ func BenchmarkE4KCore(b *testing.B) {
 		fmt.Printf("\nE4: k-core depth at N=%d (AS map: max core 18)\n", n)
 		fmt.Printf("%-12s %8s %14s\n", "model", "maxcore", "innermost size")
 		for _, m := range []string{"pfp", "glp", "econ", "gnp", "fkp", "transitstub"} {
-			g := build(b, m, n)
-			kc := metrics.KCore(g)
+			kc := metrics.KCoreFrozen(build(b, m, n).Freeze())
 			fmt.Printf("%-12s %8d %14d\n", m, kc.MaxCore, kc.ShellSizes()[kc.MaxCore])
 		}
 	})
-	g := build(b, "pfp", n)
+	s := build(b, "pfp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.KCore(g)
+		metrics.KCoreFrozen(s)
 	}
 }
 
@@ -174,8 +173,8 @@ func BenchmarkE4KCore(b *testing.B) {
 // region, and the per-node triangle distribution P(T) is broad.
 func BenchmarkE5Betweenness(b *testing.B) {
 	const n = 2000
-	g := build(b, "pfp", n)
-	bc := metrics.Betweenness(g)
+	s := build(b, "pfp", n).Freeze()
+	bc := metrics.BetweennessFrozen(s)
 	once("E5", func() {
 		var pos []float64
 		for _, v := range bc {
@@ -197,7 +196,7 @@ func BenchmarkE5Betweenness(b *testing.B) {
 		if f, err := stats.LogLogFit(lx, ly); err == nil {
 			fmt.Printf("cumulative log-log slope: %.2f\n", f.Slope)
 		}
-		tri := metrics.TrianglesPerNode(g)
+		tri := metrics.TrianglesPerNodeFrozen(s)
 		maxT := 0
 		for _, t := range tri {
 			if t > maxT {
@@ -208,7 +207,7 @@ func BenchmarkE5Betweenness(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.BetweennessSampled(g, rng.New(uint64(i)), 64); err != nil {
+		if _, err := metrics.BetweennessSampledFrozen(s, rng.New(uint64(i)), 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,9 +221,8 @@ func BenchmarkE6PathLengths(b *testing.B) {
 		fmt.Printf("\nE6: path lengths at N=%d (AS map: ⟨d⟩≈3.6, diameter≈10)\n", n)
 		fmt.Printf("%-8s %8s %8s  distribution d:P(d)\n", "model", "⟨d⟩", "diam")
 		for _, m := range []string{"pfp", "glp", "econ", "waxman", "transitstub"} {
-			g := build(b, m, n)
-			giant, _ := g.GiantComponent()
-			ps, err := metrics.PathLengths(giant, rng.New(3), 400)
+			giant, _ := build(b, m, n).Freeze().GiantComponent()
+			ps, err := metrics.PathLengthsFrozen(giant, rng.New(3), 400)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -242,11 +240,10 @@ func BenchmarkE6PathLengths(b *testing.B) {
 			fmt.Printf("%-8s %8.2f %8d %s\n", m, ps.Avg, ps.Diameter, line)
 		}
 	})
-	g := build(b, "pfp", n)
-	giant, _ := g.GiantComponent()
+	giant, _ := build(b, "pfp", n).Freeze().GiantComponent()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.PathLengths(giant, rng.New(uint64(i)), 100); err != nil {
+		if _, err := metrics.PathLengthsFrozen(giant, rng.New(uint64(i)), 100); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,8 +259,7 @@ func BenchmarkE7LoopScaling(b *testing.B) {
 			var lx, l3, l4, l5 []float64
 			fmt.Printf("%-6s %8s %12s %14s %16s\n", model, "N", "N3", "N4", "N5")
 			for _, n := range sizes {
-				g := build(b, model, n)
-				cc := metrics.CountCycles(g)
+				cc := metrics.CountCyclesFrozen(build(b, model, n).Freeze())
 				fmt.Printf("%-6s %8d %12d %14d %16d\n", "", n, cc.C3, cc.C4, cc.C5)
 				lx = append(lx, float64(n))
 				l3 = append(l3, float64(cc.C3))
@@ -281,10 +277,10 @@ func BenchmarkE7LoopScaling(b *testing.B) {
 				model, xi(l3), xi(l4), xi(l5))
 		}
 	})
-	g := build(b, "pfp", 2000)
+	s := build(b, "pfp", 2000).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.CountCycles(g)
+		metrics.CountCyclesFrozen(s)
 	}
 }
 
@@ -390,8 +386,7 @@ func BenchmarkE11RichClub(b *testing.B) {
 		fmt.Printf("\nE11: rich-club φ of the smallest club with ≥16 members at N=%d\n", n)
 		fmt.Printf("%-8s %8s %8s\n", "model", "club", "φ")
 		for _, m := range []string{"pfp", "econ", "glp", "ba", "gnp"} {
-			g := build(b, m, n)
-			rc := metrics.RichClub(g)
+			rc := metrics.RichClubFrozen(build(b, m, n).Freeze())
 			for i := len(rc) - 1; i >= 0; i-- {
 				if rc[i].N >= 16 {
 					fmt.Printf("%-8s %8d %8.3f\n", m, rc[i].N, rc[i].Phi)
@@ -400,10 +395,10 @@ func BenchmarkE11RichClub(b *testing.B) {
 			}
 		}
 	})
-	g := build(b, "pfp", n)
+	s := build(b, "pfp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.RichClub(g)
+		metrics.RichClubFrozen(s)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"netmodel/internal/compare"
 	"netmodel/internal/core"
+	"netmodel/internal/engine"
 	"netmodel/internal/metrics"
 	"netmodel/internal/refdata"
 )
@@ -25,25 +26,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	g := res.Topology.G
+	eng := engine.New(res.Topology.G.Freeze())
 
 	fmt.Println("\n--- headline comparison ---")
 	fmt.Print(res.Report)
 
 	fmt.Println("\n--- degree CCDF (log-binned) ---")
-	ks, pc := metrics.DegreeCCDF(g)
+	ks, pc := metrics.DegreeCCDFFrozen(eng.Snapshot())
 	fmt.Println("k      Pc(k)")
 	for i := 0; i < len(ks); i += max(1, len(ks)/12) {
 		fmt.Printf("%-6d %.5f\n", ks[i], pc[i])
 	}
 
 	fmt.Println("\n--- correlation spectra ---")
-	sp := compare.MeasureSpectra(g)
+	sp := compare.MeasureSpectraFrozen(eng)
 	fmt.Printf("knn(k) slope: measured %.2f, AS map %.2f\n", sp.KnnSlope, refdata.ASMap2001.KnnSlope)
 	fmt.Printf("c(k)  slope: measured %.2f, AS map %.2f\n", sp.CkSlope, refdata.ASMap2001.CkSlope)
 
 	fmt.Println("\n--- k-core decomposition ---")
-	kc := metrics.KCore(g)
+	kc := eng.KCore()
 	shells := kc.ShellSizes()
 	fmt.Printf("coreness: measured %d, AS map %d\n", kc.MaxCore, refdata.ASMap2001.MaxCore)
 	fmt.Println("shell  nodes")
@@ -54,7 +55,7 @@ func main() {
 	}
 
 	fmt.Println("\n--- rich club ---")
-	rc := metrics.RichClub(g)
+	rc := eng.RichClub()
 	for _, pt := range rc {
 		if pt.N <= 64 && pt.N >= 2 {
 			fmt.Printf("top %-4d ASs (k>%d): φ = %.3f\n", pt.N, pt.K, pt.Phi)
@@ -66,6 +67,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cc := metrics.CountCycles(sub.Topology.G)
+	cc := engine.New(sub.Topology.G.Freeze()).CountCycles()
 	fmt.Printf("N=4000: triangles %d, 4-cycles %d, 5-cycles %d\n", cc.C3, cc.C4, cc.C5)
 }

@@ -8,8 +8,8 @@ import (
 	"log"
 
 	"netmodel/internal/compare"
+	"netmodel/internal/engine"
 	"netmodel/internal/gen"
-	"netmodel/internal/metrics"
 	"netmodel/internal/refdata"
 	"netmodel/internal/rng"
 )
@@ -23,8 +23,10 @@ func main() {
 	}
 	fmt.Printf("generated %d ASs, %d links\n", top.G.N(), top.G.M())
 
-	// 2. Measure: the canonical metric snapshot.
-	snap, err := metrics.Measure(top.G, rng.New(1), 500)
+	// 2. Measure: the canonical metric snapshot, computed by the
+	// parallel engine over the frozen (CSR) map.
+	eng := engine.New(top.G.Freeze())
+	snap, err := eng.Measure(rng.New(1), 500)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func main() {
 		snap.Gamma, snap.AvgClustering, snap.AvgPathLen)
 
 	// 3. Validate: score against the May-2001 AS map.
-	rep, err := compare.Against(top.G, refdata.ASMap2001,
+	rep, err := compare.AgainstFrozen(eng, refdata.ASMap2001,
 		compare.Options{PathSources: 500, Rand: rng.New(2)})
 	if err != nil {
 		log.Fatal(err)

@@ -152,17 +152,10 @@ func spectrumSlope(m map[int]float64) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// MeasureSpectra fits log-log slopes to the knn and clustering spectra
-// of g over degrees >= 2. Degenerate spectra yield NaN slopes.
-func MeasureSpectra(g *graph.Graph) Spectra {
-	return Spectra{
-		KnnSlope: spectrumSlope(metrics.Knn(g)),
-		CkSlope:  spectrumSlope(metrics.ClusteringSpectrum(g)),
-	}
-}
-
-// MeasureSpectraFrozen is MeasureSpectra through a metrics engine,
-// reusing its memoized triangle counts and degree spectra.
+// MeasureSpectraFrozen fits log-log slopes to the knn and clustering
+// spectra of the engine's snapshot over degrees >= 2, reusing its
+// memoized triangle counts and degree spectra. Degenerate spectra yield
+// NaN slopes.
 func MeasureSpectraFrozen(e *engine.Engine) Spectra {
 	return Spectra{
 		KnnSlope: spectrumSlope(e.Knn()),

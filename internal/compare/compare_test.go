@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"netmodel/internal/engine"
 	"netmodel/internal/gen"
 	"netmodel/internal/graph"
 	"netmodel/internal/refdata"
@@ -75,7 +76,7 @@ func TestMeasureSpectraSlopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := MeasureSpectra(pfp.G)
+	sp := MeasureSpectraFrozen(engine.New(pfp.G.Freeze()))
 	if math.IsNaN(sp.KnnSlope) || sp.KnnSlope >= 0 {
 		t.Fatalf("PFP knn slope = %v, want negative", sp.KnnSlope)
 	}
@@ -83,7 +84,7 @@ func TestMeasureSpectraSlopes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spER := MeasureSpectra(er.G)
+	spER := MeasureSpectraFrozen(engine.New(er.G.Freeze()))
 	if !math.IsNaN(spER.KnnSlope) && math.Abs(spER.KnnSlope) > math.Abs(sp.KnnSlope) {
 		t.Fatalf("ER knn slope %v steeper than PFP %v", spER.KnnSlope, sp.KnnSlope)
 	}
@@ -92,7 +93,7 @@ func TestMeasureSpectraSlopes(t *testing.T) {
 func TestMeasureSpectraDegenerate(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1)
-	sp := MeasureSpectra(g)
+	sp := MeasureSpectraFrozen(engine.New(g.Freeze()))
 	if !math.IsNaN(sp.KnnSlope) || !math.IsNaN(sp.CkSlope) {
 		t.Fatalf("degenerate spectra must be NaN: %+v", sp)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"netmodel/internal/artifact"
 	"netmodel/internal/compare"
-	"netmodel/internal/engine"
 	"netmodel/internal/gen"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
@@ -126,21 +125,27 @@ func (a *topoArtifact) memBytes() int64 {
 const trajectoryPointBytes = 256
 
 // engineArtifact is the cached output of the measurement stage: the
-// warm engine (whose memo holds the whole-graph metrics, including the
-// giant-component sub-engine) plus the measured snapshot and report.
-// The entry is only usable together with its sibling snapshot entry —
-// it does not carry the topology or trajectory — and like it is
-// immutable and shared.
+// measured metric vector and its comparison report. The engine that
+// produced them is not kept — nothing reads it after measurement, and
+// dropping it lets its memo (including the giant-component
+// sub-snapshot) be collected. The entry is only usable together with
+// its sibling snapshot entry — it does not carry the topology or
+// trajectory — and like it is immutable and shared.
 type engineArtifact struct {
-	eng     *engine.Engine
 	metrics metrics.Snapshot
 	report  *compare.Report
 }
 
+// memBytes estimates the entry: a flat metric vector plus one report
+// row per compared metric.
 func (a *engineArtifact) memBytes() int64 {
-	// The memo's big residents are the giant-component sub-snapshot
-	// (close to a second copy of the graph) and a handful of per-node
-	// metric vectors. Estimated, not measured: the memo fills lazily and
-	// an exact census would race concurrent readers.
-	return a.eng.Snapshot().MemBytes() + int64(a.eng.Snapshot().N())*48 + 4096
+	return engineArtifactBytes + int64(len(a.report.Rows))*reportRowBytes
 }
+
+// engineArtifactBytes approximates the metric vector, the report header
+// and the entry's bookkeeping; reportRowBytes one compare.MetricScore
+// with its name.
+const (
+	engineArtifactBytes = 256
+	reportRowBytes      = 64
+)

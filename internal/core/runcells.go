@@ -153,7 +153,7 @@ func (g *cellGroup) run(a groupArtifacts) groupOut {
 			out.err = err
 			return out
 		}
-		ea = &engineArtifact{eng: eng, metrics: ms, report: rep}
+		ea = &engineArtifact{metrics: ms, report: rep}
 	}
 	out.topo, out.eng = ta, ea
 	out.res = &PipelineResult{Model: c.Model, Topology: ta.top, Snapshot: ea.metrics,

@@ -120,12 +120,13 @@ func TestTopologyIsInternetLike(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := res.G
-	giant, _ := g.GiantComponent()
+	s := g.Freeze()
+	giant, _ := s.GiantComponent()
 	if float64(giant.N()) < 0.9*float64(g.N()) {
 		t.Fatalf("giant component %d of %d", giant.N(), g.N())
 	}
 	// Heavy-tailed degrees.
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(g))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestTopologyIsInternetLike(t *testing.T) {
 		t.Fatalf("degree exponent %v outside Internet-like band", fit.Alpha)
 	}
 	// Disassortative like the AS map.
-	if r := metrics.Assortativity(g); r > 0.05 {
+	if r := metrics.AssortativityFrozen(s); r > 0.05 {
 		t.Fatalf("assortativity %v, want non-positive", r)
 	}
 	// Small world.
-	ps, err := metrics.PathLengths(giant, rng.New(1), 300)
+	ps, err := metrics.PathLengthsFrozen(giant, rng.New(1), 300)
 	if err != nil {
 		t.Fatal(err)
 	}

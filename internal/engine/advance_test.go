@@ -147,8 +147,8 @@ func TestAdvanceTrajectoryMatchesFreshEngines(t *testing.T) {
 						t.Fatalf("%s/%d every=%d n=%d: growth stats %+v vs %+v",
 							fam.name, seed, every, g.N(), got, want)
 					}
-					// And against the sequential reference on the graph.
-					seq := metrics.MeasureGrowth(g)
+					// And against the sequential kernels.
+					seq := sequentialMeasureGrowth(g.Freeze())
 					if got.N != seq.N || got.M != seq.M || got.MaxCore != seq.MaxCore ||
 						math.Abs(got.AvgClustering-seq.AvgClustering) > 1e-12 ||
 						math.Abs(got.Gamma-seq.Gamma) > 1e-9 {

@@ -10,6 +10,7 @@ import (
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
+	"netmodel/internal/stats"
 )
 
 // testWorkers forces a real pool even on single-core machines so the
@@ -55,17 +56,64 @@ func assertFloatsClose(t *testing.T, key, name string, got, want []float64, tol 
 	}
 }
 
+// sequentialMeasure composes the sequential kernels into the metric
+// vector Engine.Measure promises: degree-tail fit, clustering and
+// assortativity on the whole map, path statistics on the giant
+// component, core depth on the whole map.
+func sequentialMeasure(s *graph.Snapshot, r *rng.Rand, pathSources int) (metrics.Snapshot, error) {
+	out := metrics.Snapshot{N: s.N(), M: s.M(), AvgDegree: s.AvgDegree(), MaxDegree: s.MaxDegree()}
+	if s.N() == 0 {
+		out.GiantFrac = 1
+		return out, nil
+	}
+	if fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(s)); err == nil {
+		out.Gamma, out.GammaKS = fit.Alpha, fit.KS
+	}
+	out.AvgClustering = metrics.AvgClusteringFrozen(s)
+	out.Transitivity = metrics.TransitivityFrozen(s)
+	out.Assortativity = metrics.AssortativityFrozen(s)
+	giant, _ := s.GiantComponent()
+	out.GiantFrac = float64(giant.N()) / float64(s.N())
+	if giant.N() > 1 {
+		ps, err := metrics.PathLengthsFrozen(giant, r, pathSources)
+		if err != nil {
+			return out, err
+		}
+		out.AvgPathLen, out.Diameter = ps.Avg, ps.Diameter
+	}
+	out.MaxCore = metrics.KCoreFrozen(s).MaxCore
+	return out, nil
+}
+
+// sequentialMeasureGrowth composes the sequential kernels into the
+// observation vector Engine.MeasureGrowth promises (without the
+// distance family).
+func sequentialMeasureGrowth(s *graph.Snapshot) metrics.GrowthStats {
+	st := metrics.GrowthStats{N: s.N(), M: s.M(), Strength: s.TotalStrength(), AvgDegree: s.AvgDegree(), MaxDegree: s.MaxDegree()}
+	if s.N() == 0 {
+		return st
+	}
+	if fit, err := stats.FitPowerLawHistogram(metrics.DegreeHistogramFrozen(s)); err == nil {
+		st.Gamma, st.GammaKS = fit.Alpha, fit.KS
+	}
+	st.AvgClustering = metrics.AvgClusteringFrozen(s)
+	st.Transitivity = metrics.TransitivityFrozen(s)
+	st.MaxCore = metrics.KCoreFrozen(s).MaxCore
+	return st
+}
+
 // TestEngineMatchesSequential is the equivalence property test: every
-// parallelized metric must reproduce the sequential map-based
-// implementation — exactly for integer-valued reductions, within 1e-9
+// parallelized metric must reproduce the sequential kernel in
+// internal/metrics — exactly for integer-valued reductions, within 1e-9
 // for floating-point accumulations.
 func TestEngineMatchesSequential(t *testing.T) {
 	for key, g := range testTopologies(t) {
-		e := New(g.Freeze(), WithWorkers(testWorkers))
+		s := g.Freeze()
+		e := New(s, WithWorkers(testWorkers))
 
-		assertFloatsClose(t, key, "betweenness", e.Betweenness(), metrics.Betweenness(g), 1e-9)
+		assertFloatsClose(t, key, "betweenness", e.Betweenness(), metrics.BetweennessFrozen(s), 1e-9)
 
-		wantBC, err := metrics.BetweennessSampled(g, rng.New(99), 37)
+		wantBC, err := metrics.BetweennessSampledFrozen(s, rng.New(99), 37)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +123,11 @@ func TestEngineMatchesSequential(t *testing.T) {
 		}
 		assertFloatsClose(t, key, "sampled betweenness", gotBC, wantBC, 1e-9)
 
-		assertFloatsClose(t, key, "closeness", e.Closeness(), metrics.Closeness(g), 0)
-		assertFloatsClose(t, key, "harmonic", e.HarmonicCloseness(), metrics.HarmonicCloseness(g), 0)
+		assertFloatsClose(t, key, "closeness", e.Closeness(), metrics.ClosenessFrozen(s), 0)
+		assertFloatsClose(t, key, "harmonic", e.HarmonicCloseness(), metrics.HarmonicClosenessFrozen(s), 0)
 
 		for _, sources := range []int{0, 50} {
-			want, err := metrics.PathLengths(g, rng.New(7), sources)
+			want, err := metrics.PathLengthsFrozen(s, rng.New(7), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,43 +141,44 @@ func TestEngineMatchesSequential(t *testing.T) {
 			}
 		}
 
-		if got, want := e.TrianglesPerNode(), metrics.TrianglesPerNode(g); !reflect.DeepEqual(got, want) {
+		if got, want := e.TrianglesPerNode(), metrics.TrianglesPerNodeFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: triangle counts differ", key)
 		}
-		if got, want := e.AvgClustering(), metrics.AvgClustering(g); got != want {
+		if got, want := e.AvgClustering(), metrics.AvgClusteringFrozen(s); got != want {
 			t.Fatalf("%s: avg clustering %v vs %v", key, got, want)
 		}
-		if got, want := e.Transitivity(), metrics.Transitivity(g); got != want {
+		if got, want := e.Transitivity(), metrics.TransitivityFrozen(s); got != want {
 			t.Fatalf("%s: transitivity %v vs %v", key, got, want)
 		}
-		if got, want := e.ClusteringSpectrum(), metrics.ClusteringSpectrum(g); !reflect.DeepEqual(got, want) {
+		if got, want := e.ClusteringSpectrum(), metrics.ClusteringSpectrumFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: clustering spectra differ", key)
 		}
-		if got, want := e.KCore(), metrics.KCore(g); !reflect.DeepEqual(got, want) {
+		if got, want := e.KCore(), metrics.KCoreFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: k-core differs", key)
 		}
-		if got, want := e.RichClub(), metrics.RichClub(g); !reflect.DeepEqual(got, want) {
+		if got, want := e.RichClub(), metrics.RichClubFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: rich club differs", key)
 		}
-		if got, want := e.CountCycles(), metrics.CountCycles(g); got != want {
+		if got, want := e.CountCycles(), metrics.CountCyclesFrozen(s); got != want {
 			t.Fatalf("%s: cycles %+v vs %+v", key, got, want)
 		}
-		if got, want := e.Assortativity(), metrics.Assortativity(g); math.Abs(got-want) > 1e-9 {
+		if got, want := e.Assortativity(), metrics.AssortativityFrozen(s); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("%s: assortativity %v vs %v", key, got, want)
 		}
 	}
 }
 
 // TestEngineMeasureMatchesSequential checks the full metric vector
-// against metrics.Measure for identical generator states.
+// against sequentialMeasure for identical generator states.
 func TestEngineMeasureMatchesSequential(t *testing.T) {
 	for key, g := range testTopologies(t) {
+		s := g.Freeze()
 		for _, sources := range []int{0, 60} {
-			want, err := metrics.Measure(g, rng.New(11), sources)
+			want, err := sequentialMeasure(s, rng.New(11), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := New(g.Freeze(), WithWorkers(testWorkers)).Measure(rng.New(11), sources)
+			got, err := New(s, WithWorkers(testWorkers)).Measure(rng.New(11), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,11 +263,12 @@ func TestEngineEmptyAndTinyGraphs(t *testing.T) {
 		if n == 2 {
 			g.MustAddEdge(0, 1)
 		}
-		e := New(g.Freeze(), WithWorkers(testWorkers))
-		if got, want := e.Betweenness(), metrics.Betweenness(g); !reflect.DeepEqual(got, want) {
+		s := g.Freeze()
+		e := New(s, WithWorkers(testWorkers))
+		if got, want := e.Betweenness(), metrics.BetweennessFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: betweenness %v vs %v", n, got, want)
 		}
-		if got, want := e.CountCycles(), metrics.CountCycles(g); got != want {
+		if got, want := e.CountCycles(), metrics.CountCyclesFrozen(s); got != want {
 			t.Fatalf("n=%d: cycles differ", n)
 		}
 		snap, err := e.Measure(nil, 0)

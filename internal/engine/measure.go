@@ -26,9 +26,11 @@ func (e *Engine) Giant() (*Engine, []int) {
 }
 
 // Measure computes the full metric vector of the snapshot through the
-// parallel engine, mirroring metrics.Measure field for field: the same
-// power-law fit, the same giant-component convention for path and core
-// statistics, and the same source sampling for a given generator state.
+// parallel engine: the discrete power-law fit of the degree tail,
+// clustering and assortativity over the whole map, path statistics on
+// the giant component (published AS-map numbers are reported that way)
+// and the k-core depth. Path sources are sampled exactly as
+// metrics.PathLengthsFrozen samples them for a given generator state.
 func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error) {
 	s := e.s
 	out := metrics.Snapshot{
@@ -70,7 +72,8 @@ func MeasureGraph(g *graph.Graph, r *rng.Rand, pathSources int) (metrics.Snapsho
 }
 
 // MeasureGrowth computes the trajectory observation vector of the
-// current snapshot, mirroring metrics.MeasureGrowth field for field.
+// current snapshot: the size fields, the degree-tail fit from the
+// degree histogram, clustering and k-core depth.
 // Every input — degree histogram, triangle counts, k-core — is
 // memoized and delta-maintained across Advance, so measuring each
 // epoch of a growth trajectory costs time proportional to the epoch's

@@ -90,7 +90,7 @@ func TestCalibrateBAExponent(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		h, err := stats.Hill(metrics.DegreesAsFloats(top.G), 400)
+		h, err := stats.Hill(metrics.DegreesAsFloatsFrozen(top.G.Freeze()), 400)
 		if err != nil {
 			return 0, err
 		}

@@ -140,7 +140,7 @@ func TestWSLatticeLimit(t *testing.T) {
 		}
 	}
 	// High clustering in the lattice limit.
-	if c := metrics.AvgClustering(top.G); c < 0.4 {
+	if c := metrics.AvgClusteringFrozen(top.G.Freeze()); c < 0.4 {
 		t.Fatalf("lattice clustering = %v, want >= 0.5-ish", c)
 	}
 }
@@ -154,13 +154,13 @@ func TestWSRewiringShortensPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, _ := lattice.G.GiantComponent()
-	gs, _ := small.G.GiantComponent()
-	pl, err := metrics.PathLengths(gl, nil, 0)
+	gl, _ := lattice.G.Freeze().GiantComponent()
+	gs, _ := small.G.Freeze().GiantComponent()
+	pl, err := metrics.PathLengthsFrozen(gl, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := metrics.PathLengths(gs, nil, 0)
+	ps, err := metrics.PathLengthsFrozen(gs, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestWaxmanNotHeavyTailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degs := metrics.DegreesAsFloats(top.G)
+	degs := metrics.DegreesAsFloatsFrozen(top.G.Freeze())
 	s := stats.Summarize(degs)
 	// Poisson-like: max degree within a small multiple of the mean.
 	if s.Max > 6*s.Mean+10 {
@@ -258,7 +258,7 @@ func TestBAPowerLawExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +276,11 @@ func TestBAInitialAttractivenessFlattens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(plain.G))
+	fp, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(plain.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(flat.G))
+	ff, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(flat.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestGLPHeavyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := stats.Hill(metrics.DegreesAsFloats(top.G), 1000)
+	h, err := stats.Hill(metrics.DegreesAsFloatsFrozen(top.G.Freeze()), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestPFPHeavyTailAndRichClub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestPFPHeavyTailAndRichClub(t *testing.T) {
 	// Rich club: the ~10 highest-degree nodes should be densely
 	// interconnected (use the smallest club of size >= 10; the very last
 	// thresholds hold single nodes where φ is degenerate).
-	rc := metrics.RichClub(top.G)
+	rc := metrics.RichClubFrozen(top.G.Freeze())
 	var club *metrics.RichClubPoint
 	for i := len(rc) - 1; i >= 0; i-- {
 		if rc[i].N >= 10 {
@@ -362,7 +362,7 @@ func TestPFPHeavyTailAndRichClub(t *testing.T) {
 		t.Fatalf("PFP rich-club φ(N=%d) = %v, want high", club.N, club.Phi)
 	}
 	// PFP is disassortative like the AS map.
-	if r := metrics.Assortativity(top.G); r >= 0 {
+	if r := metrics.AssortativityFrozen(top.G.Freeze()); r >= 0 {
 		t.Fatalf("PFP assortativity = %v, want negative", r)
 	}
 }
@@ -404,7 +404,7 @@ func TestInetMatchesTargetExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestTransitStubNoHeavyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := stats.Summarize(metrics.DegreesAsFloats(top.G))
+	s := stats.Summarize(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if s.Max > 8*s.Mean+20 {
 		t.Fatalf("TransitStub unexpectedly heavy-tailed: max %v mean %v", s.Max, s.Mean)
 	}

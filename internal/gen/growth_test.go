@@ -177,7 +177,7 @@ func TestShardedBAPowerLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestShardedGLPHeavyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := stats.Hill(metrics.DegreesAsFloats(top.G), 800)
+	h, err := stats.Hill(metrics.DegreesAsFloatsFrozen(top.G.Freeze()), 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestShardedPFPProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fit.Alpha < 1.8 || fit.Alpha > 2.8 {
 		t.Fatalf("sharded PFP exponent = %v, want ~2.2", fit.Alpha)
 	}
-	if r := metrics.Assortativity(top.G); r >= 0 {
+	if r := metrics.AssortativityFrozen(top.G.Freeze()); r >= 0 {
 		t.Fatalf("sharded PFP assortativity = %v, want negative", r)
 	}
 }
@@ -246,7 +246,7 @@ func TestShardedInetExponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloats(top.G))
+	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,68 +6,6 @@ import (
 	"netmodel/internal/rng"
 )
 
-// ring builds a cycle graph on n nodes.
-func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n)
-	}
-	return g
-}
-
-func TestDoubleEdgeSwapPreservesDegrees(t *testing.T) {
-	r := rng.New(5)
-	g := ring(50)
-	before := g.DegreeSequence()
-	done, err := DoubleEdgeSwap(g, r, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done == 0 {
-		t.Fatal("no swaps performed on a ring")
-	}
-	after := g.DegreeSequence()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("degree of %d changed: %d -> %d", i, before[i], after[i])
-		}
-	}
-	if g.M() != 50 {
-		t.Fatalf("edge count changed to %d", g.M())
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoubleEdgeSwapChangesWiring(t *testing.T) {
-	r := rng.New(9)
-	g := ring(100)
-	orig := g.Copy()
-	if _, err := DoubleEdgeSwap(g, r, 200); err != nil {
-		t.Fatal(err)
-	}
-	differs := false
-	g.Edges(func(u, v, w int) bool {
-		if !orig.HasEdge(u, v) {
-			differs = true
-			return false
-		}
-		return true
-	})
-	if !differs {
-		t.Fatal("rewiring left the graph identical")
-	}
-}
-
-func TestDoubleEdgeSwapTooFewEdges(t *testing.T) {
-	g := New(2)
-	g.MustAddEdge(0, 1)
-	if _, err := DoubleEdgeSwap(g, rng.New(1), 10); err == nil {
-		t.Fatal("single edge should fail")
-	}
-}
-
 func TestFromDegreeSequenceRegular(t *testing.T) {
 	r := rng.New(11)
 	deg := make([]int, 100)

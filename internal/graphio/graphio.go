@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -37,10 +38,15 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
+// maxID bounds node counts, node ids and edge multiplicities read from
+// outside input: snapshots store ids and weights as int32.
+const maxID = math.MaxInt32
+
 // ReadEdgeList parses the format written by WriteEdgeList. Lines
 // starting with '#' are comments; the special header comment, when
 // present, pre-sizes the graph so trailing isolated nodes survive a
-// round trip. Unknown node ids grow the graph as needed.
+// round trip. Unknown node ids grow the graph as needed. Node counts,
+// ids and multiplicities above math.MaxInt32 are rejected.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -53,7 +59,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if n, ok := parseHeaderNodes(line); ok {
+			n, ok, err := parseHeaderNodes(line)
+			if err != nil {
+				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
+			}
+			if ok {
 				for g.N() < n {
 					g.AddNode()
 				}
@@ -75,24 +85,21 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graphio: line %d: negative node id", lineNo)
 		}
+		if u > maxID || v > maxID {
+			return nil, fmt.Errorf("graphio: line %d: node id above %d", lineNo, maxID)
+		}
 		w := 1
 		if len(fields) == 3 {
 			w, err = strconv.Atoi(fields[2])
-			if err != nil || w < 1 {
+			if err != nil {
 				return nil, fmt.Errorf("graphio: line %d: bad multiplicity %q", lineNo, fields[2])
 			}
 		}
-		max := u
-		if v > max {
-			max = v
-		}
-		for g.N() <= max {
+		for g.N() <= max(u, v) {
 			g.AddNode()
 		}
-		for i := 0; i < w; i++ {
-			if _, err := g.AddEdge(u, v); err != nil {
-				return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
-			}
+		if err := addEdges(g, u, v, w); err != nil {
+			return nil, fmt.Errorf("graphio: line %d: %v", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -101,21 +108,40 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-func parseHeaderNodes(line string) (int, bool) {
+// parseHeaderNodes reads the node count of a "nodes=N" header comment;
+// ok is false for comments without one.
+func parseHeaderNodes(line string) (n int, ok bool, err error) {
 	i := strings.Index(line, "nodes=")
 	if i < 0 {
-		return 0, false
+		return 0, false, nil
 	}
 	rest := line[i+len("nodes="):]
 	j := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' })
 	if j >= 0 {
 		rest = rest[:j]
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, false
+	if rest == "" {
+		return 0, false, nil
 	}
-	return n, true
+	n, err = strconv.Atoi(rest)
+	if err != nil || n > maxID {
+		return 0, false, fmt.Errorf("node count %s above %d", rest, maxID)
+	}
+	return n, true, nil
+}
+
+// addEdges adds w units of multiplicity between u and v, refusing a
+// total multiplicity a snapshot's int32 weights cannot hold.
+func addEdges(g *graph.Graph, u, v, w int) error {
+	if w < 1 || w > maxID-g.EdgeWeight(u, v) {
+		return fmt.Errorf("bad multiplicity %d", w)
+	}
+	for i := 0; i < w; i++ {
+		if _, err := g.AddEdge(u, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // jsonGraph is the JSON wire format.
@@ -134,24 +160,20 @@ func WriteJSON(w io.Writer, g *graph.Graph) error {
 	return enc.Encode(jg)
 }
 
-// ReadJSON decodes the format written by WriteJSON.
+// ReadJSON decodes the format written by WriteJSON. Node counts and
+// multiplicities above math.MaxInt32 are rejected.
 func ReadJSON(r io.Reader) (*graph.Graph, error) {
 	var jg jsonGraph
 	if err := json.NewDecoder(r).Decode(&jg); err != nil {
 		return nil, err
 	}
-	if jg.Nodes < 0 {
-		return nil, fmt.Errorf("graphio: negative node count %d", jg.Nodes)
+	if jg.Nodes < 0 || jg.Nodes > maxID {
+		return nil, fmt.Errorf("graphio: node count %d outside [0,%d]", jg.Nodes, maxID)
 	}
 	g := graph.New(jg.Nodes)
 	for _, e := range jg.Edges {
-		if e[2] < 1 {
-			return nil, fmt.Errorf("graphio: bad multiplicity %d", e[2])
-		}
-		for i := 0; i < e[2]; i++ {
-			if _, err := g.AddEdge(e[0], e[1]); err != nil {
-				return nil, err
-			}
+		if err := addEdges(g, e[0], e[1], e[2]); err != nil {
+			return nil, fmt.Errorf("graphio: %v", err)
 		}
 	}
 	return g, nil

@@ -10,7 +10,7 @@ import (
 	"netmodel/internal/rng"
 )
 
-func sample(t *testing.T) *graph.Graph {
+func sample(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := graph.New(5)
 	g.MustAddEdge(0, 1)
@@ -92,16 +92,24 @@ func TestReadEdgeListWithoutHeader(t *testing.T) {
 	}
 }
 
+// edgeListErrorRows are edge lists ReadEdgeList must reject with an
+// error; they double as fuzz seeds.
+var edgeListErrorRows = []string{
+	"0\n",                            // too few fields
+	"0 1 2 3\n",                      // too many fields
+	"a b\n",                          // not numbers
+	"0 -1\n",                         // negative id
+	"0 1 0\n",                        // zero multiplicity
+	"1 1\n",                          // self-loop
+	"# nodes=2147483648\n",           // node count above MaxInt32
+	"# nodes=99999999999999999999\n", // node count overflowing int
+	"0 2147483648\n",                 // node id above MaxInt32
+	"0 1 2147483648\n",               // multiplicity above MaxInt32
+	"0 1 9223372036854775807\n",      // multiplicity far above MaxInt32
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
-	cases := []string{
-		"0\n",       // too few fields
-		"0 1 2 3\n", // too many fields
-		"a b\n",     // not numbers
-		"0 -1\n",    // negative id
-		"0 1 0\n",   // zero multiplicity
-		"1 1\n",     // self-loop
-	}
-	for _, c := range cases {
+	for _, c := range edgeListErrorRows {
 		if _, err := ReadEdgeList(strings.NewReader(c)); err == nil {
 			t.Fatalf("input %q should fail", c)
 		}
@@ -123,14 +131,21 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// jsonErrorRows are documents ReadJSON must reject with an error; they
+// double as fuzz seeds.
+var jsonErrorRows = []string{
+	`not json`,
+	`{"nodes": -1, "edges": []}`,
+	`{"nodes": 2, "edges": [[0,1,0]]}`,
+	`{"nodes": 2, "edges": [[0,5,1]]}`,
+	`{"nodes":1000000000000000,"edges":[]}`,              // node count above MaxInt32
+	`{"nodes": 2, "edges": [[0,2147483648,1]]}`,          // node id above MaxInt32
+	`{"nodes": 2, "edges": [[0,1,2147483648]]}`,          // multiplicity above MaxInt32
+	`{"nodes": 2, "edges": [[0,1,9223372036854775807]]}`, // multiplicity far above MaxInt32
+}
+
 func TestReadJSONErrors(t *testing.T) {
-	bad := []string{
-		`not json`,
-		`{"nodes": -1, "edges": []}`,
-		`{"nodes": 2, "edges": [[0,1,0]]}`,
-		`{"nodes": 2, "edges": [[0,5,1]]}`,
-	}
-	for _, c := range bad {
+	for _, c := range jsonErrorRows {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
 			t.Fatalf("input %q should fail", c)
 		}

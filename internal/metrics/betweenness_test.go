@@ -11,9 +11,23 @@ import (
 // bruteBetweenness computes betweenness by explicit shortest-path
 // enumeration over all pairs (exponential-ish, tiny graphs only).
 func bruteBetweenness(g *graph.Graph) []float64 {
+	srcs := make([]int, g.N())
+	for i := range srcs {
+		srcs[i] = i
+	}
+	return bruteBetweennessFrom(g, srcs, 1)
+}
+
+// bruteBetweennessFrom is bruteBetweenness restricted to paths that
+// start at srcs, each source's contribution multiplied by scale — the
+// sampled estimator written from its definition.
+func bruteBetweennessFrom(g *graph.Graph, srcs []int, scale float64) []float64 {
 	n := g.N()
 	bc := make([]float64, n)
-	for s := 0; s < n; s++ {
+	if n < 3 {
+		return bc
+	}
+	for _, s := range srcs {
 		for t := 0; t < n; t++ {
 			if s == t {
 				continue
@@ -30,7 +44,7 @@ func bruteBetweenness(g *graph.Graph) []float64 {
 			}
 			for v := 0; v < n; v++ {
 				if v != s && v != t {
-					bc[v] += float64(through[v]) / float64(len(paths))
+					bc[v] += scale * float64(through[v]) / float64(len(paths))
 				}
 			}
 		}
@@ -44,7 +58,7 @@ func bruteBetweenness(g *graph.Graph) []float64 {
 
 // shortestPaths enumerates all shortest paths from s to t by BFS layers.
 func shortestPaths(g *graph.Graph, s, t int) [][]int {
-	dist := BFS(g, s)
+	dist := bfs(g, s)
 	if dist[t] < 0 {
 		return nil
 	}
@@ -73,7 +87,7 @@ func shortestPaths(g *graph.Graph, s, t int) [][]int {
 
 func TestBetweennessStar(t *testing.T) {
 	g := star(6)
-	bc := Betweenness(g)
+	bc := BetweennessFrozen(g.Freeze())
 	if math.Abs(bc[0]-1) > 1e-12 {
 		t.Fatalf("hub betweenness = %v, want 1", bc[0])
 	}
@@ -86,7 +100,7 @@ func TestBetweennessStar(t *testing.T) {
 
 func TestBetweennessPath(t *testing.T) {
 	g := path(5)
-	bc := Betweenness(g)
+	bc := BetweennessFrozen(g.Freeze())
 	// Middle node lies on 3*2=... pairs: (0,3),(0,4),(1,3),(1,4),(3,0)...
 	// For path of 5, exact normalized values: node 2 covers pairs
 	// {0,1}x{3,4} in both directions = 8 of 12 ordered pairs.
@@ -102,7 +116,7 @@ func TestBetweennessMatchesBruteForce(t *testing.T) {
 	r := rng.New(23)
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(r, 12, 0.3)
-		got := Betweenness(g)
+		got := BetweennessFrozen(g.Freeze())
 		want := bruteBetweenness(g)
 		for u := range want {
 			if math.Abs(got[u]-want[u]) > 1e-9 {
@@ -113,7 +127,7 @@ func TestBetweennessMatchesBruteForce(t *testing.T) {
 }
 
 func TestBetweennessTinyGraph(t *testing.T) {
-	bc := Betweenness(graph.New(2))
+	bc := BetweennessFrozen(graph.New(2).Freeze())
 	if len(bc) != 2 || bc[0] != 0 || bc[1] != 0 {
 		t.Fatal("graphs with <3 nodes must be all-zero")
 	}
@@ -121,9 +135,9 @@ func TestBetweennessTinyGraph(t *testing.T) {
 
 func TestBetweennessSampledApproximates(t *testing.T) {
 	r := rng.New(29)
-	g := randomGraph(r, 300, 0.03)
-	exact := Betweenness(g)
-	approx, err := BetweennessSampled(g, r, 150)
+	s := randomGraph(r, 300, 0.03).Freeze()
+	exact := BetweennessFrozen(s)
+	approx, err := BetweennessSampledFrozen(s, r, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +158,19 @@ func TestBetweennessSampledApproximates(t *testing.T) {
 }
 
 func TestBetweennessSampledErrors(t *testing.T) {
-	g := path(5)
-	if _, err := BetweennessSampled(g, nil, 2); err == nil {
+	s := path(5).Freeze()
+	if _, err := BetweennessSampledFrozen(s, nil, 2); err == nil {
 		t.Fatal("nil generator should fail")
 	}
-	if _, err := BetweennessSampled(g, rng.New(1), 0); err == nil {
+	if _, err := BetweennessSampledFrozen(s, rng.New(1), 0); err == nil {
 		t.Fatal("zero sources should fail")
 	}
 }
 
 func TestBetweennessSampledFullFallsBackToExact(t *testing.T) {
-	g := path(6)
-	exact := Betweenness(g)
-	full, err := BetweennessSampled(g, rng.New(1), 100)
+	s := path(6).Freeze()
+	exact := BetweennessFrozen(s)
+	full, err := BetweennessSampledFrozen(s, rng.New(1), 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"netmodel/internal/graph"
-	"netmodel/internal/rng"
 )
 
 func TestClosenessStar(t *testing.T) {
 	g := star(5) // hub 0, leaves at distance 1 from hub, 2 from each other
-	c := Closeness(g)
+	c := ClosenessFrozen(g.Freeze())
 	if math.Abs(c[0]-1) > 1e-12 {
 		t.Fatalf("hub closeness = %v, want 1", c[0])
 	}
@@ -27,7 +26,7 @@ func TestClosenessDisconnectedPenalized(t *testing.T) {
 	g := graph.New(4)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(2, 3)
-	c := Closeness(g)
+	c := ClosenessFrozen(g.Freeze())
 	// pair node: reach 1, sum 1 -> 1 * 1/3
 	want := 1.0 / 3
 	for u := range c {
@@ -39,85 +38,21 @@ func TestClosenessDisconnectedPenalized(t *testing.T) {
 
 func TestHarmonicCloseness(t *testing.T) {
 	g := path(3)
-	h := HarmonicCloseness(g)
+	h := HarmonicClosenessFrozen(g.Freeze())
 	// middle: (1 + 1)/2 = 1; ends: (1 + 1/2)/2 = 0.75
 	if math.Abs(h[1]-1) > 1e-12 || math.Abs(h[0]-0.75) > 1e-12 {
 		t.Fatalf("harmonic = %v", h)
 	}
 	// isolated node contributes zero without dividing by zero
-	if out := HarmonicCloseness(graph.New(1)); out[0] != 0 {
+	if out := HarmonicClosenessFrozen(graph.New(1).Freeze()); out[0] != 0 {
 		t.Fatal("single node should score 0")
 	}
 }
 
 func TestClosenessOrderingMatchesCentrality(t *testing.T) {
 	g := path(7)
-	c := Closeness(g)
+	c := ClosenessFrozen(g.Freeze())
 	if !(c[3] > c[1] && c[1] > c[0]) {
 		t.Fatalf("path closeness ordering broken: %v", c)
-	}
-}
-
-func TestRichClubNormalizedERIsFlat(t *testing.T) {
-	// An ER graph has no rich-club phenomenon: normalized φ ≈ 1.
-	g := randomGraph(rng.New(51), 800, 0.01)
-	pts, err := RichClubNormalized(g, rng.New(52))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if p.N >= 50 && (p.Phi < 0.5 || p.Phi > 2.0) {
-			t.Fatalf("ER normalized φ(k=%d, club=%d) = %v, want ~1", p.K, p.N, p.Phi)
-		}
-	}
-}
-
-func TestRichClubNormalizedDetectsPlantedClub(t *testing.T) {
-	// Plant a clique among high-degree nodes on top of a sparse random
-	// graph: the normalized coefficient at the top must exceed 1.
-	r := rng.New(53)
-	g := randomGraph(r, 400, 0.01)
-	// boost 8 nodes and interconnect them
-	hubs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	for _, h := range hubs {
-		for k := 0; k < 20; k++ {
-			v := 8 + r.Intn(392)
-			if !g.HasEdge(h, v) {
-				g.MustAddEdge(h, v)
-			}
-		}
-	}
-	for i, a := range hubs {
-		for _, b := range hubs[i+1:] {
-			if !g.HasEdge(a, b) {
-				g.MustAddEdge(a, b)
-			}
-		}
-	}
-	pts, err := RichClubNormalized(g, rng.New(54))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// smallest club that still contains >= 8 nodes
-	var top *RichClubPoint
-	for i := len(pts) - 1; i >= 0; i-- {
-		if pts[i].N >= 8 {
-			top = &pts[i]
-			break
-		}
-	}
-	if top == nil {
-		t.Fatal("no club of size >= 8")
-	}
-	if top.Phi <= 1.1 {
-		t.Fatalf("planted club normalized φ = %v, want > 1.1", top.Phi)
-	}
-}
-
-func TestRichClubNormalizedTooFewEdges(t *testing.T) {
-	g := graph.New(2)
-	g.MustAddEdge(0, 1)
-	if _, err := RichClubNormalized(g, rng.New(1)); err == nil {
-		t.Fatal("single-edge graph should fail (cannot rewire)")
 	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"netmodel/internal/graph"
@@ -9,25 +10,20 @@ import (
 )
 
 func TestTrianglesComplete(t *testing.T) {
-	g := complete(5)
-	tri := TrianglesPerNode(g)
+	s := complete(5).Freeze()
+	tri := TrianglesPerNodeFrozen(s)
 	for u, ti := range tri {
 		if ti != 6 { // C(4,2) triangles through each node of K5
 			t.Fatalf("T(%d) = %d, want 6", u, ti)
 		}
 	}
-	if total := TotalTriangles(g); total != 10 {
+	if total := TotalTrianglesFrozen(s); total != 10 {
 		t.Fatalf("K5 triangles = %d, want 10", total)
 	}
 }
 
 func TestTrianglesTriangleWithTail(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	tri := TrianglesPerNode(g)
+	tri := TrianglesPerNodeFrozen(triangleWithTail().Freeze())
 	want := []int{1, 1, 1, 0}
 	for u := range want {
 		if tri[u] != want[u] {
@@ -42,15 +38,16 @@ func TestTrianglesIgnoreMultiplicity(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 0)
-	if total := TotalTriangles(g); total != 1 {
+	if total := TotalTrianglesFrozen(g.Freeze()); total != 1 {
 		t.Fatalf("triangles = %d, want 1 (multiplicity must not matter)", total)
 	}
 }
 
-// bruteTriangles counts triangles by full enumeration.
-func bruteTriangles(g *graph.Graph) int {
+// bruteTrianglesPerNode counts the triangles through every node by
+// enumerating all node triples.
+func bruteTrianglesPerNode(g *graph.Graph) []int {
 	n := g.N()
-	c := 0
+	t := make([]int, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if !g.HasEdge(i, j) {
@@ -58,26 +55,28 @@ func bruteTriangles(g *graph.Graph) int {
 			}
 			for k := j + 1; k < n; k++ {
 				if g.HasEdge(i, k) && g.HasEdge(j, k) {
-					c++
+					t[i]++
+					t[j]++
+					t[k]++
 				}
 			}
 		}
 	}
-	return c
+	return t
 }
 
 func TestTrianglesMatchBruteForce(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 40, 0.15)
-		if got, want := TotalTriangles(g), bruteTriangles(g); got != want {
-			t.Fatalf("trial %d: triangles = %d, brute force = %d", trial, got, want)
+		if got, want := TrianglesPerNodeFrozen(g.Freeze()), bruteTrianglesPerNode(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: triangles = %v, brute force = %v", trial, got, want)
 		}
 	}
 }
 
 func TestLocalClusteringComplete(t *testing.T) {
-	c := LocalClustering(complete(6))
+	c := LocalClusteringFrozen(complete(6).Freeze())
 	for u, cu := range c {
 		if math.Abs(cu-1) > 1e-12 {
 			t.Fatalf("c(%d) = %v, want 1", u, cu)
@@ -86,7 +85,7 @@ func TestLocalClusteringComplete(t *testing.T) {
 }
 
 func TestLocalClusteringPath(t *testing.T) {
-	c := LocalClustering(path(5))
+	c := LocalClusteringFrozen(path(5).Freeze())
 	for u, cu := range c {
 		if cu != 0 {
 			t.Fatalf("c(%d) = %v on a path, want 0", u, cu)
@@ -102,26 +101,21 @@ func TestAvgClusteringSkipsLowDegree(t *testing.T) {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 0)
 	g.MustAddEdge(3, 4)
-	if avg := AvgClustering(g); math.Abs(avg-1) > 1e-12 {
+	if avg := AvgClusteringFrozen(g.Freeze()); math.Abs(avg-1) > 1e-12 {
 		t.Fatalf("avg clustering = %v, want 1 (degree-1 nodes excluded)", avg)
 	}
 }
 
 func TestTransitivityKnown(t *testing.T) {
-	if tr := Transitivity(complete(4)); math.Abs(tr-1) > 1e-12 {
+	if tr := TransitivityFrozen(complete(4).Freeze()); math.Abs(tr-1) > 1e-12 {
 		t.Fatalf("K4 transitivity = %v, want 1", tr)
 	}
-	if tr := Transitivity(star(10)); tr != 0 {
+	if tr := TransitivityFrozen(star(10).Freeze()); tr != 0 {
 		t.Fatalf("star transitivity = %v, want 0", tr)
 	}
 	// Triangle with tail: 1 triangle, triples: deg 2,2,3,1 ->
 	// 1+1+3+0 = 5 triples, transitivity 3/5.
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	if tr := Transitivity(g); math.Abs(tr-0.6) > 1e-12 {
+	if tr := TransitivityFrozen(triangleWithTail().Freeze()); math.Abs(tr-0.6) > 1e-12 {
 		t.Fatalf("transitivity = %v, want 0.6", tr)
 	}
 }
@@ -129,12 +123,7 @@ func TestTransitivityKnown(t *testing.T) {
 func TestClusteringSpectrum(t *testing.T) {
 	// Triangle with tail: nodes of degree 2 have c=1, node of degree 3
 	// has c = 1/3.
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 0)
-	g.MustAddEdge(2, 3)
-	spec := ClusteringSpectrum(g)
+	spec := ClusteringSpectrumFrozen(triangleWithTail().Freeze())
 	if math.Abs(spec[2]-1) > 1e-12 {
 		t.Fatalf("c(k=2) = %v, want 1", spec[2])
 	}
@@ -148,8 +137,7 @@ func TestClusteringSpectrum(t *testing.T) {
 
 func TestERClusteringMatchesP(t *testing.T) {
 	// For G(n,p), expected clustering is p.
-	g := randomGraph(rng.New(13), 800, 0.02)
-	avg := AvgClustering(g)
+	avg := AvgClusteringFrozen(randomGraph(rng.New(13), 800, 0.02).Freeze())
 	if math.Abs(avg-0.02) > 0.01 {
 		t.Fatalf("ER clustering = %v, want ~0.02", avg)
 	}

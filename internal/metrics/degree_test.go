@@ -8,60 +8,9 @@ import (
 	"netmodel/internal/rng"
 )
 
-// star builds a star graph: node 0 connected to 1..n-1.
-func star(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(0, i)
-	}
-	return g
-}
-
-// path builds a path graph 0-1-...-n-1.
-func path(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1)
-	}
-	return g
-}
-
-// complete builds K_n.
-func complete(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.MustAddEdge(i, j)
-		}
-	}
-	return g
-}
-
-// cycleGraph builds C_n.
-func cycleGraph(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n)
-	}
-	return g
-}
-
-// randomGraph builds an Erdős–Rényi-ish graph for cross-checks.
-func randomGraph(r *rng.Rand, n int, p float64) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if r.Float64() < p {
-				g.MustAddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 func TestDegreeDistributionStar(t *testing.T) {
 	g := star(10)
-	d := DegreeDistribution(g)
+	d := DegreeDistributionFrozen(g.Freeze())
 	if math.Abs(d[9]-0.1) > 1e-12 {
 		t.Fatalf("P(9) = %v, want 0.1", d[9])
 	}
@@ -79,7 +28,7 @@ func TestDegreeDistributionStar(t *testing.T) {
 
 func TestDegreeCCDF(t *testing.T) {
 	g := star(10)
-	ks, pc := DegreeCCDF(g)
+	ks, pc := DegreeCCDFFrozen(g.Freeze())
 	if len(ks) != 2 || ks[0] != 1 || ks[1] != 9 {
 		t.Fatalf("ks = %v", ks)
 	}
@@ -91,17 +40,9 @@ func TestDegreeCCDF(t *testing.T) {
 	}
 }
 
-func TestDegreeMoments(t *testing.T) {
-	g := path(3) // degrees 1,2,1
-	k1, k2 := DegreeMoments(g)
-	if math.Abs(k1-4.0/3) > 1e-12 || math.Abs(k2-2) > 1e-12 {
-		t.Fatalf("moments %v %v, want 4/3, 2", k1, k2)
-	}
-}
-
 func TestKnnStar(t *testing.T) {
 	g := star(5) // hub degree 4, leaves degree 1
-	knn := Knn(g)
+	knn := KnnFrozen(g.Freeze())
 	if math.Abs(knn[4]-1) > 1e-12 {
 		t.Fatalf("knn(hub) = %v, want 1", knn[4])
 	}
@@ -111,15 +52,20 @@ func TestKnnStar(t *testing.T) {
 }
 
 func TestKnnNormalizedUncorrelated(t *testing.T) {
-	// On a large ER graph knn(k) normalized should be ~1 for common k.
-	g := randomGraph(rng.New(3), 2000, 0.005)
-	norm := KnnNormalized(g)
+	// On a large ER graph knn(k)·⟨k⟩/⟨k²⟩ should be ~1 for common k:
+	// an uncorrelated network's spectrum is flat at ⟨k²⟩/⟨k⟩.
+	s := randomGraph(rng.New(3), 2000, 0.005).Freeze()
+	var k1, k2 float64
+	for _, k := range DegreesAsFloatsFrozen(s) {
+		k1 += k
+		k2 += k * k
+	}
 	// check at the mode of the degree distribution (~np = 10)
-	v, ok := norm[10]
+	knn, ok := KnnFrozen(s)[10]
 	if !ok {
 		t.Skip("no nodes of degree 10")
 	}
-	if math.Abs(v-1) > 0.1 {
+	if v := knn * k1 / k2; math.Abs(v-1) > 0.1 {
 		t.Fatalf("normalized knn(10) = %v, want ~1", v)
 	}
 }
@@ -136,21 +82,21 @@ func TestAssortativityStar(t *testing.T) {
 	for i := 4; i < 6; i++ {
 		g.MustAddEdge(1, i)
 	}
-	r := Assortativity(g)
+	r := AssortativityFrozen(g.Freeze())
 	if r >= 0 {
 		t.Fatalf("double star assortativity = %v, want negative", r)
 	}
 }
 
 func TestAssortativityRegularIsDegenerate(t *testing.T) {
-	if r := Assortativity(cycleGraph(10)); r != 0 {
+	if r := AssortativityFrozen(cycleGraph(10).Freeze()); r != 0 {
 		t.Fatalf("cycle assortativity = %v, want 0 (degenerate)", r)
 	}
 }
 
 func TestAssortativityBounds(t *testing.T) {
 	g := randomGraph(rng.New(7), 500, 0.02)
-	r := Assortativity(g)
+	r := AssortativityFrozen(g.Freeze())
 	if r < -1 || r > 1 {
 		t.Fatalf("assortativity %v out of [-1,1]", r)
 	}

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"netmodel/internal/graph"
-	"netmodel/internal/stats"
-)
+import "netmodel/internal/graph"
 
 // This file holds the incremental metric kernels behind the engine's
 // trajectory mode: metrics that admit cheap delta maintenance are
@@ -43,46 +40,14 @@ type GrowthStats struct {
 	MeanCloseness float64
 }
 
-// DegreeHistogram returns hist[k] = number of nodes of degree k.
-func DegreeHistogram(g *graph.Graph) []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for u := 0; u < g.N(); u++ {
-		hist[g.Degree(u)]++
-	}
-	return hist
-}
-
-// DegreeHistogramFrozen is DegreeHistogram over a snapshot.
+// DegreeHistogramFrozen returns hist[k] = number of nodes of degree k,
+// the sufficient statistic of the degree-tail fit.
 func DegreeHistogramFrozen(s *graph.Snapshot) []int {
 	hist := make([]int, s.MaxDegree()+1)
 	for u := 0; u < s.N(); u++ {
 		hist[s.Degree(u)]++
 	}
 	return hist
-}
-
-// MeasureGrowth is the sequential reference of the engine's trajectory
-// measurement: the same fields, computed from scratch on the mutable
-// graph.
-func MeasureGrowth(g *graph.Graph) GrowthStats {
-	st := GrowthStats{
-		N:         g.N(),
-		M:         g.M(),
-		Strength:  g.TotalStrength(),
-		AvgDegree: g.AvgDegree(),
-		MaxDegree: g.MaxDegree(),
-	}
-	if g.N() == 0 {
-		return st
-	}
-	if fit, err := stats.FitPowerLawHistogram(DegreeHistogram(g)); err == nil {
-		st.Gamma = fit.Alpha
-		st.GammaKS = fit.KS
-	}
-	st.AvgClustering = AvgClustering(g)
-	st.Transitivity = Transitivity(g)
-	st.MaxCore = KCore(g).MaxCore
-	return st
 }
 
 // RefreshDegreeHistogram maintains the degree histogram across a

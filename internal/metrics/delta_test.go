@@ -175,7 +175,7 @@ func TestRefreshKCoreCycleClosure(t *testing.T) {
 	}
 }
 
-// TestMeasureGrowthSequentialReference checks the sequential reference
+// TestMeasureGrowthSequentialReference checks the growth reference
 // against its parts on a generated map.
 func TestMeasureGrowthSequentialReference(t *testing.T) {
 	top, err := gen.BA{N: 400, M: 2}.Generate(rng.New(3))
@@ -183,25 +183,29 @@ func TestMeasureGrowthSequentialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := top.G
-	st := MeasureGrowth(g)
+	s := g.Freeze()
+	st := measureGrowth(g)
 	if st.N != g.N() || st.M != g.M() || st.Strength != g.TotalStrength() ||
 		st.MaxDegree != g.MaxDegree() || st.AvgDegree != g.AvgDegree() {
 		t.Fatalf("size fields wrong: %+v", st)
 	}
-	if st.AvgClustering != AvgClustering(g) || st.Transitivity != Transitivity(g) {
+	if st.AvgClustering != AvgClusteringFrozen(s) || st.Transitivity != TransitivityFrozen(s) {
 		t.Fatal("clustering fields wrong")
 	}
-	if st.MaxCore != KCore(g).MaxCore {
+	if st.MaxCore != KCoreFrozen(s).MaxCore {
 		t.Fatal("core field wrong")
 	}
-	fit, err := stats.FitPowerLawHistogram(DegreeHistogram(g))
+	if !reflect.DeepEqual(degreeHistogram(g), DegreeHistogramFrozen(s)) {
+		t.Fatal("degree histograms differ")
+	}
+	fit, err := stats.FitPowerLawHistogram(DegreeHistogramFrozen(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Gamma != fit.Alpha || st.GammaKS != fit.KS {
 		t.Fatal("fit fields wrong")
 	}
-	if empty := (MeasureGrowth(graph.New(0))); empty.N != 0 || empty.Gamma != 0 {
+	if empty := (measureGrowth(graph.New(0))); empty.N != 0 || empty.Gamma != 0 {
 		t.Fatalf("empty growth stats %+v", empty)
 	}
 }

@@ -9,13 +9,13 @@ import (
 	"netmodel/internal/rng"
 )
 
-// This file is the CSR hot path of the metrics package: every traversal
-// metric has a variant that accepts an immutable *graph.Snapshot and
-// scans flat arrays instead of chasing adjacency maps. The per-source
-// kernels (BFSFrozen, BrandesFrozen, TriangleRangeFrozen,
-// CycleNodeFrozen) are exported so the parallel engine can shard them
-// across workers; the *Frozen whole-graph functions below run them
-// sequentially and serve as the single-threaded reference.
+// This file holds the CSR kernels of the metrics package: every metric
+// accepts an immutable *graph.Snapshot and scans its flat sorted
+// arrays. The per-source kernels (BFSFrozen, BrandesFrozen,
+// TriangleRangeFrozen, CycleNodeFrozen) are exported so the parallel
+// engine can shard them across workers; the *Frozen whole-graph
+// functions below run them sequentially and serve as the
+// single-threaded reference the engine is tested against.
 
 // BFSFrozen fills dist with the hop distance from src to every node
 // (-1 for unreachable) and returns the BFS visit order in queue. Both
@@ -75,7 +75,13 @@ func HarmonicOfDist(dist []int32, n int) float64 {
 	return sum / float64(n-1)
 }
 
-// ClosenessFrozen is Closeness over a snapshot.
+// ClosenessFrozen returns the closeness centrality of every node: the
+// number of reachable nodes divided by the sum of distances to them,
+// with the Wasserman-Faust correction reach/(N-1) that keeps scores
+// comparable across components (0 for isolated nodes). The harmonic
+// variant is preferred on disconnected maps; the classic form is kept
+// because the AS map is effectively one component and the literature
+// reports it.
 func ClosenessFrozen(s *graph.Snapshot) []float64 {
 	n := s.N()
 	out := make([]float64, n)
@@ -88,7 +94,8 @@ func ClosenessFrozen(s *graph.Snapshot) []float64 {
 	return out
 }
 
-// HarmonicClosenessFrozen is HarmonicCloseness over a snapshot.
+// HarmonicClosenessFrozen returns Σ_v 1/d(u,v) / (N-1) per node, well
+// defined on disconnected graphs.
 func HarmonicClosenessFrozen(s *graph.Snapshot) []float64 {
 	n := s.N()
 	out := make([]float64, n)
@@ -168,13 +175,21 @@ func BrandesFrozen(s *graph.Snapshot, src int, sc *BrandesScratch, bc []float64,
 	}
 }
 
-// BetweennessFrozen is Betweenness over a snapshot: exact Brandes from
-// every source, normalized by (N-1)(N-2).
+// BetweennessFrozen computes shortest-path betweenness centrality for
+// every node with Brandes' algorithm from every source, O(N·M) for
+// unweighted graphs. Values are normalized by (N-1)(N-2), the number of
+// ordered pairs excluding the node itself, so they lie in [0,1] —
+// Freeman's convention used in the AS-map betweenness figures.
 func BetweennessFrozen(s *graph.Snapshot) []float64 {
 	return betweennessFrozen(s, nil, 0)
 }
 
-// BetweennessSampledFrozen is BetweennessSampled over a snapshot.
+// BetweennessSampledFrozen estimates betweenness from BFS trees rooted
+// at `sources` uniformly sampled nodes, rescaling by N/sources. The
+// estimate converges to the exact values as sources → N; it is the
+// standard accuracy/cost trade-off for maps with more than a few
+// thousand nodes. An error is returned for a nil generator or
+// non-positive source count.
 func BetweennessSampledFrozen(s *graph.Snapshot, r *rng.Rand, sources int) ([]float64, error) {
 	if sources <= 0 {
 		return nil, errors.New("metrics: source count must be positive")
@@ -206,10 +221,10 @@ func betweennessFrozen(s *graph.Snapshot, r *rng.Rand, sources int) []float64 {
 	return bc
 }
 
-// BetweennessSources mirrors the source selection of the map-based
-// betweenness implementation so the frozen, engine and reference paths
-// sample identically for a given generator state: all nodes with scale
-// 1 when sources <= 0, else a uniform sample rescaled by n/sources.
+// BetweennessSources is the source selection of sampled betweenness,
+// shared by the sequential and engine paths so both sample identically
+// for a given generator state: all nodes with scale 1 when
+// sources <= 0, else a uniform sample rescaled by n/sources.
 func BetweennessSources(n int, r *rng.Rand, sources int) (srcs []int, scale float64) {
 	if sources > 0 {
 		perm := r.Perm(n)
@@ -222,9 +237,9 @@ func BetweennessSources(n int, r *rng.Rand, sources int) (srcs []int, scale floa
 	return srcs, 1
 }
 
-// PathSources mirrors the source selection of PathLengths: all nodes
-// when sources <= 0 or >= n, otherwise a uniform sample, with the same
-// error cases.
+// PathSources is the source selection of the path statistics: all
+// nodes when sources <= 0 or >= n, otherwise a uniform sample. It
+// errors on an empty graph and on sampling without a generator.
 func PathSources(n int, r *rng.Rand, sources int) ([]int, error) {
 	if n == 0 {
 		return nil, errors.New("metrics: empty graph")
@@ -245,8 +260,8 @@ func PathSources(n int, r *rng.Rand, sources int) ([]int, error) {
 // PathHistogram is the exact integer reduction of a set of BFS sources:
 // counts[d] pairs at distance d, plus the running sum and diameter.
 // Merging histograms and converting with ToStats reproduces the
-// floating-point results of PathLengths bit for bit, because every
-// intermediate quantity is integral.
+// floating-point results of a single sequential pass bit for bit,
+// because every intermediate quantity is integral.
 type PathHistogram struct {
 	Counts []int64
 	Sum    int64
@@ -302,7 +317,10 @@ func (h *PathHistogram) ToStats(sources int) PathStats {
 	return st
 }
 
-// PathLengthsFrozen is PathLengths over a snapshot.
+// PathLengthsFrozen measures shortest-path statistics by BFS from every
+// node (sources <= 0 or >= N) or from a uniform sample of `sources`
+// nodes. Sampling makes the N² cost tractable on large maps; the
+// distribution estimate is unbiased for connected graphs.
 func PathLengthsFrozen(s *graph.Snapshot, r *rng.Rand, sources int) (PathStats, error) {
 	n := s.N()
 	srcs, err := PathSources(n, r, sources)
@@ -317,20 +335,6 @@ func PathLengthsFrozen(s *graph.Snapshot, r *rng.Rand, sources int) (PathStats, 
 		h.AccumulateDistances(src, dist)
 	}
 	return h.ToStats(len(srcs)), nil
-}
-
-// EccentricityFrozen is Eccentricity over a snapshot.
-func EccentricityFrozen(s *graph.Snapshot, u int) int {
-	n := s.N()
-	dist := make([]int32, n)
-	BFSHybrid(s, u, dist, NewBFSScratch(n))
-	max := int32(0)
-	for _, d := range dist {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
 }
 
 // TriangleRangeFrozen counts every triangle whose smallest node lies in
@@ -371,14 +375,15 @@ func TriangleRangeFrozen(s *graph.Snapshot, lo, hi int, t []int) {
 	}
 }
 
-// TrianglesPerNodeFrozen is TrianglesPerNode over a snapshot.
+// TrianglesPerNodeFrozen returns T(u), the number of triangles through
+// each node, counted on the simple adjacency structure.
 func TrianglesPerNodeFrozen(s *graph.Snapshot) []int {
 	t := make([]int, s.N())
 	TriangleRangeFrozen(s, 0, s.N(), t)
 	return t
 }
 
-// TotalTrianglesFrozen is TotalTriangles over a snapshot.
+// TotalTrianglesFrozen returns the number of triangles in the graph.
 func TotalTrianglesFrozen(s *graph.Snapshot) int {
 	sum := 0
 	for _, ti := range TrianglesPerNodeFrozen(s) {
@@ -388,7 +393,8 @@ func TotalTrianglesFrozen(s *graph.Snapshot) int {
 }
 
 // LocalClusteringFromTriangles converts per-node triangle counts into
-// local clustering coefficients.
+// local clustering coefficients c(u) = 2T(u) / (k_u (k_u - 1)), with
+// c = 0 for degree < 2.
 func LocalClusteringFromTriangles(s *graph.Snapshot, t []int) []float64 {
 	c := make([]float64, s.N())
 	for u := range c {
@@ -400,13 +406,15 @@ func LocalClusteringFromTriangles(s *graph.Snapshot, t []int) []float64 {
 	return c
 }
 
-// LocalClusteringFrozen is LocalClustering over a snapshot.
+// LocalClusteringFrozen returns the local clustering coefficient of
+// every node.
 func LocalClusteringFrozen(s *graph.Snapshot) []float64 {
 	return LocalClusteringFromTriangles(s, TrianglesPerNodeFrozen(s))
 }
 
 // AvgClusteringFromLocal averages local clustering over nodes of degree
-// >= 2, the convention of AvgClustering.
+// >= 2 (the convention of the AS-map measurements; including low-degree
+// nodes would only dilute the signal with structural zeros).
 func AvgClusteringFromLocal(s *graph.Snapshot, c []float64) float64 {
 	sum, n := 0.0, 0
 	for u := range c {
@@ -421,13 +429,14 @@ func AvgClusteringFromLocal(s *graph.Snapshot, c []float64) float64 {
 	return sum / float64(n)
 }
 
-// AvgClusteringFrozen is AvgClustering over a snapshot.
+// AvgClusteringFrozen returns the mean local clustering coefficient
+// over nodes of degree >= 2.
 func AvgClusteringFrozen(s *graph.Snapshot) float64 {
 	return AvgClusteringFromLocal(s, LocalClusteringFrozen(s))
 }
 
 // TransitivityFromTriangles computes the global clustering coefficient
-// from per-node triangle counts.
+// 3·triangles / #connected-triples from per-node triangle counts.
 func TransitivityFromTriangles(s *graph.Snapshot, t []int) float64 {
 	tri := 0
 	for _, ti := range t {
@@ -445,13 +454,16 @@ func TransitivityFromTriangles(s *graph.Snapshot, t []int) float64 {
 	return 3 * float64(tri) / float64(triples)
 }
 
-// TransitivityFrozen is Transitivity over a snapshot.
+// TransitivityFrozen returns the global clustering coefficient.
 func TransitivityFrozen(s *graph.Snapshot) float64 {
 	return TransitivityFromTriangles(s, TrianglesPerNodeFrozen(s))
 }
 
-// ClusteringSpectrumFromLocal bins local clustering by degree, the
-// c(k) spectrum.
+// ClusteringSpectrumFromLocal bins local clustering by degree into the
+// c(k) spectrum: the mean local clustering of nodes of degree k, for
+// every occurring degree >= 2. A decaying spectrum c(k) ~ k^-1 signals
+// hierarchical structure (Ravasz-Barabási); the AS map decays with
+// exponent ≈ 0.75.
 func ClusteringSpectrumFromLocal(s *graph.Snapshot, c []float64) map[int]float64 {
 	sum := make(map[int]float64)
 	cnt := make(map[int]int)
@@ -470,14 +482,16 @@ func ClusteringSpectrumFromLocal(s *graph.Snapshot, c []float64) map[int]float64
 	return out
 }
 
-// ClusteringSpectrumFrozen is ClusteringSpectrum over a snapshot.
+// ClusteringSpectrumFrozen returns the clustering spectrum c(k).
 func ClusteringSpectrumFrozen(s *graph.Snapshot) map[int]float64 {
 	return ClusteringSpectrumFromLocal(s, LocalClusteringFrozen(s))
 }
 
-// KCoreFrozen is KCore over a snapshot: the same Batagelj-Zaversnik
-// bucket algorithm scanning CSR rows. Coreness is a well-defined graph
-// invariant, so the result is identical to the map-based KCore.
+// KCoreFrozen computes the k-core decomposition with the
+// Batagelj-Zaversnik bucket algorithm, O(M). The coreness of node u is
+// the largest k such that u belongs to a maximal subgraph of minimum
+// degree k. The decomposition exposes the Internet's hierarchical shell
+// structure (LANET-VI style analyses).
 func KCoreFrozen(s *graph.Snapshot) KCoreResult {
 	n := s.N()
 	res := KCoreResult{Coreness: make([]int, n)}
@@ -538,7 +552,14 @@ func KCoreFrozen(s *graph.Snapshot) KCoreResult {
 	return res
 }
 
-// RichClubFrozen is RichClub over a snapshot.
+// RichClubFrozen returns φ(k) = 2E_{>k} / (N_{>k}(N_{>k}−1)) for every
+// degree threshold k at which the club membership changes, sorted by k
+// ascending. φ approaching 1 at high thresholds is the "rich-club
+// phenomenon" of the AS-level Internet (Zhou-Mondragón 2004): top-degree
+// ASs form a near-clique.
+//
+// Cost is O(M + N log N): nodes are added in descending degree order
+// while edge counts into the current club are accumulated incrementally.
 func RichClubFrozen(s *graph.Snapshot) []RichClubPoint {
 	n := s.N()
 	if n < 2 {
@@ -597,9 +618,9 @@ func NewCycleScratch(n int) *CycleScratch {
 
 // CycleNodeFrozen computes node i's contribution to the ordered 4-cycle
 // sum Σ_{j≠i} C(codeg(i,j),2) and to tr A⁵ in one 2-neighborhood pass.
-// Summing over all i yields the same totals as the two passes of
-// CountCycles: the 4-cycle term skips the k == i diagonal that the
-// count vector retains for the quadratic form.
+// Summing over all i yields Σ_i Σ_{j≠i} C(codeg(i,j),2) and tr A⁵: the
+// 4-cycle term skips the k == i diagonal that the count vector retains
+// for the quadratic form.
 func CycleNodeFrozen(s *graph.Snapshot, i int, sc *CycleScratch) (ordered4, trA5 int64) {
 	sc.touched = sc.touched[:0]
 	for _, j := range s.Neighbors(i) {
@@ -632,7 +653,7 @@ func CycleNodeFrozen(s *graph.Snapshot, i int, sc *CycleScratch) (ordered4, trA5
 
 // CyclesFromParts assembles CycleCounts from per-node triangle counts
 // and the summed CycleNodeFrozen contributions, applying the trace
-// identities of CountCycles. degree(i) is read from the snapshot.
+// identities of CountCyclesFrozen. degree(i) is read from the snapshot.
 func CyclesFromParts(s *graph.Snapshot, tri []int, ordered4, trA5 int64) CycleCounts {
 	var out CycleCounts
 	n := s.N()
@@ -657,7 +678,17 @@ func CyclesFromParts(s *graph.Snapshot, tri []int, ordered4, trA5 int64) CycleCo
 	return out
 }
 
-// CountCyclesFrozen is CountCycles over a snapshot.
+// CountCyclesFrozen counts 3-, 4- and 5-cycles exactly.
+//
+// C3 comes from per-node triangle counts. C4 uses the codegree identity
+// C4 = ¼ Σ_{i≠j} C(codeg(i,j), 2). C5 uses the trace identity
+//
+//	C5 = (tr A⁵ − 5 tr A³ − 5 Σ_i (d_i−2)(A³)_ii) / 10
+//
+// with tr A⁵ evaluated node by node as (A²e_i)ᵀA(A²e_i), (A³)_ii = 2T(i)
+// and tr A³ = 6·C3. The cost is dominated by the A² rows of the hubs;
+// exact counting is intended for maps up to a few thousand nodes (the
+// scaling-experiment regime).
 func CountCyclesFrozen(s *graph.Snapshot) CycleCounts {
 	n := s.N()
 	if n < 3 {
@@ -674,7 +705,8 @@ func CountCyclesFrozen(s *graph.Snapshot) CycleCounts {
 	return CyclesFromParts(s, tri, ordered4, trA5)
 }
 
-// DegreesAsFloatsFrozen is DegreesAsFloats over a snapshot.
+// DegreesAsFloatsFrozen returns the degree sequence as float64 for the
+// stats package (power-law fitting).
 func DegreesAsFloatsFrozen(s *graph.Snapshot) []float64 {
 	out := make([]float64, s.N())
 	for u := range out {
@@ -683,7 +715,8 @@ func DegreesAsFloatsFrozen(s *graph.Snapshot) []float64 {
 	return out
 }
 
-// DegreeDistributionFrozen is DegreeDistribution over a snapshot.
+// DegreeDistributionFrozen returns P(k), the fraction of nodes with
+// each occurring topological degree, keyed by degree.
 func DegreeDistributionFrozen(s *graph.Snapshot) map[int]float64 {
 	out := make(map[int]float64)
 	n := s.N()
@@ -699,7 +732,9 @@ func DegreeDistributionFrozen(s *graph.Snapshot) map[int]float64 {
 	return out
 }
 
-// DegreeCCDFFrozen is DegreeCCDF over a snapshot.
+// DegreeCCDFFrozen returns the cumulative degree distribution
+// Pc(k) = Σ_{k' >= k} P(k') as (k, Pc) pairs sorted by k. This is the
+// curve plotted in every AS-map degree figure.
 func DegreeCCDFFrozen(s *graph.Snapshot) (ks []int, pc []float64) {
 	dist := DegreeDistributionFrozen(s)
 	for k := range dist {
@@ -715,7 +750,11 @@ func DegreeCCDFFrozen(s *graph.Snapshot) (ks []int, pc []float64) {
 	return ks, pc
 }
 
-// KnnFrozen is Knn over a snapshot.
+// KnnFrozen returns the average nearest-neighbor degree spectrum
+// k̄nn(k): for each occurring degree k, the mean over nodes of degree k
+// of the mean degree of their neighbors. A decreasing spectrum is the
+// signature of the Internet's disassortativity (Pastor-Satorras et al.
+// 2001).
 func KnnFrozen(s *graph.Snapshot) map[int]float64 {
 	sum := make(map[int]float64)
 	cnt := make(map[int]int)
@@ -738,10 +777,14 @@ func KnnFrozen(s *graph.Snapshot) map[int]float64 {
 	return out
 }
 
-// AssortativityFrozen is Assortativity over a snapshot.
+// AssortativityFrozen returns the Pearson degree-degree correlation
+// coefficient over edges (Newman's r). Negative values mean
+// disassortative mixing; the AS-level Internet measures r ≈ -0.19. It
+// returns 0 for graphs with fewer than 2 edges or zero variance.
 func AssortativityFrozen(s *graph.Snapshot) float64 {
 	var n, sx, sy, sxx, syy, sxy float64
 	s.Edges(func(u, v, w int) bool {
+		// Count each edge in both orientations so r is symmetric.
 		du, dv := float64(s.Degree(u)), float64(s.Degree(v))
 		for _, p := range [2][2]float64{{du, dv}, {dv, du}} {
 			n++

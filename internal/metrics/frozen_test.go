@@ -41,7 +41,7 @@ func TestFrozenBFSMatchesMap(t *testing.T) {
 	dist := make([]int32, s.N())
 	queue := make([]int32, s.N())
 	for src := 0; src < s.N(); src += 7 {
-		want := BFS(g, src)
+		want := bfs(g, src)
 		order := BFSFrozen(s, src, dist, queue)
 		for v, d := range want {
 			if int(dist[v]) != d {
@@ -63,21 +63,19 @@ func TestFrozenBFSMatchesMap(t *testing.T) {
 func TestFrozenClosenessMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 90, 200)
-		floatsClose(t, "closeness", ClosenessFrozen(s), Closeness(g), 0)
-		floatsClose(t, "harmonic", HarmonicClosenessFrozen(s), HarmonicCloseness(g), 0)
+		floatsClose(t, "closeness", ClosenessFrozen(s), closeness(g), 0)
+		floatsClose(t, "harmonic", HarmonicClosenessFrozen(s), harmonicCloseness(g), 0)
 	}
 }
 
 func TestFrozenBetweennessMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		g, s := frozenTestGraph(t, seed, 70, 160)
-		floatsClose(t, "betweenness", BetweennessFrozen(s), Betweenness(g), 1e-9)
+		g, s := frozenTestGraph(t, seed, 30, 60)
+		floatsClose(t, "betweenness", BetweennessFrozen(s), bruteBetweenness(g), 1e-9)
 
-		want, err := BetweennessSampled(g, rng.New(42+seed), 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BetweennessSampledFrozen(s, rng.New(42+seed), 20)
+		srcs := rng.New(42 + seed).Perm(30)[:12]
+		want := bruteBetweennessFrom(g, srcs, 30.0/12)
+		got, err := BetweennessSampledFrozen(s, rng.New(42+seed), 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +94,7 @@ func TestFrozenPathLengthsMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 90, 180)
 		for _, sources := range []int{0, 25} {
-			want, err := PathLengths(g, rng.New(5*seed), sources)
+			want, err := pathLengths(g, rng.New(5*seed), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,20 +122,25 @@ func TestFrozenPathLengthsMatchesMap(t *testing.T) {
 func TestFrozenTrianglesAndClusteringMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 60, 240)
-		if got, want := TrianglesPerNodeFrozen(s), TrianglesPerNode(g); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: triangle counts differ:\n got %v\nwant %v", seed, got, want)
+		tri := bruteTrianglesPerNode(g)
+		if got := TrianglesPerNodeFrozen(s); !reflect.DeepEqual(got, tri) {
+			t.Fatalf("seed %d: triangle counts differ:\n got %v\nwant %v", seed, got, tri)
 		}
-		if got, want := TotalTrianglesFrozen(s), TotalTriangles(g); got != want {
-			t.Fatalf("seed %d: total triangles %d vs %d", seed, got, want)
+		total := 0
+		for _, ti := range tri {
+			total += ti
 		}
-		floatsClose(t, "local clustering", LocalClusteringFrozen(s), LocalClustering(g), 0)
-		if got, want := AvgClusteringFrozen(s), AvgClustering(g); got != want {
+		if got := TotalTrianglesFrozen(s); got != total/3 {
+			t.Fatalf("seed %d: total triangles %d vs %d", seed, got, total/3)
+		}
+		floatsClose(t, "local clustering", LocalClusteringFrozen(s), localClustering(g), 0)
+		if got, want := AvgClusteringFrozen(s), avgClustering(g); got != want {
 			t.Fatalf("seed %d: avg clustering %v vs %v", seed, got, want)
 		}
-		if got, want := TransitivityFrozen(s), Transitivity(g); got != want {
+		if got, want := TransitivityFrozen(s), transitivity(g); got != want {
 			t.Fatalf("seed %d: transitivity %v vs %v", seed, got, want)
 		}
-		if got, want := ClusteringSpectrumFrozen(s), ClusteringSpectrum(g); !reflect.DeepEqual(got, want) {
+		if got, want := ClusteringSpectrumFrozen(s), clusteringSpectrum(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: clustering spectra differ", seed)
 		}
 	}
@@ -146,19 +149,38 @@ func TestFrozenTrianglesAndClusteringMatchMap(t *testing.T) {
 func TestFrozenKCoreRichClubMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 80, 260)
-		if got, want := KCoreFrozen(s), KCore(g); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: k-core differs", seed)
+		kc := KCoreFrozen(s)
+		if want := bruteCoreness(g); !reflect.DeepEqual(kc.Coreness, want) {
+			t.Fatalf("seed %d: coreness %v, want %v", seed, kc.Coreness, want)
 		}
-		if got, want := RichClubFrozen(s), RichClub(g); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: rich club differs", seed)
+		if kc.MaxCore != maxCore(g) {
+			t.Fatalf("seed %d: max core %d, want %d", seed, kc.MaxCore, maxCore(g))
+		}
+		// One point per threshold at which club membership changes:
+		// every distinct degree d > 0 yields the threshold d-1.
+		pts := RichClubFrozen(s)
+		thresholds := make(map[int]bool)
+		for u := 0; u < g.N(); u++ {
+			if d := g.Degree(u); d > 0 {
+				thresholds[d-1] = true
+			}
+		}
+		if len(pts) != len(thresholds) {
+			t.Fatalf("seed %d: %d rich-club points, want %d", seed, len(pts), len(thresholds))
+		}
+		for _, p := range pts {
+			n, e, phi := bruteRichClub(g, p.K)
+			if !thresholds[p.K] || p.N != n || p.E != e || p.Phi != phi {
+				t.Fatalf("seed %d k=%d: got (%d,%d,%v), brute (%d,%d,%v)", seed, p.K, p.N, p.E, p.Phi, n, e, phi)
+			}
 		}
 	}
 }
 
 func TestFrozenCyclesMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		g, s := frozenTestGraph(t, seed, 50, 180)
-		if got, want := CountCyclesFrozen(s), CountCycles(g); got != want {
+		g, s := frozenTestGraph(t, seed, 16, 45)
+		if got, want := CountCyclesFrozen(s), bruteCycles(g); got != want {
 			t.Fatalf("seed %d: cycles %+v vs %+v", seed, got, want)
 		}
 	}
@@ -171,7 +193,7 @@ func TestFrozenCyclesMatchMap(t *testing.T) {
 			g.MustAddEdge(2, 0)
 			g.MustAddEdge(2, 3)
 		}
-		if got, want := CountCyclesFrozen(g.Freeze()), CountCycles(g); got != want {
+		if got, want := CountCyclesFrozen(g.Freeze()), bruteCycles(g); got != want {
 			t.Fatalf("n=%d: cycles %+v vs %+v", n, got, want)
 		}
 	}
@@ -180,16 +202,16 @@ func TestFrozenCyclesMatchMap(t *testing.T) {
 func TestFrozenDegreeMetricsMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 70, 150)
-		floatsClose(t, "degrees", DegreesAsFloatsFrozen(s), DegreesAsFloats(g), 0)
-		if got, want := DegreeDistributionFrozen(s), DegreeDistribution(g); !reflect.DeepEqual(got, want) {
+		floatsClose(t, "degrees", DegreesAsFloatsFrozen(s), degreesAsFloats(g), 0)
+		if got, want := DegreeDistributionFrozen(s), degreeDistribution(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: degree distributions differ", seed)
 		}
 		ks1, pc1 := DegreeCCDFFrozen(s)
-		ks2, pc2 := DegreeCCDF(g)
+		ks2, pc2 := degreeCCDF(g)
 		if !reflect.DeepEqual(ks1, ks2) || !reflect.DeepEqual(pc1, pc2) {
 			t.Fatalf("seed %d: CCDFs differ", seed)
 		}
-		knnF, knnM := KnnFrozen(s), Knn(g)
+		knnF, knnM := KnnFrozen(s), knn(g)
 		if len(knnF) != len(knnM) {
 			t.Fatalf("seed %d: knn key sets differ", seed)
 		}
@@ -198,7 +220,7 @@ func TestFrozenDegreeMetricsMatchMap(t *testing.T) {
 				t.Fatalf("seed %d: knn(%d) = %v, want %v", seed, k, knnF[k], v)
 			}
 		}
-		if got, want := AssortativityFrozen(s), Assortativity(g); math.Abs(got-want) > 1e-9 {
+		if got, want := AssortativityFrozen(s), assortativity(g); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("seed %d: assortativity %v vs %v", seed, got, want)
 		}
 	}

@@ -20,20 +20,21 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 		n := 10 + int(nRaw)%60
 		p := 0.02 + float64(pRaw%100)/400
 		g := randomGraph(r, n, p)
+		s := g.Freeze()
 
 		// Clustering coefficients live in [0,1].
-		for _, c := range LocalClustering(g) {
+		for _, c := range LocalClusteringFrozen(s) {
 			if c < 0 || c > 1 {
 				return false
 			}
 		}
-		if tr := Transitivity(g); tr < 0 || tr > 1 {
+		if tr := TransitivityFrozen(s); tr < 0 || tr > 1 {
 			return false
 		}
 
 		// Coreness is bounded by degree, and the max-core subgraph is
 		// non-empty whenever an edge exists.
-		kc := KCore(g)
+		kc := KCoreFrozen(s)
 		for u, c := range kc.Coreness {
 			if c > g.Degree(u) || c < 0 {
 				return false
@@ -46,7 +47,7 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 		// Normalized betweenness lies in [0,1]; endpoints excluded means
 		// the sum over nodes is bounded by N·(avg internal pairs) — check
 		// only the range here.
-		for _, b := range Betweenness(g) {
+		for _, b := range BetweennessFrozen(s) {
 			if b < -1e-12 || b > 1+1e-12 {
 				return false
 			}
@@ -54,18 +55,22 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 
 		// Triangle identities: Σ_u T(u) = 3·C3, and the cycle counter
 		// agrees with the per-node counter.
-		tri := TrianglesPerNode(g)
+		tri := TrianglesPerNodeFrozen(s)
 		sum := 0
 		for _, ti := range tri {
 			sum += ti
 		}
-		cc := CountCycles(g)
+		cc := CountCyclesFrozen(s)
 		if int64(sum) != 3*cc.C3 {
 			return false
 		}
 
 		// Degree moments vs handshake lemma.
-		k1, k2 := DegreeMoments(g)
+		var k1, k2 float64
+		for _, k := range DegreesAsFloatsFrozen(s) {
+			k1 += k / float64(n)
+			k2 += k * k / float64(n)
+		}
 		if math.Abs(k1-g.AvgDegree()) > 1e-9 {
 			return false
 		}
@@ -75,7 +80,7 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 
 		// Rich-club φ within [0,1], club sizes monotone.
 		prevN := g.N() + 1
-		for _, pt := range RichClub(g) {
+		for _, pt := range RichClubFrozen(s) {
 			if pt.Phi < 0 || pt.Phi > 1 || pt.N >= prevN {
 				return false
 			}
@@ -84,7 +89,7 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 
 		// knn values bounded by max degree.
 		maxDeg := float64(g.MaxDegree())
-		for _, v := range Knn(g) {
+		for _, v := range KnnFrozen(s) {
 			if v < 0 || v > maxDeg+1e-9 {
 				return false
 			}
@@ -96,25 +101,26 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestPathAndEccentricityConsistency: the diameter from PathLengths
-// equals the max eccentricity; average distance is at least 1 on any
-// connected graph with an edge.
+// TestPathAndEccentricityConsistency: the diameter from the path
+// statistics equals the max eccentricity (the largest BFS distance from
+// any node); average distance is at least 1 on any connected graph with
+// an edge.
 func TestPathAndEccentricityConsistency(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 60, 0.08)
-		giant, _ := g.GiantComponent()
+		giant, _ := g.Freeze().GiantComponent()
 		if giant.N() < 2 {
 			continue
 		}
-		ps, err := PathLengths(giant, nil, 0)
+		ps, err := PathLengthsFrozen(giant, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		maxEcc := 0
 		for u := 0; u < giant.N(); u++ {
-			if e := Eccentricity(giant, u); e > maxEcc {
-				maxEcc = e
+			for _, d := range bfsFrozen(giant, u) {
+				maxEcc = max(maxEcc, int(d))
 			}
 		}
 		if ps.Diameter != maxEcc {
@@ -136,8 +142,8 @@ func TestClosenessBetweennessHubAgreement(t *testing.T) {
 	// a few peripheral edges
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(3, 4)
-	bc := Betweenness(g)
-	cl := Closeness(g)
+	bc := BetweennessFrozen(g.Freeze())
+	cl := ClosenessFrozen(g.Freeze())
 	for u := 1; u < 30; u++ {
 		if bc[u] >= bc[0] || cl[u] >= cl[0] {
 			t.Fatalf("hub not most central: node %d bc %v vs %v, cl %v vs %v",

@@ -48,7 +48,7 @@ func bruteCoreness(g *graph.Graph) []int {
 }
 
 func TestKCoreComplete(t *testing.T) {
-	res := KCore(complete(6))
+	res := KCoreFrozen(complete(6).Freeze())
 	for u, c := range res.Coreness {
 		if c != 5 {
 			t.Fatalf("K6 coreness[%d] = %d, want 5", u, c)
@@ -60,7 +60,7 @@ func TestKCoreComplete(t *testing.T) {
 }
 
 func TestKCoreTree(t *testing.T) {
-	res := KCore(path(10))
+	res := KCoreFrozen(path(10).Freeze())
 	for u, c := range res.Coreness {
 		if c != 1 {
 			t.Fatalf("path coreness[%d] = %d, want 1", u, c)
@@ -78,7 +78,7 @@ func TestKCoreMixed(t *testing.T) {
 	}
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(4, 5)
-	res := KCore(g)
+	res := KCoreFrozen(g.Freeze())
 	want := []int{3, 3, 3, 3, 1, 1}
 	for u := range want {
 		if res.Coreness[u] != want[u] {
@@ -91,7 +91,7 @@ func TestKCoreMatchesBruteForce(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 60, 0.08)
-		got := KCore(g).Coreness
+		got := KCoreFrozen(g.Freeze()).Coreness
 		want := bruteCoreness(g)
 		for u := range want {
 			if got[u] != want[u] {
@@ -102,11 +102,11 @@ func TestKCoreMatchesBruteForce(t *testing.T) {
 }
 
 func TestKCoreEmptyAndIsolated(t *testing.T) {
-	res := KCore(graph.New(0))
+	res := KCoreFrozen(graph.New(0).Freeze())
 	if res.MaxCore != 0 || len(res.Coreness) != 0 {
 		t.Fatal("empty graph should decompose trivially")
 	}
-	res = KCore(graph.New(5))
+	res = KCoreFrozen(graph.New(5).Freeze())
 	for _, c := range res.Coreness {
 		if c != 0 {
 			t.Fatal("isolated nodes must have coreness 0")
@@ -123,7 +123,7 @@ func TestShellAndCoreSizes(t *testing.T) {
 	}
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(4, 5)
-	res := KCore(g)
+	res := KCoreFrozen(g.Freeze())
 	shells := res.ShellSizes()
 	if shells[1] != 2 || shells[3] != 4 {
 		t.Fatalf("shells = %v", shells)

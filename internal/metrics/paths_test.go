@@ -8,11 +8,17 @@ import (
 	"netmodel/internal/rng"
 )
 
+// bfsFrozen runs BFSFrozen with fresh buffers.
+func bfsFrozen(s *graph.Snapshot, src int) []int32 {
+	dist := make([]int32, s.N())
+	BFSFrozen(s, src, dist, make([]int32, s.N()))
+	return dist
+}
+
 func TestBFSPath(t *testing.T) {
-	g := path(5)
-	d := BFS(g, 0)
+	d := bfsFrozen(path(5).Freeze(), 0)
 	for i := 0; i < 5; i++ {
-		if d[i] != i {
+		if int(d[i]) != i {
 			t.Fatalf("dist[%d] = %d, want %d", i, d[i], i)
 		}
 	}
@@ -21,15 +27,14 @@ func TestBFSPath(t *testing.T) {
 func TestBFSUnreachable(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(0, 1)
-	d := BFS(g, 0)
+	d := bfsFrozen(g.Freeze(), 0)
 	if d[2] != -1 {
 		t.Fatalf("unreachable node distance = %d, want -1", d[2])
 	}
 }
 
 func TestBFSInvalidSource(t *testing.T) {
-	g := path(3)
-	d := BFS(g, 10)
+	d := bfsFrozen(path(3).Freeze(), 10)
 	for _, v := range d {
 		if v != -1 {
 			t.Fatal("invalid source should reach nothing")
@@ -38,8 +43,7 @@ func TestBFSInvalidSource(t *testing.T) {
 }
 
 func TestPathLengthsCycle(t *testing.T) {
-	g := cycleGraph(6)
-	st, err := PathLengths(g, nil, 0)
+	st, err := PathLengthsFrozen(cycleGraph(6).Freeze(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestPathLengthsCycle(t *testing.T) {
 }
 
 func TestPathLengthsComplete(t *testing.T) {
-	st, err := PathLengths(complete(10), nil, 0)
+	st, err := PathLengthsFrozen(complete(10).Freeze(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +79,12 @@ func TestPathLengthsComplete(t *testing.T) {
 func TestPathLengthsSampledApproximatesExact(t *testing.T) {
 	r := rng.New(17)
 	g := randomGraph(r, 500, 0.02)
-	giant, _ := g.GiantComponent()
-	exact, err := PathLengths(giant, nil, 0)
+	giant, _ := g.Freeze().GiantComponent()
+	exact, err := PathLengthsFrozen(giant, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := PathLengths(giant, r, 100)
+	sampled, err := PathLengthsFrozen(giant, r, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,24 +97,13 @@ func TestPathLengthsSampledApproximatesExact(t *testing.T) {
 }
 
 func TestPathLengthsSamplingNeedsRand(t *testing.T) {
-	g := path(10)
-	if _, err := PathLengths(g, nil, 3); err == nil {
+	if _, err := PathLengthsFrozen(path(10).Freeze(), nil, 3); err == nil {
 		t.Fatal("sampling without generator should fail")
 	}
 }
 
 func TestPathLengthsEmpty(t *testing.T) {
-	if _, err := PathLengths(graph.New(0), nil, 0); err == nil {
+	if _, err := PathLengthsFrozen(graph.New(0).Freeze(), nil, 0); err == nil {
 		t.Fatal("empty graph should fail")
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := path(5)
-	if e := Eccentricity(g, 0); e != 4 {
-		t.Fatalf("ecc(end) = %d, want 4", e)
-	}
-	if e := Eccentricity(g, 2); e != 2 {
-		t.Fatalf("ecc(middle) = %d, want 2", e)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestMeasureBasics(t *testing.T) {
 	g := complete(20)
-	s, err := Measure(g, nil, 0)
+	s, err := measure(g, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMeasureDisconnected(t *testing.T) {
 	g := graph.New(10)
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
-	s, err := Measure(g, nil, 0)
+	s, err := measure(g, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMeasureDisconnected(t *testing.T) {
 }
 
 func TestMeasureEmpty(t *testing.T) {
-	s, err := Measure(graph.New(0), nil, 0)
+	s, err := measure(graph.New(0), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestMeasureEmpty(t *testing.T) {
 func TestMeasureWithSampling(t *testing.T) {
 	r := rng.New(47)
 	g := randomGraph(r, 400, 0.02)
-	exact, err := Measure(g, nil, 0)
+	exact, err := measure(g, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Measure(g, r, 100)
+	sampled, err := measure(g, r, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

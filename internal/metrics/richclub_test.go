@@ -35,7 +35,7 @@ func TestRichClubMatchesBruteForce(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(r, 80, 0.06)
-		for _, p := range RichClub(g) {
+		for _, p := range RichClubFrozen(g.Freeze()) {
 			n, e, phi := bruteRichClub(g, p.K)
 			if p.N != n || p.E != e || math.Abs(p.Phi-phi) > 1e-12 {
 				t.Fatalf("trial %d k=%d: got (%d,%d,%v), brute (%d,%d,%v)",
@@ -46,7 +46,7 @@ func TestRichClubMatchesBruteForce(t *testing.T) {
 }
 
 func TestRichClubCompleteGraph(t *testing.T) {
-	pts := RichClub(complete(6))
+	pts := RichClubFrozen(complete(6).Freeze())
 	for _, p := range pts {
 		if p.N >= 2 && math.Abs(p.Phi-1) > 1e-12 {
 			t.Fatalf("K6 rich club φ(%d) = %v, want 1", p.K, p.Phi)
@@ -68,7 +68,7 @@ func TestRichClubHubClique(t *testing.T) {
 			leaf++
 		}
 	}
-	pts := RichClub(g)
+	pts := RichClubFrozen(g.Freeze())
 	// hubs have degree 5, leaves 1; the hub club appears at threshold 4
 	// (points are emitted only where membership changes).
 	var hubClub *RichClubPoint
@@ -86,14 +86,14 @@ func TestRichClubHubClique(t *testing.T) {
 }
 
 func TestRichClubTinyGraph(t *testing.T) {
-	if pts := RichClub(graph.New(1)); pts != nil {
+	if pts := RichClubFrozen(graph.New(1).Freeze()); pts != nil {
 		t.Fatal("single node graph should yield no points")
 	}
 }
 
 func TestRichClubMonotoneThresholds(t *testing.T) {
 	g := randomGraph(rng.New(43), 100, 0.05)
-	pts := RichClub(g)
+	pts := RichClubFrozen(g.Freeze())
 	for i := 1; i < len(pts); i++ {
 		if pts[i].K <= pts[i-1].K {
 			t.Fatal("thresholds not strictly increasing")

@@ -4,19 +4,18 @@ import (
 	"testing"
 
 	"netmodel/internal/engine"
-	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
 )
 
-// The engine benchmarks pit the parallel CSR metrics engine against the
-// sequential map-based implementations on a 10k-node heavy-tailed
-// topology — the acceptance surface of the snapshot/engine work:
+// The engine benchmarks pit the metrics engine at its default pool
+// width (GOMAXPROCS workers) against the same engine pinned to one
+// worker on a 10k-node heavy-tailed topology:
 //
-//	go test -bench 'Betweenness|Closeness' -benchmem
+//	go test -bench 'Betweenness|Closeness|Measure' -benchmem
 //
-// The engine path wins twice: flat sorted arrays replace map chasing
-// per traversal step (a single-core win), and sources shard across
-// GOMAXPROCS workers (a multi-core win).
+// The Sequential rows run the same CSR kernels one source at a time,
+// so the ratio is the multi-core speedup of sharding sources across
+// workers.
 const benchN = 10000
 
 // benchSources keeps one sampled-betweenness iteration subsecond at
@@ -24,10 +23,10 @@ const benchN = 10000
 const benchSources = 64
 
 func BenchmarkBetweennessSequential(b *testing.B) {
-	g := build(b, "gba", benchN)
+	eng := engine.New(build(b, "gba", benchN).Freeze(), engine.WithWorkers(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.BetweennessSampled(g, rng.New(uint64(i)), benchSources); err != nil {
+		if _, err := eng.BetweennessSampled(rng.New(uint64(i)), benchSources); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,10 +44,10 @@ func BenchmarkBetweennessEngine(b *testing.B) {
 }
 
 func BenchmarkClosenessSequential(b *testing.B) {
-	g := build(b, "gba", benchN)
+	s := build(b, "gba", benchN).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Closeness(g)
+		engine.New(s, engine.WithWorkers(1)).Closeness()
 	}
 }
 
@@ -72,10 +71,10 @@ func BenchmarkFreeze(b *testing.B) {
 }
 
 func BenchmarkMeasureSequential(b *testing.B) {
-	g := build(b, "gba", benchN)
+	s := build(b, "gba", benchN).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.Measure(g, rng.New(uint64(i)), 200); err != nil {
+		if _, err := engine.New(s, engine.WithWorkers(1)).Measure(rng.New(uint64(i)), 200); err != nil {
 			b.Fatal(err)
 		}
 	}

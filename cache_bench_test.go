@@ -2,33 +2,27 @@ package netmodel
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"netmodel/internal/artifact"
 	"netmodel/internal/benchutil"
 	"netmodel/internal/core"
-	"netmodel/internal/graphio"
 	"netmodel/internal/sweep"
 	"netmodel/internal/traffic"
 )
 
-// The cache benchmark measures the artifact-reuse speedup: one topology
+// The cache scenario measures the artifact-reuse speedup: one topology
 // fanned out to eight workload variants, swept cold (cache disabled,
 // the pre-cache baseline) and then warm (every stage served from a
 // primed cache). The cold sweep pays generation + whole-graph metrics
 // once per invocation; the warm sweep pays only the workload stage, so
 // the ratio is the amortization a repeated sweep — the toposerve-style
-// usage — actually sees:
+// usage — actually sees. Its rows land in BENCH_sweep.json next to the
+// sweep scaling rows:
 //
-//	make bench-cache   # merges cold/warm rows into BENCH_sweep.json
-var (
-	cacheBenchOut = flag.String("cache-bench-out", "", "merge cold-vs-warm cached-sweep timings into this JSON file")
-	cacheBenchN   = flag.Int("cache-bench-n", 100000, "cached-sweep benchmark topology size (also runs a 10k smoke tier when larger)")
-)
+//	go test -run TestBenchJSON/cache . -bench-out DIR
 
 // cacheBenchGrid fans one BA topology out to a 4 load × 2 tail workload
 // grid. MeanSize scales with n so the flow population stays small and
@@ -48,53 +42,20 @@ func cacheBenchGrid(n int) sweep.Grid {
 	}
 }
 
-// TestCacheBenchJSON times the workload grid three ways — cold with the
+// cacheScenario times the workload grid three ways — cold with the
 // cache disabled, a priming pass that fills a fresh unbounded cache,
-// and a warm pass served from it — asserts all three summaries are
-// byte-identical (the tentpole contract at benchmark scale), and merges
-// sweep-cache-cold / sweep-cache-warm rows into the file named by
-// -cache-bench-out (BENCH_sweep.json via `make bench-cache`), next to
-// the sweep scaling rows.
-func TestCacheBenchJSON(t *testing.T) {
-	if *cacheBenchOut == "" {
-		t.Skip("enable with -cache-bench-out <file>")
-	}
-	sizes := []int{*cacheBenchN}
-	if *cacheBenchN > 10000 {
-		sizes = []int{10000, *cacheBenchN}
-	}
-	type row struct {
-		Name        string  `json:"name"`
-		Models      string  `json:"models"`
-		N           int     `json:"n"`
-		Seeds       int     `json:"seeds"`
-		Cells       int     `json:"cells"`
-		Workers     int     `json:"workers"`
-		Cores       int     `json:"cores"`
-		NumCPU      int     `json:"num_cpu"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		Speedup     float64 `json:"speedup,omitempty"`
-	}
-	var rows []row
-	for _, n := range sizes {
+// and a warm pass served from it — and asserts all three summaries are
+// byte-identical and every cache stage hit (the artifact-cache
+// contract at benchmark scale).
+func cacheScenario(t *testing.T, sz benchSize) []benchutil.Row {
+	var rows []benchutil.Row
+	for _, n := range sz.Ns {
 		g := cacheBenchGrid(n)
-		encode := func(s *sweep.Summary) []byte {
-			var buf bytes.Buffer
-			if err := graphio.WriteSweepJSON(&buf, s); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}
 		run := func(ac *artifact.Cache) (*sweep.Summary, time.Duration, uint64, uint64) {
 			var s *sweep.Summary
 			var err error
-			var elapsed time.Duration
-			allocs, bytes := benchutil.MeasureAllocs(func() {
-				start := time.Now()
+			elapsed, allocs, bytes := benchutil.Timed(func() {
 				s, err = sweep.RunWith(g, sweep.Options{Workers: 1, Cache: ac})
-				elapsed = time.Since(start)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -104,8 +65,8 @@ func TestCacheBenchJSON(t *testing.T) {
 		cold, coldTime, coldAllocs, coldBytes := run(nil)
 		ac := core.NewArtifactCache(-1)
 		primed, _, _, _ := run(ac)
-		want := encode(cold)
-		if !bytes.Equal(want, encode(primed)) {
+		want := encodeSweep(t, cold)
+		if !bytes.Equal(want, encodeSweep(t, primed)) {
 			t.Fatalf("n=%d: priming pass diverged from cache-disabled baseline", n)
 		}
 		// The warm pass is short enough that a stray GC or scheduler
@@ -120,7 +81,7 @@ func TestCacheBenchJSON(t *testing.T) {
 			if rep == 0 || elapsed < warmTime {
 				warm, warmTime, warmAllocs, warmBytes = s, elapsed, al, by
 			}
-			if !bytes.Equal(want, encode(s)) {
+			if !bytes.Equal(want, encodeSweep(t, s)) {
 				t.Fatalf("n=%d: warm pass %d diverged from cache-disabled baseline", n, rep)
 			}
 		}
@@ -130,20 +91,11 @@ func TestCacheBenchJSON(t *testing.T) {
 			}
 		}
 		speedup := float64(coldTime) / float64(warmTime)
-		models := fmt.Sprintf("%v", g.Models)
-		rows = append(rows,
-			row{Name: "sweep-cache-cold", Models: models, N: n, Seeds: len(g.Seeds),
-				Cells: len(cold.Cells), Workers: 1, Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-				NsPerOp:     coldTime.Nanoseconds(),
-				AllocsPerOp: float64(coldAllocs), BytesPerOp: float64(coldBytes)},
-			row{Name: "sweep-cache-warm", Models: models, N: n, Seeds: len(g.Seeds),
-				Cells: len(warm.Cells), Workers: 1, Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-				NsPerOp:     warmTime.Nanoseconds(),
-				AllocsPerOp: float64(warmAllocs), BytesPerOp: float64(warmBytes), Speedup: speedup})
-		t.Logf("n=%d cells=%d: cold %v, warm %v, speedup %.2fx",
-			n, len(cold.Cells), coldTime, warmTime, speedup)
+		row := benchutil.Row{Models: fmt.Sprintf("%v", g.Models), N: n, Seeds: len(g.Seeds), Cells: len(cold.Cells)}
+		warmRow := row.As("sweep-cache-warm", 1, warmTime).WithAllocs(float64(warmAllocs), float64(warmBytes))
+		warmRow.Cells, warmRow.Speedup = len(warm.Cells), speedup
+		rows = append(rows, row.As("sweep-cache-cold", 1, coldTime).WithAllocs(float64(coldAllocs), float64(coldBytes)), warmRow)
+		t.Logf("n=%d cells=%d: cold %v, warm %v, speedup %.2fx", n, len(cold.Cells), coldTime, warmTime, speedup)
 	}
-	if err := benchutil.MergeBenchRows(*cacheBenchOut, rows); err != nil {
-		t.Fatal(err)
-	}
+	return rows
 }

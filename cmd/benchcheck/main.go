@@ -10,11 +10,12 @@
 //
 //	benchcheck -floors bench_floors.json            # gate the committed files
 //	benchcheck -floors bench_floors.json -require-all
+//	benchcheck -dir /tmp/bench -lenient             # gate fresh -short emissions
 //
 // The floor file is a list of constraints, each naming a benchmark
 // file, a row name, and a minimum speedup. Floors can be scoped with
-// min_n (rows from smaller runs are not gated — CI smoke configs
-// shrink -bench-n far below acceptance scale) and min_cores (parallel
+// min_n (rows from smaller runs are not gated — the -short smoke
+// sizes sit far below acceptance scale) and min_cores (parallel
 // -scaling floors are meaningless on boxes with fewer cores; rows
 // record the GOMAXPROCS they ran under). A floor with no eligible row
 // is reported as skipped, unless the floor sets "require": true (for

@@ -1,9 +1,6 @@
 package netmodel
 
 import (
-	"encoding/json"
-	"flag"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -24,16 +21,13 @@ import (
 // by a cold rebuild per failure epoch (what every survivability study
 // cost before this change). Only the maintenance work is timed; the
 // replay and Refreeze cost is common to both arms. The 10k rows are
-// the CI smoke; the 100k rows are the acceptance scale (target >= 2x):
+// the smoke; the 100k rows are the acceptance scale (target >= 2x):
 //
-//	make bench-failures          # writes BENCH_failures.json
-//	go test -bench Failure .     # standard benchmark rows
-var (
-	failBenchOut    = flag.String("failures-bench-out", "", "write repair-vs-rebuild failure timings to this JSON file")
-	failBenchN      = flag.Int("failures-bench-n", 100000, "failure benchmark map size")
-	failBenchEpochs = flag.Int("failures-bench-epochs", 40, "failure benchmark outage epochs")
-	failBenchLinks  = flag.Int("failures-bench-links", 2, "links failed per outage epoch")
-)
+//	go test -run TestBenchJSON/failures . -bench-out DIR   # BENCH_failures.json rows
+//	go test -bench Failure .                               # standard benchmark rows
+
+// failBenchLinks is the number of links failed per outage epoch.
+const failBenchLinks = 2
 
 // failBenchSources mirrors routingBenchSources: enough warm trees and
 // distance rows that repair work dominates bookkeeping at 100k nodes.
@@ -50,14 +44,12 @@ const failBenchSources = 24
 const failBenchM = 4
 
 // failureChurn drives one outage/repair replay over a frozen BA map:
-// each epoch fails `links` random live links and revives the links
+// each epoch fails failBenchLinks random live links and revives the links
 // failed two epochs earlier, then hands the refrozen snapshot and its
-// delta to `maintain`, whose cost is the only thing accumulated. The
+// delta to `maintain`, whose time is the only thing accumulated. The
 // schedule is a pure function of the seed, so repair and rebuild arms
-// replay identical deltas. Alongside the maintenance time it returns
-// the heap allocations (count, bytes) of the same windows.
-func failureChurn(tb testing.TB, n, epochs, links int,
-	maintain func(next *graph.Snapshot, d *graph.Delta) error) (time.Duration, uint64, uint64) {
+// replay identical deltas.
+func failureChurn(tb testing.TB, n, epochs int, maintain func(next *graph.Snapshot, d *graph.Delta)) time.Duration {
 	tb.Helper()
 	top, err := gen.BA{N: n, M: failBenchM}.Generate(rng.New(1))
 	if err != nil {
@@ -71,7 +63,6 @@ func failureChurn(tb testing.TB, n, epochs, links int,
 	r := rng.New(7)
 	var downPrev, downCur []graph.Edge
 	var spent time.Duration
-	var allocs, bytes uint64
 	for epoch := 0; epoch < epochs; epoch++ {
 		// Revive the links failed two epochs ago...
 		for _, e := range downPrev {
@@ -81,8 +72,8 @@ func failureChurn(tb testing.TB, n, epochs, links int,
 		// ...and fail a fresh random sample of live links (a fresh
 		// slice: downPrev aliases the old backing array).
 		edges := prev.EdgeList()
-		downCur = make([]graph.Edge, 0, links)
-		for len(downCur) < links {
+		downCur = make([]graph.Edge, 0, failBenchLinks)
+		for len(downCur) < failBenchLinks {
 			e := edges[r.Intn(len(edges))]
 			if !g.HasEdge(e.U, e.V) {
 				continue
@@ -97,43 +88,40 @@ func failureChurn(tb testing.TB, n, epochs, links int,
 			tb.Fatal(err)
 		}
 		prev = next
-		a, b := benchutil.CountAllocs(func() {
-			start := time.Now()
-			if err := maintain(next, d); err != nil {
-				tb.Fatal(err)
-			}
-			spent += time.Since(start)
-		})
-		allocs += a
-		bytes += b
+		start := time.Now()
+		maintain(next, d)
+		spent += time.Since(start)
 	}
-	return spent, allocs, bytes
+	return spent
 }
+
+// failureArm times one arm of the outage replay over an n-node map for
+// epochs, maintained by repair or by rebuild.
+type failureArm func(tb testing.TB, n, epochs int, repair bool) time.Duration
 
 // runFailureRoutingBench keeps failBenchSources shortest-path trees
 // warm across the outage replay — by scoped Routing.Refresh (repair:
 // only trees that lost a parent arc are rebuilt) or by a cold
 // NewRouting + Ensure per failure epoch (rebuild).
-func runFailureRoutingBench(tb testing.TB, n, epochs, links, workers int, repair bool) (time.Duration, uint64, uint64) {
+func runFailureRoutingBench(tb testing.TB, n, epochs int, repair bool) time.Duration {
 	tb.Helper()
 	sources := make([]int, failBenchSources)
 	for i := range sources {
 		sources[i] = i
 	}
 	var rt *traffic.Routing
-	return failureChurn(tb, n, epochs, links, func(next *graph.Snapshot, d *graph.Delta) error {
+	return failureChurn(tb, n, epochs, func(next *graph.Snapshot, d *graph.Delta) {
 		if repair {
 			if rt == nil {
 				rt = traffic.NewRouting(next)
 			} else {
-				rt.Refresh(next, d, workers)
+				rt.Refresh(next, d, genBenchWorkers)
 			}
-			rt.Ensure(sources, workers)
+			rt.Ensure(sources, genBenchWorkers)
 		} else {
 			cold := traffic.NewRouting(next)
-			cold.Ensure(sources, workers)
+			cold.Ensure(sources, genBenchWorkers)
 		}
-		return nil
 	})
 }
 
@@ -141,114 +129,55 @@ func runFailureRoutingBench(tb testing.TB, n, epochs, links, workers int, repair
 // warm across the same replay — by the delta-scoped DistMap.Refresh
 // removal path (repair) or a cold NewDistMap per failure epoch
 // (rebuild).
-func runFailureDistMapBench(tb testing.TB, n, epochs, links, workers int, repair bool) (time.Duration, uint64, uint64) {
+func runFailureDistMapBench(tb testing.TB, n, epochs int, repair bool) time.Duration {
 	tb.Helper()
 	var dm *metrics.DistMap
-	return failureChurn(tb, n, epochs, links, func(next *graph.Snapshot, d *graph.Delta) error {
+	return failureChurn(tb, n, epochs, func(next *graph.Snapshot, d *graph.Delta) {
 		if repair {
 			if dm == nil {
-				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, workers)
+				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, genBenchWorkers)
 			} else {
-				dm.Refresh(next, d, workers)
+				dm.Refresh(next, d, genBenchWorkers)
 			}
 		} else {
 			if dm == nil {
-				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, workers)
+				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, genBenchWorkers)
 			} else {
-				dm = metrics.NewDistMap(next, dm.Sources(), workers)
+				dm = metrics.NewDistMap(next, dm.Sources(), genBenchWorkers)
 			}
 		}
-		return nil
 	})
 }
 
-func benchFailureRouting(b *testing.B, n, epochs, links int, repair bool) {
+// benchFailure times one arm of a failure replay as a standard
+// benchmark row.
+func benchFailure(b *testing.B, run failureArm, repair bool) {
 	b.Helper()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runFailureRoutingBench(b, n, epochs, links, genBenchWorkers, repair)
+		run(b, 10000, 10, repair)
 	}
 }
 
-func benchFailureDistMap(b *testing.B, n, epochs, links int, repair bool) {
-	b.Helper()
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runFailureDistMapBench(b, n, epochs, links, genBenchWorkers, repair)
-	}
-}
+func BenchmarkFailureRoutingRepair10k(b *testing.B)  { benchFailure(b, runFailureRoutingBench, true) }
+func BenchmarkFailureRoutingRebuild10k(b *testing.B) { benchFailure(b, runFailureRoutingBench, false) }
+func BenchmarkFailureDistMapRepair10k(b *testing.B)  { benchFailure(b, runFailureDistMapBench, true) }
+func BenchmarkFailureDistMapRebuild10k(b *testing.B) { benchFailure(b, runFailureDistMapBench, false) }
 
-func BenchmarkFailureRoutingRepair10k(b *testing.B)  { benchFailureRouting(b, 10000, 10, 2, true) }
-func BenchmarkFailureRoutingRebuild10k(b *testing.B) { benchFailureRouting(b, 10000, 10, 2, false) }
-func BenchmarkFailureDistMapRepair10k(b *testing.B)  { benchFailureDistMap(b, 10000, 10, 2, true) }
-func BenchmarkFailureDistMapRebuild10k(b *testing.B) { benchFailureDistMap(b, 10000, 10, 2, false) }
-
-// TestFailuresBenchJSON times both arms of both subsystems once and
-// records the rows in the JSON file named by -failures-bench-out
-// (BENCH_failures.json via `make bench-failures`). Disabled unless the
-// flag is set; the CI smoke runs the 10k variant under -race, so the
-// file also documents that the removal-repair paths are race-clean.
-func TestFailuresBenchJSON(t *testing.T) {
-	if *failBenchOut == "" {
-		t.Skip("enable with -failures-bench-out <file>")
+// failuresScenario times both arms of both subsystems over the same
+// outage replay.
+func failuresScenario(t *testing.T, sz benchSize) []benchutil.Row {
+	var rows []benchutil.Row
+	for _, n := range sz.Ns {
+		row := benchutil.Row{Model: "ba", N: n, Epochs: sz.Epochs, Links: failBenchLinks}
+		routRebuild := row.As("failure-routing-rebuild", genBenchWorkers, runFailureRoutingBench(t, n, sz.Epochs, false))
+		routRepair := row.As("failure-routing-repair", genBenchWorkers, runFailureRoutingBench(t, n, sz.Epochs, true)).Against(routRebuild)
+		distRebuild := row.As("failure-distmap-rebuild", genBenchWorkers, runFailureDistMapBench(t, n, sz.Epochs, false))
+		distRepair := row.As("failure-distmap-repair", genBenchWorkers, runFailureDistMapBench(t, n, sz.Epochs, true)).Against(distRebuild)
+		rows = append(rows, routRebuild, routRepair, distRebuild, distRepair)
+		t.Logf("n=%d epochs=%d links=%d workers=%d: routing (%d trees) %.2fx, distmap (%d sources) %.2fx",
+			n, sz.Epochs, failBenchLinks, genBenchWorkers, failBenchSources, routRepair.Speedup, failBenchSources, distRepair.Speedup)
 	}
-	n, epochs, links := *failBenchN, *failBenchEpochs, *failBenchLinks
-	workers := genBenchWorkers
-
-	routRebuild, routRebuildAllocs, routRebuildBytes := runFailureRoutingBench(t, n, epochs, links, workers, false)
-	routRepair, routRepairAllocs, routRepairBytes := runFailureRoutingBench(t, n, epochs, links, workers, true)
-	routSpeedup := float64(routRebuild) / float64(routRepair)
-
-	distRebuild, distRebuildAllocs, distRebuildBytes := runFailureDistMapBench(t, n, epochs, links, workers, false)
-	distRepair, distRepairAllocs, distRepairBytes := runFailureDistMapBench(t, n, epochs, links, workers, true)
-	distSpeedup := float64(distRebuild) / float64(distRepair)
-
-	type row struct {
-		Name        string  `json:"name"`
-		Model       string  `json:"model"`
-		N           int     `json:"n"`
-		Epochs      int     `json:"epochs"`
-		Links       int     `json:"links"`
-		Workers     int     `json:"workers"`
-		Cores       int     `json:"cores"`
-		NumCPU      int     `json:"num_cpu"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		Speedup     float64 `json:"speedup,omitempty"`
-		// SpeedupVs names the row the speedup is measured against, so
-		// every attribution in the file is explicit.
-		SpeedupVs string `json:"speedup_vs,omitempty"`
-	}
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
-	rows := []row{
-		{Name: "failure-routing-rebuild", Model: "ba", N: n, Epochs: epochs, Links: links,
-			Workers: workers, Cores: cores, NumCPU: ncpu, NsPerOp: routRebuild.Nanoseconds(),
-			AllocsPerOp: float64(routRebuildAllocs), BytesPerOp: float64(routRebuildBytes)},
-		{Name: "failure-routing-repair", Model: "ba", N: n, Epochs: epochs, Links: links,
-			Workers: workers, Cores: cores, NumCPU: ncpu, NsPerOp: routRepair.Nanoseconds(),
-			AllocsPerOp: float64(routRepairAllocs), BytesPerOp: float64(routRepairBytes),
-			Speedup: routSpeedup, SpeedupVs: "failure-routing-rebuild"},
-		{Name: "failure-distmap-rebuild", Model: "ba", N: n, Epochs: epochs, Links: links,
-			Workers: workers, Cores: cores, NumCPU: ncpu, NsPerOp: distRebuild.Nanoseconds(),
-			AllocsPerOp: float64(distRebuildAllocs), BytesPerOp: float64(distRebuildBytes)},
-		{Name: "failure-distmap-repair", Model: "ba", N: n, Epochs: epochs, Links: links,
-			Workers: workers, Cores: cores, NumCPU: ncpu, NsPerOp: distRepair.Nanoseconds(),
-			AllocsPerOp: float64(distRepairAllocs), BytesPerOp: float64(distRepairBytes),
-			Speedup: distSpeedup, SpeedupVs: "failure-distmap-rebuild"},
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*failBenchOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("n=%d epochs=%d links=%d workers=%d", n, epochs, links, workers)
-	t.Logf("routing (%d trees): rebuild %v, repair %v, speedup %.2fx",
-		failBenchSources, routRebuild, routRepair, routSpeedup)
-	t.Logf("distmap (%d sources): rebuild %v, repair %v, speedup %.2fx",
-		failBenchSources, distRebuild, distRepair, distSpeedup)
+	return rows
 }

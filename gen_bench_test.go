@@ -13,7 +13,7 @@ import (
 // sequential references — the acceptance surface of the sharded-
 // generation work:
 //
-//	go test -bench Gen -benchmem            # or: make bench-gen
+//	go test -bench Gen -benchmem
 //
 // The sharded path wins twice: frozen-round alias sampling replaces
 // per-attachment Fenwick updates (a single-core win), and candidate

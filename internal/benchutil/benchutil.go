@@ -1,18 +1,138 @@
-// Package benchutil carries the allocation-measurement helper the
-// BENCH_*.json emitters share: exact heap-allocation counts around a
-// measured region, read from the runtime's monotonic malloc counters.
-// The emitters record the results as allocs_per_op / bytes_per_op rows
-// that cmd/benchcheck gates from above with max_allocs_per_op /
+// Package benchutil is the harness behind the BENCH_*.json files: the
+// one row schema cmd/benchcheck reads, the -bench-out flag and the
+// writer, the smoke/acceptance scale switch, and the allocation
+// helpers. Allocation counts are exact heap-allocation figures around
+// a measured region, read from the runtime's monotonic malloc counters;
+// the rows record them as allocs_per_op / bytes_per_op, which
+// cmd/benchcheck gates from above with max_allocs_per_op /
 // max_bytes_per_op ceilings — the enforcement half of the zero-alloc
 // steady-state contract.
+//
+// Every scenario test is named TestBenchJSON, so one command emits
+// every file (go test ends its package list at the first flag it does
+// not know, so the packages come before -bench-out):
+//
+//	go test -run TestBenchJSON . ./internal/traffic/ -bench-out DIR
+//
+// Add -short for the smoke sizes; without it the acceptance sizes run.
 package benchutil
 
 import (
 	"encoding/json"
-	"fmt"
+	"flag"
 	"os"
+	"path/filepath"
 	"runtime"
+	"testing"
+	"time"
 )
+
+var outDir = flag.String("bench-out", "", "write the BENCH_*.json files into this absolute directory (unset skips the BENCH scenarios)")
+
+// Row is one BENCH_*.json row. Label fields are omitempty, so a row
+// carries only the labels its scenario sets. The allocation fields are
+// pointers so an explicit measured zero is emitted (omitempty would
+// drop it) while rows that measure only time omit the fields — and
+// benchcheck fails a ceiling against an absent field rather than
+// passing it vacuously.
+type Row struct {
+	Name          string   `json:"name"`
+	Engine        string   `json:"engine,omitempty"`
+	Model         string   `json:"model,omitempty"`
+	Models        string   `json:"models,omitempty"`
+	N             int      `json:"n"`
+	Seeds         int      `json:"seeds,omitempty"`
+	Cells         int      `json:"cells,omitempty"`
+	Epochs        int      `json:"epochs,omitempty"`
+	FlowsPerEpoch int      `json:"flows_per_epoch,omitempty"`
+	Pivots        int      `json:"pivots,omitempty"`
+	Links         int      `json:"links,omitempty"`
+	Sources       int      `json:"sources,omitempty"`
+	Workers       int      `json:"workers"`
+	Cores         int      `json:"cores"`
+	NumCPU        int      `json:"num_cpu"`
+	NsPerOp       int64    `json:"ns_per_op"`
+	AllocsPerOp   *float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp    *float64 `json:"bytes_per_op,omitempty"`
+	Speedup       float64  `json:"speedup,omitempty"`
+	// SpeedupVs names the row the speedup is measured against, so
+	// every attribution in a file is explicit.
+	SpeedupVs string `json:"speedup_vs,omitempty"`
+}
+
+// As returns r named name, measured at workers with the given time per
+// op; the labels r already carries are shared by the rows built from it.
+func (r Row) As(name string, workers int, perOp time.Duration) Row {
+	r.Name, r.Workers, r.NsPerOp = name, workers, perOp.Nanoseconds()
+	return r
+}
+
+// Against returns r with its speedup over base and base's name as the
+// speedup's reference.
+func (r Row) Against(base Row) Row {
+	r.Speedup, r.SpeedupVs = float64(base.NsPerOp)/float64(r.NsPerOp), base.Name
+	return r
+}
+
+// WithAllocs returns r with its per-op allocation fields set.
+func (r Row) WithAllocs(allocs, bytes float64) Row {
+	r.AllocsPerOp, r.BytesPerOp = &allocs, &bytes
+	return r
+}
+
+// OutDir returns the -bench-out directory, skipping tb when the flag
+// is unset. The path must be absolute: go test runs each package's
+// binary in its own directory, so a relative path would scatter the
+// files.
+func OutDir(tb testing.TB) string {
+	tb.Helper()
+	if *outDir == "" {
+		tb.Skip("enable with -bench-out <dir>")
+	}
+	if !filepath.IsAbs(*outDir) {
+		tb.Fatalf("-bench-out %q: want an absolute directory", *outDir)
+	}
+	return *outDir
+}
+
+// Scale picks a scenario parameter: smoke under go test -short, the
+// acceptance value otherwise.
+func Scale[T any](smoke, acceptance T) T {
+	if testing.Short() {
+		return smoke
+	}
+	return acceptance
+}
+
+// WriteRows writes rows as an indented JSON array to dir/file, creating
+// dir if needed and stamping each row with the cores it ran on
+// (GOMAXPROCS) and the machine's CPU count.
+func WriteRows(dir, file string, rows []Row) error {
+	for i := range rows {
+		rows[i].Cores, rows[i].NumCPU = runtime.GOMAXPROCS(0), runtime.NumCPU()
+	}
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, file), append(data, '\n'), 0o644)
+}
+
+// Timed runs f once inside a MeasureAllocs window and returns its wall
+// time with the allocations it performed. The settling GC runs before
+// the clock starts, so the time stays clean and the op of the
+// allocation counts is the same whole run.
+func Timed(f func()) (elapsed time.Duration, allocs, bytes uint64) {
+	allocs, bytes = MeasureAllocs(func() {
+		start := time.Now()
+		f()
+		elapsed = time.Since(start)
+	})
+	return elapsed, allocs, bytes
+}
 
 // MeasureAllocs runs f once and returns the heap allocations (count and
 // bytes) it performed, measured by differencing runtime.MemStats before
@@ -48,20 +168,6 @@ func readBaseline(m *runtime.MemStats) {
 	}
 }
 
-// CountAllocs is MeasureAllocs without the settling GC: it differences
-// the malloc counters around f and nothing else, so it can run inside
-// a timed loop — accumulating per-epoch windows across a replay —
-// without charging a full collection to every window. The trade-off is
-// a little background noise (the collector's own bookkeeping is not
-// flushed out first), which per-epoch accumulation amortizes away.
-func CountAllocs(f func()) (allocs, bytes uint64) {
-	var before, after runtime.MemStats
-	readBaseline(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
-}
-
 // MarginalAllocs differences two deterministic runs of the same seeded
 // workload — short at ops1 operations, long at ops2 > ops1 — and
 // attributes the surplus to the extra operations, returning per-op
@@ -88,55 +194,4 @@ func MarginalAllocs(ops1, ops2 int, run func(ops int)) (allocsPerOp, bytesPerOp 
 		b1 = b2
 	}
 	return float64(a2-a1) / span, float64(b2-b1) / span
-}
-
-// MergeBenchRows writes freshly measured rows into the JSON array at
-// path without clobbering rows other emitters own: existing rows whose
-// "name" matches an incoming row are replaced in place, new names
-// append, everything else survives untouched. This lets several
-// emitters (the sweep scaling rows and the artifact-cache rows, say)
-// share one BENCH file while each refreshes only its own entries. A
-// missing or empty file starts from an empty array; a file that does
-// not parse as a JSON array is an error rather than silently replaced.
-func MergeBenchRows(path string, rows any) error {
-	raw, err := json.Marshal(rows)
-	if err != nil {
-		return fmt.Errorf("benchutil: encoding rows: %w", err)
-	}
-	var fresh []map[string]any
-	if err := json.Unmarshal(raw, &fresh); err != nil {
-		return fmt.Errorf("benchutil: rows must be a JSON array of objects: %w", err)
-	}
-	var existing []map[string]any
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &existing); err != nil {
-			return fmt.Errorf("benchutil: merging into %s: %w", path, err)
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	// Replacement is keyed on (name, n) so one emitter can publish the
-	// same row name at several scales (smoke and acceptance) without the
-	// scales overwriting each other.
-	key := func(m map[string]any) string {
-		return fmt.Sprintf("%v|%v", m["name"], m["n"])
-	}
-	index := make(map[string]int, len(existing))
-	for i, row := range existing {
-		index[key(row)] = i
-	}
-	merged := existing
-	for _, row := range fresh {
-		if i, ok := index[key(row)]; ok {
-			merged[i] = row
-		} else {
-			index[key(row)] = len(merged)
-			merged = append(merged, row)
-		}
-	}
-	data, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

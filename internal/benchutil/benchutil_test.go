@@ -1,6 +1,13 @@
 package benchutil
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+)
 
 func TestMeasureAllocsCountsKnownWork(t *testing.T) {
 	var sink [][]byte
@@ -60,5 +67,41 @@ func TestMarginalAllocsZeroForPureSetup(t *testing.T) {
 	})
 	if allocs != 0 || bytes != 0 {
 		t.Fatalf("setup-only workload measured as %.3f allocs/op, %.3f B/op", allocs, bytes)
+	}
+}
+
+func TestWriteRowsSchema(t *testing.T) {
+	dir := t.TempDir()
+	base := Row{N: 10}.As("base", 1, 4)
+	rows := []Row{base, Row{N: 10, Epochs: 3}.As("fast", 2, 2).Against(base).WithAllocs(0, 0)}
+	if err := WriteRows(dir, "BENCH_x.json", rows); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_x.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []map[string]any
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	// Unset labels and allocation fields stay out; a measured zero and
+	// the stamped core counts go in.
+	want := [][]string{
+		{"cores", "n", "name", "ns_per_op", "num_cpu", "workers"},
+		{"allocs_per_op", "bytes_per_op", "cores", "epochs", "n", "name", "ns_per_op", "num_cpu", "speedup", "speedup_vs", "workers"},
+	}
+	for i, row := range got {
+		keys := make([]string, 0, len(row))
+		for k := range row {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, want[i]) {
+			t.Fatalf("row %d keys %v, want %v", i, keys, want[i])
+		}
+	}
+	if got[1]["speedup"] != 2.0 || got[1]["speedup_vs"] != "base" {
+		t.Fatalf("speedup attribution = %v vs %v", got[1]["speedup"], got[1]["speedup_vs"])
 	}
 }

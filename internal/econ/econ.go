@@ -22,6 +22,7 @@ package econ
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"netmodel/internal/geom"
@@ -118,6 +119,10 @@ func (m Model) validate() error {
 		return errors.New("econ: need at least two initial ASs")
 	case m.TargetN < m.N0:
 		return errors.New("econ: TargetN below N0")
+	case m.TargetN > math.MaxInt32:
+		// Frozen snapshots store node ids as int32; reject before the
+		// per-AS slices are sized.
+		return fmt.Errorf("econ: TargetN=%d above the %d-node limit", m.TargetN, math.MaxInt32)
 	case m.R < 0 || m.R >= 1:
 		return errors.New("econ: R must be in [0,1)")
 	case m.Distance && m.Kappa <= 0:

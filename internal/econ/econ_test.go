@@ -20,6 +20,7 @@ func TestValidate(t *testing.T) {
 		func() Model { m := Default(100); m.TargetN = 1; return m }(),
 		func() Model { m := Default(100); m.R = 1; return m }(),
 		func() Model { m := DefaultDistance(100); m.Kappa = 0; return m }(),
+		Default(math.MaxInt32 + 1), // beyond the int32 snapshot id width
 	}
 	for i, m := range bad {
 		if _, err := m.Run(rng.New(1)); err == nil {

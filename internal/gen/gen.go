@@ -16,6 +16,7 @@ package gen
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"netmodel/internal/geom"
 	"netmodel/internal/graph"
@@ -71,10 +72,19 @@ func errPositive(model, field string) error {
 	return fmt.Errorf("gen/%s: %s must be positive", model, field)
 }
 
-// validateN rejects non-positive node counts.
+// maxN bounds the node count of every generator: frozen snapshots
+// store node ids as int32. Generators check it before their first
+// size-proportional allocation, so an oversized request fails with an
+// error instead of exhausting memory.
+const maxN = math.MaxInt32
+
+// validateN rejects non-positive node counts and counts above maxN.
 func validateN(model string, n int) error {
 	if n <= 0 {
 		return errPositive(model, "N")
+	}
+	if n > maxN {
+		return fmt.Errorf("gen/%s: N=%d above the %d-node limit", model, n, maxN)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"netmodel/internal/graph"
@@ -520,3 +521,33 @@ func TestSmallNDegenerateCases(t *testing.T) {
 }
 
 var _ = graph.New // keep import when tests shuffle
+
+// TestOversizedNRejected pins the node-count bound: every family
+// rejects N = MaxInt32+1 (the CSR snapshot's id width) with an error,
+// on the sequential and the sharded path, before sizing anything by N.
+func TestOversizedNRejected(t *testing.T) {
+	const big = math.MaxInt32 + 1
+	for _, g := range []Generator{
+		BA{N: big, M: 2},
+		GLP{N: big, M: 1, P: 0.45, Beta: 0.64},
+		DefaultPFP(big),
+		GNP{N: big, P: 0.1},
+		GNM{N: big, M: 10},
+		WS{N: big, K: 4, Beta: 0.1},
+		Waxman{N: big, Alpha: 0.2, Beta: 0.2},
+		RGG{N: big, Radius: 0.1},
+		FKP{N: big, Alpha: 8},
+		Inet{N: big, Gamma: 2.2, MinDeg: 1},
+		BRITE{N: big, M: 2, Beta: 0.15},
+		DefaultTransitStub(big),
+	} {
+		if _, err := g.Generate(rng.New(1)); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%s: Generate error = %v, want the node limit", g.Name(), err)
+		}
+		if sg, ok := g.(ShardedGenerator); ok {
+			if _, err := sg.GenerateSharded(rng.New(1), 2); err == nil || !strings.Contains(err.Error(), "limit") {
+				t.Errorf("%s: GenerateSharded error = %v, want the node limit", g.Name(), err)
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+
 	"netmodel/internal/graph"
 	"netmodel/internal/rng"
 )
@@ -47,6 +49,11 @@ func (m TransitStub) Generate(r *rng.Rand) (*Topology, error) {
 	}
 	if m.EdgeP < 0 || m.EdgeP > 1 || m.ExtraTransitP < 0 || m.ExtraTransitP > 1 {
 		return nil, errPositive(m.Name(), "probabilities in [0,1]")
+	}
+	// Nodes = T·TS·(1 + SPN·SS), multiplied in float64 so the check
+	// itself cannot overflow; the product is exact near the bound.
+	if n := float64(m.Transits) * float64(m.TransitSize) * (1 + float64(m.StubsPerNode)*float64(m.StubSize)); n > maxN {
+		return nil, fmt.Errorf("gen/%s: %.0f nodes above the %d-node limit", m.Name(), n, maxN)
 	}
 	g := graph.New(0)
 	// connectedCluster adds size nodes wired as a random connected

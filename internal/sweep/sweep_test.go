@@ -22,18 +22,22 @@ func testGrid() Grid {
 	}
 }
 
+// gridErrorRows are grids Validate must reject; the fuzz target seeds
+// from them too.
+var gridErrorRows = map[string]Grid{
+	"empty":          {},
+	"no sizes":       {Models: []string{"ba"}, Seeds: []uint64{1}},
+	"bad model":      {Models: []string{"nope"}, Sizes: []int{100}, Seeds: []uint64{1}},
+	"dup model":      {Models: []string{"ba", "ba"}, Sizes: []int{100}, Seeds: []uint64{1}},
+	"bad size":       {Models: []string{"ba"}, Sizes: []int{0}, Seeds: []uint64{1}},
+	"dup size":       {Models: []string{"ba"}, Sizes: []int{100, 100}, Seeds: []uint64{1}},
+	"dup seed":       {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1, 1}},
+	"stray params":   {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1}, Params: map[string]core.Params{"glp": {"m": 1}}},
+	"unknown target": {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1}, Target: "x"},
+}
+
 func TestGridValidate(t *testing.T) {
-	for name, g := range map[string]Grid{
-		"empty":          {},
-		"no sizes":       {Models: []string{"ba"}, Seeds: []uint64{1}},
-		"bad model":      {Models: []string{"nope"}, Sizes: []int{100}, Seeds: []uint64{1}},
-		"dup model":      {Models: []string{"ba", "ba"}, Sizes: []int{100}, Seeds: []uint64{1}},
-		"bad size":       {Models: []string{"ba"}, Sizes: []int{0}, Seeds: []uint64{1}},
-		"dup size":       {Models: []string{"ba"}, Sizes: []int{100, 100}, Seeds: []uint64{1}},
-		"dup seed":       {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1, 1}},
-		"stray params":   {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1}, Params: map[string]core.Params{"glp": {"m": 1}}},
-		"unknown target": {Models: []string{"ba"}, Sizes: []int{100}, Seeds: []uint64{1}, Target: "x"},
-	} {
+	for name, g := range gridErrorRows {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("%s: want validation error", name)
 		}
@@ -226,19 +230,24 @@ func TestWorkloadGridValidate(t *testing.T) {
 	if err := workloadGrid().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for name, mut := range map[string]func(*Grid){
-		"no load factors": func(g *Grid) { g.Workload.LoadFactors = nil },
-		"dup load factor": func(g *Grid) { g.Workload.LoadFactors = []float64{1, 1} },
-		"dup tail":        func(g *Grid) { g.Workload.TailIndexes = []float64{1.5, 1.5} },
-		"bad load factor": func(g *Grid) { g.Workload.LoadFactors = []float64{-1} },
-		"bad combo":       func(g *Grid) { g.Workload.TailIndexes = []float64{0.5} }, // pareto tail <= 1
-	} {
+	for name, mut := range workloadGridMutations {
 		g := workloadGrid()
 		mut(&g)
 		if err := g.Validate(); err == nil {
 			t.Fatalf("%s: want validation error", name)
 		}
 	}
+}
+
+// workloadGridMutations each break workloadGrid in one way Validate
+// must reject; the fuzz target seeds from them too.
+var workloadGridMutations = map[string]func(*Grid){
+	"no load factors": func(g *Grid) { g.Workload.LoadFactors = nil },
+	"dup load factor": func(g *Grid) { g.Workload.LoadFactors = []float64{1, 1} },
+	"dup tail":        func(g *Grid) { g.Workload.TailIndexes = []float64{1.5, 1.5} },
+	"bad load factor": func(g *Grid) { g.Workload.LoadFactors = []float64{-1} },
+	"bad combo":       func(g *Grid) { g.Workload.TailIndexes = []float64{0.5} }, // pareto tail <= 1
+	"huge horizon":    func(g *Grid) { g.Workload.Spec.Epochs = math.MaxInt32 + 1 },
 }
 
 func TestWorkloadGridCellsOrder(t *testing.T) {

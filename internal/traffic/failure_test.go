@@ -53,31 +53,34 @@ func checkFailureAgreement(t *testing.T, epoch, event *SimReport, tol float64) {
 	}
 }
 
+// failureSpecErrorRows is the failure spec's rejection surface; the
+// fuzz target seeds from it too.
+var failureSpecErrorRows = []struct {
+	name string
+	spec FailureSpec
+	want string
+}{
+	{"unknown-mode", FailureSpec{Mode: "meteor"}, "unknown failure mode"},
+	{"negative-links", FailureSpec{Mode: FailRandom, Links: -1, MTBF: 1}, "must not be negative"},
+	{"negative-retries", FailureSpec{Mode: FailDegree, Links: 1, MaxRetries: -1}, "max retries"},
+	{"zero-backoff", FailureSpec{Mode: FailDegree, Links: 1, RetryAfter: -1}, "retry backoff"},
+	{"scheduled-empty", FailureSpec{Mode: FailScheduled}, "at least one event"},
+	{"scheduled-bad-kind", FailureSpec{Mode: FailScheduled,
+		Events: []FailureEvent{{Kind: "router", U: 0, V: 1}}}, "unknown failure event kind"},
+	{"scheduled-self-loop", FailureSpec{Mode: FailScheduled,
+		Events: []FailureEvent{{Kind: "link", U: 3, V: 3}}}, "distinct endpoints"},
+	{"scheduled-neg-epoch", FailureSpec{Mode: FailScheduled,
+		Events: []FailureEvent{{Epoch: -1, Kind: "link", U: 0, V: 1}}}, "epoch must not be negative"},
+	{"random-no-entities", FailureSpec{Mode: FailRandom, MTBF: 1}, "links or nodes"},
+	{"random-no-mtbf", FailureSpec{Mode: FailRandom, Links: 1}, "positive mtbf"},
+	{"random-nan-mttr", FailureSpec{Mode: FailRandom, Links: 1, MTBF: 1, MTTR: nan()}, "finite"},
+	{"targeted-no-entities", FailureSpec{Mode: FailLoad}, "links or nodes"},
+	{"targeted-bad-window", FailureSpec{Mode: FailDegree, Links: 1, FailAt: 3, RepairAt: 2}, "repair epoch"},
+}
+
 // TestFailureSpecValidate walks the failure spec's rejection surface.
 func TestFailureSpecValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		spec FailureSpec
-		want string
-	}{
-		{"unknown-mode", FailureSpec{Mode: "meteor"}, "unknown failure mode"},
-		{"negative-links", FailureSpec{Mode: FailRandom, Links: -1, MTBF: 1}, "must not be negative"},
-		{"negative-retries", FailureSpec{Mode: FailDegree, Links: 1, MaxRetries: -1}, "max retries"},
-		{"zero-backoff", FailureSpec{Mode: FailDegree, Links: 1, RetryAfter: -1}, "retry backoff"},
-		{"scheduled-empty", FailureSpec{Mode: FailScheduled}, "at least one event"},
-		{"scheduled-bad-kind", FailureSpec{Mode: FailScheduled,
-			Events: []FailureEvent{{Kind: "router", U: 0, V: 1}}}, "unknown failure event kind"},
-		{"scheduled-self-loop", FailureSpec{Mode: FailScheduled,
-			Events: []FailureEvent{{Kind: "link", U: 3, V: 3}}}, "distinct endpoints"},
-		{"scheduled-neg-epoch", FailureSpec{Mode: FailScheduled,
-			Events: []FailureEvent{{Epoch: -1, Kind: "link", U: 0, V: 1}}}, "epoch must not be negative"},
-		{"random-no-entities", FailureSpec{Mode: FailRandom, MTBF: 1}, "links or nodes"},
-		{"random-no-mtbf", FailureSpec{Mode: FailRandom, Links: 1}, "positive mtbf"},
-		{"random-nan-mttr", FailureSpec{Mode: FailRandom, Links: 1, MTBF: 1, MTTR: nan()}, "finite"},
-		{"targeted-no-entities", FailureSpec{Mode: FailLoad}, "links or nodes"},
-		{"targeted-bad-window", FailureSpec{Mode: FailDegree, Links: 1, FailAt: 3, RepairAt: 2}, "repair epoch"},
-	}
-	for _, tc := range cases {
+	for _, tc := range failureSpecErrorRows {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.spec.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {

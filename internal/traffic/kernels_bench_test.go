@@ -1,11 +1,6 @@
 package traffic
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -26,41 +21,13 @@ import (
 // max_allocs_per_op / max_bytes_per_op ceilings (0 for the steady
 // states), the speedup row from below by the usual floor:
 //
-//	make bench-kernels                      # writes BENCH_kernels.json
-//	go test ./internal/traffic -run TestKernelsBenchJSON \
-//	    -kernels-bench-out BENCH_kernels.json
+//	go test -run TestBenchJSON ./internal/traffic -bench-out DIR   # BENCH_kernels.json
 //
-// The emitter lives inside the traffic package because exact marginal
+// The scenario lives inside the traffic package because exact marginal
 // measurement needs the engine seams a public caller cannot reach: the
 // event engine's pre-drawn calendar must be staged outside the measured
 // region (its per-origin draw slabs grow amortized with the horizon,
 // which would masquerade as per-epoch allocation).
-var (
-	kernelsBenchOut = flag.String("kernels-bench-out", "", "write kernel speedup/allocation rows to this JSON file")
-	kernelsBenchN   = flag.Int("kernels-bench-n", 100000, "cold-tree-build acceptance row map size")
-)
-
-// kernelsRow is one BENCH_kernels.json row. The allocation fields are
-// pointers so an explicit measured zero is emitted (omitempty would
-// drop it) while rows that measure only time omit the fields — and
-// benchcheck fails a ceiling against an absent field rather than
-// passing it vacuously.
-type kernelsRow struct {
-	Name        string   `json:"name"`
-	N           int      `json:"n"`
-	Epochs      int      `json:"epochs,omitempty"`
-	Sources     int      `json:"sources,omitempty"`
-	Workers     int      `json:"workers"`
-	Cores       int      `json:"cores"`
-	NumCPU      int      `json:"num_cpu"`
-	NsPerOp     int64    `json:"ns_per_op"`
-	Speedup     float64  `json:"speedup,omitempty"`
-	SpeedupVs   string   `json:"speedup_vs,omitempty"`
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
-}
-
-func fptr(v float64) *float64 { return &v }
 
 // kernelsFreezeBA freezes a BA map of n nodes for the kernel rows.
 // M=4 (average degree 8) matches the density band of measured AS-level
@@ -84,7 +51,7 @@ func kernelsFreezeBA(tb testing.TB, n int, seed uint64) *graph.Snapshot {
 // distance trees — the work DistMap rebuilds, Routing.Ensure and the
 // per-node metric kernels all sit on — classic queue BFS against the
 // hybrid kernel, pinning bit-identical distances along the way.
-func kernelsColdTreeRows(t *testing.T, n int, rows []kernelsRow) []kernelsRow {
+func kernelsColdTreeRows(t *testing.T, n int) []benchutil.Row {
 	t.Helper()
 	const nsrc = 64
 	snap := kernelsFreezeBA(t, n, 1)
@@ -126,16 +93,11 @@ func kernelsColdTreeRows(t *testing.T, n int, rows []kernelsRow) []kernelsRow {
 			metrics.BFSHybrid(snap, srcs[i%nsrc], distH, sc)
 		}
 	})
-	speedup := float64(classic) / float64(hybrid)
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
-	t.Logf("coldtree n=%d: classic %v, hybrid %v (%.2fx), warm hybrid %g allocs/op", n, classic, hybrid, speedup, allocsPerOp)
-	return append(rows,
-		kernelsRow{Name: "kernels-coldtree-classic", N: n, Sources: nsrc, Workers: 1,
-			Cores: cores, NumCPU: ncpu, NsPerOp: classic.Nanoseconds() / nsrc},
-		kernelsRow{Name: "kernels-coldtree-hybrid", N: n, Sources: nsrc, Workers: 1,
-			Cores: cores, NumCPU: ncpu, NsPerOp: hybrid.Nanoseconds() / nsrc,
-			Speedup: speedup, SpeedupVs: "kernels-coldtree-classic",
-			AllocsPerOp: fptr(allocsPerOp), BytesPerOp: fptr(bytesPerOp)})
+	row := benchutil.Row{N: n, Sources: nsrc}
+	classicRow := row.As("kernels-coldtree-classic", 1, classic/nsrc)
+	hybridRow := row.As("kernels-coldtree-hybrid", 1, hybrid/nsrc).Against(classicRow).WithAllocs(allocsPerOp, bytesPerOp)
+	t.Logf("coldtree n=%d: classic %v, hybrid %v (%.2fx), warm hybrid %g allocs/op", n, classic, hybrid, hybridRow.Speedup, allocsPerOp)
+	return []benchutil.Row{classicRow, hybridRow}
 }
 
 // kernelsWorkload derives a steady workload over a frozen BA map: load
@@ -166,7 +128,7 @@ func kernelsWorkload(tb testing.TB, n, flows int) (*graph.Snapshot, []float64, W
 // for), and the event engine's calendar is staged outside the measured
 // region — what remains in the difference is exactly the per-epoch cost
 // of the simulation loop.
-func kernelsEngineSteadyRow(t *testing.T, engine string, rows []kernelsRow) []kernelsRow {
+func kernelsEngineSteadyRow(t *testing.T, engine string) benchutil.Row {
 	t.Helper()
 	const (
 		n     = 2000
@@ -225,17 +187,12 @@ func kernelsEngineSteadyRow(t *testing.T, engine string, rows []kernelsRow) []ke
 		run(e2)
 		t2 = time.Since(start)
 	}
-	nsPerOp := (t2 - t1).Nanoseconds() / int64(e2-e1)
-	if nsPerOp < 0 {
-		nsPerOp = 0 // timing noise on tiny maps
+	perEpoch := (t2 - t1) / (e2 - e1)
+	if perEpoch < 0 {
+		perEpoch = 0 // timing noise on tiny maps
 	}
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
-	t.Logf("%s steady: %.3f allocs/epoch, %.1f B/epoch, ~%dns/epoch", engine, allocsPerOp, bytesPerOp, nsPerOp)
-	return append(rows, kernelsRow{
-		Name: "kernels-" + engine + "-steady", N: n, Epochs: e2 - e1, Workers: 1,
-		Cores: cores, NumCPU: ncpu, NsPerOp: nsPerOp,
-		AllocsPerOp: fptr(allocsPerOp), BytesPerOp: fptr(bytesPerOp),
-	})
+	t.Logf("%s steady: %.3f allocs/epoch, %.1f B/epoch, ~%v/epoch", engine, allocsPerOp, bytesPerOp, perEpoch)
+	return benchutil.Row{N: n, Epochs: e2 - e1}.As("kernels-"+engine+"-steady", 1, perEpoch).WithAllocs(allocsPerOp, bytesPerOp)
 }
 
 // kernelsRefreshRows drives a fixed-n churn sequence — removals and
@@ -243,7 +200,7 @@ func kernelsEngineSteadyRow(t *testing.T, engine string, rows []kernelsRow) []ke
 // exactly the DistMap.Refresh and Routing.Refresh calls after a warmup
 // phase has every pooled buffer at its high-water mark. Steady-state
 // refreshes on the repair path must allocate nothing.
-func kernelsRefreshRows(t *testing.T, rows []kernelsRow) []kernelsRow {
+func kernelsRefreshRows(t *testing.T) []benchutil.Row {
 	t.Helper()
 	const (
 		n       = 4000
@@ -318,16 +275,14 @@ func kernelsRefreshRows(t *testing.T, rows []kernelsRow) []kernelsRow {
 		}
 		prev = next
 	}
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
 	t.Logf("refresh churn: distmap %d allocs / %d epochs, routing %d allocs / %d epochs",
 		dmAllocs, measure, rtAllocs, measure)
-	return append(rows,
-		kernelsRow{Name: "kernels-distmap-refresh", N: n, Epochs: measure, Sources: pivots, Workers: 1,
-			Cores: cores, NumCPU: ncpu, NsPerOp: dmTime.Nanoseconds() / measure,
-			AllocsPerOp: fptr(float64(dmAllocs) / measure), BytesPerOp: fptr(float64(dmBytes) / measure)},
-		kernelsRow{Name: "kernels-routing-refresh", N: n, Epochs: measure, Sources: trees, Workers: 1,
-			Cores: cores, NumCPU: ncpu, NsPerOp: rtTime.Nanoseconds() / measure,
-			AllocsPerOp: fptr(float64(rtAllocs) / measure), BytesPerOp: fptr(float64(rtBytes) / measure)})
+	return []benchutil.Row{
+		benchutil.Row{N: n, Epochs: measure, Sources: pivots}.As("kernels-distmap-refresh", 1, dmTime/measure).
+			WithAllocs(float64(dmAllocs)/measure, float64(dmBytes)/measure),
+		benchutil.Row{N: n, Epochs: measure, Sources: trees}.As("kernels-routing-refresh", 1, rtTime/measure).
+			WithAllocs(float64(rtAllocs)/measure, float64(rtBytes)/measure),
+	}
 }
 
 // kernelsRoutingResetRow measures the marginal allocations of moving a
@@ -338,7 +293,7 @@ func kernelsRefreshRows(t *testing.T, rows []kernelsRow) []kernelsRow {
 // Reset/Ensure cycle must allocate nothing — the property that lets
 // sweeps recycle one Routing across every topology of a group instead
 // of paying NewRouting per cell.
-func kernelsRoutingResetRow(t *testing.T, rows []kernelsRow) []kernelsRow {
+func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 	t.Helper()
 	const (
 		n       = 4000
@@ -387,42 +342,26 @@ func kernelsRoutingResetRow(t *testing.T, rows []kernelsRow) []kernelsRow {
 			}
 		}
 	}
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
 	t.Logf("routing reset: %d allocs / %d cycles (%d trees each)", resetAllocs, measure, trees)
-	return append(rows, kernelsRow{
-		Name: "kernels-routing-reset", N: n, Epochs: measure, Sources: trees, Workers: 1,
-		Cores: cores, NumCPU: ncpu, NsPerOp: resetTime.Nanoseconds() / measure,
-		AllocsPerOp: fptr(float64(resetAllocs) / measure), BytesPerOp: fptr(float64(resetBytes) / measure),
-	})
+	return benchutil.Row{N: n, Epochs: measure, Sources: trees}.As("kernels-routing-reset", 1, resetTime/measure).
+		WithAllocs(float64(resetAllocs)/measure, float64(resetBytes)/measure)
 }
 
-// TestKernelsBenchJSON emits BENCH_kernels.json: cold-tree-build
-// speedup rows (hybrid vs classic BFS, 10k smoke plus the acceptance
-// size) and the steady-state allocation rows both benchcheck ceilings
-// and the CI race smoke run against. Disabled unless -kernels-bench-out
-// is set.
-func TestKernelsBenchJSON(t *testing.T) {
-	if *kernelsBenchOut == "" {
-		t.Skip("enable with -kernels-bench-out <file>")
+// TestBenchJSON emits BENCH_kernels.json into the -bench-out
+// directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
+// smoke plus the 100k acceptance size) and the steady-state allocation
+// rows the benchcheck ceilings gate.
+func TestBenchJSON(t *testing.T) {
+	dir := benchutil.OutDir(t)
+	var rows []benchutil.Row
+	for _, n := range benchutil.Scale([]int{10000}, []int{10000, 100000}) {
+		rows = append(rows, kernelsColdTreeRows(t, n)...)
 	}
-	sizes := []int{*kernelsBenchN}
-	if *kernelsBenchN > 10000 {
-		sizes = []int{10000, *kernelsBenchN}
-	}
-	var rows []kernelsRow
-	for _, n := range sizes {
-		rows = kernelsColdTreeRows(t, n, rows)
-	}
-	rows = kernelsEngineSteadyRow(t, EngineEpoch, rows)
-	rows = kernelsEngineSteadyRow(t, EngineEvent, rows)
-	rows = kernelsRefreshRows(t, rows)
-	rows = kernelsRoutingResetRow(t, rows)
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
+	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
+	rows = append(rows, kernelsRefreshRows(t)...)
+	rows = append(rows, kernelsRoutingResetRow(t))
+	if err := benchutil.WriteRows(dir, "BENCH_kernels.json", rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(*kernelsBenchOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %d kernel benchmark rows to %s\n", len(rows), *kernelsBenchOut)
+	t.Logf("wrote %d kernel benchmark rows to BENCH_kernels.json", len(rows))
 }

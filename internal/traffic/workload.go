@@ -346,6 +346,11 @@ func (sp WorkloadSpec) Validate() error {
 	if sp.Epochs < 0 {
 		return errors.New("traffic: workload epochs must not be negative")
 	}
+	if sp.Epochs > math.MaxInt32 {
+		// The event engine counts epochs in int32 and both engines size
+		// per-epoch rows by the horizon up front.
+		return fmt.Errorf("traffic: workload epochs %d above the %d limit", sp.Epochs, math.MaxInt32)
+	}
 	if sp.Failures != nil {
 		if err := sp.Failures.Validate(); err != nil {
 			return err

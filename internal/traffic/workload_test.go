@@ -27,28 +27,32 @@ func TestWorkloadSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []WorkloadSpec{
-		{LoadFactor: 0.5, Arrivals: "burst"},
-		{LoadFactor: 0.5, Sizes: "weibull"},
-		{LoadFactor: 0},
-		{LoadFactor: -1},
-		{LoadFactor: 0.5, Sizes: "pareto", TailIndex: 1}, // infinite mean
-		{LoadFactor: 0.5, Sizes: "exp", TailIndex: -1},   // negative tail
-		{LoadFactor: 0.5, MeanSize: -2},                  // negative size
-		{LoadFactor: 0.5, Arrivals: "onoff", MeanOn: -1}, // negative duration
-		{LoadFactor: 0.5, EpochLen: -1},                  // negative epoch
-		{LoadFactor: 0.5, CapacityUnit: -3},              // negative capacity
-		{LoadFactor: 0.5, Epochs: -1},                    // negative horizon
-		{LoadFactor: math.NaN()},                         // NaN slips past <= comparisons
-		{LoadFactor: 0.5, TailIndex: math.NaN()},         // NaN tail
-		{LoadFactor: math.Inf(1)},                        // infinite load
-		{LoadFactor: 0.5, MeanSize: math.Inf(1)},         // infinite size
-	}
-	for i, sp := range bad {
+	for i, sp := range badWorkloadSpecs {
 		if err := sp.Validate(); err == nil {
 			t.Fatalf("spec %d (%+v) should fail validation", i, sp)
 		}
 	}
+}
+
+// badWorkloadSpecs are workload specs Validate must reject; the fuzz
+// target seeds from them too.
+var badWorkloadSpecs = []WorkloadSpec{
+	{LoadFactor: 0.5, Arrivals: "burst"},
+	{LoadFactor: 0.5, Sizes: "weibull"},
+	{LoadFactor: 0},
+	{LoadFactor: -1},
+	{LoadFactor: 0.5, Sizes: "pareto", TailIndex: 1}, // infinite mean
+	{LoadFactor: 0.5, Sizes: "exp", TailIndex: -1},   // negative tail
+	{LoadFactor: 0.5, MeanSize: -2},                  // negative size
+	{LoadFactor: 0.5, Arrivals: "onoff", MeanOn: -1}, // negative duration
+	{LoadFactor: 0.5, EpochLen: -1},                  // negative epoch
+	{LoadFactor: 0.5, CapacityUnit: -3},              // negative capacity
+	{LoadFactor: 0.5, Epochs: -1},                    // negative horizon
+	{LoadFactor: 0.5, Epochs: math.MaxInt32 + 1},     // horizon beyond the int32 epoch counters
+	{LoadFactor: math.NaN()},                         // NaN slips past <= comparisons
+	{LoadFactor: 0.5, TailIndex: math.NaN()},         // NaN tail
+	{LoadFactor: math.Inf(1)},                        // infinite load
+	{LoadFactor: 0.5, MeanSize: math.Inf(1)},         // infinite size
 }
 
 // sampleMean draws k sizes and returns their mean.

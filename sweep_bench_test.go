@@ -2,11 +2,9 @@ package netmodel
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"netmodel/internal/benchutil"
 	"netmodel/internal/graphio"
@@ -20,13 +18,8 @@ import (
 // seed-split streams make the fold order-free, so the speedup should
 // track the core count until memory bandwidth bites:
 //
-//	make bench-sweep            # writes BENCH_sweep.json
-//	go test -bench SweepCells . # standard benchmark rows
-var (
-	sweepBenchOut   = flag.String("sweep-bench-out", "", "write sequential-vs-parallel sweep timings to this JSON file")
-	sweepBenchN     = flag.Int("sweep-bench-n", 2000, "sweep benchmark cell size")
-	sweepBenchSeeds = flag.Int("sweep-bench-seeds", 4, "sweep benchmark seeds per model")
-)
+//	go test -run TestBenchJSON/sweep . -bench-out DIR   # BENCH_sweep.json rows
+//	go test -bench SweepCells .                         # standard benchmark rows
 
 // sweepBenchGrid is the benchmark workload: the acceptance-criterion
 // model trio at one size, PathSources capped so the cell cost is
@@ -56,6 +49,16 @@ func runSweepBench(tb testing.TB, g sweep.Grid, workers int) *sweep.Summary {
 	return s
 }
 
+// encodeSweep is the byte identity sweep summaries are compared on.
+func encodeSweep(tb testing.TB, s *sweep.Summary) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := graphio.WriteSweepJSON(&buf, s); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func benchSweepCells(b *testing.B, workers int) {
 	g := sweepBenchGrid(1000, 2)
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
@@ -68,72 +71,26 @@ func benchSweepCells(b *testing.B, workers int) {
 func BenchmarkSweepCellsSequential(b *testing.B) { benchSweepCells(b, 1) }
 func BenchmarkSweepCellsParallel(b *testing.B)   { benchSweepCells(b, genBenchWorkers) }
 
-// TestSweepBenchJSON times the grid at both pool widths, checks the
-// two summaries are byte-identical (the sweep determinism contract at
-// benchmark scale), and records the rows in the JSON file named by
-// -sweep-bench-out (BENCH_sweep.json via `make bench-sweep`).
-func TestSweepBenchJSON(t *testing.T) {
-	if *sweepBenchOut == "" {
-		t.Skip("enable with -sweep-bench-out <file>")
-	}
-	g := sweepBenchGrid(*sweepBenchN, *sweepBenchSeeds)
-	workers := genBenchWorkers
-
-	encode := func(s *sweep.Summary) []byte {
-		var buf bytes.Buffer
-		if err := graphio.WriteSweepJSON(&buf, s); err != nil {
-			t.Fatal(err)
+// sweepScenario times the grid at both pool widths and checks the two
+// summaries are byte-identical — the sweep determinism contract at
+// benchmark scale.
+func sweepScenario(t *testing.T, sz benchSize) []benchutil.Row {
+	var rows []benchutil.Row
+	for _, n := range sz.Ns {
+		g := sweepBenchGrid(n, sz.Seeds)
+		var seq, par *sweep.Summary
+		seqTime, seqAllocs, seqBytes := benchutil.Timed(func() { seq = runSweepBench(t, g, 1) })
+		parTime, parAllocs, parBytes := benchutil.Timed(func() { par = runSweepBench(t, g, genBenchWorkers) })
+		if !bytes.Equal(encodeSweep(t, seq), encodeSweep(t, par)) {
+			t.Fatalf("workers=%d summary diverged from sequential", genBenchWorkers)
 		}
-		return buf.Bytes()
+		speedup := float64(seqTime) / float64(parTime)
+		row := benchutil.Row{Models: fmt.Sprintf("%v", g.Models), N: n, Seeds: sz.Seeds, Cells: len(seq.Cells)}
+		parRow := row.As("sweep-parallel-cells", genBenchWorkers, parTime).WithAllocs(float64(parAllocs), float64(parBytes))
+		parRow.Speedup = speedup
+		rows = append(rows, row.As("sweep-sequential-cells", 1, seqTime).WithAllocs(float64(seqAllocs), float64(seqBytes)), parRow)
+		t.Logf("n=%d seeds=%d cells=%d: sequential %v, %d workers %v, speedup %.2fx",
+			n, sz.Seeds, len(seq.Cells), seqTime, genBenchWorkers, parTime, speedup)
 	}
-	// Each timed run doubles as an allocation window; the settling GC
-	// runs before the timer starts, so ns_per_op stays clean and the op
-	// of allocs_per_op is the same whole-grid run.
-	var seq, par *sweep.Summary
-	var seqTime, parTime time.Duration
-	seqAllocs, seqBytes := benchutil.MeasureAllocs(func() {
-		start := time.Now()
-		seq = runSweepBench(t, g, 1)
-		seqTime = time.Since(start)
-	})
-	parAllocs, parBytes := benchutil.MeasureAllocs(func() {
-		start := time.Now()
-		par = runSweepBench(t, g, workers)
-		parTime = time.Since(start)
-	})
-	if !bytes.Equal(encode(seq), encode(par)) {
-		t.Fatalf("workers=%d summary diverged from sequential", workers)
-	}
-	speedup := float64(seqTime) / float64(parTime)
-
-	type row struct {
-		Name        string  `json:"name"`
-		Models      string  `json:"models"`
-		N           int     `json:"n"`
-		Seeds       int     `json:"seeds"`
-		Cells       int     `json:"cells"`
-		Workers     int     `json:"workers"`
-		Cores       int     `json:"cores"`
-		NumCPU      int     `json:"num_cpu"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		Speedup     float64 `json:"speedup,omitempty"`
-	}
-	models := fmt.Sprintf("%v", g.Models)
-	rows := []row{
-		{Name: "sweep-sequential-cells", Models: models, N: *sweepBenchN, Seeds: *sweepBenchSeeds,
-			Cells: len(seq.Cells), Workers: 1, Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			NsPerOp:     seqTime.Nanoseconds(),
-			AllocsPerOp: float64(seqAllocs), BytesPerOp: float64(seqBytes)},
-		{Name: "sweep-parallel-cells", Models: models, N: *sweepBenchN, Seeds: *sweepBenchSeeds,
-			Cells: len(par.Cells), Workers: workers, Cores: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			NsPerOp:     parTime.Nanoseconds(),
-			AllocsPerOp: float64(parAllocs), BytesPerOp: float64(parBytes), Speedup: speedup},
-	}
-	if err := benchutil.MergeBenchRows(*sweepBenchOut, rows); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("n=%d seeds=%d cells=%d: sequential %v, %d workers %v, speedup %.2fx",
-		*sweepBenchN, *sweepBenchSeeds, len(seq.Cells), seqTime, workers, parTime, speedup)
+	return rows
 }

@@ -1,10 +1,7 @@
 package netmodel
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -26,23 +23,25 @@ import (
 // engine per epoch (refreeze — what every trajectory study cost before
 // this change). The measured vector is engine.MeasureGrowth: degree
 // histogram and tail fit, clustering from triangle counts, k-core
-// depth. The 10k rows are the CI smoke; the 100k × 100-epoch rows are
+// depth. The 10k rows are the smoke; the 100k × 100-epoch rows are
 // the acceptance scale (target ≥ 5x):
 //
-//	make bench-trajectory          # writes BENCH_trajectory.json
-//	go test -bench Trajectory .    # standard benchmark rows
-var (
-	trajBenchOut    = flag.String("trajectory-bench-out", "", "write refresh-vs-refreeze trajectory timings to this JSON file")
-	trajBenchN      = flag.Int("trajectory-bench-n", 100000, "trajectory benchmark map size")
-	trajBenchEpochs = flag.Int("trajectory-bench-epochs", 100, "trajectory benchmark observation epochs")
-	trajBenchPivots = flag.Int("trajectory-bench-pivots", 64, "pivot sample size of the path-metric benchmark rows")
-)
+//	go test -run TestBenchJSON/trajectory . -bench-out DIR   # BENCH_trajectory.json rows
+//	go test -bench Trajectory .                              # standard benchmark rows
+
+// trajBenchPivots is the pivot sample size of the path-metric rows.
+const trajBenchPivots = 64
 
 // runTrajectory drives one BA growth run of n nodes observed every
 // n/epochs arrivals and returns the number of epochs measured. With
 // refresh, epochs ride the incremental path; without, every epoch pays
 // a full freeze and a cold engine, metrics recomputed from scratch.
-func runTrajectory(tb testing.TB, n, epochs, workers int, refresh bool) int {
+// pivots > 0 turns the distance family on: the refresh arm observes
+// through a path-enabled TrajectoryObserver (the engine's distance map
+// is repaired across Advance), the recompute arm pays cold pivot BFS
+// per epoch. Both arms measure the same pivot sample, drawn once on the
+// first epoch.
+func runTrajectory(tb testing.TB, n, epochs, workers, pivots int, refresh bool) int {
 	tb.Helper()
 	every := n / epochs
 	if every < 1 {
@@ -52,53 +51,9 @@ func runTrajectory(tb testing.TB, n, epochs, workers int, refresh bool) int {
 	var observe func(g *graph.Graph, nn int) error
 	if refresh {
 		obs := core.NewTrajectoryObserver(workers)
-		observe = func(g *graph.Graph, nn int) error {
-			if err := obs.Observe(g, nn); err != nil {
-				return err
-			}
-			measured++
-			return nil
+		if pivots > 0 {
+			obs.EnablePathMetrics(pivots, 1)
 		}
-	} else {
-		observe = func(g *graph.Graph, nn int) error {
-			snap, err := g.FreezeChecked()
-			if err != nil {
-				return err
-			}
-			eng := engine.New(snap, engine.WithWorkers(workers))
-			if st := eng.MeasureGrowth(); st.N != nn {
-				return fmt.Errorf("measured %d nodes, want %d", st.N, nn)
-			}
-			measured++
-			return nil
-		}
-	}
-	_, err := gen.BA{N: n, M: 2}.GenerateTrajectory(rng.New(1), workers, gen.Trajectory{
-		Every:   every,
-		Observe: observe,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return measured
-}
-
-// runTrajectoryPaths is runTrajectory with the distance family on: the
-// refresh arm observes through a path-enabled TrajectoryObserver (the
-// engine's distance map is repaired across Advance), the recompute arm
-// pays a full freeze, a cold engine and cold pivot BFS per epoch. Both
-// arms measure the same pivot sample, drawn once on the first epoch.
-func runTrajectoryPaths(tb testing.TB, n, epochs, workers, pivots int, refresh bool) int {
-	tb.Helper()
-	every := n / epochs
-	if every < 1 {
-		every = 1
-	}
-	measured := 0
-	var observe func(g *graph.Graph, nn int) error
-	if refresh {
-		obs := core.NewTrajectoryObserver(workers)
-		obs.EnablePathMetrics(pivots, 1)
 		observe = func(g *graph.Graph, nn int) error {
 			if err := obs.Observe(g, nn); err != nil {
 				return err
@@ -108,18 +63,22 @@ func runTrajectoryPaths(tb testing.TB, n, epochs, workers, pivots int, refresh b
 		}
 	} else {
 		var pivotList []int32
-		first := true
 		observe = func(g *graph.Graph, nn int) error {
 			snap, err := g.FreezeChecked()
 			if err != nil {
 				return err
 			}
-			if first {
-				first = false
-				pivotList = metrics.PivotSources(rng.New(1), snap.N(), pivots)
-			}
 			eng := engine.New(snap, engine.WithWorkers(workers))
-			if st := eng.MeasureGrowthPaths(pivotList); st.N != nn {
+			var st metrics.GrowthStats
+			if pivots > 0 {
+				if pivotList == nil {
+					pivotList = metrics.PivotSources(rng.New(1), snap.N(), pivots)
+				}
+				st = eng.MeasureGrowthPaths(pivotList)
+			} else {
+				st = eng.MeasureGrowth()
+			}
+			if st.N != nn {
 				return fmt.Errorf("measured %d nodes, want %d", st.N, nn)
 			}
 			measured++
@@ -144,10 +103,10 @@ const routingBenchSources = 24
 // runRoutingBench replays one BA map as a growth trajectory and keeps a
 // set of shortest-path trees warm at every epoch — by Routing.Refresh
 // on a shared state (refresh) or a cold NewRouting + Ensure per epoch
-// (rebuild). Only the routing maintenance is timed and alloc-counted;
-// the replay and Refreeze cost is common to both arms and excluded, so
-// the row is a clean attribution of tree repair vs tree rebuild.
-func runRoutingBench(tb testing.TB, n, epochs, workers int, refresh bool) (time.Duration, uint64, uint64) {
+// (rebuild). Only the routing maintenance is timed; the replay and
+// Refreeze cost is common to both arms and excluded, so the row is a
+// clean attribution of tree repair vs tree rebuild.
+func runRoutingBench(tb testing.TB, n, epochs, workers int, refresh bool) time.Duration {
 	tb.Helper()
 	top, err := gen.BA{N: n, M: 2}.Generate(rng.New(1))
 	if err != nil {
@@ -169,7 +128,6 @@ func runRoutingBench(tb testing.TB, n, epochs, workers int, refresh bool) (time.
 	}
 	var rt *traffic.Routing
 	var spent time.Duration
-	var allocs, bytes uint64
 	for i, e := range edges {
 		for g.N() <= e.V || g.N() <= e.U {
 			g.AddNode()
@@ -188,58 +146,47 @@ func runRoutingBench(tb testing.TB, n, epochs, workers int, refresh bool) (time.
 		if next.N() <= routingBenchSources {
 			continue
 		}
-		a, b := benchutil.CountAllocs(func() {
-			start := time.Now()
-			if refresh {
-				if rt == nil {
-					rt = traffic.NewRouting(next)
-				} else {
-					rt.Refresh(next, d, workers)
-				}
-				rt.Ensure(sources, workers)
+		start := time.Now()
+		if refresh {
+			if rt == nil {
+				rt = traffic.NewRouting(next)
 			} else {
-				cold := traffic.NewRouting(next)
-				cold.Ensure(sources, workers)
+				rt.Refresh(next, d, workers)
 			}
-			spent += time.Since(start)
-		})
-		allocs += a
-		bytes += b
+			rt.Ensure(sources, workers)
+		} else {
+			cold := traffic.NewRouting(next)
+			cold.Ensure(sources, workers)
+		}
+		spent += time.Since(start)
 	}
-	return spent, allocs, bytes
+	return spent
 }
 
-func benchTrajectory(b *testing.B, n, epochs int, refresh bool) {
+func benchTrajectory(b *testing.B, n, epochs, pivots int, refresh bool) {
 	b.Helper()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := runTrajectory(b, n, epochs, genBenchWorkers, refresh); got < epochs {
+		if got := runTrajectory(b, n, epochs, genBenchWorkers, pivots, refresh); got < epochs {
 			b.Fatalf("measured %d epochs, want >= %d", got, epochs)
 		}
 	}
 }
 
-func BenchmarkTrajectoryRefresh10k(b *testing.B)  { benchTrajectory(b, 10000, 20, true) }
-func BenchmarkTrajectoryRefreeze10k(b *testing.B) { benchTrajectory(b, 10000, 20, false) }
+func BenchmarkTrajectoryRefresh10k(b *testing.B)  { benchTrajectory(b, 10000, 20, 0, true) }
+func BenchmarkTrajectoryRefreeze10k(b *testing.B) { benchTrajectory(b, 10000, 20, 0, false) }
 
 // The 100k-node, 100-epoch rows are the acceptance-criterion scale.
-func BenchmarkTrajectoryRefresh100k(b *testing.B)  { benchTrajectory(b, 100000, 100, true) }
-func BenchmarkTrajectoryRefreeze100k(b *testing.B) { benchTrajectory(b, 100000, 100, false) }
+func BenchmarkTrajectoryRefresh100k(b *testing.B)  { benchTrajectory(b, 100000, 100, 0, true) }
+func BenchmarkTrajectoryRefreeze100k(b *testing.B) { benchTrajectory(b, 100000, 100, 0, false) }
 
-func benchTrajectoryPaths(b *testing.B, n, epochs int, refresh bool) {
-	b.Helper()
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := runTrajectoryPaths(b, n, epochs, genBenchWorkers, *trajBenchPivots, refresh); got < epochs {
-			b.Fatalf("measured %d epochs, want >= %d", got, epochs)
-		}
-	}
+func BenchmarkTrajectoryPathsRefresh10k(b *testing.B) {
+	benchTrajectory(b, 10000, 20, trajBenchPivots, true)
 }
-
-func BenchmarkTrajectoryPathsRefresh10k(b *testing.B)   { benchTrajectoryPaths(b, 10000, 20, true) }
-func BenchmarkTrajectoryPathsRecompute10k(b *testing.B) { benchTrajectoryPaths(b, 10000, 20, false) }
+func BenchmarkTrajectoryPathsRecompute10k(b *testing.B) {
+	benchTrajectory(b, 10000, 20, trajBenchPivots, false)
+}
 
 func benchRouting(b *testing.B, n, epochs int, refresh bool) {
 	b.Helper()
@@ -253,107 +200,32 @@ func benchRouting(b *testing.B, n, epochs int, refresh bool) {
 func BenchmarkRoutingRefresh10k(b *testing.B) { benchRouting(b, 10000, 20, true) }
 func BenchmarkRoutingRebuild10k(b *testing.B) { benchRouting(b, 10000, 20, false) }
 
-// TestTrajectoryBenchJSON times both arms once and records the rows in
-// the JSON file named by -trajectory-bench-out (BENCH_trajectory.json
-// via `make bench-trajectory`). Disabled unless the flag is set; the CI
-// smoke runs the 10k variant under -race, so the file also documents
-// that the incremental path is race-clean.
-func TestTrajectoryBenchJSON(t *testing.T) {
-	if *trajBenchOut == "" {
-		t.Skip("enable with -trajectory-bench-out <file>")
+// trajectoryScenario times both arms of the growth trajectory, of its
+// path-metric variant and of the routing replay, each arm checked to
+// have measured every epoch.
+func trajectoryScenario(t *testing.T, sz benchSize) []benchutil.Row {
+	var rows []benchutil.Row
+	for _, n := range sz.Ns {
+		arm := func(pivots int, refresh bool) time.Duration {
+			elapsed, _, _ := benchutil.Timed(func() {
+				if got := runTrajectory(t, n, sz.Epochs, genBenchWorkers, pivots, refresh); got < sz.Epochs {
+					t.Fatalf("measured %d epochs (pivots=%d), want >= %d", got, pivots, sz.Epochs)
+				}
+			})
+			return elapsed
+		}
+		row := benchutil.Row{Model: "ba", N: n, Epochs: sz.Epochs}
+		pathRow := row
+		pathRow.Pivots = trajBenchPivots
+		refreeze := row.As("trajectory-refreeze", genBenchWorkers, arm(0, false))
+		refresh := row.As("trajectory-refresh", genBenchWorkers, arm(0, true)).Against(refreeze)
+		recompute := pathRow.As("trajectory-paths-recompute", genBenchWorkers, arm(trajBenchPivots, false))
+		paths := pathRow.As("trajectory-paths-refresh", genBenchWorkers, arm(trajBenchPivots, true)).Against(recompute)
+		rebuild := row.As("routing-rebuild", genBenchWorkers, runRoutingBench(t, n, sz.Epochs, genBenchWorkers, false))
+		repair := row.As("routing-refresh", genBenchWorkers, runRoutingBench(t, n, sz.Epochs, genBenchWorkers, true)).Against(rebuild)
+		rows = append(rows, refreeze, refresh, recompute, paths, rebuild, repair)
+		t.Logf("n=%d epochs=%d workers=%d: refreeze %.2fx, paths (pivots=%d) %.2fx, routing (%d trees) %.2fx",
+			n, sz.Epochs, genBenchWorkers, refresh.Speedup, trajBenchPivots, paths.Speedup, routingBenchSources, repair.Speedup)
 	}
-	n, epochs := *trajBenchN, *trajBenchEpochs
-	workers := genBenchWorkers
-
-	// Each whole-run timing doubles as an allocation window (the
-	// settling GC runs before the timer starts, so ns_per_op is clean).
-	time1 := func(refresh bool) (time.Duration, uint64, uint64) {
-		var spent time.Duration
-		allocs, bytes := benchutil.MeasureAllocs(func() {
-			start := time.Now()
-			if got := runTrajectory(t, n, epochs, workers, refresh); got < epochs {
-				t.Fatalf("measured %d epochs, want >= %d", got, epochs)
-			}
-			spent = time.Since(start)
-		})
-		return spent, allocs, bytes
-	}
-	refreeze, refreezeAllocs, refreezeBytes := time1(false)
-	refresh, refreshAllocs, refreshBytes := time1(true)
-	speedup := float64(refreeze) / float64(refresh)
-
-	pivots := *trajBenchPivots
-	timePaths := func(refresh bool) (time.Duration, uint64, uint64) {
-		var spent time.Duration
-		allocs, bytes := benchutil.MeasureAllocs(func() {
-			start := time.Now()
-			if got := runTrajectoryPaths(t, n, epochs, workers, pivots, refresh); got < epochs {
-				t.Fatalf("measured %d path epochs, want >= %d", got, epochs)
-			}
-			spent = time.Since(start)
-		})
-		return spent, allocs, bytes
-	}
-	pathsRecompute, pathsRecomputeAllocs, pathsRecomputeBytes := timePaths(false)
-	pathsRefresh, pathsRefreshAllocs, pathsRefreshBytes := timePaths(true)
-	pathsSpeedup := float64(pathsRecompute) / float64(pathsRefresh)
-
-	routRebuild, routRebuildAllocs, routRebuildBytes := runRoutingBench(t, n, epochs, workers, false)
-	routRefresh, routRefreshAllocs, routRefreshBytes := runRoutingBench(t, n, epochs, workers, true)
-	routSpeedup := float64(routRebuild) / float64(routRefresh)
-
-	type row struct {
-		Name        string  `json:"name"`
-		Model       string  `json:"model"`
-		N           int     `json:"n"`
-		Epochs      int     `json:"epochs"`
-		Workers     int     `json:"workers"`
-		Pivots      int     `json:"pivots,omitempty"`
-		Cores       int     `json:"cores"`
-		NumCPU      int     `json:"num_cpu"`
-		NsPerOp     int64   `json:"ns_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		Speedup     float64 `json:"speedup,omitempty"`
-		// SpeedupVs names the row the speedup is measured against, so
-		// every attribution in the file is explicit.
-		SpeedupVs string `json:"speedup_vs,omitempty"`
-	}
-	cores, ncpu := runtime.GOMAXPROCS(0), runtime.NumCPU()
-	rows := []row{
-		{Name: "trajectory-refreeze", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Cores: cores, NumCPU: ncpu, NsPerOp: refreeze.Nanoseconds(),
-			AllocsPerOp: float64(refreezeAllocs), BytesPerOp: float64(refreezeBytes)},
-		{Name: "trajectory-refresh", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Cores: cores, NumCPU: ncpu, NsPerOp: refresh.Nanoseconds(),
-			AllocsPerOp: float64(refreshAllocs), BytesPerOp: float64(refreshBytes),
-			Speedup: speedup, SpeedupVs: "trajectory-refreeze"},
-		{Name: "trajectory-paths-recompute", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Pivots: pivots, Cores: cores, NumCPU: ncpu, NsPerOp: pathsRecompute.Nanoseconds(),
-			AllocsPerOp: float64(pathsRecomputeAllocs), BytesPerOp: float64(pathsRecomputeBytes)},
-		{Name: "trajectory-paths-refresh", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Pivots: pivots, Cores: cores, NumCPU: ncpu, NsPerOp: pathsRefresh.Nanoseconds(),
-			AllocsPerOp: float64(pathsRefreshAllocs), BytesPerOp: float64(pathsRefreshBytes),
-			Speedup: pathsSpeedup, SpeedupVs: "trajectory-paths-recompute"},
-		{Name: "routing-rebuild", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Cores: cores, NumCPU: ncpu, NsPerOp: routRebuild.Nanoseconds(),
-			AllocsPerOp: float64(routRebuildAllocs), BytesPerOp: float64(routRebuildBytes)},
-		{Name: "routing-refresh", Model: "ba", N: n, Epochs: epochs, Workers: workers,
-			Cores: cores, NumCPU: ncpu, NsPerOp: routRefresh.Nanoseconds(),
-			AllocsPerOp: float64(routRefreshAllocs), BytesPerOp: float64(routRefreshBytes),
-			Speedup: routSpeedup, SpeedupVs: "routing-rebuild"},
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*trajBenchOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("n=%d epochs=%d workers=%d: refreeze %v, refresh %v, speedup %.2fx",
-		n, epochs, workers, refreeze, refresh, speedup)
-	t.Logf("paths (pivots=%d): recompute %v, refresh %v, speedup %.2fx",
-		pivots, pathsRecompute, pathsRefresh, pathsSpeedup)
-	t.Logf("routing (%d trees): rebuild %v, refresh %v, speedup %.2fx",
-		routingBenchSources, routRebuild, routRefresh, routSpeedup)
+	return rows
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -13,13 +14,14 @@ import (
 
 // The kernel benchmarks are the acceptance surface of the zero-alloc
 // hot paths: the direction-optimizing hybrid BFS against the classic
-// queue kernel on cold shortest-path-tree builds, and the marginal
+// queue kernel on cold shortest-path-tree builds, exact pair-search
+// paths against a cold tree build per path, and the marginal
 // allocation cost of one steady-state operation — a simulate epoch in
 // either engine, a DistMap refresh, a Routing refresh — measured by
 // differencing seeded-deterministic runs so one-time setup cancels
 // exactly. The allocation rows are gated from above by benchcheck's
 // max_allocs_per_op / max_bytes_per_op ceilings (0 for the steady
-// states), the speedup row from below by the usual floor:
+// states), the speedup rows from below by the usual floor:
 //
 //	go test -run TestBenchJSON ./internal/traffic -bench-out DIR   # BENCH_kernels.json
 //
@@ -98,6 +100,58 @@ func kernelsColdTreeRows(t *testing.T, n int) []benchutil.Row {
 	hybridRow := row.As("kernels-coldtree-hybrid", 1, hybrid/nsrc).Against(classicRow).WithAllocs(allocsPerOp, bytesPerOp)
 	t.Logf("coldtree n=%d: classic %v, hybrid %v (%.2fx), warm hybrid %g allocs/op", n, classic, hybrid, hybridRow.Speedup, allocsPerOp)
 	return []benchutil.Row{classicRow, hybridRow}
+}
+
+// kernelsPairRows times canonical-path resolution for 64 fixed OD
+// pairs two ways — a cold tree build plus appendPath, as admitPending
+// pays per origin without pair search, against pairPath — and asserts
+// the two paths equal. Both run warm (pooled tree arrays, BFS and pair
+// scratch sized), so the row compares search work alone; the warm pair
+// search into a reused buffer must allocate nothing.
+func kernelsPairRows(t *testing.T, n int) []benchutil.Row {
+	t.Helper()
+	const npairs = 64
+	snap := kernelsFreezeBA(t, n, 1)
+	arcEdge := snap.ArcEdgeIDs()
+	r := rng.New(9)
+	srcs, dsts := make([]int, npairs), make([]int, npairs)
+	for i := range srcs {
+		srcs[i], dsts[i] = r.Intn(snap.N()), r.Intn(snap.N())
+	}
+	tree := &rtree{}
+	sc := metrics.NewBFSScratch(snap.N())
+	var ps pairScratch
+	var treeBuf, pairBuf []int32
+	for i := range srcs {
+		buildTreeInto(tree, snap, arcEdge, srcs[i], sc)
+		want, wantOK := tree.appendPath(treeBuf[:0], dsts[i])
+		got, gotOK := ps.pairPath(snap, arcEdge, srcs[i], dsts[i], pairBuf[:0])
+		if gotOK != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("n=%d %d→%d: pair path %v, tree path %v", n, srcs[i], dsts[i], got, want)
+		}
+		treeBuf, pairBuf = want, got
+	}
+	start := time.Now()
+	for i := range srcs {
+		buildTreeInto(tree, snap, arcEdge, srcs[i], sc)
+		treeBuf, _ = tree.appendPath(treeBuf[:0], dsts[i])
+	}
+	treeTime := time.Since(start)
+	start = time.Now()
+	for i := range srcs {
+		pairBuf, _ = ps.pairPath(snap, arcEdge, srcs[i], dsts[i], pairBuf[:0])
+	}
+	pairTime := time.Since(start)
+	allocsPerOp, bytesPerOp := benchutil.MarginalAllocs(npairs, 3*npairs, func(ops int) {
+		for i := 0; i < ops; i++ {
+			pairBuf, _ = ps.pairPath(snap, arcEdge, srcs[i%npairs], dsts[i%npairs], pairBuf[:0])
+		}
+	})
+	row := benchutil.Row{N: n, Sources: npairs}
+	treeRow := row.As("kernels-tree-path", 1, treeTime/npairs)
+	pairRow := row.As("kernels-pair-vs-tree", 1, pairTime/npairs).Against(treeRow).WithAllocs(allocsPerOp, bytesPerOp)
+	t.Logf("pair paths n=%d: tree %v, pair %v (%.1fx), warm pair %g allocs/op", n, treeTime, pairTime, pairRow.Speedup, allocsPerOp)
+	return []benchutil.Row{treeRow, pairRow}
 }
 
 // kernelsWorkload derives a steady workload over a frozen BA map: load
@@ -349,13 +403,15 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
-// smoke plus the 100k acceptance size) and the steady-state allocation
-// rows the benchcheck ceilings gate.
+// smoke plus the 100k acceptance size), pair-search vs tree-path rows
+// at the same sizes, and the steady-state allocation rows the benchcheck
+// ceilings gate.
 func TestBenchJSON(t *testing.T) {
 	dir := benchutil.OutDir(t)
 	var rows []benchutil.Row
 	for _, n := range benchutil.Scale([]int{10000}, []int{10000, 100000}) {
 		rows = append(rows, kernelsColdTreeRows(t, n)...)
+		rows = append(rows, kernelsPairRows(t, n)...)
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)

@@ -16,7 +16,11 @@ import (
 // epochs without holding N trees for a 100k-node map. Tree construction
 // is a pure function of (snapshot, source) — BFS discovery order over
 // the CSR arc arrays — so a flow's path never depends on the worker
-// count or on which epochs demanded which trees first.
+// count or on which epochs demanded which trees first. When an epoch's
+// origins outnumber the tree budget, origins with few destinations are
+// resolved by exact pair searches instead (pairpath.go): a pair path is
+// the tree path edge for edge, a pure function of (snapshot, source,
+// destination), so which of the two resolved a flow never shows.
 //
 // Routing is not safe for concurrent use; Ensure shards tree builds
 // internally, but callers (the sequential simulation loop) must not
@@ -40,6 +44,9 @@ type Routing struct {
 	admUnreach []bool
 	admMiss    []int
 	admBatch   []int
+	// pair resolves single OD paths without a tree when the cache
+	// cannot hold an epoch's origins (admitPending, pairpath.go).
+	pair pairScratch
 
 	// Tree-storage pool: evicted and Reset trees park here and hand
 	// their arrays to the next build, and Ensure's batch buffers
@@ -136,11 +143,12 @@ func NewRouting(s *graph.Snapshot) *Routing {
 func (rt *Routing) TreeBudget() int { return rt.max }
 
 // MemBytes estimates the heap bytes the routing state holds live: the
-// three int32 rows of each cached tree plus the memoized OD paths —
-// the byte cost an artifact cache should charge for a warm Routing.
+// three int32 rows of each cached tree, the memoized OD paths and the
+// pair-search scratch — the byte cost an artifact cache should charge
+// for a warm Routing.
 func (rt *Routing) MemBytes() int64 {
 	n := int64(rt.s.N())
-	return int64(len(rt.trees))*12*(n+1) + int64(len(rt.paths))*48
+	return int64(len(rt.trees))*12*(n+1) + int64(len(rt.paths))*48 + rt.pair.memBytes()
 }
 
 // newTree pops a pooled tree (arrays intact, contents stale) or
@@ -707,12 +715,17 @@ func (ctx *simContext) drawArrivals(i int, dt float64, pend []pending) []pending
 
 // admitPending routes the epoch's drawn arrivals (grouped by ascending
 // origin). OD pairs already memoized in the routing state resolve
-// without touching a tree; the rest are routed in source-contiguous
-// chunks of at most the routing cache's tree budget: each chunk
-// Ensures its distinct origins (parallel BFS builds) and reads paths
-// before the next chunk can evict them — memory stays bounded by the
-// budget even when one epoch's arrivals span more origins than the
-// cache holds. Reachable flows go to admit in pend order; unreachable
+// without touching a tree. When the missed pairs span more origins than
+// the tree cache holds, trees built now would be evicted before they
+// are reused, so each missed origin with no cached tree and at most
+// pairMaxDests missed destinations resolves them by pair search
+// (sequential; each result is a pure function of the snapshot and the
+// pair). The remaining misses are routed in source-contiguous chunks of
+// at most the tree budget: each chunk Ensures its distinct origins
+// (parallel BFS builds) and reads paths before the next chunk can
+// evict them — memory stays bounded by the budget even when one epoch's
+// arrivals span more origins than the cache holds. Every resolved path
+// is memoized. Reachable flows go to admit in pend order; unreachable
 // ones are counted.
 func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending, path []int32)) (undelivered int) {
 	// The index-parallel buffers persist on the routing state: an epoch
@@ -731,10 +744,14 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 	// miss holds the pend indexes whose OD pair is not memoized; pend
 	// is grouped by origin, so miss inherits the grouping.
 	miss := rt.admMiss[:0]
+	origins := 0
 	for i, p := range pend {
 		path, ok, unreachable := rt.cachedPath(p.src, p.dst)
 		switch {
 		case !ok:
+			if len(miss) == 0 || pend[miss[len(miss)-1]].src != p.src {
+				origins++
+			}
 			miss = append(miss, i)
 		case unreachable:
 			unreach[i] = true
@@ -743,6 +760,37 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		}
 	}
 	rt.admMiss = miss
+	resolve := func(i int, path []int32, ok bool) {
+		p := pend[i]
+		rt.storePath(p.src, p.dst, path, ok)
+		if !ok {
+			unreach[i] = true
+			return
+		}
+		paths[i] = path
+	}
+	if origins > rt.max {
+		// Compact the misses left for trees in place: rest never
+		// overtakes the group being read.
+		rest := miss[:0]
+		for k := 0; k < len(miss); {
+			src := pend[miss[k]].src
+			j := k + 1
+			for j < len(miss) && pend[miss[j]].src == src {
+				j++
+			}
+			if _, cached := rt.trees[src]; cached || j-k > pairMaxDests {
+				rest = append(rest, miss[k:j]...)
+			} else {
+				for _, i := range miss[k:j] {
+					path, ok := rt.pair.pairPath(rt.s, rt.arcEdge, src, pend[i].dst, nil)
+					resolve(i, path, ok)
+				}
+			}
+			k = j
+		}
+		miss = rest
+	}
 	for k := 0; k < len(miss); {
 		batch := rt.admBatch[:0]
 		j := k
@@ -760,14 +808,8 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		rt.Ensure(batch, workers)
 		for ; k < j; k++ {
 			i := miss[k]
-			p := pend[i]
-			path, ok := rt.Tree(p.src).appendPath(nil, p.dst)
-			rt.storePath(p.src, p.dst, path, ok)
-			if !ok {
-				unreach[i] = true
-				continue
-			}
-			paths[i] = path
+			path, ok := rt.Tree(pend[i].src).appendPath(nil, pend[i].dst)
+			resolve(i, path, ok)
 		}
 	}
 	for i, p := range pend {

@@ -81,13 +81,20 @@ func BenchmarkGenPFP100kSharded(b *testing.B) {
 
 // BenchmarkGenEconSharded measures the sharded market rounds against
 // the sequential engine at the published calibration.
-func BenchmarkGenEconSequential(b *testing.B) { benchEcon(b, 1) }
-func BenchmarkGenEconSharded(b *testing.B)    { benchEcon(b, genBenchWorkers) }
+func BenchmarkGenEconSequential(b *testing.B) { benchEcon(b, 2000, 1) }
+func BenchmarkGenEconSharded(b *testing.B)    { benchEcon(b, 2000, genBenchWorkers) }
 
-func benchEcon(b *testing.B, workers int) {
+// BenchmarkGenEcon10k and BenchmarkGenEcon100k time sequential econ
+// generation at sweep scale, the heaviest stage of a model sweep; every
+// econ row reports its allocations.
+func BenchmarkGenEcon10k(b *testing.B)  { benchEcon(b, genBenchN, 1) }
+func BenchmarkGenEcon100k(b *testing.B) { benchEcon(b, 100000, 1) }
+
+func benchEcon(b *testing.B, n, workers int) {
 	b.Helper()
-	m := econ.Default(2000)
+	m := econ.Default(n)
 	m.Workers = workers
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Run(rng.New(uint64(i + 1))); err != nil {

@@ -144,6 +144,7 @@ func (m Model) Run(r *rng.Rand) (*Result, error) {
 	}
 
 	g := graph.New(m.N0)
+	g.Reserve(m.TargetN)
 	users := make([]float64, 0, m.TargetN)
 	for i := 0; i < m.N0; i++ {
 		users = append(users, m.Omega0)

@@ -57,6 +57,7 @@ func (m BA) generate(r *rng.Rand, traj Trajectory) (*Topology, error) {
 	}
 	cur := newTrajectoryCursor(traj, seed)
 	g := graph.New(seed)
+	g.Reserve(m.N)
 	f := rng.NewFenwick(r, m.N)
 	// Connected seed: a small clique so every seed node has degree > 0.
 	for u := 0; u < seed; u++ {

@@ -66,6 +66,7 @@ func (m GLP) generate(r *rng.Rand, traj Trajectory) (*Topology, error) {
 	}
 	cur := newTrajectoryCursor(traj, seed)
 	g := graph.New(seed)
+	g.Reserve(m.N)
 	f := rng.NewFenwick(r, m.N)
 	for u := 1; u < seed; u++ {
 		g.MustAddEdge(u-1, u)

@@ -110,9 +110,11 @@ func edgeKey(u, v int) uint64 {
 // mirror switches the kernel into trajectory mode: commits are applied
 // to a live graph as they happen, so epoch observers see real graph
 // states mid-run and build() returns the live graph instead of a final
-// parallel construction. Call before any node or edge is committed.
+// parallel construction. Call before any node or edge is committed;
+// the live graph reserves the run's node capacity hint up front.
 func (g *growth) mirror() {
 	g.live = graph.New(g.n)
+	g.live.Reserve(cap(g.weights))
 }
 
 // addNode commits a new isolated node and returns its id.

@@ -161,7 +161,7 @@ func TestShardedBAStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !top.G.IsConnected() {
+	if !connected(top.G) {
 		t.Fatal("sharded BA graph must be connected")
 	}
 	want := 3 + 2*(1000-3) // seed clique + M per arrival
@@ -262,7 +262,7 @@ func TestShardedBRITEStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !top.G.IsConnected() {
+	if !connected(top.G) {
 		t.Fatal("sharded BRITE graph must be connected")
 	}
 	if top.G.MaxDegree() < 30 {

@@ -170,7 +170,7 @@ func (g *Graph) buildDelta(base *Snapshot) *Delta {
 		}
 		u, v := int(p[0]), int(p[1])
 		oldW := base.EdgeWeight(u, v)
-		newW := g.adj[u][v]
+		newW := g.EdgeWeight(u, v)
 		if oldW == newW {
 			continue
 		}

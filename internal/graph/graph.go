@@ -9,6 +9,15 @@
 // (the topological degree k); its "strength" sums multiplicities (the
 // weighted degree, bandwidth b).
 //
+// The mutable Graph keeps one row of (neighbor, multiplicity) arcs per
+// node, sorted by neighbor id, plus a per-node strength counter, so
+// Degree and Strength are O(1) and an edge lookup binary-searches the
+// shorter of its two endpoint rows. Growth models attach new nodes,
+// which carry the largest ids, so most insertions land at a row's tail.
+// Node ids and multiplicities are int32, the envelope the frozen
+// Snapshot shares. Analysis freezes the graph into an immutable
+// compressed-sparse-row Snapshot, a straight copy of the rows.
+//
 // Self-loops are rejected: neither AS adjacencies nor router links are
 // self-referential at this level of abstraction.
 package graph
@@ -16,16 +25,24 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"unsafe"
 )
+
+// arc is one entry of a node's row: neighbor id and edge multiplicity.
+type arc struct {
+	v, w int32
+}
 
 // Graph is an undirected weighted multigraph. The zero value is not
 // usable; create instances with New.
 type Graph struct {
-	adj      []map[int]int // neighbor -> multiplicity
-	m        int           // number of simple edges
-	strength int           // total multiplicity over simple edges (counted once per edge)
-	log      mutLog        // edges touched since the last freeze (see delta.go)
+	rows     [][]arc // per-node arcs sorted by neighbor; each edge appears in both endpoint rows
+	str      []int   // per-node strength: the sum of the row's multiplicities
+	m        int     // number of simple edges
+	strength int     // total multiplicity over simple edges (counted once per edge)
+	log      mutLog  // edges touched since the last freeze (see delta.go)
 }
 
 // Edge is a simple edge with its multiplicity; U < V always holds for
@@ -34,20 +51,26 @@ type Edge struct {
 	U, V, W int
 }
 
-// New returns a graph with n isolated nodes.
+// checkNodes panics when a graph of n nodes would leave the int32 node-id
+// envelope. The message is a constant so the check allocates nothing.
+func checkNodes(n int) {
+	if n > math.MaxInt32 {
+		panic("graph: node count exceeds the 2147483647-node int32 envelope")
+	}
+}
+
+// New returns a graph with n isolated nodes. It panics when n exceeds
+// math.MaxInt32, before allocating anything.
 func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	g := &Graph{adj: make([]map[int]int, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]int)
-	}
-	return g
+	checkNodes(n)
+	return &Graph{rows: make([][]arc, n), str: make([]int, n)}
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.rows) }
 
 // M returns the number of simple edges (distinct adjacent pairs).
 func (g *Graph) M() int { return g.m }
@@ -56,42 +79,101 @@ func (g *Graph) M() int { return g.m }
 // the total bandwidth B of the network. TotalStrength >= M always.
 func (g *Graph) TotalStrength() int { return g.strength }
 
-// MemEstimate approximates the heap bytes the mutable graph holds: the
-// per-node adjacency maps dominate, at roughly a map header per node
-// plus bucket storage for each of the 2m directed arcs. An estimate for
-// cache accounting, not an exact census — Go map internals are not
-// introspectable.
+// MemEstimate returns the heap bytes the mutable graph holds: the row
+// headers, every row's arc capacity, the strength array and the
+// mutation log. Rows are plain slices, so the census is exact up to
+// allocator size-class rounding.
 func (g *Graph) MemEstimate() int64 {
-	return int64(len(g.adj))*56 + int64(2*g.m)*40
+	b := int64(cap(g.rows))*int64(unsafe.Sizeof([]arc(nil))) +
+		int64(cap(g.str))*int64(unsafe.Sizeof(int(0))) +
+		int64(cap(g.log.touched))*int64(unsafe.Sizeof([2]int32{}))
+	for _, row := range g.rows {
+		b += int64(cap(row)) * int64(unsafe.Sizeof(arc{}))
+	}
+	return b
 }
 
-// AddNode appends an isolated node and returns its index.
+// AddNode appends an isolated node and returns its index. It panics
+// when the graph already holds math.MaxInt32 nodes.
 func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, make(map[int]int))
-	return len(g.adj) - 1
+	checkNodes(len(g.rows) + 1)
+	g.rows = append(g.rows, nil)
+	g.str = append(g.str, 0)
+	return len(g.rows) - 1
+}
+
+// Reserve grows the node capacity to at least n without adding nodes,
+// so a generator that knows its final size pays one allocation instead
+// of repeated AddNode growth. N is unchanged.
+func (g *Graph) Reserve(n int) {
+	checkNodes(n)
+	if extra := n - len(g.rows); extra > 0 {
+		g.rows = slices.Grow(g.rows, extra)
+		g.str = slices.Grow(g.str, extra)
+	}
 }
 
 // valid reports whether u is an existing node index.
-func (g *Graph) valid(u int) bool { return u >= 0 && u < len(g.adj) }
+func (g *Graph) valid(u int) bool { return u >= 0 && u < len(g.rows) }
+
+// search returns the position of neighbor v in the sorted row, or the
+// position where it would be inserted, and whether it is present.
+func search(row []arc, v int32) (int, bool) {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if row[h].v < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(row) && row[lo].v == v
+}
+
+// locate returns the endpoint of (u,v) with the shorter row, the other
+// endpoint, the position of the latter in the former's row and whether
+// the edge exists; found is false for out-of-range endpoints.
+func (g *Graph) locate(u, v int) (a, b, i int, found bool) {
+	if !g.valid(u) || !g.valid(v) {
+		return u, v, -1, false
+	}
+	if len(g.rows[u]) > len(g.rows[v]) {
+		u, v = v, u
+	}
+	i, found = search(g.rows[u], int32(v))
+	return u, v, i, found
+}
 
 // AddEdge adds one unit of multiplicity between u and v, creating the
-// simple edge if absent. It returns true when the simple edge is new.
+// simple edge if absent. It returns true when the simple edge is new,
+// and an error for invalid endpoints or a multiplicity that would
+// overflow int32.
 func (g *Graph) AddEdge(u, v int) (created bool, err error) {
 	if !g.valid(u) || !g.valid(v) {
-		return false, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj))
+		return false, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.rows))
 	}
 	if u == v {
 		return false, errors.New("graph: self-loops are not allowed")
 	}
-	_, existed := g.adj[u][v]
-	g.adj[u][v]++
-	g.adj[v][u]++
-	g.strength++
-	if !existed {
+	a, b, i, found := g.locate(u, v)
+	j, _ := search(g.rows[b], int32(a))
+	if !found {
+		g.rows[a] = slices.Insert(g.rows[a], i, arc{v: int32(b), w: 1})
+		g.rows[b] = slices.Insert(g.rows[b], j, arc{v: int32(a), w: 1})
 		g.m++
+	} else {
+		if g.rows[a][i].w == math.MaxInt32 {
+			return false, fmt.Errorf("graph: multiplicity of edge (%d,%d) would overflow int32", u, v)
+		}
+		g.rows[a][i].w++
+		g.rows[b][j].w++
 	}
+	g.str[u]++
+	g.str[v]++
+	g.strength++
 	g.logTouch(u, v)
-	return !existed, nil
+	return !found, nil
 }
 
 // MustAddEdge is AddEdge for callers that have already validated their
@@ -108,57 +190,55 @@ func (g *Graph) MustAddEdge(u, v int) bool {
 // the simple edge when the multiplicity reaches zero. It returns an error
 // if the edge does not exist.
 func (g *Graph) RemoveEdge(u, v int) error {
-	if !g.valid(u) || !g.valid(v) || g.adj[u][v] == 0 {
+	a, b, i, found := g.locate(u, v)
+	if !found {
 		return fmt.Errorf("graph: edge (%d,%d) does not exist", u, v)
 	}
-	g.adj[u][v]--
-	g.adj[v][u]--
-	g.strength--
-	if g.adj[u][v] == 0 {
-		delete(g.adj[u], v)
-		delete(g.adj[v], u)
+	j, _ := search(g.rows[b], int32(a))
+	if g.rows[a][i].w == 1 {
+		g.rows[a] = slices.Delete(g.rows[a], i, i+1)
+		g.rows[b] = slices.Delete(g.rows[b], j, j+1)
 		g.m--
+	} else {
+		g.rows[a][i].w--
+		g.rows[b][j].w--
 	}
+	g.str[u]--
+	g.str[v]--
+	g.strength--
 	g.logTouch(u, v)
 	return nil
 }
 
 // HasEdge reports whether the simple edge (u,v) exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	if !g.valid(u) || !g.valid(v) {
-		return false
-	}
-	return g.adj[u][v] > 0
+	_, _, _, found := g.locate(u, v)
+	return found
 }
 
 // EdgeWeight returns the multiplicity of (u,v), zero if absent.
 func (g *Graph) EdgeWeight(u, v int) int {
-	if !g.valid(u) || !g.valid(v) {
+	a, _, i, found := g.locate(u, v)
+	if !found {
 		return 0
 	}
-	return g.adj[u][v]
+	return int(g.rows[a][i].w)
 }
 
 // Degree returns the topological degree of u: its number of distinct
 // neighbors.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return len(g.rows[u]) }
 
 // Strength returns the weighted degree (bandwidth) of u: the sum of
 // multiplicities of its incident edges.
-func (g *Graph) Strength(u int) int {
-	s := 0
-	for _, w := range g.adj[u] {
-		s += w
-	}
-	return s
-}
+func (g *Graph) Strength(u int) int { return g.str[u] }
 
 // Neighbors calls fn for every neighbor v of u with the edge multiplicity
-// w, stopping early if fn returns false. Iteration order is unspecified;
-// use NeighborList when deterministic order matters.
+// w, in ascending neighbor order, stopping early if fn returns false.
+// fn must not mutate g.
 func (g *Graph) Neighbors(u int, fn func(v, w int) bool) {
-	for v, w := range g.adj[u] {
-		if !fn(v, w) {
+	for _, a := range g.rows[u] {
+		if !fn(int(a.v), int(a.w)) {
 			return
 		}
 	}
@@ -166,23 +246,20 @@ func (g *Graph) Neighbors(u int, fn func(v, w int) bool) {
 
 // NeighborList returns the neighbors of u sorted ascending.
 func (g *Graph) NeighborList(u int) []int {
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
+	out := make([]int, len(g.rows[u]))
+	for i, a := range g.rows[u] {
+		out[i] = int(a.v)
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Edges calls fn for every simple edge with u < v and multiplicity w,
-// stopping early if fn returns false. Order is unspecified.
+// stopping early if fn returns false. Edges come sorted by (u, v).
 func (g *Graph) Edges(fn func(u, v, w int) bool) {
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if u < v {
-				if !fn(u, v, w) {
-					return
-				}
+	for u, row := range g.rows {
+		for _, a := range row {
+			if u < int(a.v) && !fn(u, int(a.v), int(a.w)) {
+				return
 			}
 		}
 	}
@@ -196,20 +273,14 @@ func (g *Graph) EdgeList() []Edge {
 		out = append(out, Edge{U: u, V: v, W: w})
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
 // DegreeSequence returns the topological degree of every node.
 func (g *Graph) DegreeSequence() []int {
-	out := make([]int, len(g.adj))
-	for u := range g.adj {
-		out[u] = len(g.adj[u])
+	out := make([]int, len(g.rows))
+	for u, row := range g.rows {
+		out[u] = len(row)
 	}
 	return out
 }
@@ -217,154 +288,78 @@ func (g *Graph) DegreeSequence() []int {
 // AvgDegree returns the mean topological degree 2M/N, zero for an empty
 // graph.
 func (g *Graph) AvgDegree() float64 {
-	if len(g.adj) == 0 {
+	if len(g.rows) == 0 {
 		return 0
 	}
-	return 2 * float64(g.m) / float64(len(g.adj))
+	return 2 * float64(g.m) / float64(len(g.rows))
 }
 
 // MaxDegree returns the largest topological degree, zero for an empty
 // graph.
 func (g *Graph) MaxDegree() int {
-	max := 0
-	for u := range g.adj {
-		if d := len(g.adj[u]); d > max {
-			max = d
-		}
+	best := 0
+	for _, row := range g.rows {
+		best = max(best, len(row))
 	}
-	return max
+	return best
 }
 
-// Copy returns a deep copy of g. The copy starts with no mutation log;
-// its first Refreeze after a Freeze of its own pays a full rebuild.
+// Copy returns a deep copy of g whose rows share one exactly sized arc
+// buffer. The copy starts with no mutation log; its first Refreeze after
+// a Freeze of its own pays a full rebuild.
 func (g *Graph) Copy() *Graph {
-	c := &Graph{adj: make([]map[int]int, len(g.adj)), m: g.m, strength: g.strength}
-	for u, nb := range g.adj {
-		c.adj[u] = make(map[int]int, len(nb))
-		for v, w := range nb {
-			c.adj[u][v] = w
-		}
+	c := &Graph{rows: make([][]arc, len(g.rows)), str: slices.Clone(g.str), m: g.m, strength: g.strength}
+	buf := make([]arc, 2*g.m)
+	for u, row := range g.rows {
+		c.rows[u] = buf[:len(row):len(row)]
+		copy(c.rows[u], row)
+		buf = buf[len(row):]
 	}
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by the given nodes and a
-// mapping from new indices to original ones. Duplicate or invalid node
-// indices yield an error.
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
-	toNew := make(map[int]int, len(nodes))
-	toOld := make([]int, len(nodes))
-	for i, u := range nodes {
-		if !g.valid(u) {
-			return nil, nil, fmt.Errorf("graph: node %d out of range", u)
-		}
-		if _, dup := toNew[u]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate node %d", u)
-		}
-		toNew[u] = i
-		toOld[i] = u
-	}
-	sub := New(len(nodes))
-	for i, u := range toOld {
-		for v, w := range g.adj[u] {
-			j, ok := toNew[v]
-			if !ok || j <= i {
-				continue
-			}
-			for x := 0; x < w; x++ {
-				sub.MustAddEdge(i, j)
-			}
-		}
-	}
-	return sub, toOld, nil
-}
-
-// Components returns the connected components as slices of node indices,
-// largest first; ties broken by smallest contained index. Each component
-// slice is sorted.
-func (g *Graph) Components() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	queue := make([]int, 0, len(g.adj))
-	for s := range g.adj {
-		if seen[s] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, s)
-		seen[s] = true
-		var comp []int
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
-}
-
-// GiantComponent returns the subgraph induced by the largest connected
-// component together with the new-to-old index mapping. An empty graph
-// returns an empty graph.
-func (g *Graph) GiantComponent() (*Graph, []int) {
-	comps := g.Components()
-	if len(comps) == 0 {
-		return New(0), nil
-	}
-	sub, mapping, err := g.InducedSubgraph(comps[0])
-	if err != nil {
-		panic("graph: internal error extracting giant component: " + err.Error())
-	}
-	return sub, mapping
-}
-
-// IsConnected reports whether the graph has exactly one connected
-// component (the empty graph is considered connected).
-func (g *Graph) IsConnected() bool {
-	return len(g.adj) == 0 || len(g.Components()) == 1
-}
-
-// CheckInvariants verifies internal consistency (symmetry of the
-// adjacency structure, edge and strength counters). It is intended for
-// tests and returns the first violation found.
+// CheckInvariants verifies internal consistency: rows strictly
+// ascending (so no repeated neighbor), no self-loops, positive
+// multiplicities, every arc mirrored with the same multiplicity,
+// per-node strengths and the edge and strength counters. It is intended
+// for tests and returns the first violation found.
 func (g *Graph) CheckInvariants() error {
-	m, s := 0, 0
-	for u := range g.adj {
-		for v, w := range g.adj[u] {
-			if w <= 0 {
+	if len(g.str) != len(g.rows) {
+		return fmt.Errorf("graph: %d strengths for %d rows", len(g.str), len(g.rows))
+	}
+	m, total := 0, 0
+	for u, row := range g.rows {
+		s := 0
+		for k, a := range row {
+			v := int(a.v)
+			switch {
+			case a.w <= 0:
 				return fmt.Errorf("graph: non-positive multiplicity on (%d,%d)", u, v)
-			}
-			if u == v {
+			case u == v:
 				return fmt.Errorf("graph: self-loop on %d", u)
+			case !g.valid(v):
+				return fmt.Errorf("graph: arc (%d,%d) out of range", u, v)
+			case k > 0 && row[k-1].v >= a.v:
+				return fmt.Errorf("graph: row %d not strictly ascending at %d", u, v)
 			}
-			if g.adj[v][u] != w {
-				return fmt.Errorf("graph: asymmetric edge (%d,%d): %d vs %d", u, v, w, g.adj[v][u])
+			if j, ok := search(g.rows[v], int32(u)); !ok || g.rows[v][j].w != a.w {
+				return fmt.Errorf("graph: arc (%d,%d) of multiplicity %d has no mirror", u, v, a.w)
 			}
+			s += int(a.w)
 			if u < v {
 				m++
-				s += w
+				total += int(a.w)
 			}
+		}
+		if s != g.str[u] {
+			return fmt.Errorf("graph: strength of %d is %d, recount %d", u, g.str[u], s)
 		}
 	}
 	if m != g.m {
 		return fmt.Errorf("graph: edge counter %d, recount %d", g.m, m)
 	}
-	if s != g.strength {
-		return fmt.Errorf("graph: strength counter %d, recount %d", g.strength, s)
+	if total != g.strength {
+		return fmt.Errorf("graph: strength counter %d, recount %d", g.strength, total)
 	}
 	return nil
 }

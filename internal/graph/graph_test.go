@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,8 +23,8 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 || g.AvgDegree() != 0 || g.MaxDegree() != 0 {
 		t.Fatal("empty graph has non-zero counters")
 	}
-	if !g.IsConnected() {
-		t.Fatal("empty graph should count as connected")
+	if comps := g.Freeze().Components(); len(comps) != 0 {
+		t.Fatalf("empty graph has %d components", len(comps))
 	}
 }
 
@@ -189,37 +193,25 @@ func TestInducedSubgraph(t *testing.T) {
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 1, 2) // multiplicity 2
 	mustEdge(t, g, 3, 4)
-	sub, mapping, err := g.InducedSubgraph([]int{1, 2, 3})
+	sub, mapping, err := g.Freeze().Induced([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.N() != 3 || sub.M() != 1 {
-		t.Fatalf("subgraph N=%d M=%d", sub.N(), sub.M())
+	if sub.N() != 3 || sub.M() != 1 || !slices.Equal(mapping, []int{1, 2, 3}) {
+		t.Fatalf("subgraph N=%d M=%d mapping=%v", sub.N(), sub.M(), mapping)
 	}
 	// edge (1,2) must survive with multiplicity 2
-	i1, i2 := -1, -1
-	for newIdx, old := range mapping {
-		if old == 1 {
-			i1 = newIdx
-		}
-		if old == 2 {
-			i2 = newIdx
-		}
-	}
-	if sub.EdgeWeight(i1, i2) != 2 {
-		t.Fatalf("subgraph lost multiplicity: %d", sub.EdgeWeight(i1, i2))
-	}
-	if err := sub.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if sub.EdgeWeight(0, 1) != 2 || sub.TotalStrength() != 2 {
+		t.Fatalf("subgraph lost multiplicity: %d", sub.EdgeWeight(0, 1))
 	}
 }
 
 func TestInducedSubgraphErrors(t *testing.T) {
-	g := New(3)
-	if _, _, err := g.InducedSubgraph([]int{0, 0}); err == nil {
+	s := New(3).Freeze()
+	if _, _, err := s.Induced([]int{0, 0}); err == nil {
 		t.Fatal("duplicate nodes should fail")
 	}
-	if _, _, err := g.InducedSubgraph([]int{5}); err == nil {
+	if _, _, err := s.Induced([]int{5}); err == nil {
 		t.Fatal("out-of-range should fail")
 	}
 }
@@ -229,7 +221,7 @@ func TestComponents(t *testing.T) {
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 3, 4)
-	comps := g.Components()
+	comps := g.Freeze().Components()
 	if len(comps) != 3 {
 		t.Fatalf("components = %d, want 3", len(comps))
 	}
@@ -239,9 +231,6 @@ func TestComponents(t *testing.T) {
 	if len(comps[2]) != 1 || comps[2][0] != 5 {
 		t.Fatalf("isolated node component = %v", comps[2])
 	}
-	if g.IsConnected() {
-		t.Fatal("disconnected graph reported connected")
-	}
 }
 
 func TestGiantComponent(t *testing.T) {
@@ -249,14 +238,14 @@ func TestGiantComponent(t *testing.T) {
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 3, 4)
-	giant, mapping := g.GiantComponent()
+	giant, mapping := g.Freeze().GiantComponent()
 	if giant.N() != 3 || giant.M() != 2 {
 		t.Fatalf("giant N=%d M=%d", giant.N(), giant.M())
 	}
-	if len(mapping) != 3 {
+	if !slices.Equal(mapping, []int{0, 1, 2}) {
 		t.Fatalf("mapping = %v", mapping)
 	}
-	if !giant.IsConnected() {
+	if len(giant.Components()) != 1 {
 		t.Fatal("giant component not connected")
 	}
 }
@@ -311,4 +300,110 @@ func TestHandshakeLemma(t *testing.T) {
 	if sumStr != 2*g.TotalStrength() {
 		t.Fatalf("sum of strengths %d != 2B %d", sumStr, 2*g.TotalStrength())
 	}
+}
+
+// TestNodeEnvelope: New, AddNode and Reserve refuse node counts beyond
+// the int32 id envelope with a one-line panic raised before anything is
+// allocated.
+func TestNodeEnvelope(t *testing.T) {
+	panics := func(name string, f func()) {
+		t.Helper()
+		var msg any
+		// AllocsPerRun averages over its runs, so a stray runtime
+		// allocation during one run cannot fake a failure.
+		allocs := testing.AllocsPerRun(10, func() {
+			defer func() { msg = recover() }()
+			f()
+		})
+		s, ok := msg.(string)
+		if !ok || strings.Contains(s, "\n") {
+			t.Fatalf("%s: want a one-line panic message, got %v", name, msg)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: panicked after allocating %v objects", name, allocs)
+		}
+	}
+	panics("New", func() { New(math.MaxInt32 + 1) })
+	g := New(0)
+	panics("Reserve", func() { g.Reserve(math.MaxInt32 + 1) })
+	// AddNode checks the count it would reach; a graph at the limit
+	// cannot be built in a test, so pin the bound it checks against.
+	panics("AddNode bound", func() { checkNodes(math.MaxInt32 + 1) })
+	checkNodes(math.MaxInt32)
+}
+
+// TestMultiplicityEnvelope: AddEdge and Build refuse a multiplicity past
+// MaxInt32 with an error and leave the graph unchanged.
+func TestMultiplicityEnvelope(t *testing.T) {
+	g := New(3)
+	mustEdge(t, g, 0, 1)
+	mustEdge(t, g, 2, 1)
+	// Saturate (0,1) without 2^31 calls.
+	g.rows[0][0].w, g.rows[1][0].w = math.MaxInt32, math.MaxInt32
+	g.str[0], g.str[1] = math.MaxInt32, math.MaxInt32+1
+	g.strength = math.MaxInt32 + 1
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.AddEdge(1, 0); err == nil {
+		t.Fatal("AddEdge past MaxInt32 must error")
+	}
+	if g.EdgeWeight(0, 1) != math.MaxInt32 || g.Strength(1) != math.MaxInt32+1 {
+		t.Fatal("failed AddEdge changed the graph")
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(2, []Edge{{U: 0, V: 1, W: math.MaxInt32 + 1}}, 1); err == nil {
+		t.Fatal("Build must reject a multiplicity past MaxInt32")
+	}
+	for _, workers := range []int{1, 2} {
+		edges := []Edge{{U: 0, V: 1, W: math.MaxInt32}}
+		for i := 0; i < 100; i++ {
+			edges = append(edges, Edge{U: 1, V: 0, W: 1})
+		}
+		if _, err := Build(2, edges, workers); err == nil {
+			t.Fatalf("workers=%d: Build must reject an accumulated multiplicity past MaxInt32", workers)
+		}
+	}
+}
+
+// TestMemEstimateMatchesHeap: MemEstimate of a 100k-node preferential
+// attachment graph stays within 10% of the heap it actually retains.
+func TestMemEstimateMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a 100k-node graph")
+	}
+	const n, m = 100_000, 3
+	r := rng.New(5)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g := New(m + 1)
+	ends := make([]int32, 0, 2*m*n) // endpoint list: uniform draws are degree-proportional
+	for u := 0; u <= m; u++ {
+		for v := u + 1; v <= m; v++ {
+			g.MustAddEdge(u, v)
+			ends = append(ends, int32(u), int32(v))
+		}
+	}
+	for u := m + 1; u < n; u++ {
+		g.AddNode()
+		for k := 0; k < m; k++ {
+			v := int(ends[r.Intn(len(ends))])
+			if v != u && g.MustAddEdge(u, v) {
+				ends = append(ends, int32(u), int32(v))
+			}
+		}
+	}
+	ends = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	est := float64(g.MemEstimate())
+	t.Logf("MemEstimate %.0f bytes, retained heap %.0f bytes", est, heap)
+	if math.Abs(est-heap) > 0.1*heap {
+		t.Fatalf("MemEstimate %.0f bytes, retained heap %.0f bytes", est, heap)
+	}
+	runtime.KeepAlive(g)
 }

@@ -13,8 +13,8 @@ import (
 // The adjacency of node u is the slice neighbors[offsets[u]:ends[u]],
 // sorted ascending, with parallel edge multiplicities in weights. Flat
 // arrays turn the per-source traversals of the analysis packages (BFS,
-// Brandes, triangle counting) from pointer-chasing over maps into
-// sequential cache-friendly scans, and, being immutable, a Snapshot is
+// Brandes, triangle counting) from pointer-chasing over per-row slices
+// into sequential cache-friendly scans, and, being immutable, a Snapshot is
 // safe to share across goroutines without locking — the substrate of
 // the parallel metrics engine.
 //
@@ -26,7 +26,7 @@ import (
 // process-unique monotonically increasing version (see Version), the
 // identity the engine's memoization keys on.
 //
-// The mutable map-backed Graph remains the API for generation and
+// The mutable row-backed Graph remains the API for generation and
 // rewiring; analysis freezes once and reads the snapshot, refreshing
 // from the graph's mutation delta at each later observation epoch.
 type Snapshot struct {
@@ -86,24 +86,16 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	}
 	s.ends = s.offsets[1:]
 	s.arena = &arena{tip: s.version}
-	for u := 0; u < n; u++ {
-		d := len(g.adj[u])
-		s.offsets[u+1] = s.offsets[u] + int32(d)
-		if d > s.maxDeg {
-			s.maxDeg = d
-		}
+	for u, row := range g.rows {
+		s.offsets[u+1] = s.offsets[u] + int32(len(row))
+		s.maxDeg = max(s.maxDeg, len(row))
 	}
-	for u := 0; u < n; u++ {
+	// Rows are already sorted: split them into the arc arrays.
+	for u, row := range g.rows {
 		base := s.offsets[u]
-		row := s.neighbors[base:s.ends[u]]
-		i := 0
-		for v := range g.adj[u] {
-			row[i] = int32(v)
-			i++
-		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		for j, v := range row {
-			s.weights[base+int32(j)] = int32(g.adj[u][int(v)])
+		for j, a := range row {
+			s.neighbors[base+int32(j)] = a.v
+			s.weights[base+int32(j)] = a.w
 		}
 	}
 	g.startLog(s)
@@ -314,8 +306,7 @@ func (s *Snapshot) FillArcEdgeIDs(buf []int32) []int32 {
 }
 
 // Components returns the connected components as sorted slices of node
-// indices, largest first with ties broken by smallest contained index —
-// the same ordering contract as Graph.Components.
+// indices, largest first with ties broken by smallest contained index.
 func (s *Snapshot) Components() [][]int {
 	n := s.N()
 	seen := make([]bool, n)
@@ -354,8 +345,8 @@ func (s *Snapshot) Components() [][]int {
 }
 
 // Induced returns the sub-snapshot induced by the given nodes and the
-// new-to-old index mapping, mirroring Graph.InducedSubgraph. The node
-// list must contain no duplicates or out-of-range indices.
+// new-to-old index mapping (new index i is nodes[i]). The node list
+// must contain no duplicates or out-of-range indices.
 func (s *Snapshot) Induced(nodes []int) (*Snapshot, []int, error) {
 	n := s.N()
 	toNew := make([]int32, n)
@@ -432,8 +423,8 @@ func (r *arcRow) Swap(i, j int) {
 }
 
 // GiantComponent returns the sub-snapshot induced by the largest
-// connected component with the new-to-old mapping, mirroring
-// Graph.GiantComponent.
+// connected component (the first of Components) with the new-to-old
+// mapping. An empty snapshot yields an empty one and a nil mapping.
 func (s *Snapshot) GiantComponent() (*Snapshot, []int) {
 	comps := s.Components()
 	if len(comps) == 0 {

@@ -97,10 +97,11 @@ func TestSnapshotComponents(t *testing.T) {
 		// Sparse: guaranteed disconnected pieces.
 		g := randomMultigraph(t, seed, 80, 40)
 		s := g.Freeze()
-		if !reflect.DeepEqual(s.Components(), g.Components()) {
+		o := oracleOf(g)
+		if !reflect.DeepEqual(s.Components(), o.Components()) {
 			t.Fatalf("seed %d: components differ", seed)
 		}
-		gs, gmap := g.GiantComponent()
+		gs, gmap := o.GiantComponent()
 		ss, smap := s.GiantComponent()
 		if !reflect.DeepEqual(gmap, smap) {
 			t.Fatalf("seed %d: giant mappings differ", seed)
@@ -115,7 +116,7 @@ func TestSnapshotInduced(t *testing.T) {
 	g := randomMultigraph(t, 11, 50, 120)
 	s := g.Freeze()
 	nodes := []int{3, 7, 8, 12, 20, 33, 41, 49}
-	gSub, gMap, err := g.InducedSubgraph(nodes)
+	gSub, gMap, err := oracleOf(g).InducedSubgraph(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

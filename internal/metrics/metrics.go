@@ -10,8 +10,8 @@
 // workers and composes them into the full metric vector; the *Frozen
 // whole-graph functions run the same kernels sequentially. The tests
 // pin every kernel against an independent test-only reference: a
-// brute-force enumeration or the straightforward adjacency-map
-// implementation in oracle_test.go.
+// brute-force enumeration or the straightforward implementation over
+// the mutable graph.Graph in oracle_test.go.
 //
 // All measures treat the graph as simple (multiplicities are ignored)
 // unless explicitly stated: the published AS-map statistics are defined

@@ -359,6 +359,17 @@ func maxCore(g *graph.Graph) int {
 	return m
 }
 
+// giantOf returns the largest connected component of g, renumbered in
+// ascending order of the original ids, as a mutable graph.
+func giantOf(g *graph.Graph) *graph.Graph {
+	sub, _ := g.Freeze().GiantComponent()
+	giant, err := graph.Build(sub.N(), sub.EdgeList(), 1)
+	if err != nil {
+		panic(err)
+	}
+	return giant
+}
+
 // measure is the reference metric vector: path and core statistics on
 // the giant component, the degree tail fitted by discrete MLE.
 func measure(g *graph.Graph, r *rng.Rand, pathSources int) (Snapshot, error) {
@@ -373,7 +384,7 @@ func measure(g *graph.Graph, r *rng.Rand, pathSources int) (Snapshot, error) {
 	s.AvgClustering = avgClustering(g)
 	s.Transitivity = transitivity(g)
 	s.Assortativity = assortativity(g)
-	giant, _ := g.GiantComponent()
+	giant := giantOf(g)
 	s.GiantFrac = float64(giant.N()) / float64(g.N())
 	if giant.N() > 1 {
 		ps, err := pathLengths(giant, r, pathSources)

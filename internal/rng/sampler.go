@@ -108,6 +108,8 @@ type Fenwick struct {
 	weight []float64 // current weight per index, 0-based
 	total  float64
 	r      *Rand
+	out    []int     // SampleDistinct result buffer
+	saved  []float64 // SampleDistinct weights to restore
 }
 
 // NewFenwick creates a sampler with capacity for n items, all weights zero.
@@ -216,12 +218,13 @@ func (f *Fenwick) SampleWith(r *Rand) int {
 }
 
 // SampleDistinct draws k distinct indices proportionally to weight by
-// temporarily zeroing drawn weights; the weights are restored before
-// returning. It returns fewer than k indices if fewer have positive
-// weight.
+// temporarily zeroing drawn weights; the weights are restored, in draw
+// order, before returning. It returns fewer than k indices if fewer
+// have positive weight. The result aliases a buffer owned by f: it is
+// valid until the next SampleDistinct call, which a warm call makes
+// allocation-free.
 func (f *Fenwick) SampleDistinct(k int) []int {
-	out := make([]int, 0, k)
-	saved := make([]float64, 0, k)
+	out, saved := f.out[:0], f.saved[:0]
 	for len(out) < k {
 		i := f.Sample()
 		if i < 0 {
@@ -234,5 +237,6 @@ func (f *Fenwick) SampleDistinct(k int) []int {
 	for j, i := range out {
 		f.Set(i, saved[j])
 	}
+	f.out, f.saved = out, saved
 	return out
 }

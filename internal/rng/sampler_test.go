@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -209,6 +210,57 @@ func TestFenwickSampleDistinctExhausts(t *testing.T) {
 	got := f.SampleDistinct(4)
 	if len(got) != 2 {
 		t.Fatalf("got %d indices, want 2 (only 2 positive weights)", len(got))
+	}
+}
+
+// sampleDistinctAlloc is the allocating reference SampleDistinct: fresh
+// result and restore slices per call.
+func sampleDistinctAlloc(f *Fenwick, k int) []int {
+	out := make([]int, 0, k)
+	saved := make([]float64, 0, k)
+	for len(out) < k {
+		i := f.Sample()
+		if i < 0 {
+			break
+		}
+		out = append(out, i)
+		saved = append(saved, f.weight[i])
+		f.Set(i, 0)
+	}
+	for j, i := range out {
+		f.Set(i, saved[j])
+	}
+	return out
+}
+
+// TestFenwickSampleDistinctBuffered: the buffered SampleDistinct draws
+// the same sequence as the allocating reference and leaves the tree's
+// floats bit-identical, through a growth-style mix of draws and weight
+// updates; a warm call allocates nothing.
+func TestFenwickSampleDistinctBuffered(t *testing.T) {
+	const n = 500
+	a, b := NewFenwick(New(41), n), NewFenwick(New(41), n)
+	for i := 0; i < n; i++ {
+		w := float64(1 + i%7)
+		a.Set(i, w)
+		b.Set(i, w)
+	}
+	for step := 0; step < 3000; step++ {
+		k := 1 + step%4
+		got, want := a.SampleDistinct(k), sampleDistinctAlloc(b, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: draws %v, reference %v", step, got, want)
+		}
+		for _, i := range got {
+			a.Add(i, 0.5)
+			b.Add(i, 0.5)
+		}
+	}
+	if a.total != b.total || !slices.Equal(a.tree, b.tree) || !slices.Equal(a.weight, b.weight) {
+		t.Fatal("buffered SampleDistinct drifted the tree from the reference")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.SampleDistinct(4) }); allocs != 0 {
+		t.Fatalf("warm SampleDistinct allocates %v objects per call", allocs)
 	}
 }
 

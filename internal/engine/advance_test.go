@@ -178,3 +178,52 @@ func TestAdvanceWithoutDelta(t *testing.T) {
 		t.Fatalf("triangles %v, want %v", got, want)
 	}
 }
+
+// TestAdvanceKCoreRidesCoreMap pins the k-core wiring: the cold KCore
+// is a plain peel with no order state, the first Advance after it
+// builds the CoreMap, later epochs refresh it in place without a
+// re-peel, and a result a caller already holds never changes.
+func TestAdvanceKCoreRidesCoreMap(t *testing.T) {
+	top, err := gen.GLP{N: 400, M: 1, P: 0.45, Beta: 0.64}.Generate(rng.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		held   metrics.KCoreResult
+		kept   []int
+		epochs int
+		cm     *metrics.CoreMap
+	)
+	replayTrajectory(t, top, 40, func(eng *Engine, g *graph.Graph, d *graph.Delta) {
+		epochs++
+		got := eng.KCore()
+		if want := metrics.KCoreFrozen(eng.Snapshot()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch %d: k-core diverged", epochs)
+		}
+		v, ok := eng.peek("coremap")
+		switch {
+		case epochs == 1:
+			// The replay's engine started cold, with nothing memoized.
+			if ok {
+				t.Fatal("cold KCore built order state")
+			}
+			held, kept = got, append([]int(nil), got.Coreness...)
+		case !ok:
+			t.Fatalf("epoch %d: no order state after Advance", epochs)
+		case cm == nil:
+			cm = v.(*metrics.CoreMap)
+		case v.(*metrics.CoreMap) != cm:
+			t.Fatalf("epoch %d: order state rebuilt instead of refreshed", epochs)
+		}
+	})
+	if !reflect.DeepEqual(held.Coreness, kept) {
+		t.Fatal("a held KCore result changed under later epochs")
+	}
+	if cm == nil {
+		t.Fatal("no order state")
+	}
+	if cm.Rebuilds() != 0 || cm.Refreshes() != epochs-2 {
+		t.Fatalf("%d rebuilds, %d refreshes over %d epochs; want 0 and %d",
+			cm.Rebuilds(), cm.Refreshes(), epochs, epochs-2)
+	}
+}

@@ -133,7 +133,11 @@ func (e *Engine) peek(key string) (any, bool) {
 // map behind the trajectory path metrics — are carried forward
 // from the previous epoch's memoized values and maintained in time
 // proportional to the delta on their next demand; everything else is
-// dropped and recomputed lazily. A nil d (Refreeze fell back to a full
+// dropped and recomputed lazily. The k-core rides a metrics.CoreMap:
+// the first Advance after a memoized KCore builds it from next with
+// one peel, and later epochs refresh it in place by the order-based
+// pass, visiting only the nodes whose remaining degree rises. A cold
+// KCore stays a plain peel. A nil d (Refreeze fell back to a full
 // freeze) rebases without inheritance. Advance must not run
 // concurrently with metric queries; the trajectory drivers alternate
 // strictly between advancing and measuring.
@@ -153,10 +157,23 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 				return metrics.RefreshTriangles(prev, next, d, prevTri)
 			}
 		}
-		if core, ok := e.peek("kcore"); ok {
-			prevCore := core.(metrics.KCoreResult)
+		if cmv, ok := e.peek("coremap"); ok {
+			// Like the distance map below, the k-order refreshes in place.
+			cm := cmv.(*metrics.CoreMap)
+			inherit["coremap"] = func() any {
+				cm.Refresh(next, d)
+				return cm
+			}
+		}
+		if _, ok := e.peek("kcore"); ok {
+			// The first epoch after a cold KCore builds the k-order from
+			// next with one peel; later epochs refresh it. Each epoch's
+			// result is a fresh copy, so one a caller holds never changes.
 			inherit["kcore"] = func() any {
-				return metrics.RefreshKCore(prev, next, d, prevCore)
+				cm := e.Cached("coremap", func() any {
+					return metrics.NewCoreMap(e.s)
+				}).(*metrics.CoreMap)
+				return cm.Result()
 			}
 		}
 		if hist, ok := e.peek("degree-hist"); ok {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -149,14 +150,14 @@ func TestRefreshKernelsUnderChurnFamilies(t *testing.T) {
 			var (
 				tri  []int
 				hist []int
-				core KCoreResult
+				core *CoreMap
 				init bool
 			)
 			replayChurnEpochs(t, fam, seed, 12, func(prev, next *graph.Snapshot, d *graph.Delta) {
 				if !init {
 					tri = TrianglesPerNodeFrozen(prev)
 					hist = DegreeHistogramFrozen(prev)
-					core = KCoreFrozen(prev)
+					core = NewCoreMap(prev)
 					init = true
 				}
 				tri = RefreshTriangles(prev, next, d, tri)
@@ -167,10 +168,8 @@ func TestRefreshKernelsUnderChurnFamilies(t *testing.T) {
 				if want := DegreeHistogramFrozen(next); !reflect.DeepEqual(hist, want) {
 					t.Fatalf("%s/%d: churned histogram diverged", fam, seed)
 				}
-				core = RefreshKCore(prev, next, d, core)
-				if want := KCoreFrozen(next); !reflect.DeepEqual(core, want) {
-					t.Fatalf("%s/%d: churned k-core diverged", fam, seed)
-				}
+				core.Refresh(next, d)
+				requireCoreMap(t, fmt.Sprintf("%s/%d churned", fam, seed), core)
 			})
 		}
 	}

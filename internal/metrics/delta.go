@@ -7,12 +7,13 @@ import "netmodel/internal/graph"
 // refreshed from (previous snapshot, previous value, delta) in time
 // proportional to the change, instead of recomputed over the whole
 // refreshed snapshot. Every kernel is pinned against its full
-// recompute by the equivalence tests in delta_test.go; RefreshKCore
-// additionally falls back to the full re-peel whenever the delta shape
-// (removals) or the touched region size voids its locality argument.
-// Distance-based metrics live in dynbfs.go: the DistMap structure
-// carries repaired BFS rows across epochs and derives path lengths,
-// closeness and sampled betweenness from them.
+// recompute by the equivalence tests in delta_test.go. Two kernels keep
+// state across epochs instead of a previous value: the k-core lives in
+// coremap.go, where CoreMap maintains a k-order and promotes only the
+// nodes whose remaining degree rises; distance-based metrics live in
+// dynbfs.go, where the DistMap structure carries repaired BFS rows
+// across epochs and derives path lengths, closeness and sampled
+// betweenness from them.
 
 // GrowthStats is the per-epoch observation vector of a growth
 // trajectory: the metrics of the paper's growth measurements that
@@ -154,151 +155,4 @@ func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, prevTri []int)
 	apply(prev, rem, -1)
 	apply(next, ins, +1)
 	return tri
-}
-
-// RefreshKCore maintains the k-core decomposition across an
-// insertion-only refresh with the subcore traversal algorithm: inserted
-// edges are replayed one at a time, and for each, only the region that
-// can change — nodes at the smaller endpoint coreness reachable through
-// same-coreness nodes — is re-evaluated for promotion to the next
-// shell. Deltas with removals, or touched regions whose total size
-// rivals a full re-peel, fall back to KCoreFrozen(next); the result
-// always equals the full recompute. prevCore must be the decomposition
-// of prev.
-func RefreshKCore(prev, next *graph.Snapshot, d *graph.Delta, prevCore KCoreResult) KCoreResult {
-	n := next.N()
-	var ins []graph.DeltaEdge
-	for _, e := range d.Edges() {
-		if e.NewW == 0 {
-			// Removals can deflate whole shells; re-peel.
-			return KCoreFrozen(next)
-		}
-		if e.OldW == 0 {
-			ins = append(ins, e)
-		}
-	}
-	cur := make([]int, n)
-	copy(cur, prevCore.Coreness)
-
-	// Replay edges in delta order; an edge is "present" while handling
-	// edge i when it predates the snapshot or entered the replay already.
-	insIdx := make(map[uint64]int, len(ins))
-	for i, e := range ins {
-		insIdx[deltaEdgeKey(int(e.U), int(e.V))] = i
-	}
-	present := func(a, b, i int) bool {
-		j, ok := insIdx[deltaEdgeKey(a, b)]
-		return !ok || j <= i
-	}
-
-	// Work budget: once the visited subcores rival the whole graph a
-	// full re-peel is cheaper (and trivially correct).
-	budget := n + 4*next.M() + 4096
-	spent := 0
-
-	inK := make([]int32, n) // round stamp: member of the current subcore
-	out := make([]int32, n) // round stamp: evicted from the current subcore
-	cd := make([]int32, n)  // support toward the next shell
-	var K, queue []int32    // subcore members, eviction queue
-	round := int32(0)
-
-	// support counts w's present neighbors at or above level c.
-	support := func(w, c, i int) int {
-		count := 0
-		for _, xb := range next.Neighbors(w) {
-			x := int(xb)
-			spent++
-			if cur[x] >= c && present(w, x, i) {
-				count++
-			}
-		}
-		return count
-	}
-
-	for i, e := range ins {
-		u, v := int(e.U), int(e.V)
-		c := cur[u]
-		if cur[v] < c {
-			c = cur[v]
-		}
-		// Quick reject: a change must include a promoted endpoint at
-		// level c; endpoints without c+1 candidate support cannot rise,
-		// and then nothing can.
-		rise := false
-		for _, w := range [2]int{u, v} {
-			if cur[w] == c && support(w, c, i) >= c+1 {
-				rise = true
-			}
-		}
-		if !rise {
-			if spent > budget {
-				return KCoreFrozen(next)
-			}
-			continue
-		}
-		round++
-		K = K[:0]
-		for _, w := range [2]int{u, v} {
-			if cur[w] == c && inK[w] != round {
-				inK[w] = round
-				K = append(K, int32(w))
-			}
-		}
-		// Subcore: nodes at level c reachable from the endpoints
-		// through level-c nodes over present edges.
-		for head := 0; head < len(K); head++ {
-			w := int(K[head])
-			for _, xb := range next.Neighbors(w) {
-				x := int(xb)
-				spent++
-				if cur[x] == c && inK[x] != round && present(w, x, i) {
-					inK[x] = round
-					K = append(K, int32(x))
-				}
-			}
-		}
-		if spent > budget {
-			return KCoreFrozen(next)
-		}
-		// Evaluate: members need c+1 supporters among higher-core
-		// neighbors and surviving subcore members; evictions cascade.
-		queue = queue[:0]
-		for _, wb := range K {
-			w := int(wb)
-			cd[w] = int32(support(w, c, i)) // neighbors with cur >= c
-			if cd[w] <= int32(c) {
-				out[w] = round
-				queue = append(queue, wb)
-			}
-		}
-		for head := 0; head < len(queue); head++ {
-			w := int(queue[head])
-			for _, xb := range next.Neighbors(w) {
-				x := int(xb)
-				spent++
-				if inK[x] == round && out[x] != round && present(w, x, i) {
-					cd[x]--
-					if cd[x] <= int32(c) {
-						out[x] = round
-						queue = append(queue, xb)
-					}
-				}
-			}
-		}
-		if spent > budget {
-			return KCoreFrozen(next)
-		}
-		for _, wb := range K {
-			if out[wb] != round {
-				cur[wb] = c + 1
-			}
-		}
-	}
-	res := KCoreResult{Coreness: cur}
-	for _, c := range cur {
-		if c > res.MaxCore {
-			res.MaxCore = c
-		}
-	}
-	return res
 }

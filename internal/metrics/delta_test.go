@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestRefreshKernelsMatchFullRecompute(t *testing.T) {
 			}
 			tri := []int(nil)
 			hist := []int(nil)
-			core := KCoreResult{Coreness: []int{}}
+			var core *CoreMap
 			replayEpochs(t, top, 37, func(prev, next *graph.Snapshot, d *graph.Delta, g *graph.Graph) {
 				tri = RefreshTriangles(prev, next, d, tri)
 				if want := TrianglesPerNodeFrozen(next); !reflect.DeepEqual(tri, want) {
@@ -85,18 +86,19 @@ func TestRefreshKernelsMatchFullRecompute(t *testing.T) {
 					t.Fatalf("%s/%d n=%d: degree histogram diverged: %v vs %v",
 						fam.name, seed, next.N(), hist, want)
 				}
-				core = RefreshKCore(prev, next, d, core)
-				if want := KCoreFrozen(next); !reflect.DeepEqual(core, want) {
-					t.Fatalf("%s/%d n=%d: k-core diverged", fam.name, seed, next.N())
+				if core == nil {
+					core = NewCoreMap(prev)
 				}
+				core.Refresh(next, d)
+				requireCoreMap(t, fmt.Sprintf("%s/%d n=%d", fam.name, seed, next.N()), core)
 			})
 		}
 	}
 }
 
 // TestRefreshKernelsUnderChurn drives inserts, multiplicity changes and
-// removals through the kernels; RefreshKCore must detect the removals
-// and fall back, RefreshTriangles must stay exact on both sides.
+// removals through the kernels; CoreMap must detect the removals and
+// re-peel, RefreshTriangles must stay exact on both sides.
 func TestRefreshKernelsUnderChurn(t *testing.T) {
 	r := rng.New(5)
 	g := graph.New(30)
@@ -109,7 +111,7 @@ func TestRefreshKernelsUnderChurn(t *testing.T) {
 	prev := g.Freeze()
 	tri := TrianglesPerNodeFrozen(prev)
 	hist := DegreeHistogramFrozen(prev)
-	core := KCoreFrozen(prev)
+	core := NewCoreMap(prev)
 	for epoch := 0; epoch < 40; epoch++ {
 		for i := 0; i < 15; i++ {
 			u, v := r.Intn(g.N()), r.Intn(g.N())
@@ -140,10 +142,8 @@ func TestRefreshKernelsUnderChurn(t *testing.T) {
 		if want := DegreeHistogramFrozen(next); !reflect.DeepEqual(hist, want) {
 			t.Fatalf("epoch %d: histogram diverged", epoch)
 		}
-		core = RefreshKCore(prev, next, d, core)
-		if want := KCoreFrozen(next); !reflect.DeepEqual(core, want) {
-			t.Fatalf("epoch %d: k-core diverged", epoch)
-		}
+		core.Refresh(next, d)
+		requireCoreMap(t, fmt.Sprintf("epoch %d", epoch), core)
 		prev = next
 	}
 }
@@ -157,13 +157,15 @@ func TestRefreshKCoreCycleClosure(t *testing.T) {
 		g.MustAddEdge(u-1, u)
 	}
 	prev := g.Freeze()
-	core := KCoreFrozen(prev)
+	cm := NewCoreMap(prev)
 	g.MustAddEdge(0, 11)
 	next, d, err := g.Refreeze(prev)
 	if err != nil || d == nil {
 		t.Fatalf("refreeze: %v", err)
 	}
-	core = RefreshKCore(prev, next, d, core)
+	cm.Refresh(next, d)
+	requireCoreMap(t, "cycle closure", cm)
+	core := cm.Result()
 	want := KCoreFrozen(next)
 	if !reflect.DeepEqual(core, want) {
 		t.Fatalf("cycle closure: %v vs %v", core.Coreness, want.Coreness)

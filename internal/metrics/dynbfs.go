@@ -16,10 +16,9 @@ import (
 // Mixed deltas (failure epochs remove arcs too) take RelaxDelta, which
 // first isolates the nodes whose every shortest-path support chain
 // died, re-settles them from the surviving boundary, then runs the
-// same shrink wave. Like RefreshKCore, every repair carries a work
-// budget and falls back to a full per-source rebuild when the touched
-// region rivals a cold BFS — the result is always exactly the cold
-// build.
+// same shrink wave. Every repair carries a work budget and falls back
+// to a full per-source rebuild when the touched region rivals a cold
+// BFS — the result is always exactly the cold build.
 //
 // On top of the repaired rows the DistMap maintains integer aggregates
 // (the global path histogram plus per-node reach/distance-sum columns),

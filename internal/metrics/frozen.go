@@ -498,58 +498,69 @@ func KCoreFrozen(s *graph.Snapshot) KCoreResult {
 	if n == 0 {
 		return res
 	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		deg[u] = s.Degree(u)
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
-	}
-	binStart := make([]int, maxDeg+2)
-	for _, d := range deg {
-		binStart[d+1]++
-	}
-	for i := 1; i < len(binStart); i++ {
-		binStart[i] += binStart[i-1]
-	}
-	pos := make([]int, n)
-	vert := make([]int, n)
-	fill := make([]int, maxDeg+1)
-	copy(fill, binStart[:maxDeg+1])
-	for u := 0; u < n; u++ {
-		pos[u] = fill[deg[u]]
-		vert[pos[u]] = u
-		fill[deg[u]]++
-	}
-	bin := make([]int, maxDeg+1)
-	copy(bin, binStart[:maxDeg+1])
-
-	cur := make([]int, n)
-	copy(cur, deg)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		res.Coreness[v] = cur[v]
-		if cur[v] > res.MaxCore {
-			res.MaxCore = cur[v]
-		}
-		for _, nb := range s.Neighbors(v) {
-			u := int(nb)
-			if cur[u] > cur[v] {
-				du := cur[u]
-				pu := pos[u]
-				pw := bin[du]
-				nw := vert[pw]
-				if u != nw {
-					vert[pu], vert[pw] = nw, u
-					pos[u], pos[nw] = pw, pu
-				}
-				bin[du]++
-				cur[u]--
-			}
-		}
+	work := make([]int32, 3*n)
+	core := work[:n]
+	res.MaxCore = peel(s, core, work[n:2*n], work[2*n:])
+	for u, c := range core {
+		res.Coreness[u] = int(c)
 	}
 	return res
+}
+
+// peel is the Batagelj-Zaversnik bucket peel shared by KCoreFrozen and
+// the CoreMap build, on int32 working arrays of length s.N(): core
+// receives each node's coreness, vert the removal order and pos its
+// inverse. The removal order visits levels in ascending coreness, so it
+// is a valid k-order. peel returns the largest coreness.
+func peel(s *graph.Snapshot, core, vert, pos []int32) int {
+	n := s.N()
+	if n == 0 {
+		return 0
+	}
+	offsets, ends, nbrs := s.CSR()
+	maxDeg := int32(0)
+	for u := 0; u < n; u++ {
+		core[u] = ends[u] - offsets[u]
+		if core[u] > maxDeg {
+			maxDeg = core[u]
+		}
+	}
+	// bin[d] is the first position of degree bucket d in vert.
+	bin := make([]int32, maxDeg+1)
+	for _, d := range core {
+		bin[d]++
+	}
+	start := int32(0)
+	for d, num := range bin {
+		bin[d] = start
+		start += num
+	}
+	for u, d := range core {
+		pos[u] = bin[d]
+		vert[bin[d]] = int32(u)
+		bin[d]++
+	}
+	for d := maxDeg; d > 0; d-- {
+		bin[d] = bin[d-1]
+	}
+	bin[0] = 0
+	for _, v := range vert {
+		cv := core[v]
+		for _, u := range nbrs[offsets[v]:ends[v]] {
+			cu := core[u]
+			if cu <= cv {
+				continue
+			}
+			pu, pw := pos[u], bin[cu]
+			if w := vert[pw]; w != u {
+				vert[pu], vert[pw] = w, u
+				pos[u], pos[w] = pw, pu
+			}
+			bin[cu]++
+			core[u]--
+		}
+	}
+	return int(core[vert[n-1]])
 }
 
 // RichClubFrozen returns φ(k) = 2E_{>k} / (N_{>k}(N_{>k}−1)) for every

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -163,6 +164,56 @@ func runRoutingBench(tb testing.TB, n, epochs, workers int, refresh bool) time.D
 	return spent
 }
 
+// runKCoreBench grows one glp map observed every n/epochs arrivals and
+// keeps its k-core decomposition current at every epoch twice over: by
+// refreshing one metrics.CoreMap (the trajectory engine's path) and by
+// a cold KCoreFrozen re-peel. Only the k-core work is timed, one clock
+// per arm; generation and Refreeze are common to both and excluded.
+// Every epoch's two results must agree.
+func runKCoreBench(tb testing.TB, n, epochs int) (refresh, repeel time.Duration) {
+	tb.Helper()
+	every := n / epochs
+	if every < 1 {
+		every = 1
+	}
+	var (
+		prev *graph.Snapshot
+		cm   *metrics.CoreMap
+	)
+	_, err := gen.GLP{N: n, M: 1, P: 0.45, Beta: 0.64}.GenerateTrajectory(rng.New(1), 1, gen.Trajectory{
+		Every: every,
+		Observe: func(g *graph.Graph, _ int) error {
+			next, d, err := g.Refreeze(prev)
+			if err != nil {
+				return err
+			}
+			start := time.Now()
+			if cm == nil {
+				cm = metrics.NewCoreMap(next)
+			} else {
+				cm.Refresh(next, d)
+			}
+			got := cm.Result()
+			refresh += time.Since(start)
+			start = time.Now()
+			want := metrics.KCoreFrozen(next)
+			repeel += time.Since(start)
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("n=%d: refreshed k-core diverged from the re-peel", next.N())
+			}
+			prev = next
+			return nil
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cm == nil || cm.Rebuilds() != 0 {
+		tb.Fatal("k-core bench: growth must refresh without re-peeling")
+	}
+	return refresh, repeel
+}
+
 func benchTrajectory(b *testing.B, n, epochs, pivots int, refresh bool) {
 	b.Helper()
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
@@ -223,9 +274,13 @@ func trajectoryScenario(t *testing.T, sz benchSize) []benchutil.Row {
 		paths := pathRow.As("trajectory-paths-refresh", genBenchWorkers, arm(trajBenchPivots, true)).Against(recompute)
 		rebuild := row.As("routing-rebuild", genBenchWorkers, runRoutingBench(t, n, sz.Epochs, genBenchWorkers, false))
 		repair := row.As("routing-refresh", genBenchWorkers, runRoutingBench(t, n, sz.Epochs, genBenchWorkers, true)).Against(rebuild)
-		rows = append(rows, refreeze, refresh, recompute, paths, rebuild, repair)
-		t.Logf("n=%d epochs=%d workers=%d: refreeze %.2fx, paths (pivots=%d) %.2fx, routing (%d trees) %.2fx",
-			n, sz.Epochs, genBenchWorkers, refresh.Speedup, trajBenchPivots, paths.Speedup, routingBenchSources, repair.Speedup)
+		coreRow := benchutil.Row{Model: "glp", N: n, Epochs: sz.Epochs}
+		coreRefresh, coreRepeel := runKCoreBench(t, n, sz.Epochs)
+		repeel := coreRow.As("trajectory-kcore-repeel", 1, coreRepeel)
+		kcore := coreRow.As("trajectory-kcore-refresh", 1, coreRefresh).Against(repeel)
+		rows = append(rows, refreeze, refresh, recompute, paths, rebuild, repair, repeel, kcore)
+		t.Logf("n=%d epochs=%d workers=%d: refreeze %.2fx, paths (pivots=%d) %.2fx, routing (%d trees) %.2fx, glp k-core %.2fx",
+			n, sz.Epochs, genBenchWorkers, refresh.Speedup, trajBenchPivots, paths.Speedup, routingBenchSources, repair.Speedup, kcore.Speedup)
 	}
 	return rows
 }

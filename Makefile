@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test examples bench bench-json bench-check staticcheck lint fmt ci
+.PHONY: all build test examples fuzz bench bench-json bench-check staticcheck lint fmt ci
 
 all: build
 
@@ -22,6 +22,20 @@ examples:
 	@for d in examples/*/; do \
 		echo "run $$d"; \
 		$(GO) run "./$$d" > /dev/null || exit 1; \
+	done
+
+# Every Fuzz* target of every package, each run for 10 s beyond its
+# seed corpus (plain `go test` runs only the seeds). -fuzz takes one
+# package and one target at a time, so the targets are listed per
+# package with `go test -list`; a package that fails to list fails the
+# target. For a quick local pass run one target with -fuzztime 1s.
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' "$$pkg") || exit 1; \
+		for f in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f"; \
+			$(GO) test "$$pkg" -run '^$$' -fuzz "^$$f$$" -fuzztime 10s || exit 1; \
+		done; \
 	done
 
 # Full benchmark matrix (E1-E12 plus the engine comparisons); one
@@ -67,4 +81,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint test examples bench bench-check
+ci: build lint test examples fuzz bench bench-check

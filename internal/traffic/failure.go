@@ -727,7 +727,7 @@ func (fs *failState) resolve(src, dst int) ([]int32, bool) {
 	}
 	path, ok, unreachable := fs.frt.cachedPath(src, dst)
 	if !ok {
-		p, reachable := fs.frt.Tree(src).appendPath(nil, dst)
+		p, reachable := fs.frt.treePath(src, dst)
 		fs.frt.storePath(src, dst, p, reachable)
 		path, unreachable = p, !reachable
 	}

@@ -103,9 +103,9 @@ func kernelsColdTreeRows(t *testing.T, n int) []benchutil.Row {
 }
 
 // kernelsPairRows times canonical-path resolution for 64 fixed OD
-// pairs two ways — a cold tree build plus appendPath, as admitPending
+// pairs two ways — a cold tree build plus walkPath, as admitPending
 // pays per origin without pair search, against pairPath — and asserts
-// the two paths equal. Both run warm (pooled tree arrays, BFS and pair
+// the two paths equal. Both run warm (a pooled tree row, BFS and pair
 // scratch sized), so the row compares search work alone; the warm pair
 // search into a reused buffer must allocate nothing.
 func kernelsPairRows(t *testing.T, n int) []benchutil.Row {
@@ -118,13 +118,13 @@ func kernelsPairRows(t *testing.T, n int) []benchutil.Row {
 	for i := range srcs {
 		srcs[i], dsts[i] = r.Intn(snap.N()), r.Intn(snap.N())
 	}
-	tree := &rtree{}
+	var tree []int32
 	sc := metrics.NewBFSScratch(snap.N())
 	var ps pairScratch
 	var treeBuf, pairBuf []int32
 	for i := range srcs {
-		buildTreeInto(tree, snap, arcEdge, srcs[i], sc)
-		want, wantOK := tree.appendPath(treeBuf[:0], dsts[i])
+		tree = buildTreeInto(tree, snap, srcs[i], sc)
+		want, wantOK := walkPath(snap, arcEdge, tree, treeBuf[:0], dsts[i])
 		got, gotOK := ps.pairPath(snap, arcEdge, srcs[i], dsts[i], pairBuf[:0])
 		if gotOK != wantOK || !slices.Equal(got, want) {
 			t.Fatalf("n=%d %d→%d: pair path %v, tree path %v", n, srcs[i], dsts[i], got, want)
@@ -133,8 +133,8 @@ func kernelsPairRows(t *testing.T, n int) []benchutil.Row {
 	}
 	start := time.Now()
 	for i := range srcs {
-		buildTreeInto(tree, snap, arcEdge, srcs[i], sc)
-		treeBuf, _ = tree.appendPath(treeBuf[:0], dsts[i])
+		tree = buildTreeInto(tree, snap, srcs[i], sc)
+		treeBuf, _ = walkPath(snap, arcEdge, tree, treeBuf[:0], dsts[i])
 	}
 	treeTime := time.Since(start)
 	start = time.Now()
@@ -391,8 +391,8 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 			t.Fatalf("src %d: tree missing after reset cycle (reused %v, fresh %v)", src, okA, okB)
 		}
 		for v := 0; v < n; v++ {
-			if a.dist[v] != b.dist[v] {
-				t.Fatalf("src %d: reused tree dist[%d]=%d, fresh %d", src, v, a.dist[v], b.dist[v])
+			if a[v] != b[v] {
+				t.Fatalf("src %d: reused tree dist[%d]=%d, fresh %d", src, v, a[v], b[v])
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package traffic
 import "netmodel/internal/graph"
 
 // This file resolves one canonical path without its origin's tree. A
-// cached tree pays a BFS over every arc plus a parent selection for
-// every node; when the tree cache cannot hold an epoch's origins the
-// tree is evicted before a second flow reads it, so admitPending
+// cached tree — its origin's distance row — pays a BFS over every arc;
+// when the tree cache cannot hold an epoch's origins the tree is
+// evicted before a second flow reads it, so admitPending
 // resolves those origins' few destinations by pair search instead,
 // whose cost is the two search balls rather than the map.
 //
@@ -89,8 +89,8 @@ func expandLevel(s *graph.Snapshot, front, out []int32, mark, other []uint32, di
 }
 
 // pairPath appends the edge ids of the canonical shortest path from dst
-// back to src onto buf — exactly what buildTree(s, arcEdge,
-// src).appendPath(buf, dst) returns, in the same dst→src order — and
+// back to src onto buf — exactly what walkPath(s, arcEdge,
+// buildTree(s, src), buf, dst) returns, in the same dst→src order — and
 // reports whether dst is reachable.
 //
 // A balanced bidirectional BFS expands one complete level at a time on

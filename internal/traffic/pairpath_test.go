@@ -17,10 +17,10 @@ import (
 // were unreachable.
 func requirePairMatchesTree(t *testing.T, label string, ps *pairScratch, s *graph.Snapshot, arcEdge []int32, src int) (unreachable int) {
 	t.Helper()
-	tree := buildTree(s, arcEdge, src)
+	tree := buildTree(s, src)
 	prefix := []int32{-7}
 	for dst := 0; dst < s.N(); dst++ {
-		want, wantOK := tree.appendPath(slices.Clone(prefix), dst)
+		want, wantOK := walkPath(s, arcEdge, tree, slices.Clone(prefix), dst)
 		got, gotOK := ps.pairPath(s, arcEdge, src, dst, slices.Clone(prefix))
 		if gotOK != wantOK || !slices.Equal(got, want) {
 			t.Fatalf("%s: %d→%d: pair path %v (reachable %v), tree path %v (reachable %v)",

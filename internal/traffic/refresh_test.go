@@ -1,13 +1,17 @@
 package traffic
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"netmodel/internal/gen"
 	"netmodel/internal/graph"
+	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
 )
 
@@ -48,15 +52,11 @@ func replayGrowth(t *testing.T, top *gen.Topology, every int,
 // different worker counts and be compared field by field.
 func cloneRouting(rt *Routing) *Routing {
 	cp := &Routing{s: rt.s, arcEdge: rt.arcEdge, max: rt.max,
-		trees: make(map[int]*rtree, len(rt.trees)),
+		trees: make(map[int][]int32, len(rt.trees)),
 		fifo:  append([]int(nil), rt.fifo...),
 		paths: make(map[int64][]int32, len(rt.paths))}
-	for src, t := range rt.trees {
-		cp.trees[src] = &rtree{
-			dist:   append([]int32(nil), t.dist...),
-			parent: append([]int32(nil), t.parent...),
-			edge:   append([]int32(nil), t.edge...),
-		}
+	for src, dist := range rt.trees {
+		cp.trees[src] = slices.Clone(dist)
 	}
 	for k, p := range rt.paths {
 		if p == nil {
@@ -77,18 +77,132 @@ func requireRoutingEqual(t *testing.T, label string, got, want *Routing) {
 	if !reflect.DeepEqual(got.fifo, want.fifo) {
 		t.Fatalf("%s: fifo diverged: %v vs %v", label, got.fifo, want.fifo)
 	}
-	if len(got.trees) != len(want.trees) {
-		t.Fatalf("%s: tree cache sizes %d vs %d", label, len(got.trees), len(want.trees))
+	if !maps.EqualFunc(got.trees, want.trees, slices.Equal) {
+		t.Fatalf("%s: tree caches diverged", label)
 	}
-	for src, gt := range got.trees {
-		wt, ok := want.trees[src]
-		if !ok || !reflect.DeepEqual(gt, wt) {
-			t.Fatalf("%s: tree %d diverged", label, src)
-		}
-	}
-	if !reflect.DeepEqual(got.paths, want.paths) {
+	if !maps.EqualFunc(got.paths, want.paths, func(a, b []int32) bool {
+		return (a == nil) == (b == nil) && slices.Equal(a, b)
+	}) {
 		t.Fatalf("%s: memoized paths diverged", label)
 	}
+}
+
+// coldTree is the routing oracle: a plain queue BFS from src over s and
+// each node's canonical parent, its smallest-id neighbor one hop closer
+// (-1 at src and for unreachable nodes).
+func coldTree(s *graph.Snapshot, src int) (dist, parent []int32) {
+	n := s.N()
+	dist, parent = make([]int32, n), make([]int32, n)
+	for v := range dist {
+		dist[v], parent[v] = -1, -1
+	}
+	dist[src] = 0
+	queue := append(make([]int32, 0, n), int32(src))
+	for i := 0; i < len(queue); i++ {
+		u := queue[i]
+		for _, w := range s.Neighbors(int(u)) {
+			if dist[w] < 0 {
+				dist[w] = dist[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	for _, v := range queue[1:] {
+		for _, u := range s.Neighbors(int(v)) {
+			if dist[u] == dist[v]-1 && (parent[v] < 0 || u < parent[v]) {
+				parent[v] = u
+			}
+		}
+	}
+	return dist, parent
+}
+
+// coldOracle memoizes coldTree by source over one snapshot, so an
+// epoch's oracle serves again as the next epoch's old side.
+type coldOracle struct {
+	s     *graph.Snapshot
+	trees map[int][2][]int32
+}
+
+func (o *coldOracle) tree(src int) (dist, parent []int32) {
+	tr, ok := o.trees[src]
+	if !ok {
+		tr[0], tr[1] = coldTree(o.s, src)
+		o.trees[src] = tr
+	}
+	return tr[0], tr[1]
+}
+
+// oraclePath reads the path from dst back to the source off coldTree's
+// parents, as snapshot edge ids, and reports whether dst is reachable.
+func oraclePath(s *graph.Snapshot, dist, parent []int32, dst int) ([]int32, bool) {
+	if dist[dst] < 0 {
+		return nil, false
+	}
+	arcEdge := s.ArcEdgeIDs()
+	var path []int32
+	for v := dst; parent[v] >= 0; v = int(parent[v]) {
+		lo, _ := s.ArcRange(v)
+		path = append(path, arcEdge[int(lo)+slices.Index(s.Neighbors(v), parent[v])])
+	}
+	return path, true
+}
+
+// requireRefreshed pins a refreshed routing state against cold oracles
+// over the snapshots before and after the refresh. Every cached row is
+// a cold BFS of the new snapshot. The memo keeps an entry of before
+// exactly when its origin is still cached and its tree is unchanged on
+// every node of the old snapshot — same distance and same canonical
+// parent in both oracles — and a kept entry reads the same as a cold
+// walk over the new snapshot. old is the previous call's returned
+// oracle (nil, or one over another snapshot, starts afresh); the
+// result is the new snapshot's oracle and how many entries were kept.
+func requireRefreshed(t *testing.T, label string, before, rt *Routing, old *coldOracle) (_ *coldOracle, kept int) {
+	t.Helper()
+	prev, next := before.s, rt.s
+	if old == nil || old.s != prev {
+		old = &coldOracle{s: prev, trees: make(map[int][2][]int32)}
+	}
+	cur := &coldOracle{s: next, trees: make(map[int][2][]int32)}
+	for src, dist := range rt.trees {
+		if want, _ := cur.tree(src); !slices.Equal(dist, want) {
+			t.Fatalf("%s: cached tree %d diverged from a cold BFS", label, src)
+		}
+	}
+	for key := range before.paths {
+		src, dst := int(key>>32), int(int32(key))
+		_, cached := rt.trees[src]
+		same := false
+		if cached {
+			dp, pp := old.tree(src)
+			dn, pn := cur.tree(src)
+			same = slices.Equal(dp, dn[:len(dp)]) && slices.Equal(pp, pn[:len(pp)])
+		}
+		got, survived := rt.paths[key]
+		if survived != same {
+			t.Fatalf("%s: memo %d→%d survived=%v, want %v (origin cached %v)",
+				label, src, dst, survived, same, cached)
+		}
+		if !survived {
+			continue
+		}
+		kept++
+		dn, pn := cur.tree(src)
+		want, reachable := oraclePath(next, dn, pn, dst)
+		if got == nil {
+			if reachable {
+				t.Fatalf("%s: stale unreachable memo %d→%d", label, src, dst)
+			}
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("%s: memo path %d→%d is %v, cold walk %v", label, src, dst, got, want)
+		}
+	}
+	for key := range rt.paths {
+		if _, ok := before.paths[key]; !ok {
+			t.Fatalf("%s: refresh invented memo entry %d→%d", label, key>>32, int32(key))
+		}
+	}
+	return cur, kept
 }
 
 // requireSameFlows asserts two traced simulations drew and finished the
@@ -115,9 +229,10 @@ func requireSameFlows(t *testing.T, label string, a, b *SimReport) {
 
 // TestRoutingRefreshEquivalence drives a shared routing state along a
 // growth trajectory with Refresh and pins it against cold rebuilds at
-// every epoch: repaired trees are entry-identical to cold builds,
-// surviving memo entries re-read identically from their trees, refresh
-// is worker-count invariant, and simulations over the refreshed state —
+// every epoch: repaired trees are entry-identical to cold builds, the
+// memo keeps exactly the entries of cached, unchanged trees and they
+// re-read identically from a cold walk (requireRefreshed), refresh is
+// worker-count invariant, and simulations over the refreshed state —
 // both engines — reproduce the cold-rebuild flows.
 func TestRoutingRefreshEquivalence(t *testing.T) {
 	top, err := gen.BA{N: 600, M: 2}.Generate(rng.New(2))
@@ -130,11 +245,16 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRouting(seed)
-	epoch := 0
-	replayGrowth(t, top, 100, func(prev, next *graph.Snapshot, d *graph.Delta) {
+	epoch, kept, dropped := 0, 0, 0
+	var oracle *coldOracle
+	// Fine epochs of 20 edges leave some trees untouched, so the memo
+	// keeps entries as well as dropping them. Every epoch memoizes a few
+	// paths per cached origin; the simulations run every 100 edges and
+	// on the final epoch.
+	replayGrowth(t, top, 20, func(prev, next *graph.Snapshot, d *graph.Delta) {
 		epoch++
 		// Worker invariance: the same state repaired at widths 1 and 4.
-		alt := cloneRouting(rt)
+		before, alt := cloneRouting(rt), cloneRouting(rt)
 		rt.Refresh(next, d, 4)
 		alt.Refresh(next, d, 1)
 		requireRoutingEqual(t, "worker-invariance", rt, alt)
@@ -143,32 +263,20 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		if rt.s != next || rt.Snapshot() != next {
 			t.Fatal("refresh did not rebase the snapshot")
 		}
-		// Every cached tree must equal a cold canonical build.
-		arcEdge := next.ArcEdgeIDs()
+		var k int
+		oracle, k = requireRefreshed(t, fmt.Sprintf("epoch %d", epoch), before, rt, oracle)
+		kept += k
+		dropped += len(before.paths) - k
 		for _, src := range rt.fifo {
-			if !reflect.DeepEqual(rt.trees[src], buildTree(next, arcEdge, src)) {
-				t.Fatalf("epoch %d: repaired tree %d diverged from cold build", epoch, src)
-			}
-		}
-		// Every surviving memo entry must re-read identically from its
-		// origin's repaired tree.
-		for key, p := range rt.paths {
-			src, dst := int(key>>32), int(int32(key))
-			tree, ok := rt.trees[src]
-			if !ok {
-				t.Fatalf("epoch %d: memo entry kept for evicted tree %d", epoch, src)
-			}
-			fresh, reachable := tree.appendPath(nil, dst)
-			if p == nil {
-				if reachable {
-					t.Fatalf("epoch %d: stale unreachable memo %d→%d", epoch, src, dst)
+			for j := 1; j <= 4; j++ {
+				if dst := (src + 97*j) % n; dst != src {
+					p, reachable := rt.treePath(src, dst)
+					rt.storePath(src, dst, p, reachable)
 				}
-			} else if !reflect.DeepEqual(p, fresh) {
-				t.Fatalf("epoch %d: memo path %d→%d diverged", epoch, src, dst)
 			}
 		}
 
-		if n < 40 {
+		if n < 40 || (epoch%5 != 0 && next.M() < top.G.M()) {
 			return
 		}
 		masses := make([]float64, n)
@@ -192,12 +300,19 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 	if epoch < 5 {
 		t.Fatalf("trajectory too short: %d epochs", epoch)
 	}
+	// Retention must be exercised both ways, or the exact-survival check
+	// above could pass vacuously.
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("memo entries kept %d, dropped %d: want both nonzero", kept, dropped)
+	}
+	t.Logf("memo entries across refreshes: %d kept, %d dropped", kept, dropped)
 }
 
 // TestRoutingRefreshUnderChurn drives the scoped removal repair: mixed
 // insert+remove epochs where only trees traversing a dead arc may cold
-// rebuild. Every cached tree, memo entry, and the simulations on top
-// must match cold rebuilds, at every worker count.
+// rebuild. Every cached tree, the exact memo retention
+// (requireRefreshed), and the simulations on top must match cold
+// rebuilds, at every worker count.
 func TestRoutingRefreshUnderChurn(t *testing.T) {
 	top, err := gen.BA{N: 250, M: 2}.Generate(rng.New(4))
 	if err != nil {
@@ -224,13 +339,15 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		rt.Ensure(srcs, 2)
 		for _, src := range srcs {
 			dst := r.Intn(s.N())
-			if _, ok, _ := rt.cachedPath(src, dst); !ok {
-				p, reachable := rt.Tree(src).appendPath(nil, dst)
+			if _, ok, _ := rt.cachedPath(src, dst); !ok && dst != src {
+				p, reachable := rt.treePath(src, dst)
 				rt.storePath(src, dst, p, reachable)
 			}
 		}
 	}
 	warm(prev)
+	kept, dropped := 0, 0
+	var oracle *coldOracle
 	for epoch := 0; epoch < 15; epoch++ {
 		edges := prev.EdgeList()
 		removed := 0
@@ -256,31 +373,14 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		if d == nil || removed == 0 {
 			t.Fatalf("epoch %d: churn epoch carries no removal delta", epoch)
 		}
-		alt := cloneRouting(rt)
+		before, alt := cloneRouting(rt), cloneRouting(rt)
 		rt.Refresh(next, d, 4)
 		alt.Refresh(next, d, 1)
 		requireRoutingEqual(t, "churn-worker-invariance", rt, alt)
-		arcEdge := next.ArcEdgeIDs()
-		for _, src := range rt.fifo {
-			if !reflect.DeepEqual(rt.trees[src], buildTree(next, arcEdge, src)) {
-				t.Fatalf("epoch %d: churned tree %d diverged from cold build", epoch, src)
-			}
-		}
-		for key, p := range rt.paths {
-			src, dst := int(key>>32), int(int32(key))
-			tree, ok := rt.trees[src]
-			if !ok {
-				t.Fatalf("epoch %d: memo entry kept for evicted tree %d", epoch, src)
-			}
-			fresh, reachable := tree.appendPath(nil, dst)
-			if p == nil {
-				if reachable {
-					t.Fatalf("epoch %d: stale unreachable memo %d→%d", epoch, src, dst)
-				}
-			} else if !reflect.DeepEqual(p, fresh) {
-				t.Fatalf("epoch %d: churned memo path %d→%d diverged", epoch, src, dst)
-			}
-		}
+		var k int
+		oracle, k = requireRefreshed(t, fmt.Sprintf("churn epoch %d", epoch), before, rt, oracle)
+		kept += k
+		dropped += len(before.paths) - k
 		masses := make([]float64, next.N())
 		for u := range masses {
 			masses[u] = float64(next.Degree(u) + 1)
@@ -298,6 +398,108 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		warm(next)
 		prev = next
 	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("memo entries kept %d, dropped %d: want both nonzero", kept, dropped)
+	}
+	t.Logf("memo entries across churn refreshes: %d kept, %d dropped", kept, dropped)
+}
+
+// FuzzRoutingRefresh decodes bytes into a multi-epoch mutation script
+// — the first byte sizes the initial node set, then (op, a, b) triples
+// add nodes, insert or remove edges, or close epochs, as in
+// FuzzCoreMap — and runs it through Refreeze. Before every epoch a few
+// origins are cached under a small tree budget (so some are evicted)
+// and memoize paths; after it, refreshes at 1 and 4 workers must agree,
+// every cached tree must equal buildTree, and the memo must keep
+// exactly the entries of cached, unchanged trees, each reading the same
+// as a cold walk (requireRefreshed). Plain `go test` runs the seeds;
+// explore further with
+//
+//	go test ./internal/traffic -run '^$' -fuzz FuzzRoutingRefresh
+func FuzzRoutingRefresh(f *testing.F) {
+	// FuzzCoreMap's seeds: cycle closure, then two mixed scripts.
+	cycle := []byte{12}
+	for u := byte(1); u < 12; u++ {
+		cycle = append(cycle, 1, u-1, u)
+	}
+	cycle = append(cycle, 3, 0, 0, 1, 0, 11)
+	f.Add(cycle)
+	f.Add([]byte{4, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 0, 0, 0, 0, 1, 4, 0, 1, 4, 1, 1, 4, 2, 3, 0, 0, 2, 0, 1, 3, 0, 0})
+	f.Add([]byte{6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 1, 2, 1, 1, 3, 1, 2, 3, 3, 0, 0, 1, 4, 5, 1, 4, 0, 2, 2, 3, 1, 5, 1, 3, 0, 0})
+	// A path 0-1-2 whose tail loses its parent arc in the epoch that
+	// attaches it to a new node: the orphan's only neighbor is new.
+	f.Add([]byte{3, 1, 0, 1, 1, 1, 2, 3, 0, 0, 2, 1, 2, 0, 0, 0, 1, 2, 3, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		if len(script) > 1+3*600 {
+			script = script[:1+3*600]
+		}
+		g := graph.New(int(script[0] % 16))
+		prev := g.Freeze()
+		rt := NewRouting(prev)
+		var oracle *coldOracle
+		epochs := 0
+		epoch := func() {
+			if n := prev.N(); n > 0 {
+				rt.max = 6
+				var srcs []int
+				for k := 0; k < 4; k++ {
+					srcs = append(srcs, (5*epochs+7*k)%n)
+				}
+				slices.Sort(srcs)
+				srcs = slices.Compact(srcs)
+				rt.Ensure(srcs, 1)
+				for _, src := range srcs {
+					for j := 0; j < 4; j++ {
+						if dst := (src + 3*j + 1) % n; dst != src {
+							path, ok := rt.treePath(src, dst)
+							rt.storePath(src, dst, path, ok)
+						}
+					}
+				}
+			}
+			epochs++
+			next, d, err := g.Refreeze(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("epoch %d n=%d", epochs, next.N())
+			before, alt := cloneRouting(rt), cloneRouting(rt)
+			rt.Refresh(next, d, 4)
+			alt.Refresh(next, d, 1)
+			requireRoutingEqual(t, tag, rt, alt)
+			for src, dist := range rt.trees {
+				if !slices.Equal(dist, buildTree(next, src)) {
+					t.Fatalf("%s: tree %d diverged from buildTree", tag, src)
+				}
+			}
+			oracle, _ = requireRefreshed(t, tag, before, rt, oracle)
+			prev = next
+		}
+		for i := 1; i+2 < len(script); i += 3 {
+			op, a, b := script[i]%4, int(script[i+1]), int(script[i+2])
+			switch {
+			case op == 3:
+				epoch()
+			case op == 0:
+				g.AddNode()
+			case g.N() == 0:
+			case op == 1:
+				if u, v := a%g.N(), b%g.N(); u != v {
+					g.MustAddEdge(u, v)
+				}
+			default:
+				if u, v := a%g.N(), b%g.N(); g.HasEdge(u, v) {
+					if err := g.RemoveEdge(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		epoch()
+	})
 }
 
 // TestRepairTreeBudgetFallback forces the relaxation over budget so the
@@ -308,11 +510,10 @@ func TestRepairTreeBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tree *rtree
+	var tree []int32
 	replayGrowth(t, top, 60, func(base, next *graph.Snapshot, d *graph.Delta) {
-		arcEdge := next.ArcEdgeIDs()
 		if tree == nil {
-			tree = buildTree(next, arcEdge, 0)
+			tree = buildTree(next, 0)
 			return
 		}
 		var ins []graph.DeltaEdge
@@ -321,22 +522,12 @@ func TestRepairTreeBudgetFallback(t *testing.T) {
 				ins = append(ins, e)
 			}
 		}
-		prevEdges := base.EdgeList()
-		oldToNew := make([]int32, len(prevEdges))
-		shift := 0
-		for i, e := range prevEdges {
-			for shift < len(ins) && (int(ins[shift].U) < e.U ||
-				(int(ins[shift].U) == e.U && int(ins[shift].V) < e.V)) {
-				shift++
-			}
-			oldToNew[i] = int32(i + shift)
-		}
-		sc := newTreeScratch(next.N())
-		changed := repairTree(next, arcEdge, tree, 0, ins, oldToNew, base.N(), sc, 1)
+		var changed bool
+		tree, changed = repairTree(base, next, tree, 0, ins, nil, metrics.NewDistScratch(next.N()), 1)
 		if !changed {
 			t.Fatal("budget fallback must report the tree as changed")
 		}
-		if want := buildTree(next, arcEdge, 0); !reflect.DeepEqual(tree, want) {
+		if want := buildTree(next, 0); !slices.Equal(tree, want) {
 			t.Fatal("budget-fallback tree diverged from cold build")
 		}
 	})

@@ -13,14 +13,15 @@ import (
 // Routing is the memoizable routing state of a frozen snapshot: one
 // shortest-path tree per origin, built on demand and cached under a
 // deterministic FIFO budget so workload simulations reuse paths across
-// epochs without holding N trees for a 100k-node map. Tree construction
-// is a pure function of (snapshot, source) — BFS discovery order over
-// the CSR arc arrays — so a flow's path never depends on the worker
-// count or on which epochs demanded which trees first. When an epoch's
+// epochs without holding N trees for a 100k-node map. A cached tree is
+// just its origin's hop-distance row; parents are derived while walking
+// a path (selectParent), so a flow's path is a pure function of
+// (snapshot, source, destination) and never depends on the worker count
+// or on which epochs demanded which trees first. When an epoch's
 // origins outnumber the tree budget, origins with few destinations are
 // resolved by exact pair searches instead (pairpath.go): a pair path is
-// the tree path edge for edge, a pure function of (snapshot, source,
-// destination), so which of the two resolved a flow never shows.
+// the tree path edge for edge, so which of the two resolved a flow
+// never shows.
 //
 // Routing is not safe for concurrent use; Ensure shards tree builds
 // internally, but callers (the sequential simulation loop) must not
@@ -28,11 +29,11 @@ import (
 type Routing struct {
 	s       *graph.Snapshot
 	arcEdge []int32
-	max     int // tree-cache budget, a pure function of the node count
-	trees   map[int]*rtree
-	fifo    []int // cached sources, oldest first
+	max     int             // tree-cache budget, a pure function of the node count
+	trees   map[int][]int32 // cached sources' hop-distance rows, -1 unreachable
+	fifo    []int           // cached sources, oldest first
 	// paths memoizes resolved origin-destination paths (nil = dst
-	// unreachable from src). A path is ~40 bytes against ~12n for a
+	// unreachable from src). A path is ~40 bytes against 4n for a
 	// tree, so repeated OD pairs — re-runs over one snapshot, heavy
 	// origins inside one run — skip the BFS entirely even after the
 	// tree cache evicted the origin's tree.
@@ -48,13 +49,13 @@ type Routing struct {
 	// cannot hold an epoch's origins (admitPending, pairpath.go).
 	pair pairScratch
 
-	// Tree-storage pool: evicted and Reset trees park here and hand
-	// their arrays to the next build, and Ensure's batch buffers
-	// persist — so a warm Routing swept across same-sized topologies
-	// (Routing.Reset) rebuilds its trees without allocating.
-	free      []*rtree
+	// Tree-storage pool: evicted and Reset rows park here and are
+	// handed to the next build, and Ensure's batch buffers persist — so
+	// a warm Routing swept across same-sized topologies (Routing.Reset)
+	// rebuilds its trees without allocating.
+	free      [][]int32
 	enMissing []int
-	enBuilt   []*rtree
+	enBuilt   [][]int32
 	enScratch []*metrics.BFSScratch
 	// enStamp[src] == enRound marks batch membership during Ensure, a
 	// stamped array instead of a per-call map.
@@ -64,19 +65,20 @@ type Routing struct {
 	// Refresh scratch, persisted so a steady-state tree repair at fixed
 	// n allocates nothing (Routing.Refresh). rfBody is the repair
 	// closure, created once and re-reading its per-call parameters
-	// (rfNext, rfBudget, rfOldN and the slices below) from these fields
-	// — a closure literal per Refresh would be the last allocation on
-	// an otherwise alloc-free repair.
+	// (rfNext, rfBudget and the slices below) from these fields — a
+	// closure literal per Refresh would be the last allocation on an
+	// otherwise alloc-free repair. rfRows receives each repaired row
+	// (index-private, so the parallel repairs never write the map).
 	rfIns, rfRem []graph.DeltaEdge
 	rfOldToNew   []int32
 	rfSrcs       []int
+	rfRows       [][]int32
 	rfChanged    []bool
-	rfScratch    []*treeScratch
+	rfScratch    []*metrics.DistScratch
 	rfEdges      []graph.Edge
 	rfArcEdge    []int32
 	rfNext       *graph.Snapshot
 	rfBudget     int
-	rfOldN       int
 	rfBody       func(worker, i int)
 	// changedStamp[src] == changedRound marks sources whose tree
 	// changed this Refresh — the memo-invalidation set, a stamped array
@@ -110,15 +112,8 @@ func (rt *Routing) storePath(src, dst int, path []int32, reachable bool) {
 	rt.paths[pathKey(src, dst)] = path
 }
 
-// rtree is one origin's BFS tree over the snapshot.
-type rtree struct {
-	dist   []int32 // hop distance from the source, -1 unreachable
-	parent []int32 // BFS parent toward the source, -1 at source/unreachable
-	edge   []int32 // snapshot edge id of (v, parent[v]), -1 where parent is
-}
-
-// routingTreeBudget bounds the memory held by cached trees (~12 bytes
-// per node per tree).
+// routingTreeBudget bounds the memory held by cached trees (one int32
+// distance per node per tree).
 const routingTreeBudget = 32 << 20
 
 // RoutingTreeBudget returns the tree-cache entry budget NewRouting
@@ -126,7 +121,7 @@ const routingTreeBudget = 32 << 20
 // fixed byte budget, and the "routing budget" component of artifact
 // cache keys.
 func RoutingTreeBudget(n int) int {
-	max := routingTreeBudget / (12 * (n + 1))
+	max := routingTreeBudget / (4 * (n + 1))
 	if max < 16 {
 		max = 16
 	}
@@ -136,31 +131,38 @@ func RoutingTreeBudget(n int) int {
 // NewRouting returns empty routing state over the snapshot.
 func NewRouting(s *graph.Snapshot) *Routing {
 	return &Routing{s: s, arcEdge: s.ArcEdgeIDs(), max: RoutingTreeBudget(s.N()),
-		trees: make(map[int]*rtree), paths: make(map[int64][]int32)}
+		trees: make(map[int][]int32), paths: make(map[int64][]int32)}
 }
 
 // TreeBudget returns the configured tree-cache entry budget.
 func (rt *Routing) TreeBudget() int { return rt.max }
 
 // MemBytes estimates the heap bytes the routing state holds live: the
-// three int32 rows of each cached tree, the memoized OD paths and the
-// pair-search scratch — the byte cost an artifact cache should charge
-// for a warm Routing.
+// distance rows of the cached and the pooled trees, the memoized OD
+// paths and the pair-search scratch — the byte cost an artifact cache
+// should charge for a warm Routing.
 func (rt *Routing) MemBytes() int64 {
-	n := int64(rt.s.N())
-	return int64(len(rt.trees))*12*(n+1) + int64(len(rt.paths))*48 + rt.pair.memBytes()
+	var b int64
+	for _, dist := range rt.trees {
+		b += 4 * int64(cap(dist))
+	}
+	for _, dist := range rt.free {
+		b += 4 * int64(cap(dist))
+	}
+	return b + int64(len(rt.paths))*48 + rt.pair.memBytes()
 }
 
-// newTree pops a pooled tree (arrays intact, contents stale) or
-// allocates a fresh one.
-func (rt *Routing) newTree() *rtree {
-	if k := len(rt.free); k > 0 {
-		t := rt.free[k-1]
-		rt.free[k-1] = nil
-		rt.free = rt.free[:k-1]
-		return t
+// newTree pops a pooled row (contents stale) or nil, which the build
+// then allocates.
+func (rt *Routing) newTree() []int32 {
+	k := len(rt.free)
+	if k == 0 {
+		return nil
 	}
-	return &rtree{}
+	dist := rt.free[k-1]
+	rt.free[k-1] = nil
+	rt.free = rt.free[:k-1]
+	return dist
 }
 
 // RoutingOf returns the routing state memoized in the engine's
@@ -174,61 +176,74 @@ func RoutingOf(eng *engine.Engine) *Routing {
 	}).(*Routing)
 }
 
-// selectParent picks v's canonical tree entry: the smallest-id neighbor
-// one hop closer to the source, with the snapshot edge id toward it
-// (-1, -1 at the source and for unreachable nodes). The choice is a
-// pure function of the distance field — not of BFS discovery order — so
-// cold builds and incremental repairs (Routing.Refresh) produce the
-// tree entry for entry.
-func selectParent(s *graph.Snapshot, arcEdge []int32, dist []int32, v int) (parent, edge int32) {
+// selectParent returns the arc of v's canonical tree entry: the arc to
+// v's first CSR neighbor one hop closer to the source (-1 at the source,
+// for unreachable nodes and for a node left with no closer neighbor).
+// The choice is a pure function of the snapshot and the distance field
+// — not of BFS discovery order — and it is the one parent rule: tree
+// paths walk it, Routing.Refresh's invalidation tests it, and pairPath
+// (pairpath.go) reproduces it from its two search balls.
+func selectParent(s *graph.Snapshot, dist []int32, v int) int32 {
 	dv := dist[v]
 	if dv <= 0 {
-		return -1, -1
+		return -1
 	}
-	lo, _ := s.ArcRange(v)
-	for j, u := range s.Neighbors(v) {
-		if dist[u] == dv-1 {
-			return u, arcEdge[int(lo)+j]
+	offsets, ends, nbr := s.CSR()
+	for arc := offsets[v]; arc < ends[v]; arc++ {
+		if dist[nbr[arc]] == dv-1 {
+			return arc
 		}
 	}
-	return -1, -1
+	return -1
 }
 
-// buildTreeInto fills t with src's canonical tree over s — one hybrid
-// BFS for the distances, then every node's canonical parent — growing
-// t's arrays to the snapshot size. The tree — and every path read from
-// it — is deterministic and depends only on (snapshot, source):
-// selectParent is a pure function of the distance field, and the hybrid
-// kernel's distances are bit-identical to the classic BFS, so pooled
-// rebuilds, parallel cold builds and incremental repairs all produce
-// the same tree entry for entry. At fixed n a rebuild through a warm t
-// and scratch allocates nothing.
-func buildTreeInto(t *rtree, s *graph.Snapshot, arcEdge []int32, src int, sc *metrics.BFSScratch) {
-	n := s.N()
-	t.dist = growRow(t.dist, n)
-	t.parent = growRow(t.parent, n)
-	t.edge = growRow(t.edge, n)
-	metrics.BFSHybrid(s, src, t.dist, sc)
-	for v := 0; v < n; v++ {
-		t.parent[v], t.edge[v] = selectParent(s, arcEdge, t.dist, v)
+// walkPath appends the edge ids of the canonical tree path from dst
+// back to the source of the distance row dist onto buf, following
+// selectParent one hop closer per step, and reports whether dst is
+// reachable.
+func walkPath(s *graph.Snapshot, arcEdge, dist, buf []int32, dst int) ([]int32, bool) {
+	if dist[dst] < 0 {
+		return buf, false
 	}
+	_, _, nbr := s.CSR()
+	for v := dst; dist[v] > 0; {
+		arc := selectParent(s, dist, v)
+		buf = append(buf, arcEdge[arc])
+		v = int(nbr[arc])
+	}
+	return buf, true
 }
 
-// growRow resizes a tree row to exactly n entries, reusing its backing
-// array when it is large enough (contents are overwritten by the
-// caller).
-func growRow(row []int32, n int) []int32 {
-	if cap(row) < n {
-		return make([]int32, n)
+// treePath resolves (src, dst) by walking src's distance row, building
+// and caching the row first if needed.
+func (rt *Routing) treePath(src, dst int) ([]int32, bool) {
+	dist, ok := rt.trees[src]
+	if !ok {
+		rt.Ensure([]int{src}, 1)
+		dist = rt.trees[src]
 	}
-	return row[:n]
+	return walkPath(rt.s, rt.arcEdge, dist, nil, dst)
+}
+
+// buildTreeInto fills dist with src's hop distances over s by one
+// hybrid BFS, growing the row to the snapshot size, and returns it. The
+// hybrid kernel's distances are bit-identical to the classic BFS, so
+// pooled rebuilds, parallel cold builds and incremental repairs all
+// produce the same row, and every path walked from it is the same. At
+// fixed n a rebuild through a warm row and scratch allocates nothing.
+func buildTreeInto(dist []int32, s *graph.Snapshot, src int, sc *metrics.BFSScratch) []int32 {
+	if n := s.N(); cap(dist) < n {
+		dist = make([]int32, n)
+	} else {
+		dist = dist[:n]
+	}
+	metrics.BFSHybrid(s, src, dist, sc)
+	return dist
 }
 
 // buildTree is the cold-allocation form of buildTreeInto.
-func buildTree(s *graph.Snapshot, arcEdge []int32, src int) *rtree {
-	t := &rtree{}
-	buildTreeInto(t, s, arcEdge, src, metrics.NewBFSScratch(s.N()))
-	return t
+func buildTree(s *graph.Snapshot, src int) []int32 {
+	return buildTreeInto(nil, s, src, metrics.NewBFSScratch(s.N()))
 }
 
 // Ensure builds the trees of the given sources (ascending, no
@@ -276,14 +291,14 @@ func (rt *Routing) Ensure(sources []int, workers int) {
 			rt.enScratch[0] = metrics.NewBFSScratch(n)
 		}
 		for i := range built {
-			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.enScratch[0])
+			built[i] = buildTreeInto(built[i], rt.s, missing[i], rt.enScratch[0])
 		}
 	} else {
 		par.ForEach(len(missing), w, func(worker, i int) {
 			if rt.enScratch[worker] == nil {
 				rt.enScratch[worker] = metrics.NewBFSScratch(n)
 			}
-			buildTreeInto(built[i], rt.s, rt.arcEdge, missing[i], rt.enScratch[worker])
+			built[i] = buildTreeInto(built[i], rt.s, missing[i], rt.enScratch[worker])
 		})
 	}
 	// Move the batch to the young end of the FIFO, then evict the
@@ -307,33 +322,11 @@ func (rt *Routing) Ensure(sources []int, workers int) {
 	for len(rt.trees) > budget && len(rt.fifo) > 0 {
 		old := rt.fifo[0]
 		rt.fifo = rt.fifo[1:]
-		if t, ok := rt.trees[old]; ok {
-			rt.free = append(rt.free, t)
+		if dist, ok := rt.trees[old]; ok {
+			rt.free = append(rt.free, dist)
 			delete(rt.trees, old)
 		}
 	}
-}
-
-// Tree returns src's shortest-path tree, building and caching it if
-// needed.
-func (rt *Routing) Tree(src int) *rtree {
-	if t, ok := rt.trees[src]; ok {
-		return t
-	}
-	rt.Ensure([]int{src}, 1)
-	return rt.trees[src]
-}
-
-// appendPath appends the edge ids of the tree path from dst back to the
-// tree's source onto buf and reports whether dst is reachable.
-func (t *rtree) appendPath(buf []int32, dst int) ([]int32, bool) {
-	if t.dist[dst] < 0 {
-		return buf, false
-	}
-	for v := int32(dst); t.parent[v] >= 0; v = t.parent[v] {
-		buf = append(buf, t.edge[v])
-	}
-	return buf, true
 }
 
 // EpochStats is one simulated epoch's observation row.
@@ -808,7 +801,7 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		rt.Ensure(batch, workers)
 		for ; k < j; k++ {
 			i := miss[k]
-			path, ok := rt.Tree(pend[i].src).appendPath(nil, pend[i].dst)
+			path, ok := rt.treePath(pend[i].src, pend[i].dst)
 			resolve(i, path, ok)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"netmodel/internal/engine"
@@ -186,6 +187,49 @@ func TestSimulateWithMemoizesRouting(t *testing.T) {
 	}
 }
 
+// TestRoutingMemBytesMatchesHeap: MemBytes stays within 10% of the heap
+// a warm Routing retains, both with more Ensure sources than the tree
+// budget — the evicted rows sit in the pool — and after Reset has
+// parked every row there.
+func TestRoutingMemBytesMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("retains ~40 MB of routing trees")
+	}
+	s := meshGraph(20000).Freeze()
+	var before runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rt := NewRouting(s)
+	const batch = 64
+	srcs := make([]int, batch)
+	for lo := 0; lo < rt.TreeBudget()+batch; lo += batch {
+		for i := range srcs {
+			srcs[i] = lo + i
+		}
+		rt.Ensure(srcs, 1)
+	}
+	if len(rt.trees) != rt.TreeBudget() || len(rt.free) == 0 {
+		t.Fatalf("%d trees cached (budget %d), %d pooled: want a full cache and a nonempty pool",
+			len(rt.trees), rt.TreeBudget(), len(rt.free))
+	}
+	check := func(stage string) {
+		t.Helper()
+		var after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		est := float64(rt.MemBytes())
+		t.Logf("%s: MemBytes %.0f bytes, retained heap %.0f bytes", stage, est, heap)
+		if math.Abs(est-heap) > 0.1*heap {
+			t.Fatalf("%s: MemBytes %.0f bytes, retained heap %.0f bytes", stage, est, heap)
+		}
+	}
+	check("cache full, evicted rows pooled")
+	rt.Reset(s)
+	check("after Reset")
+	runtime.KeepAlive(rt)
+}
+
 func TestRoutingEvictionKeepsPathsCorrect(t *testing.T) {
 	s := meshGraph(30).Freeze()
 	rt := NewRouting(s)
@@ -194,7 +238,7 @@ func TestRoutingEvictionKeepsPathsCorrect(t *testing.T) {
 	if len(rt.trees) != 6 {
 		t.Fatalf("batch must survive its own Ensure, have %d trees", len(rt.trees))
 	}
-	want, _ := rt.Tree(0).appendPath(nil, 15)
+	want, _ := rt.treePath(0, 15)
 	rt.Ensure([]int{10, 11, 12, 13}, 1)
 	if len(rt.trees) > 6 {
 		t.Fatalf("eviction did not shrink the cache: %d trees", len(rt.trees))
@@ -202,7 +246,7 @@ func TestRoutingEvictionKeepsPathsCorrect(t *testing.T) {
 	if _, cached := rt.trees[0]; cached {
 		t.Fatal("oldest tree should have been evicted")
 	}
-	got, _ := rt.Tree(0).appendPath(nil, 15)
+	got, _ := rt.treePath(0, 15)
 	if len(got) != len(want) {
 		t.Fatalf("rebuilt path length %d, want %d", len(got), len(want))
 	}

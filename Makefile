@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test examples fuzz bench bench-json bench-check staticcheck lint fmt ci
+.PHONY: all build test examples fuzz bench bench-json bench-smoke bench-check staticcheck lint fmt ci
 
 all: build
 
@@ -49,10 +49,21 @@ bench:
 # failure repair, plus the kernel speedup and zero-alloc rows) at
 # acceptance scale, each asserting its equivalence contract, the five
 # files written into the repo root. The combined run outlasts go test's
-# 10-minute default timeout. For smoke sizes (the CI step, under -race)
-# add -short and point -bench-out at a scratch directory.
+# 10-minute default timeout. For smoke sizes run bench-smoke.
 bench-json:
 	$(GO) test -timeout 90m -run TestBenchJSON . ./internal/traffic/ -bench-out $(CURDIR)
+
+# BENCH harness smoke (the CI step of the same name): every bench-json
+# scenario at -short sizes under the race detector, each asserting its
+# equivalence contract, written to a throwaway directory so the
+# committed BENCH_*.json files stay untouched; the fresh rows must then
+# trip no floor (benchcheck -lenient skips floors whose acceptance-scale
+# rows a smoke run cannot produce).
+bench-smoke:
+	@dir=$$(mktemp -d) || exit 1; \
+	$(GO) test -race -short -run TestBenchJSON . ./internal/traffic/ -bench-out "$$dir" && \
+	$(GO) run ./cmd/benchcheck -dir "$$dir" -lenient; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 # Benchmark-regression gate: the speedup fields of the BENCH_*.json
 # files in the working tree must clear the committed floors in
@@ -81,4 +92,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint test examples fuzz bench bench-check
+ci: build lint staticcheck test examples fuzz bench bench-smoke bench-check

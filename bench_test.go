@@ -327,8 +327,9 @@ func BenchmarkE9PathInflation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	frozen := ann.Freeze()
 	once("E9", func() {
-		inf, err := ann.MeasureInflation(rng.New(5), 200)
+		inf, err := frozen.MeasureInflation(rng.New(5), 200)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -340,7 +341,7 @@ func BenchmarkE9PathInflation(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ann.MeasureInflation(rng.New(uint64(i)), 50); err != nil {
+		if _, err := frozen.MeasureInflation(rng.New(uint64(i)), 50); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,11 +9,13 @@
 // link at the top, then descends provider→customer — it never goes down
 // and up again (a valley would mean an AS giving free transit).
 //
-// The package provides degree-based relationship annotation for
-// synthetic maps, Gao-style relationship inference from path sets, and a
-// valley-free shortest-path engine used to measure policy path
-// inflation, one of the canonical quantities of the routing-policy
-// literature.
+// Annotated holds the relationship table and AnnotateByDegree fills it
+// from the degree hierarchy, the standard heuristic for synthetic maps.
+// Every policy metric is computed on the frozen CSR view (Freeze,
+// FreezeWith): customer cones, valley-free shortest paths, and policy
+// path inflation, one of the canonical quantities of the
+// routing-policy literature. The map-based traversals that the frozen
+// ones are checked against live in the package's tests.
 package aspolicy
 
 import (
@@ -152,77 +154,6 @@ func AnnotateByDegree(g *graph.Graph, peerRatio float64) (*Annotated, error) {
 		return true
 	})
 	return a, nil
-}
-
-// InferGao infers relationships from a set of AS paths following Gao's
-// algorithm: in each path the highest-degree AS is taken as the top of
-// the hill; links before it are customer→provider, links after it are
-// provider→customer. Votes across paths are tallied and conflicting
-// majorities within Tie of each other become peering. Edges never seen
-// in any path stay unannotated.
-func InferGao(g *graph.Graph, paths [][]int, tie float64) (*Annotated, error) {
-	if tie < 0 || tie > 1 {
-		return nil, errors.New("aspolicy: tie fraction must be in [0,1]")
-	}
-	up := make(map[[2]int]int)   // votes that (u,v) with u<v is c2p
-	down := make(map[[2]int]int) // votes that (u,v) with u<v is p2c
-	for _, p := range paths {
-		if len(p) < 2 {
-			continue
-		}
-		top := 0
-		for i, as := range p {
-			if g.Degree(as) > g.Degree(p[top]) {
-				top = i
-			}
-			_ = as
-		}
-		for i := 0; i+1 < len(p); i++ {
-			u, v := p[i], p[i+1]
-			if !g.HasEdge(u, v) {
-				return nil, fmt.Errorf("aspolicy: path uses non-edge (%d,%d)", u, v)
-			}
-			// Before the top we climb (u is customer of v), after we
-			// descend (u is provider of v).
-			climb := i < top
-			if u > v {
-				u, v = v, u
-				climb = !climb
-			}
-			if climb {
-				up[[2]int{u, v}]++
-			} else {
-				down[[2]int{u, v}]++
-			}
-		}
-	}
-	a := NewAnnotated(g)
-	for key, u := range up {
-		d := down[key]
-		a.rels[key] = voteRel(u, d, tie)
-	}
-	for key, d := range down {
-		if _, seen := up[key]; !seen {
-			a.rels[key] = voteRel(0, d, tie)
-		}
-	}
-	return a, nil
-}
-
-func voteRel(up, down int, tie float64) Rel {
-	total := up + down
-	if total == 0 {
-		return 0
-	}
-	bal := float64(up-down) / float64(total)
-	switch {
-	case bal > tie:
-		return C2P
-	case bal < -tie:
-		return P2C
-	default:
-		return Peer
-	}
 }
 
 // Providers returns the ASs that u buys transit from, sorted.

@@ -146,80 +146,3 @@ func TestAnnotateByDegreeValidation(t *testing.T) {
 		t.Fatal("peerRatio < 1 should fail")
 	}
 }
-
-func TestInferGaoRecoversHierarchy(t *testing.T) {
-	// Gao's heuristic takes the highest-degree AS on a path as the top of
-	// the hill, so it needs a topology where degree tracks tier: two
-	// tier-1 peers (degree 5 each) over four tier-2 ASs (degree 4) over
-	// eight tier-3 leaves.
-	g := graph.New(14)
-	a := NewAnnotated(g)
-	set := func(u, v int, r Rel) {
-		t.Helper()
-		g.MustAddEdge(u, v)
-		if err := a.SetRel(u, v, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set(0, 1, Peer)
-	for t2 := 2; t2 <= 5; t2++ {
-		set(0, t2, P2C)
-		set(1, t2, P2C)
-	}
-	leaf := 6
-	for t2 := 2; t2 <= 5; t2++ {
-		set(t2, leaf, P2C)
-		set(t2, leaf+1, P2C)
-		leaf += 2
-	}
-	paths := [][]int{
-		{6, 2, 0, 3, 8},
-		{7, 2, 1, 4, 10},
-		{9, 3, 0, 5, 12},
-		{11, 4, 1, 5, 13},
-		{8, 3, 1, 2, 6},
-		{13, 5, 0, 4, 11},
-		{12, 5, 1, 3, 9},
-		{10, 4, 0, 2, 7},
-		{6, 2, 0, 1, 4, 10}, // crosses the tier-1 peering
-		{13, 5, 1, 0, 2, 6}, // crosses it the other way
-	}
-	for _, p := range paths {
-		if !a.ValleyFree(p) {
-			t.Fatalf("test path %v is not valley-free under ground truth", p)
-		}
-	}
-	inferred, err := InferGao(g, paths, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree, total := 0, 0
-	g.Edges(func(u, v, w int) bool {
-		r := inferred.RelOf(u, v)
-		if r == 0 {
-			return true // not traversed by any path
-		}
-		total++
-		if r == a.RelOf(u, v) {
-			agree++
-		}
-		return true
-	})
-	if total < 10 {
-		t.Fatalf("only %d edges inferred", total)
-	}
-	if agree != total {
-		t.Fatalf("inference agreed on %d of %d traversed edges", agree, total)
-	}
-}
-
-func TestInferGaoErrors(t *testing.T) {
-	g := graph.New(3)
-	g.MustAddEdge(0, 1)
-	if _, err := InferGao(g, [][]int{{0, 2}}, 0.1); err == nil {
-		t.Fatal("path over non-edge should fail")
-	}
-	if _, err := InferGao(g, nil, -0.1); err == nil {
-		t.Fatal("negative tie should fail")
-	}
-}

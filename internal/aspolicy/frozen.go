@@ -36,7 +36,7 @@ type Frozen struct {
 
 // Freeze builds the frozen view of the annotation. Unannotated edges
 // freeze as relationship 0 and surface as "annotation incomplete"
-// errors from the traversals, matching the map-based behavior.
+// errors from the traversals.
 func (a *Annotated) Freeze() *Frozen {
 	return a.freezeOn(a.G.Freeze(), nil)
 }
@@ -109,10 +109,18 @@ func (f *Frozen) Complete() bool {
 	return complete
 }
 
-// CustomerCone returns the customer-cone size of every AS, computed by
-// per-node provider→customer DFS sharded across the worker pool. Each
-// worker keeps its own visit-stamp array, so cones are independent and
-// the result is identical to the sequential Annotated.CustomerCone.
+// CustomerCone returns, for every AS, the size of its customer cone:
+// the number of ASs reachable by walking provider→customer links only,
+// including the AS itself. The cone is the standard measure of an AS's
+// market footprint (CAIDA AS-rank): tier-1 cones span most of the
+// network while stub cones are singletons.
+//
+// Each cone is its own provider→customer DFS, sharded across the worker
+// pool. Memoizing across nodes is unsound because cones overlap under
+// multi-homing (union sizes do not compose); cones are small for the
+// vast majority of ASs, keeping the total cost near O(M·depth) in
+// practice. Each worker keeps its own visit-stamp array, so provider
+// cycles terminate and cones are independent of the worker count.
 // When the view is bound to an engine (FreezeWith), the result is
 // memoized per snapshot; callers must not modify it.
 func (f *Frozen) CustomerCone() []int {
@@ -161,9 +169,21 @@ func (f *Frozen) customerCone() []int {
 	return cone
 }
 
+// Valley-free routing is a BFS over an expanded state space: each AS is
+// visited in one of two phases. Phase up ("still climbing"): the path so
+// far used only customer→provider links. Phase down ("over the top"):
+// the path crossed a peer link or a provider→customer link; from here
+// only provider→customer links may follow. This encodes Gao's export
+// rule exactly and finds the shortest policy-compliant path.
+
+const (
+	phaseUp = iota
+	phaseDown
+	numPhases
+)
+
 // ValleyFreeDistances returns the shortest valley-free distance from
-// src to every node over the frozen view, -1 where no policy-compliant
-// path exists — the CSR counterpart of Annotated.ValleyFreeDistances.
+// src to every node, -1 where no policy-compliant path exists.
 func (f *Frozen) ValleyFreeDistances(src int) ([]int, error) {
 	dist := make([]int32, numPhases*f.S.N())
 	queue := make([]int32, 0, f.S.N())
@@ -232,12 +252,22 @@ func (f *Frozen) valleyFree(src int, dist []int32, queue []int32) error {
 	return nil
 }
 
+// Inflation summarizes policy path stretch relative to shortest paths.
+type Inflation struct {
+	Pairs       int     // sampled reachable pairs
+	Unreachable int     // pairs reachable topologically but not by policy
+	AvgShortest float64 // mean hop count ignoring policy
+	AvgPolicy   float64 // mean valley-free hop count over policy-reachable pairs
+	Ratio       float64 // AvgPolicy / AvgShortest over pairs reachable both ways
+	MaxStretch  int     // worst per-pair additive stretch observed
+}
+
 // MeasureInflation samples `sources` BFS roots (all nodes when <= 0)
 // and compares plain shortest paths with valley-free paths from each
 // root, sharding roots across the worker pool. All per-root reductions
-// are integral, so the result matches Annotated.MeasureInflation
-// exactly for the same generator state. Exact (all-sources) runs are
-// memoized when the view is bound to an engine; sampled runs are not.
+// are integral, so the result is the same at any worker count for the
+// same generator state. Exact (all-sources) runs are memoized when the
+// view is bound to an engine; sampled runs are not.
 func (f *Frozen) MeasureInflation(r *rng.Rand, sources int) (Inflation, error) {
 	if f.eng != nil && (sources <= 0 || sources >= f.S.N()) {
 		type result struct {

@@ -103,12 +103,15 @@ func TestFrozenInflationMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.MeasureInflation(rng.New(9), sources)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("seed %d sources %d:\n got %+v\nwant %+v", seed, sources, got, want)
+			for _, workers := range []int{1, 4} {
+				f.Workers = workers
+				got, err := f.MeasureInflation(rng.New(9), sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("seed %d sources %d workers %d:\n got %+v\nwant %+v", seed, sources, workers, got, want)
+				}
 			}
 		}
 	}

@@ -6,22 +6,44 @@ import (
 	"netmodel/internal/rng"
 )
 
-// Valley-free routing is a BFS over an expanded state space: each AS is
-// visited in one of two phases. Phase up ("still climbing"): the path so
-// far used only customer→provider links. Phase down ("over the top"):
-// the path crossed a peer link or a provider→customer link; from here
-// only provider→customer links may follow. This encodes Gao's export
-// rule exactly and finds the shortest policy-compliant path.
+// Map-based reference traversals over the mutable graph and the
+// relationship table. They are the straightforward per-pair-lookup
+// forms of Frozen's CSR traversals, kept here as the oracles that the
+// TestFrozen*MatchesMap suites compare the production code against.
 
-const (
-	phaseUp = iota
-	phaseDown
-	numPhases
-)
+// CustomerCone returns every AS's customer-cone size, one sequential
+// provider→customer DFS per node.
+func (a *Annotated) CustomerCone() []int {
+	n := a.G.N()
+	cone := make([]int, n)
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	var stack []int
+	for u := 0; u < n; u++ {
+		size := 0
+		stack = append(stack[:0], u)
+		mark[u] = u
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			a.G.Neighbors(v, func(w, _ int) bool {
+				if a.RelOf(v, w) == P2C && mark[w] != u {
+					mark[w] = u
+					stack = append(stack, w)
+				}
+				return true
+			})
+		}
+		cone[u] = size
+	}
+	return cone
+}
 
-// ValleyFreeDistances returns the length of the shortest valley-free
-// path from src to every node, -1 where no policy-compliant path
-// exists. The annotation must be complete.
+// ValleyFreeDistances returns the shortest valley-free distance from
+// src to every node, -1 where no policy-compliant path exists.
 func (a *Annotated) ValleyFreeDistances(src int) ([]int, error) {
 	n := a.G.N()
 	if src < 0 || src >= n {
@@ -84,38 +106,8 @@ func (a *Annotated) ValleyFreeDistances(src int) ([]int, error) {
 	return out, nil
 }
 
-// ValleyFree reports whether an explicit AS path complies with the
-// export rules under the annotation.
-func (a *Annotated) ValleyFree(path []int) bool {
-	phase := phaseUp
-	for i := 0; i+1 < len(path); i++ {
-		r := a.RelOf(path[i], path[i+1])
-		switch {
-		case r == C2P && phase == phaseUp:
-			// keep climbing
-		case r == Peer && phase == phaseUp:
-			phase = phaseDown
-		case r == P2C:
-			phase = phaseDown
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Inflation summarizes policy path stretch relative to shortest paths.
-type Inflation struct {
-	Pairs       int     // sampled reachable pairs
-	Unreachable int     // pairs reachable topologically but not by policy
-	AvgShortest float64 // mean hop count ignoring policy
-	AvgPolicy   float64 // mean valley-free hop count over policy-reachable pairs
-	Ratio       float64 // AvgPolicy / AvgShortest over pairs reachable both ways
-	MaxStretch  int     // worst per-pair additive stretch observed
-}
-
-// MeasureInflation samples `sources` BFS roots (all nodes when <= 0) and
-// compares plain shortest paths with valley-free paths from each root.
+// MeasureInflation compares plain and valley-free distances from
+// `sources` sampled roots (all nodes when <= 0), one root at a time.
 func (a *Annotated) MeasureInflation(r *rng.Rand, sources int) (Inflation, error) {
 	n := a.G.N()
 	if n < 2 {
@@ -131,8 +123,7 @@ func (a *Annotated) MeasureInflation(r *rng.Rand, sources int) (Inflation, error
 		if r == nil {
 			return Inflation{}, errors.New("aspolicy: sampling requires a generator")
 		}
-		perm := r.Perm(n)
-		srcs = perm[:sources]
+		srcs = r.Perm(n)[:sources]
 	}
 	var inf Inflation
 	var sumS, sumP float64
@@ -170,6 +161,8 @@ func (a *Annotated) MeasureInflation(r *rng.Rand, sources int) (Inflation, error
 	return inf, nil
 }
 
+// bfsPlain returns hop distances from src ignoring policy, -1 where
+// unreachable.
 func bfsPlain(a *Annotated, src int) []int {
 	n := a.G.N()
 	dist := make([]int, n)

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"netmodel/internal/gen"
+	"netmodel/internal/graph"
 	"netmodel/internal/rng"
 )
 
 func TestValleyFreeDistancesHierarchy(t *testing.T) {
 	a := hierarchy(t)
-	d, err := a.ValleyFreeDistances(5)
+	d, err := a.Freeze().ValleyFreeDistances(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,54 +31,84 @@ func TestValleyFreeDistancesHierarchy(t *testing.T) {
 	}
 }
 
+// chainDistances annotates the path 0—1—2—… with rels[i] as the
+// relationship of (i, i+1) and returns the valley-free distances from 0.
+func chainDistances(t *testing.T, rels ...Rel) []int {
+	t.Helper()
+	g := graph.New(len(rels) + 1)
+	a := NewAnnotated(g)
+	for i, r := range rels {
+		g.MustAddEdge(i, i+1)
+		if err := a.SetRel(i, i+1, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := a.Freeze().ValleyFreeDistances(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestValleyFreeForbidsValleys(t *testing.T) {
-	a := hierarchy(t)
-	// Path 5→2→3→... uses the 2—3 peer link; continuing upward 3→0 after
-	// a peer step is a valley violation.
-	if a.ValleyFree([]int{5, 2, 3, 0}) {
-		t.Fatal("up after peer must be rejected")
+	// On a chain the only path to the far end is the chain itself, so
+	// its distance is the chain length when the path is valley-free
+	// and -1 when policy forbids it.
+	cases := []struct {
+		name string
+		rels []Rel
+		ok   bool
+	}{
+		{"down then up", []Rel{P2C, C2P}, false},
+		{"peer after down", []Rel{P2C, Peer}, false},
+		{"up after peer", []Rel{Peer, C2P}, false},
+		{"up peer down", []Rel{C2P, Peer, P2C}, true},
+		{"pure uphill", []Rel{C2P, C2P}, true},
+		{"pure downhill", []Rel{P2C, P2C}, true},
+		{"up then down", []Rel{C2P, P2C}, true},
 	}
-	// Down then up is the canonical valley.
-	if a.ValleyFree([]int{0, 2, 3}) == false {
-		// 0→2 is p2c (down); 2→3 is peer — peer after down is invalid.
-		// Confirm rejection.
-	} else {
-		t.Fatal("peer after down must be rejected")
-	}
-	if !a.ValleyFree([]int{5, 2, 0, 1, 4, 8}) {
-		t.Fatal("canonical up-peer-down path must be accepted")
-	}
-	if !a.ValleyFree([]int{0, 2, 5}) {
-		t.Fatal("pure downhill path must be accepted")
-	}
-	if !a.ValleyFree([]int{5, 2, 0}) {
-		t.Fatal("pure uphill path must be accepted")
+	for _, c := range cases {
+		d := chainDistances(t, c.rels...)
+		want := -1
+		if c.ok {
+			want = len(c.rels)
+		}
+		if got := d[len(c.rels)]; got != want {
+			t.Errorf("%s: distance to chain end = %d, want %d", c.name, got, want)
+		}
 	}
 }
 
 func TestValleyFreePeerToPeerForbidden(t *testing.T) {
-	a := hierarchy(t)
-	// 2—3 peer then 3—0 climb: two tier-2 peers cannot re-climb.
-	if a.ValleyFree([]int{6, 2, 3, 0, 1}) {
-		t.Fatal("climb after peer crossing must be rejected")
+	if d := chainDistances(t, Peer, Peer); d[1] != 1 || d[2] != -1 {
+		t.Fatalf("peer-peer chain distances = %v, want [0 1 -1]", d)
+	}
+	// In the hierarchy, 6 reaches tier-1 AS 1 over the tier-1 peering
+	// (6→2→0→1); the tier-2 peering 2—3 cannot be followed by a climb.
+	d, err := hierarchy(t).Freeze().ValleyFreeDistances(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d[1] != 3 {
+		t.Fatalf("policy dist 6→1 = %d, want 3", d[1])
 	}
 }
 
 func TestValleyFreeDistancesErrors(t *testing.T) {
 	a := hierarchy(t)
-	if _, err := a.ValleyFreeDistances(-1); err == nil {
+	if _, err := a.Freeze().ValleyFreeDistances(-1); err == nil {
 		t.Fatal("bad source should fail")
 	}
 	// Incomplete annotation must be detected.
 	a.G.MustAddEdge(5, 9)
-	if _, err := a.ValleyFreeDistances(5); err == nil {
+	if _, err := a.Freeze().ValleyFreeDistances(5); err == nil {
 		t.Fatal("incomplete annotation should fail")
 	}
 }
 
 func TestMeasureInflationHierarchy(t *testing.T) {
 	a := hierarchy(t)
-	inf, err := a.MeasureInflation(nil, 0)
+	inf, err := a.Freeze().MeasureInflation(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +132,7 @@ func TestMeasureInflationOnSyntheticMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := a.MeasureInflation(rng.New(5), 80)
+	inf, err := a.Freeze().MeasureInflation(rng.New(5), 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +149,7 @@ func TestMeasureInflationOnSyntheticMap(t *testing.T) {
 
 func TestMeasureInflationErrors(t *testing.T) {
 	a := hierarchy(t)
-	if _, err := a.MeasureInflation(nil, 3); err == nil {
+	if _, err := a.Freeze().MeasureInflation(nil, 3); err == nil {
 		t.Fatal("sampling without generator should fail")
 	}
 }

@@ -8,6 +8,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -144,13 +145,33 @@ func ParseByteSize(name, s string) (int64, error) {
 			num = upper
 		}
 	}
+	invalid := fmt.Errorf("%s: invalid size %q (want e.g. 65536, 64K, 1.5G, or -1 for unbounded)", name, s)
+	overflow := fmt.Errorf("%s: size %q overflows", name, s)
+	if shift == 0 {
+		// Plain byte counts are integers: a fraction would truncate,
+		// and a truncated "0.5" would silently turn the budget off.
+		b, err := strconv.ParseInt(num, 10, 64)
+		switch {
+		case err == nil && b >= 0:
+			return b, nil
+		case errors.Is(err, strconv.ErrRange) && b > 0: // clamped to MaxInt64
+			return 0, overflow
+		}
+		return 0, invalid
+	}
 	f, err := strconv.ParseFloat(num, 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
-		return 0, fmt.Errorf("%s: invalid size %q (want e.g. 65536, 64K, 1.5G, or -1 for unbounded)", name, s)
+		return 0, invalid
 	}
+	// 2^63 is the first float64 past MaxInt64 (which rounds up to it),
+	// so the bound is >=; a scaled value below one byte would truncate
+	// to 0, which means "off", not "tiny".
 	b := f * float64(int64(1)<<shift)
-	if b > math.MaxInt64 {
-		return 0, fmt.Errorf("%s: size %q overflows", name, s)
+	if b >= 1<<63 {
+		return 0, overflow
+	}
+	if f > 0 && b < 1 {
+		return 0, invalid
 	}
 	return int64(b), nil
 }

@@ -192,6 +192,50 @@ func TestValidators(t *testing.T) {
 	}
 }
 
+// TestParseByteSize pins the byte-size grammar: plain integers are
+// bytes, K/M/G/T suffixes scale by powers of 1024, -1 is unbounded, and
+// every value that would wrap negative (read as unbounded downstream)
+// or truncate to 0 (read as off) is an error.
+func TestParseByteSize(t *testing.T) {
+	valid := []struct {
+		in   string
+		want int64
+	}{
+		{"0", 0},
+		{"-1", -1},
+		{" 65536 ", 65536},
+		{"64K", 64 << 10},
+		{"64kb", 64 << 10},
+		{"64KiB", 64 << 10},
+		{"1.5G", 3 << 29},
+		{"0.5K", 512},
+		{"2t", 2 << 40},
+		{"0K", 0},
+		{"9223372036854775807", math.MaxInt64},
+		{"8388607T", 8388607 << 40},
+	}
+	for _, c := range valid {
+		got, err := ParseByteSize("-cache-budget", c.in)
+		if err != nil || got != c.want {
+			t.Fatalf("ParseByteSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	invalid := []string{
+		"", "abc", "-2", "-1K", "NaNK", "InfG", "1e3", "0.5",
+		"9223372036854775808", "-9223372036854775809", "8388608T", "8388608.5T", "1e30K",
+		"0.0001K",
+	}
+	for _, in := range invalid {
+		got, err := ParseByteSize("-cache-budget", in)
+		if err == nil {
+			t.Fatalf("ParseByteSize(%q) = %d, want error", in, got)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "-cache-budget: ") {
+			t.Fatalf("ParseByteSize(%q): error %q does not name the flag", in, msg)
+		}
+	}
+}
+
 func TestProfiler(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

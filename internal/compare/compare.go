@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"netmodel/internal/engine"
-	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/refdata"
 	"netmodel/internal/rng"
@@ -43,15 +42,6 @@ type Options struct {
 	PathSources int
 	// Rand is required when PathSources > 0.
 	Rand *rng.Rand
-}
-
-// Against freezes g and scores it against the target through the
-// parallel metrics engine.
-func Against(g *graph.Graph, tgt refdata.Target, opt Options) (*Report, error) {
-	if g == nil || g.N() == 0 {
-		return nil, errors.New("compare: empty topology")
-	}
-	return AgainstFrozen(engine.New(g.Freeze()), tgt, opt)
 }
 
 // AgainstFrozen measures an already-frozen topology through its engine

@@ -25,11 +25,11 @@ func TestAgainstSelfLikeTargetScoresLow(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{PathSources: 200, Rand: rng.New(5)}
-	repGLP, err := Against(glp.G, refdata.ASMap2001, opt)
+	repGLP, err := AgainstFrozen(engine.New(glp.G.Freeze()), refdata.ASMap2001, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repER, err := Against(er.G, refdata.ASMap2001, opt)
+	repER, err := AgainstFrozen(engine.New(er.G.Freeze()), refdata.ASMap2001, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAgainstRowsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Against(top.G, refdata.ASMap2001, Options{})
+	rep, err := AgainstFrozen(engine.New(top.G.Freeze()), refdata.ASMap2001, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAgainstRowsComplete(t *testing.T) {
 }
 
 func TestAgainstEmpty(t *testing.T) {
-	if _, err := Against(graph.New(0), refdata.ASMap2001, Options{}); err == nil {
+	if _, err := AgainstFrozen(engine.New(graph.New(0).Freeze()), refdata.ASMap2001, Options{}); err == nil {
 		t.Fatal("empty graph should fail")
 	}
 }

@@ -46,17 +46,6 @@ func (e *Engine) GrowthCloseness(pivots []int32) []float64 {
 	}).([]float64)
 }
 
-// GrowthBetweenness is the trajectory-mode betweenness vector: Brandes
-// dependency passes over the map's repaired rows in canonical order,
-// sharded across the engine's workers — bit-identical at every worker
-// count, exact or n/k-rescaled by the map's mode.
-func (e *Engine) GrowthBetweenness(pivots []int32) []float64 {
-	dm := e.GrowthDistMap(pivots)
-	return e.Cached("growth-betweenness", func() any {
-		return metrics.RefreshBetweennessSampled(dm, e.workers)
-	}).([]float64)
-}
-
 // MeasureGrowthPaths is MeasureGrowth plus the distance family: the
 // same delta-maintained structural fields, extended with average path
 // length, diameter and mean closeness from the incremental distance

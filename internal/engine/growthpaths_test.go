@@ -38,9 +38,6 @@ func TestGrowthPathsInheritedAcrossAdvance(t *testing.T) {
 				t.Fatalf("n=%d: distance row %d diverged", g.N(), i)
 			}
 		}
-		if !reflect.DeepEqual(eng.GrowthBetweenness(nil), cold.GrowthBetweenness(nil)) {
-			t.Fatalf("n=%d: betweenness diverged", g.N())
-		}
 	})
 	if epochs < 5 {
 		t.Fatalf("trajectory too short: %d epochs", epochs)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
 	"netmodel/internal/stats"
@@ -63,12 +62,6 @@ func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error)
 	}
 	out.MaxCore = e.KCore().MaxCore
 	return out, nil
-}
-
-// MeasureGraph freezes g and measures it through a fresh engine — the
-// one-call convenience for callers that do not reuse the snapshot.
-func MeasureGraph(g *graph.Graph, r *rng.Rand, pathSources int) (metrics.Snapshot, error) {
-	return New(g.Freeze()).Measure(r, pathSources)
 }
 
 // MeasureGrowth computes the trajectory observation vector of the

@@ -192,15 +192,6 @@ func (e *Engine) TrianglesPerNode() []int {
 	}).([]int)
 }
 
-// TotalTriangles returns the triangle count of the graph.
-func (e *Engine) TotalTriangles() int {
-	sum := 0
-	for _, t := range e.TrianglesPerNode() {
-		sum += t
-	}
-	return sum / 3
-}
-
 // LocalClustering returns the local clustering coefficient per node,
 // derived from the memoized triangle counts. Memoized; do not modify
 // the result.

@@ -1,5 +1,5 @@
 // Package fit calibrates generator parameters against reference
-// statistics: given a one- or two-dimensional parameter space and an
+// statistics: given a one-dimensional parameter range and an
 // objective (usually the compare.Report score against a measured map),
 // it finds the best parameterization by coarse grid scan refined with
 // golden-section search. Derivative-free search is the right tool here —
@@ -81,62 +81,5 @@ func Minimize1D(f Objective, lo, hi float64, gridPoints, refine int) (Result, er
 	if err2 == nil && f2 < best.Cost {
 		best.X, best.Cost = x2, f2
 	}
-	return best, nil
-}
-
-// Objective2D maps a parameter pair to a cost.
-type Objective2D func(x, y float64) (float64, error)
-
-// Result2D of a 2-D calibration.
-type Result2D struct {
-	X, Y  float64
-	Cost  float64
-	Evals int
-}
-
-// Minimize2D scans a gridX×gridY lattice over the rectangle and then
-// runs coordinate-wise golden refinement (one pass per axis).
-func Minimize2D(f Objective2D, loX, hiX, loY, hiY float64, gridX, gridY, refine int) (Result2D, error) {
-	if loX >= hiX || loY >= hiY {
-		return Result2D{}, errors.New("fit: empty rectangle")
-	}
-	if gridX < 2 || gridY < 2 {
-		return Result2D{}, errors.New("fit: need at least a 2x2 grid")
-	}
-	best := Result2D{Cost: math.Inf(1)}
-	sx := (hiX - loX) / float64(gridX-1)
-	sy := (hiY - loY) / float64(gridY-1)
-	feasible := 0
-	for i := 0; i < gridX; i++ {
-		for j := 0; j < gridY; j++ {
-			x := loX + float64(i)*sx
-			y := loY + float64(j)*sy
-			c, err := f(x, y)
-			best.Evals++
-			if err != nil {
-				continue
-			}
-			feasible++
-			if c < best.Cost {
-				best.X, best.Y, best.Cost = x, y, c
-			}
-		}
-	}
-	if feasible == 0 {
-		return Result2D{}, errors.New("fit: no feasible point on the grid")
-	}
-	// Coordinate refinement.
-	rx, err := Minimize1D(func(x float64) (float64, error) { return f(x, best.Y) },
-		math.Max(loX, best.X-sx), math.Min(hiX, best.X+sx), 3, refine)
-	if err == nil && rx.Cost < best.Cost {
-		best.X, best.Cost = rx.X, rx.Cost
-	}
-	best.Evals += rx.Evals
-	ry, err := Minimize1D(func(y float64) (float64, error) { return f(best.X, y) },
-		math.Max(loY, best.Y-sy), math.Min(hiY, best.Y+sy), 3, refine)
-	if err == nil && ry.Cost < best.Cost {
-		best.Y, best.Cost = ry.X, ry.Cost
-	}
-	best.Evals += ry.Evals
 	return best, nil
 }

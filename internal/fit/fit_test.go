@@ -58,29 +58,6 @@ func TestMinimize1DErrors(t *testing.T) {
 	}
 }
 
-func TestMinimize2DBowl(t *testing.T) {
-	f := func(x, y float64) (float64, error) {
-		return (x-2)*(x-2) + (y+1)*(y+1), nil
-	}
-	res, err := Minimize2D(f, -5, 5, -5, 5, 9, 9, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-2) > 0.1 || math.Abs(res.Y+1) > 0.1 {
-		t.Fatalf("minimum at (%v,%v), want (2,-1)", res.X, res.Y)
-	}
-}
-
-func TestMinimize2DErrors(t *testing.T) {
-	ok := func(x, y float64) (float64, error) { return x + y, nil }
-	if _, err := Minimize2D(ok, 1, 0, 0, 1, 3, 3, 5); err == nil {
-		t.Fatal("inverted rectangle should fail")
-	}
-	if _, err := Minimize2D(ok, 0, 1, 0, 1, 1, 3, 5); err == nil {
-		t.Fatal("degenerate grid should fail")
-	}
-}
-
 // TestCalibrateBAExponent is an end-to-end calibration: find the initial
 // attractiveness A that makes BA's degree exponent hit a target.
 func TestCalibrateBAExponent(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package geom provides the geographic substrate for topology generation:
-// 2-D points, distance metrics on the plane and on the torus, point
+// 2-D points with Euclidean distance on the unit square, point
 // processes (uniform Poisson and box-fractal with tunable fractal
 // dimension), and a uniform-grid spatial index.
 //
@@ -25,21 +25,6 @@ type Point struct {
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// TorusDist returns the distance between p and q on the unit torus, i.e.
-// with wraparound on both axes. It is never larger than Dist and bounded
-// by sqrt(2)/2.
-func (p Point) TorusDist(q Point) float64 {
-	dx := math.Abs(p.X - q.X)
-	dy := math.Abs(p.Y - q.Y)
-	if dx > 0.5 {
-		dx = 1 - dx
-	}
-	if dy > 0.5 {
-		dy = 1 - dy
-	}
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
@@ -140,42 +125,6 @@ func Fractal(r *rng.Rand, n int, df float64) ([]Point, error) {
 	return pts, nil
 }
 
-// BoxCountDimension estimates the fractal (box-counting) dimension of a
-// point set by regressing log N(ε) on log 1/ε over a ladder of grid sizes.
-// It needs at least a few hundred points for a stable estimate.
-func BoxCountDimension(pts []Point) float64 {
-	if len(pts) < 2 {
-		return 0
-	}
-	var logs, counts []float64
-	for _, g := range []int{4, 8, 16, 32, 64} {
-		occ := make(map[int]struct{})
-		for _, p := range pts {
-			cx := int(p.X * float64(g))
-			cy := int(p.Y * float64(g))
-			if cx >= g {
-				cx = g - 1
-			}
-			if cy >= g {
-				cy = g - 1
-			}
-			occ[cy*g+cx] = struct{}{}
-		}
-		logs = append(logs, math.Log(float64(g)))
-		counts = append(counts, math.Log(float64(len(occ))))
-	}
-	// least squares slope
-	n := float64(len(logs))
-	var sx, sy, sxx, sxy float64
-	for i := range logs {
-		sx += logs[i]
-		sy += counts[i]
-		sxx += logs[i] * logs[i]
-		sxy += logs[i] * counts[i]
-	}
-	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
-}
-
 // Grid is a uniform-grid spatial index over points on the unit square,
 // supporting range queries used by distance-constrained generators.
 type Grid struct {
@@ -241,43 +190,4 @@ func (gr *Grid) Within(p Point, d float64, skip int) []int {
 		}
 	}
 	return out
-}
-
-// Nearest returns the index of the point closest to p, excluding skip.
-// It returns -1 if the index holds no other point.
-func (gr *Grid) Nearest(p Point, skip int) int {
-	best, bestD := -1, math.Inf(1)
-	// Expand ring by ring until a hit is found, then one extra ring to be
-	// sure nothing closer hides in a diagonal cell.
-	pcx := int(p.X * float64(gr.g))
-	pcy := int(p.Y * float64(gr.g))
-	for radius := 0; radius <= gr.g; radius++ {
-		found := best >= 0
-		for cy := pcy - radius; cy <= pcy+radius; cy++ {
-			if cy < 0 || cy >= gr.g {
-				continue
-			}
-			for cx := pcx - radius; cx <= pcx+radius; cx++ {
-				if cx < 0 || cx >= gr.g {
-					continue
-				}
-				// only the boundary of the ring
-				if radius > 0 && cx != pcx-radius && cx != pcx+radius && cy != pcy-radius && cy != pcy+radius {
-					continue
-				}
-				for _, i := range gr.cells[cy*gr.g+cx] {
-					if i == skip {
-						continue
-					}
-					if d := p.Dist(gr.pts[i]); d < bestD {
-						best, bestD = i, d
-					}
-				}
-			}
-		}
-		if found {
-			break
-		}
-	}
-	return best
 }

@@ -207,69 +207,93 @@ func TestCoreMapRelabels(t *testing.T) {
 	}
 }
 
-// FuzzCoreMap decodes bytes into a multi-epoch script — the first byte
-// sizes the initial node set, then (op, a, b) triples add nodes, insert
-// or remove edges, or close epochs — and runs it through Refreeze. After
-// every epoch the refreshed CoreMap must match a cold peel (and the
-// brute-force decomposition on small graphs) and keep its k-order
-// invariant.
-func FuzzCoreMap(f *testing.F) {
-	// Cycle closure: a 12-node path, then the edge that closes it.
+// mutationScriptSeeds are the seed corpus of the mutation-script
+// fuzzers: a 12-node path and the edge that closes it into a cycle,
+// then two scripts mixing node additions, insertions, removals and
+// epoch boundaries.
+func mutationScriptSeeds() [][]byte {
 	cycle := []byte{12}
 	for u := byte(1); u < 12; u++ {
 		cycle = append(cycle, 1, u-1, u)
 	}
 	cycle = append(cycle, 3, 0, 0, 1, 0, 11)
-	f.Add(cycle)
-	f.Add([]byte{4, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 0, 0, 0, 0, 1, 4, 0, 1, 4, 1, 1, 4, 2, 3, 0, 0, 2, 0, 1, 3, 0, 0})
-	f.Add([]byte{6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 1, 2, 1, 1, 3, 1, 2, 3, 3, 0, 0, 1, 4, 5, 1, 4, 0, 2, 2, 3, 1, 5, 1, 3, 0, 0})
+	return [][]byte{
+		cycle,
+		{4, 1, 0, 1, 1, 1, 2, 1, 2, 0, 3, 0, 0, 0, 0, 0, 1, 4, 0, 1, 4, 1, 1, 4, 2, 3, 0, 0, 2, 0, 1, 3, 0, 0},
+		{6, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 1, 2, 1, 1, 3, 1, 2, 3, 3, 0, 0, 1, 4, 5, 1, 4, 0, 2, 2, 3, 1, 5, 1, 3, 0, 0},
+	}
+}
+
+// replayMutationScript decodes a mutation script and runs it through
+// Refreeze. The first byte sizes the initial node set (mod 16); then
+// each (op, a, b) triple adds a node, inserts or removes the edge
+// (a, b) mod N, or closes an epoch. start sees the initial snapshot;
+// epoch sees every closed epoch's snapshot and delta, plus a final one
+// after the last triple. Scripts are capped at 600 triples.
+func replayMutationScript(t *testing.T, script []byte, start func(s *graph.Snapshot),
+	epoch func(tag string, g *graph.Graph, next *graph.Snapshot, d *graph.Delta)) {
+	t.Helper()
+	if len(script) == 0 {
+		return
+	}
+	if len(script) > 1+3*600 {
+		script = script[:1+3*600]
+	}
+	g := graph.New(int(script[0] % 16))
+	prev := g.Freeze()
+	start(prev)
+	epochs := 0
+	closeEpoch := func() {
+		epochs++
+		next, d, err := g.Refreeze(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev = next
+		epoch(fmt.Sprintf("epoch %d n=%d", epochs, next.N()), g, next, d)
+	}
+	for i := 1; i+2 < len(script); i += 3 {
+		op, a, b := script[i]%4, int(script[i+1]), int(script[i+2])
+		switch {
+		case op == 3:
+			closeEpoch()
+		case op == 0:
+			g.AddNode()
+		case g.N() == 0:
+		case op == 1:
+			if u, v := a%g.N(), b%g.N(); u != v {
+				g.MustAddEdge(u, v)
+			}
+		default:
+			if u, v := a%g.N(), b%g.N(); g.HasEdge(u, v) {
+				if err := g.RemoveEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	closeEpoch()
+}
+
+// FuzzCoreMap runs mutation scripts (replayMutationScript) through
+// Refreeze. After every epoch the refreshed CoreMap must match a cold
+// peel (and the brute-force decomposition on small graphs) and keep its
+// k-order invariant.
+func FuzzCoreMap(f *testing.F) {
+	for _, seed := range mutationScriptSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		if len(script) > 1+3*600 {
-			script = script[:1+3*600]
-		}
-		g := graph.New(int(script[0] % 16))
-		prev := g.Freeze()
-		cm := NewCoreMap(prev)
-		epochs := 0
-		epoch := func() {
-			epochs++
-			next, d, err := g.Refreeze(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cm.Refresh(next, d)
-			prev = next
-			tag := fmt.Sprintf("epoch %d n=%d", epochs, prev.N())
-			requireCoreMap(t, tag, cm)
-			if prev.N() <= 64 {
-				if got, want := cm.Result().Coreness, bruteCoreness(g); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: coreness %v, brute force %v", tag, got, want)
-				}
-			}
-		}
-		for i := 1; i+2 < len(script); i += 3 {
-			op, a, b := script[i]%4, int(script[i+1]), int(script[i+2])
-			switch {
-			case op == 3:
-				epoch()
-			case op == 0:
-				g.AddNode()
-			case g.N() == 0:
-			case op == 1:
-				if u, v := a%g.N(), b%g.N(); u != v {
-					g.MustAddEdge(u, v)
-				}
-			default:
-				if u, v := a%g.N(), b%g.N(); g.HasEdge(u, v) {
-					if err := g.RemoveEdge(u, v); err != nil {
-						t.Fatal(err)
+		var cm *CoreMap
+		replayMutationScript(t, script, func(s *graph.Snapshot) { cm = NewCoreMap(s) },
+			func(tag string, g *graph.Graph, next *graph.Snapshot, d *graph.Delta) {
+				cm.Refresh(next, d)
+				requireCoreMap(t, tag, cm)
+				if next.N() <= 64 {
+					if got, want := cm.Result().Coreness, bruteCoreness(g); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: coreness %v, brute force %v", tag, got, want)
 					}
 				}
-			}
-		}
-		epoch()
+			})
 	})
 }

@@ -23,11 +23,7 @@ import (
 // On top of the repaired rows the DistMap maintains integer aggregates
 // (the global path histogram plus per-node reach/distance-sum columns),
 // so the per-epoch derivations RefreshPathLengths and RefreshCloseness
-// are O(n) reductions with no traversal at all, and
-// RefreshBetweennessSampled re-runs only the dependency passes over
-// already-correct distance rows in a canonical (distance, id) order
-// that makes refreshed and cold results bit-identical at every worker
-// count.
+// are O(n) reductions with no traversal at all.
 
 // DistChange records one node touched by RelaxInserted: the node id and
 // its distance before the repair (-1 for previously unreachable). The
@@ -40,8 +36,8 @@ type DistChange struct {
 
 // DistScratch is the reusable per-worker state of RelaxInserted and
 // RelaxDelta: a round-stamped touch set, the level buckets of the
-// relaxation waves, a candidate-dedupe set for the removal phase, and
-// a BFS queue for rebuild fallbacks.
+// relaxation waves, a candidate-dedupe set and the affected-node list
+// of the removal phase, and hybrid-BFS state for rebuild fallbacks.
 type DistScratch struct {
 	stamp   []int32
 	round   int32
@@ -91,14 +87,6 @@ func (sc *DistScratch) ensure(n int) {
 	if len(sc.mark) < n {
 		sc.mark = append(sc.mark, make([]int32, n-len(sc.mark))...)
 	}
-}
-
-// Queue returns the scratch's BFS queue, at least n long after an
-// ensure; exposed so callers sharing the scratch (routing-tree repair)
-// can run BFSFrozen fallbacks without a second allocation.
-func (sc *DistScratch) Queue(n int) []int32 {
-	sc.ensure(n)
-	return sc.queue
 }
 
 // RelaxInserted repairs one source's distance vector under the
@@ -465,9 +453,6 @@ func NewDistMapSampled(s *graph.Snapshot, r *rng.Rand, k, workers int) *DistMap 
 // Snapshot returns the snapshot the rows currently describe.
 func (dm *DistMap) Snapshot() *graph.Snapshot { return dm.s }
 
-// Exact reports whether the map holds one row per node.
-func (dm *DistMap) Exact() bool { return dm.exact }
-
 // SourceCount returns the number of BFS sources maintained.
 func (dm *DistMap) SourceCount() int { return len(dm.sources) }
 
@@ -699,120 +684,6 @@ func RefreshCloseness(dm *DistMap) []float64 {
 		out[v] = float64(reach) / float64(sum) * scaled / float64(n-1)
 	}
 	return out
-}
-
-// brandesGroup is the source-batch grain of RefreshBetweennessSampled:
-// groups of sources accumulate into one partial vector each, merged in
-// group order — small enough to spread across workers, large enough to
-// bound the partial-vector memory at K/8 rows.
-const brandesGroup = 8
-
-// orderFromDist fills order with the reachable nodes of dist sorted by
-// (distance, id) via counting sort — a canonical traversal order that
-// is a pure function of the distance field, unlike BFS discovery order,
-// so repaired and cold rows induce identical Brandes passes.
-func orderFromDist(dist []int32, order []int32) []int32 {
-	maxd := int32(0)
-	for _, d := range dist {
-		if d > maxd {
-			maxd = d
-		}
-	}
-	starts := make([]int32, maxd+2)
-	for _, d := range dist {
-		if d >= 0 {
-			starts[d+1]++
-		}
-	}
-	for i := 1; i < len(starts); i++ {
-		starts[i] += starts[i-1]
-	}
-	cnt := starts[maxd+1]
-	for v, d := range dist {
-		if d >= 0 {
-			order[starts[d]] = int32(v)
-			starts[d]++
-		}
-	}
-	return order[:cnt]
-}
-
-// BrandesFromDist runs one Brandes dependency pass over an
-// already-correct distance row, in canonical (distance, id) order: the
-// counterpart of BrandesFrozen that skips the BFS. Results agree with
-// BrandesFrozen to summation order (~1e-12), and are bit-identical
-// between any two calls given the same distances.
-func BrandesFromDist(s *graph.Snapshot, src int, dist []int32, sc *BrandesScratch, bc []float64, scale float64) {
-	for i := range sc.sigma {
-		sc.sigma[i] = 0
-		sc.delta[i] = 0
-	}
-	order := orderFromDist(dist, sc.queue)
-	SigmaForward(s, src, order, dist, sc.sigma)
-	for i := len(order) - 1; i >= 0; i-- {
-		w := order[i]
-		coeff := (1 + sc.delta[w]) / sc.sigma[w]
-		dw := dist[w]
-		for _, v := range s.Neighbors(int(w)) {
-			if dist[v]+1 == dw {
-				sc.delta[v] += sc.sigma[v] * coeff
-			}
-		}
-		if int(w) != src {
-			bc[w] += sc.delta[w] * scale
-		}
-	}
-}
-
-// RefreshBetweennessSampled computes betweenness centrality from the
-// map's distance rows: exact Brandes normalization in exact mode, the
-// n/k source rescaling of BetweennessSampledFrozen in sampled mode. The
-// distances are already repaired, so each source costs only its
-// dependency pass. Source groups run in parallel and their partial
-// vectors merge in group order, making the result bit-identical at
-// every worker count and between refreshed and cold maps; against
-// BetweennessFrozen it agrees to summation order (~1e-12).
-func RefreshBetweennessSampled(dm *DistMap, workers int) []float64 {
-	n := dm.s.N()
-	bc := make([]float64, n)
-	k := len(dm.sources)
-	if n < 3 || k == 0 {
-		return bc
-	}
-	scale := 1.0
-	if !dm.exact {
-		scale = float64(n) / float64(k)
-	}
-	groups := (k + brandesGroup - 1) / brandesGroup
-	partials := make([][]float64, groups)
-	w := par.Workers(workers)
-	scratch := make([]*BrandesScratch, w)
-	par.ForEach(groups, w, func(worker, g int) {
-		sc := scratch[worker]
-		if sc == nil {
-			sc = NewBrandesScratch(n)
-			scratch[worker] = sc
-		}
-		part := make([]float64, n)
-		hi := (g + 1) * brandesGroup
-		if hi > k {
-			hi = k
-		}
-		for i := g * brandesGroup; i < hi; i++ {
-			BrandesFromDist(dm.s, int(dm.sources[i]), dm.dist[i], sc, part, scale)
-		}
-		partials[g] = part
-	})
-	for _, part := range partials {
-		for v, x := range part {
-			bc[v] += x
-		}
-	}
-	norm := float64(n-1) * float64(n-2)
-	for i := range bc {
-		bc[i] /= norm
-	}
-	return bc
 }
 
 // PivotSources draws the k-pivot source set of a sampled DistMap with

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"math"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -92,17 +92,6 @@ func TestDistMapRefreshMatchesCold(t *testing.T) {
 				if clo := RefreshCloseness(dm); !reflect.DeepEqual(clo, ClosenessFrozen(next)) {
 					t.Fatalf("%s/%d n=%d: closeness diverged", fam.name, seed, next.N())
 				}
-				bc := RefreshBetweennessSampled(dm, 4)
-				if coldBC := RefreshBetweennessSampled(cold, 1); !reflect.DeepEqual(bc, coldBC) {
-					t.Fatalf("%s/%d n=%d: refreshed betweenness not bit-identical to cold",
-						fam.name, seed, next.N())
-				}
-				for v, x := range BetweennessFrozen(next) {
-					if diff := math.Abs(bc[v] - x); diff > 1e-12*math.Max(1, math.Abs(x)) {
-						t.Fatalf("%s/%d n=%d: betweenness[%d] = %g, frozen %g",
-							fam.name, seed, next.N(), v, bc[v], x)
-					}
-				}
 			})
 		}
 	}
@@ -177,17 +166,14 @@ func TestDistMapSampledRefresh(t *testing.T) {
 			// The pivot draw needs nodes, so the map starts cold on the
 			// first observed epoch and refreshes from the second on.
 			dm = NewDistMapSampled(next, rng.New(11), 24, 2)
-			if dm.Exact() || dm.SourceCount() != 24 {
-				t.Fatalf("sampled map: exact=%v k=%d", dm.Exact(), dm.SourceCount())
+			if dm.exact || dm.SourceCount() != 24 {
+				t.Fatalf("sampled map: exact=%v k=%d", dm.exact, dm.SourceCount())
 			}
 			return
 		}
 		dm.Refresh(next, d, 4)
 		cold := NewDistMap(next, dm.Sources(), 1)
 		requireDistMapEqual(t, "sampled", dm, cold)
-		if bc := RefreshBetweennessSampled(dm, 2); !reflect.DeepEqual(bc, RefreshBetweennessSampled(cold, 1)) {
-			t.Fatal("sampled betweenness diverged from cold")
-		}
 	})
 }
 
@@ -204,4 +190,77 @@ func TestPivotSources(t *testing.T) {
 			t.Fatalf("pivot %d = %d, want Perm prefix %d", i, v, perm[i])
 		}
 	}
+}
+
+// FuzzDistMapRefresh runs the mutation scripts of FuzzCoreMap through
+// DistMap.Refresh. After every epoch, maps refreshed at 1 and 4 workers
+// must equal a cold NewDistMap over the same sources — rows,
+// aggregates, RefreshPathLengths and RefreshCloseness — in exact mode
+// and in sampled mode; exact mode must also reproduce the frozen path
+// and closeness references. The high nibble of the first byte, when
+// non-zero, caps the repair budget at that many row scans, so most
+// repairs take the rebuild fallback.
+func FuzzDistMapRefresh(f *testing.F) {
+	for _, seed := range mutationScriptSeeds() {
+		f.Add(seed)
+		tight := append([]byte(nil), seed...)
+		tight[0] |= 3 << 4
+		f.Add(tight)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		maxScan := int(script[0] >> 4)
+		workers := []int{1, 4}
+		var exact, sampled []*DistMap
+		newMaps := func(s *graph.Snapshot, sources []int32) []*DistMap {
+			maps := make([]*DistMap, len(workers))
+			for i := range maps {
+				maps[i] = NewDistMap(s, sources, 1)
+				maps[i].maxScan = maxScan
+			}
+			return maps
+		}
+		check := func(tag string, maps []*DistMap, next *graph.Snapshot, d *graph.Delta, cold *DistMap) {
+			ps, clo := RefreshPathLengths(cold), RefreshCloseness(cold)
+			for i, w := range workers {
+				maps[i].Refresh(next, d, w)
+				label := fmt.Sprintf("%s workers=%d", tag, w)
+				requireDistMapEqual(t, label, maps[i], cold)
+				if got := RefreshPathLengths(maps[i]); !reflect.DeepEqual(got, ps) {
+					t.Fatalf("%s: path stats %+v, cold %+v", label, got, ps)
+				}
+				if got := RefreshCloseness(maps[i]); !reflect.DeepEqual(got, clo) {
+					t.Fatalf("%s: closeness %v, cold %v", label, got, clo)
+				}
+			}
+		}
+		replayMutationScript(t, script, func(s *graph.Snapshot) { exact = newMaps(s, nil) },
+			func(tag string, _ *graph.Graph, next *graph.Snapshot, d *graph.Delta) {
+				cold := NewDistMap(next, nil, 1)
+				check(tag+" exact", exact, next, d, cold)
+				if next.N() > 0 { // the frozen references reject empty graphs
+					want, err := PathLengthsFrozen(next, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := RefreshPathLengths(cold); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: exact path stats %+v, frozen %+v", tag, got, want)
+					}
+					if got := RefreshCloseness(cold); !reflect.DeepEqual(got, ClosenessFrozen(next)) {
+						t.Fatalf("%s: exact closeness diverged from ClosenessFrozen", tag)
+					}
+				}
+				if sampled == nil {
+					// Pivots need two nodes, so the sampled maps start
+					// cold on the first epoch that has them.
+					if pivots := PivotSources(rng.New(uint64(len(script))), next.N(), next.N()/2); pivots != nil {
+						sampled = newMaps(next, pivots)
+					}
+					return
+				}
+				check(tag+" sampled", sampled, next, d, NewDistMap(next, sampled[0].Sources(), 1))
+			})
+	})
 }

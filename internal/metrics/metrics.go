@@ -79,19 +79,6 @@ func (r KCoreResult) ShellSizes() []int {
 	return out
 }
 
-// CoreSizes returns the number of nodes in each k-core (the cumulative
-// shells from k upward), indexed by k in 0..MaxCore.
-func (r KCoreResult) CoreSizes() []int {
-	shells := r.ShellSizes()
-	out := make([]int, len(shells))
-	cum := 0
-	for k := len(shells) - 1; k >= 0; k-- {
-		cum += shells[k]
-		out[k] = cum
-	}
-	return out
-}
-
 // DegreeStrengthPairs returns (k_i, b_i) for every node with k_i > 0,
 // used to verify the k ∝ b^μ scaling between topological degree and
 // bandwidth in weighted models.

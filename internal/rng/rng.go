@@ -7,16 +7,13 @@
 // (xoshiro256**, seeded through splitmix64) instead of relying on
 // math/rand's unspecified evolution across Go releases, and builds the
 // distributions and samplers the modeling literature needs on top of it:
-// exponential, Pareto, Zipf, normal and Poisson variates, alias-method
+// exponential, Pareto, normal and Poisson variates, alias-method
 // sampling for static discrete distributions, and a Fenwick-tree sampler
 // for dynamic weighted sampling (the inner loop of every preferential-
 // attachment generator).
 package rng
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Rand is a deterministic pseudo-random generator (xoshiro256**).
 // It is not safe for concurrent use; create one per goroutine.
@@ -238,47 +235,4 @@ func (r *Rand) Poisson(mean float64) int {
 		return 0
 	}
 	return int(n + 0.5)
-}
-
-// Zipf samples integers in [1,n] with probability proportional to
-// 1/rank^s. It precomputes the CDF once; use NewZipf for repeated
-// sampling.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler over ranks 1..n with exponent s >= 0.
-func NewZipf(r *Rand, n int, s float64) (*Zipf, error) {
-	if n <= 0 {
-		return nil, errors.New("rng: Zipf requires n > 0")
-	}
-	if s < 0 {
-		return nil, errors.New("rng: Zipf requires s >= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), s)
-		cdf[i-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, r: r}, nil
-}
-
-// Next returns the next Zipf-distributed rank in [1,n].
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

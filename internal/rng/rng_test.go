@@ -208,35 +208,3 @@ func TestPoissonMean(t *testing.T) {
 		}
 	}
 }
-
-func TestZipfDistribution(t *testing.T) {
-	r := New(41)
-	z, err := NewZipf(r, 100, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 200000
-	counts := make([]int, 101)
-	for i := 0; i < n; i++ {
-		k := z.Next()
-		if k < 1 || k > 100 {
-			t.Fatalf("Zipf out of range: %d", k)
-		}
-		counts[k]++
-	}
-	// rank 1 should be roughly 2x rank 2.
-	ratio := float64(counts[1]) / float64(counts[2])
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("Zipf rank1/rank2 = %v, want ~2", ratio)
-	}
-}
-
-func TestZipfErrors(t *testing.T) {
-	r := New(1)
-	if _, err := NewZipf(r, 0, 1); err == nil {
-		t.Fatal("NewZipf(0) should fail")
-	}
-	if _, err := NewZipf(r, 10, -1); err == nil {
-		t.Fatal("NewZipf negative exponent should fail")
-	}
-}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-
-	"netmodel/internal/rng"
 )
 
 // PowerLawFit is the result of a maximum-likelihood power-law tail fit
@@ -161,42 +159,6 @@ func ksDiscrete(tail []float64, alpha, xmin float64) float64 {
 	return maxD
 }
 
-// FitPowerLawContinuous fits a continuous power law with fixed xmin by
-// maximum likelihood: alpha = 1 + n / Σ ln(x_i/xmin).
-func FitPowerLawContinuous(xs []float64, xmin float64) (PowerLawFit, error) {
-	if xmin <= 0 {
-		return PowerLawFit{}, errors.New("stats: xmin must be positive")
-	}
-	var tail []float64
-	for _, x := range xs {
-		if x >= xmin {
-			tail = append(tail, x)
-		}
-	}
-	if len(tail) < 5 {
-		return PowerLawFit{}, errors.New("stats: too few tail samples")
-	}
-	var s float64
-	for _, x := range tail {
-		s += math.Log(x / xmin)
-	}
-	if s <= 0 {
-		return PowerLawFit{}, errors.New("stats: degenerate tail")
-	}
-	alpha := 1 + float64(len(tail))/s
-	sort.Float64s(tail)
-	n := float64(len(tail))
-	maxD := 0.0
-	for i, x := range tail {
-		emp := float64(i+1) / n
-		model := 1 - math.Pow(x/xmin, 1-alpha)
-		if d := math.Abs(emp - model); d > maxD {
-			maxD = d
-		}
-	}
-	return PowerLawFit{Alpha: alpha, Xmin: xmin, KS: maxD, NTail: len(tail)}, nil
-}
-
 // Hill returns the Hill estimator of the tail index using the k largest
 // samples: gamma_hat = 1 + 1/mean(ln(x_(i)/x_(k+1))). The returned value
 // is on the same scale as the power-law exponent alpha.
@@ -218,60 +180,4 @@ func Hill(xs []float64, k int) (float64, error) {
 		return 0, errors.New("stats: degenerate Hill sample")
 	}
 	return 1 + float64(k)/s, nil
-}
-
-// KSTwoSample returns the two-sample Kolmogorov-Smirnov statistic between
-// samples a and b: the maximum distance between their empirical CDFs.
-func KSTwoSample(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, errors.New("stats: KS needs non-empty samples")
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	i, j := 0, 0
-	maxD := 0.0
-	for i < len(sa) && j < len(sb) {
-		var x float64
-		if sa[i] <= sb[j] {
-			x = sa[i]
-		} else {
-			x = sb[j]
-		}
-		for i < len(sa) && sa[i] <= x {
-			i++
-		}
-		for j < len(sb) && sb[j] <= x {
-			j++
-		}
-		d := math.Abs(float64(i)/float64(len(sa)) - float64(j)/float64(len(sb)))
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD, nil
-}
-
-// Bootstrap resamples xs with replacement nboot times, applies f to each
-// resample, and returns the lo and hi quantiles (e.g. 0.025, 0.975) of
-// the statistic along with its point estimate on the original sample.
-func Bootstrap(r *rng.Rand, xs []float64, nboot int, lo, hi float64, f func([]float64) float64) (point, qlo, qhi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, 0, errors.New("stats: bootstrap of empty sample")
-	}
-	if nboot < 10 {
-		return 0, 0, 0, errors.New("stats: need at least 10 bootstrap replicates")
-	}
-	point = f(xs)
-	reps := make([]float64, nboot)
-	buf := make([]float64, len(xs))
-	for b := 0; b < nboot; b++ {
-		for i := range buf {
-			buf[i] = xs[r.Intn(len(xs))]
-		}
-		reps[b] = f(buf)
-	}
-	sort.Float64s(reps)
-	return point, Quantile(reps, lo), Quantile(reps, hi), nil
 }

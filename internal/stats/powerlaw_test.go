@@ -17,23 +17,6 @@ func paretoSample(r *rng.Rand, n int, xmin, alpha float64) []float64 {
 	return xs
 }
 
-func TestFitPowerLawContinuousRecoversAlpha(t *testing.T) {
-	r := rng.New(11)
-	for _, alpha := range []float64{1.8, 2.2, 3.0} {
-		xs := paretoSample(r, 20000, 1, alpha)
-		fit, err := FitPowerLawContinuous(xs, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fit.Alpha-alpha) > 0.05 {
-			t.Fatalf("alpha %v fitted as %v", alpha, fit.Alpha)
-		}
-		if fit.KS > 0.02 {
-			t.Fatalf("KS %v too large for a true power law", fit.KS)
-		}
-	}
-}
-
 func TestFitPowerLawDiscreteRecoversAlpha(t *testing.T) {
 	r := rng.New(13)
 	// Discretized Pareto: rounding continuous samples yields an
@@ -76,12 +59,6 @@ func TestFitPowerLawErrors(t *testing.T) {
 	if _, err := FitPowerLawDiscrete([]float64{1, 2}); err == nil {
 		t.Fatal("tiny sample should fail")
 	}
-	if _, err := FitPowerLawContinuous([]float64{1, 2, 3}, 0); err == nil {
-		t.Fatal("xmin=0 should fail")
-	}
-	if _, err := FitPowerLawContinuous([]float64{1, 2, 3}, 100); err == nil {
-		t.Fatal("empty tail should fail")
-	}
 }
 
 func TestHillRecoversTailIndex(t *testing.T) {
@@ -102,83 +79,6 @@ func TestHillErrors(t *testing.T) {
 	}
 	if _, err := Hill([]float64{1, 2, 3}, 3); err == nil {
 		t.Fatal("k=len should fail")
-	}
-}
-
-func TestKSTwoSampleIdentical(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	d, err := KSTwoSample(xs, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Fatalf("KS of identical samples = %v", d)
-	}
-}
-
-func TestKSTwoSampleDisjoint(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{10, 11, 12}
-	d, err := KSTwoSample(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 1 {
-		t.Fatalf("KS of disjoint samples = %v, want 1", d)
-	}
-}
-
-func TestKSTwoSampleSameDistribution(t *testing.T) {
-	r := rng.New(23)
-	a := make([]float64, 5000)
-	b := make([]float64, 5000)
-	for i := range a {
-		a[i] = r.Normal(0, 1)
-		b[i] = r.Normal(0, 1)
-	}
-	d, err := KSTwoSample(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.05 {
-		t.Fatalf("KS between same-law samples = %v, want small", d)
-	}
-}
-
-func TestKSTwoSampleEmpty(t *testing.T) {
-	if _, err := KSTwoSample(nil, []float64{1}); err == nil {
-		t.Fatal("empty sample should fail")
-	}
-}
-
-func TestBootstrapCoversTruth(t *testing.T) {
-	r := rng.New(29)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = r.Normal(10, 2)
-	}
-	point, lo, hi, err := Bootstrap(r, xs, 200, 0.025, 0.975, Mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > point || point > hi {
-		t.Fatalf("point %v outside CI [%v,%v]", point, lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("CI [%v,%v] misses true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Fatalf("CI width %v implausibly wide", hi-lo)
-	}
-}
-
-func TestBootstrapErrors(t *testing.T) {
-	r := rng.New(1)
-	if _, _, _, err := Bootstrap(r, nil, 100, 0.1, 0.9, Mean); err == nil {
-		t.Fatal("empty sample should fail")
-	}
-	if _, _, _, err := Bootstrap(r, []float64{1}, 5, 0.1, 0.9, Mean); err == nil {
-		t.Fatal("too few replicates should fail")
 	}
 }
 

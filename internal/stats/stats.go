@@ -1,10 +1,8 @@
 // Package stats implements the statistical toolkit of the Internet
-// measurement literature: descriptive statistics, empirical distribution
-// functions, logarithmic binning for heavy-tailed data, discrete and
-// continuous power-law fits by maximum likelihood with Kolmogorov-Smirnov
-// goodness, the Hill tail-index estimator, two-sample KS tests, bootstrap
-// confidence intervals and least-squares regression (including on log-log
-// axes, the classic "slope of the CCDF" exponent estimate).
+// measurement literature: descriptive statistics, discrete power-law
+// fits by maximum likelihood with Kolmogorov-Smirnov goodness, the Hill
+// tail-index estimator and least-squares regression (including on
+// log-log axes, the classic "slope of the CCDF" exponent estimate).
 //
 // Everything is built from scratch on the standard library because the
 // reproduction target has no graph/statistics ecosystem to lean on.
@@ -99,104 +97,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Moment returns the p-th raw moment E[X^p], or 0 for an empty sample.
-func Moment(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Pow(x, p)
-	}
-	return s / float64(len(xs))
-}
-
-// ECDFPoint is one step of an empirical distribution function.
-type ECDFPoint struct {
-	X float64 // value
-	P float64 // probability
-}
-
-// CCDF returns the complementary cumulative distribution P(X >= x) at
-// each distinct sample value, sorted ascending by X. This is the curve
-// plotted in every degree-distribution figure in the literature.
-func CCDF(xs []float64) []ECDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	var out []ECDFPoint
-	for i := 0; i < len(sorted); {
-		j := i
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
-		}
-		out = append(out, ECDFPoint{X: sorted[i], P: float64(len(sorted)-i) / n})
-		i = j
-	}
-	return out
-}
-
-// Bin is one logarithmic bin of a heavy-tailed histogram.
-type Bin struct {
-	Center  float64 // geometric center of the bin
-	Lo, Hi  float64 // bin edges [Lo,Hi)
-	Count   int     // raw count
-	Density float64 // count / (n * width) — a PDF estimate
-}
-
-// LogBins histograms positive samples into logarithmically spaced bins
-// with the given ratio between consecutive edges (ratio > 1). Empty bins
-// are omitted. Non-positive samples are ignored.
-func LogBins(xs []float64, ratio float64) ([]Bin, error) {
-	if ratio <= 1 {
-		return nil, errors.New("stats: log-bin ratio must exceed 1")
-	}
-	var pos []float64
-	for _, x := range xs {
-		if x > 0 {
-			pos = append(pos, x)
-		}
-	}
-	if len(pos) == 0 {
-		return nil, nil
-	}
-	sort.Float64s(pos)
-	lo := pos[0]
-	hi := pos[len(pos)-1]
-	nb := int(math.Ceil(math.Log(hi/lo)/math.Log(ratio))) + 1
-	counts := make([]int, nb)
-	for _, x := range pos {
-		b := int(math.Log(x/lo) / math.Log(ratio))
-		if b < 0 {
-			b = 0
-		}
-		if b >= nb {
-			b = nb - 1
-		}
-		counts[b]++
-	}
-	n := float64(len(pos))
-	var bins []Bin
-	for b, c := range counts {
-		if c == 0 {
-			continue
-		}
-		blo := lo * math.Pow(ratio, float64(b))
-		bhi := blo * ratio
-		bins = append(bins, Bin{
-			Center:  math.Sqrt(blo * bhi),
-			Lo:      blo,
-			Hi:      bhi,
-			Count:   c,
-			Density: float64(c) / (n * (bhi - blo)),
-		})
-	}
-	return bins, nil
 }
 
 // LinFit is an ordinary-least-squares line y = Slope*x + Intercept with

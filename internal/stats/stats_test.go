@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"netmodel/internal/rng"
 )
@@ -46,105 +45,6 @@ func TestQuantileEndpoints(t *testing.T) {
 	}
 	if !almostEqual(Quantile(sorted, 0.25), 2, 1e-12) {
 		t.Fatalf("q25 = %v", Quantile(sorted, 0.25))
-	}
-}
-
-func TestMomentMatchesMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if !almostEqual(Moment(xs, 1), Mean(xs), 1e-12) {
-		t.Fatal("first moment != mean")
-	}
-	if !almostEqual(Moment(xs, 2), 7.5, 1e-12) {
-		t.Fatalf("second moment = %v, want 7.5", Moment(xs, 2))
-	}
-}
-
-func TestCCDFProperties(t *testing.T) {
-	xs := []float64{1, 1, 2, 3, 3, 3}
-	c := CCDF(xs)
-	if len(c) != 3 {
-		t.Fatalf("distinct values = %d, want 3", len(c))
-	}
-	if c[0].X != 1 || !almostEqual(c[0].P, 1, 1e-12) {
-		t.Fatalf("CCDF at min = %+v, want P=1", c[0])
-	}
-	if c[2].X != 3 || !almostEqual(c[2].P, 0.5, 1e-12) {
-		t.Fatalf("CCDF at 3 = %+v, want P=0.5", c[2])
-	}
-	// monotone non-increasing
-	for i := 1; i < len(c); i++ {
-		if c[i].P > c[i-1].P {
-			t.Fatal("CCDF not monotone")
-		}
-	}
-}
-
-func TestCCDFMonotoneProperty(t *testing.T) {
-	r := rng.New(1)
-	prop := func(seed uint32) bool {
-		r.Seed(uint64(seed))
-		xs := make([]float64, 50)
-		for i := range xs {
-			xs[i] = math.Floor(r.Float64() * 10)
-		}
-		c := CCDF(xs)
-		if len(c) == 0 || c[0].P != 1 {
-			return false
-		}
-		for i := 1; i < len(c); i++ {
-			if c[i].P >= c[i-1].P || c[i].X <= c[i-1].X {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogBinsCountPreserved(t *testing.T) {
-	r := rng.New(3)
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = r.Pareto(1, 1.5)
-	}
-	bins, err := LogBins(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-		if b.Lo >= b.Hi {
-			t.Fatalf("bad bin edges %+v", b)
-		}
-		if b.Center < b.Lo || b.Center > b.Hi {
-			t.Fatalf("center outside bin %+v", b)
-		}
-	}
-	if total != len(xs) {
-		t.Fatalf("binned %d of %d samples", total, len(xs))
-	}
-}
-
-func TestLogBinsIgnoresNonPositive(t *testing.T) {
-	bins, err := LogBins([]float64{-1, 0, 1, 10}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 2 {
-		t.Fatalf("binned %d, want 2", total)
-	}
-}
-
-func TestLogBinsBadRatio(t *testing.T) {
-	if _, err := LogBins([]float64{1}, 1); err == nil {
-		t.Fatal("ratio=1 should fail")
 	}
 }
 

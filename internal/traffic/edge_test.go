@@ -1,111 +1,18 @@
 package traffic
 
 import (
-	"math"
 	"testing"
 
 	"netmodel/internal/graph"
 	"netmodel/internal/rng"
 )
 
-// The simulator edge cases pinned for both engines: zero-capacity
-// links, origin-destination pairs that straddle disconnected
-// components, and flows that arrive and depart inside a single event
-// interval. Each case runs under EngineEpoch and EngineEvent and the
+// The simulator edge cases pinned for both engines: origin-destination
+// pairs that straddle disconnected components, and flows that arrive
+// and depart inside a single event interval. Each case runs under EngineEpoch and EngineEvent and the
 // suite asserts the same behavior of both.
 
 var bothEngines = []string{EngineEpoch, EngineEvent}
-
-// TestZeroCapacityLink pins the dead-link contract: flows routed across
-// a zero-capacity link hold rate zero forever (they never complete and
-// never progress), the link reports utilization zero instead of NaN,
-// and flows avoiding the dead link are unaffected.
-func TestZeroCapacityLink(t *testing.T) {
-	// A 4-path: 0-1-2-3. Kill the middle link; 0↔1 and 2↔3 traffic
-	// still flows, anything crossing 1-2 is stuck.
-	g := pathGraph(4)
-	s := g.Freeze()
-	caps := make([]float64, s.M())
-	dead := -1
-	for i, e := range s.EdgeList() {
-		caps[i] = 1
-		if (e.U == 1 && e.V == 2) || (e.U == 2 && e.V == 1) {
-			caps[i] = 0
-			dead = i
-		}
-	}
-	if dead < 0 {
-		t.Fatal("middle link not found")
-	}
-	for _, eng := range bothEngines {
-		t.Run(eng, func(t *testing.T) {
-			spec := WorkloadSpec{Engine: eng, LoadFactor: 0.5, Epochs: 15}
-			rep, err := Simulate(s, UniformMasses(4), spec, rng.New(3), 1,
-				WithLinkCapacities(caps), WithFlowTrace())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Arrived == 0 {
-				t.Fatal("no arrivals")
-			}
-			crossing, completed := 0, 0
-			for _, f := range rep.Flows {
-				cross := (f.Src <= 1) != (f.Dst <= 1)
-				if cross {
-					crossing++
-					if f.Done {
-						t.Fatalf("flow %d→%d crossed the dead link and completed", f.Src, f.Dst)
-					}
-				}
-				if f.Done {
-					completed++
-				}
-			}
-			if crossing == 0 {
-				t.Fatal("workload never crossed the dead link; weak test")
-			}
-			if completed == 0 {
-				t.Fatal("no same-side flow completed despite live links")
-			}
-			if crossing != rep.ResidualFlows {
-				t.Fatalf("%d crossing flows but %d residual", crossing, rep.ResidualFlows)
-			}
-			// NaN must not leak out of the 0/0 utilization of the dead link.
-			for _, v := range rep.Scalars() {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("non-finite scalar in %v", rep.Scalars())
-				}
-			}
-			for _, e := range rep.Epochs {
-				if math.IsNaN(e.MeanUtil) || math.IsNaN(e.MaxUtil) {
-					t.Fatalf("epoch %d utilization is NaN", e.Epoch)
-				}
-			}
-			if rep.Links.MaxUtilization > 1+1e-9 {
-				t.Fatalf("max utilization %v with a dead link", rep.Links.MaxUtilization)
-			}
-		})
-	}
-}
-
-// TestZeroCapacityValidation pins the capacity-override error paths.
-func TestZeroCapacityValidation(t *testing.T) {
-	s := pathGraph(3).Freeze()
-	u := UniformMasses(3)
-	spec := WorkloadSpec{LoadFactor: 1, Epochs: 2}
-	if _, err := Simulate(s, u, spec, rng.New(1), 1, WithLinkCapacities([]float64{1})); err == nil {
-		t.Fatal("capacity override of the wrong size should fail")
-	}
-	if _, err := Simulate(s, u, spec, rng.New(1), 1, WithLinkCapacities([]float64{1, -1})); err == nil {
-		t.Fatal("negative capacity should fail")
-	}
-	if _, err := Simulate(s, u, spec, rng.New(1), 1, WithLinkCapacities([]float64{math.NaN(), 1})); err == nil {
-		t.Fatal("NaN capacity should fail")
-	}
-	if _, err := Simulate(s, u, spec, rng.New(1), 1, WithLinkCapacities([]float64{0, 0})); err == nil {
-		t.Fatal("all-dead network should fail (no capacity to offer load against)")
-	}
-}
 
 // TestDisconnectedODPairs pins cross-component behavior for both
 // engines: flows whose destination lies in another component are

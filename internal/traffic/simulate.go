@@ -448,24 +448,13 @@ func (rep *SimReport) Scalars() []float64 {
 // SimOption tweaks a simulation without widening the WorkloadSpec wire
 // format.
 type simConfig struct {
-	linkCaps []float64
-	trace    bool
-	rt       *Routing
-	scratch  *SimScratch
+	trace   bool
+	rt      *Routing
+	scratch *SimScratch
 }
 
 // SimOption is a functional option of Simulate and SimulateWith.
 type SimOption func(*simConfig)
-
-// WithLinkCapacities overrides the per-edge capacities (indexed by
-// snapshot edge id) in place of multiplicity × spec.CapacityUnit.
-// Capacities must be finite and non-negative; zero-capacity links are
-// legal — flows routed across one are stuck at rate zero and the link
-// counts as utilization zero. The override is how heterogeneous access
-// capacities and dead links enter the simulator.
-func WithLinkCapacities(caps []float64) SimOption {
-	return func(c *simConfig) { c.linkCaps = caps }
-}
 
 // WithFlowTrace records every admitted flow's completion time in
 // SimReport.Flows — the hook the engine-equivalence suite compares on.
@@ -627,27 +616,13 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 		return nil, err
 	}
 
-	// Link capacities: edge multiplicity × the capacity unit, unless
-	// overridden per edge.
+	// Link capacities: edge multiplicity × the capacity unit.
 	edges := s.EdgeList()
 	capEdge := make([]float64, len(edges))
 	var capTotal float64
-	if cfg.linkCaps != nil {
-		if len(cfg.linkCaps) != len(edges) {
-			return nil, errors.New("traffic: link capacity override size mismatch")
-		}
-		for i, c := range cfg.linkCaps {
-			if !(c >= 0) || c > 1e300 { // NaN fails the first comparison
-				return nil, errors.New("traffic: link capacities must be finite and non-negative")
-			}
-			capEdge[i] = c
-			capTotal += c
-		}
-	} else {
-		for i, e := range edges {
-			capEdge[i] = float64(e.W) * spec.CapacityUnit
-			capTotal += capEdge[i]
-		}
+	for i, e := range edges {
+		capEdge[i] = float64(e.W) * spec.CapacityUnit
+		capTotal += capEdge[i]
 	}
 	if capTotal <= 0 {
 		return nil, errors.New("traffic: total link capacity must be positive")

@@ -13,12 +13,10 @@ package traffic
 
 import (
 	"errors"
-	"math"
 
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/par"
-	"netmodel/internal/rng"
 )
 
 // Demand is a row-streamed view of a traffic matrix: the frozen router
@@ -253,19 +251,4 @@ func UniformMasses(n int) []float64 {
 		m[i] = 1
 	}
 	return m
-}
-
-// NoisyMasses perturbs masses multiplicatively by lognormal-ish noise,
-// for robustness experiments. Sigma 0 is the identity on non-negative
-// masses; negative input masses are clamped to zero so the result is
-// always a valid mass vector for GravityDemand and the workload layer.
-func NoisyMasses(r *rng.Rand, masses []float64, sigma float64) []float64 {
-	out := make([]float64, len(masses))
-	for i, m := range masses {
-		if m < 0 {
-			m = 0
-		}
-		out[i] = m * math.Exp(r.Normal(0, sigma))
-	}
-	return out
 }

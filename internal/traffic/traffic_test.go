@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"netmodel/internal/graph"
-	"netmodel/internal/rng"
 )
 
 func pathGraph(n int) *graph.Graph {
@@ -202,30 +201,6 @@ func TestHotSpotsTieOrdering(t *testing.T) {
 	}
 }
 
-func TestNoisyMassesSigmaZeroIdentity(t *testing.T) {
-	masses := []float64{0, 1, 2.5, 7}
-	noisy := NoisyMasses(rng.New(1), masses, 0)
-	for i, m := range noisy {
-		if m != masses[i] {
-			t.Fatalf("sigma=0 changed mass %d: %v -> %v", i, masses[i], m)
-		}
-	}
-}
-
-func TestNoisyMassesClampsNegative(t *testing.T) {
-	noisy := NoisyMasses(rng.New(2), []float64{-3, 1, -0.5}, 0.4)
-	if noisy[0] != 0 || noisy[2] != 0 {
-		t.Fatalf("negative masses not clamped: %v", noisy)
-	}
-	if noisy[1] <= 0 {
-		t.Fatalf("positive mass must stay positive: %v", noisy)
-	}
-	// The clamped vector must be a valid Gravity input.
-	if _, err := Gravity(NoisyMasses(rng.New(3), []float64{-1, 2, 3}, 0.2), 10); err != nil {
-		t.Fatalf("clamped masses rejected by Gravity: %v", err)
-	}
-}
-
 func TestMatrixRowHonorsBuffer(t *testing.T) {
 	m, err := Gravity([]float64{1, 2, 3}, 60)
 	if err != nil {
@@ -269,23 +244,5 @@ func TestMatrixRowHonorsBuffer(t *testing.T) {
 		if row := d.Row(1, nil); len(row) != 3 {
 			t.Fatalf("%s: nil buffer returned %d entries", name, len(row))
 		}
-	}
-}
-
-func TestNoisyMassesPreservesScale(t *testing.T) {
-	r := rng.New(5)
-	masses := UniformMasses(2000)
-	noisy := NoisyMasses(r, masses, 0.3)
-	var sum float64
-	for _, m := range noisy {
-		if m <= 0 {
-			t.Fatal("noisy mass must stay positive")
-		}
-		sum += m
-	}
-	mean := sum / float64(len(noisy))
-	// lognormal mean e^{sigma^2/2} ≈ 1.046
-	if mean < 0.9 || mean > 1.2 {
-		t.Fatalf("noisy mass mean %v drifted", mean)
 	}
 }

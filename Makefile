@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test examples fuzz bench bench-json bench-smoke bench-check staticcheck lint fmt ci
+.PHONY: all build test examples experiments-check fuzz bench bench-json bench-smoke bench-check staticcheck lint fmt ci
 
 all: build
 
@@ -23,6 +23,19 @@ examples:
 		echo "run $$d"; \
 		$(GO) run "./$$d" > /dev/null || exit 1; \
 	done
+
+# The E1-E12 experiment tables (one iteration of each root E*
+# benchmark, ~5 s) must match testdata/experiments.golden line for
+# line; the timing lines and the goos/goarch/pkg/cpu/PASS/ok framing
+# are stripped first. The tables are identical at every -cpu value, so
+# a diff means a refactor changed a reported number.
+experiments-check:
+	@out=$$(mktemp) || exit 1; \
+	$(GO) test -run '^$$' -bench 'E[0-9]' -benchtime=1x . > "$$out" 2>&1; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then cat "$$out"; rm -f "$$out"; exit $$status; fi; \
+	grep -Ev '^(Benchmark|goos:|goarch:|pkg:|cpu:|PASS$$|ok )' "$$out" | diff -u testdata/experiments.golden -; \
+	status=$$?; rm -f "$$out"; exit $$status
 
 # Every Fuzz* target of every package, each run for 10 s beyond its
 # seed corpus (plain `go test` runs only the seeds). -fuzz takes one
@@ -92,4 +105,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint staticcheck test examples fuzz bench bench-smoke bench-check
+ci: build lint staticcheck test examples experiments-check fuzz bench bench-smoke bench-check

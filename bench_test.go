@@ -221,8 +221,7 @@ func BenchmarkE6PathLengths(b *testing.B) {
 		fmt.Printf("\nE6: path lengths at N=%d (AS map: ⟨d⟩≈3.6, diameter≈10)\n", n)
 		fmt.Printf("%-8s %8s %8s  distribution d:P(d)\n", "model", "⟨d⟩", "diam")
 		for _, m := range []string{"pfp", "glp", "econ", "waxman", "transitstub"} {
-			giant, _ := build(b, m, n).Freeze().GiantComponent()
-			ps, err := metrics.PathLengthsFrozen(giant, rng.New(3), 400)
+			ps, err := engine.New(build(b, m, n).Freeze()).GiantPathLengths(rng.New(3), 400)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -240,10 +239,10 @@ func BenchmarkE6PathLengths(b *testing.B) {
 			fmt.Printf("%-8s %8.2f %8d %s\n", m, ps.Avg, ps.Diameter, line)
 		}
 	})
-	giant, _ := build(b, "pfp", n).Freeze().GiantComponent()
+	e := engine.New(build(b, "pfp", n).Freeze())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.PathLengthsFrozen(giant, rng.New(uint64(i)), 100); err != nil {
+		if _, err := e.GiantPathLengths(rng.New(uint64(i)), 100); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"netmodel/internal/engine"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
+	"netmodel/internal/par"
 	"netmodel/internal/rng"
 )
 
@@ -139,7 +140,7 @@ func (f *Frozen) customerCone() []int {
 		stack []int32
 	}
 	scratch := make([]*coneScratch, f.workers())
-	engine.ParallelFor(n, len(scratch), func(w, u int) {
+	par.For(n, len(scratch), func(w, u int) {
 		sc := scratch[w]
 		if sc == nil {
 			sc = &coneScratch{mark: make([]int32, n)}
@@ -313,7 +314,7 @@ func (f *Frozen) measureInflation(r *rng.Rand, sources int) (Inflation, error) {
 		err          error
 	}
 	scratch := make([]*inflScratch, f.workers())
-	engine.ParallelFor(len(srcs), len(scratch), func(w, i int) {
+	par.For(len(srcs), len(scratch), func(w, i int) {
 		sc := scratch[w]
 		if sc == nil {
 			sc = &inflScratch{
@@ -394,5 +395,5 @@ func (f *Frozen) workers() int {
 	if f.eng != nil {
 		return f.eng.Workers()
 	}
-	return engine.DefaultWorkers()
+	return par.Workers(0)
 }

@@ -127,8 +127,8 @@ const trajectoryPointBytes = 256
 // engineArtifact is the cached output of the measurement stage: the
 // measured metric vector and its comparison report. The engine that
 // produced them is not kept — nothing reads it after measurement, and
-// dropping it lets its memo (including the giant-component
-// sub-snapshot) be collected. The entry is only usable together with
+// dropping it lets its memo (including the giant component's node
+// list) be collected. The entry is only usable together with
 // its sibling snapshot entry — it does not carry the topology or
 // trajectory — and like it is immutable and shared.
 type engineArtifact struct {

@@ -2,8 +2,10 @@ package econ
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"netmodel/internal/engine"
 	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
 	"netmodel/internal/stats"
@@ -122,9 +124,9 @@ func TestTopologyIsInternetLike(t *testing.T) {
 	}
 	g := res.G
 	s := g.Freeze()
-	giant, _ := s.GiantComponent()
-	if float64(giant.N()) < 0.9*float64(g.N()) {
-		t.Fatalf("giant component %d of %d", giant.N(), g.N())
+	sizes := metrics.ComponentsHybrid(s, metrics.NewBFSScratch(s.N()), make([]int32, s.N()), nil)
+	if giant := slices.Max(sizes); float64(giant) < 0.9*float64(g.N()) {
+		t.Fatalf("giant component %d of %d", giant, g.N())
 	}
 	// Heavy-tailed degrees.
 	fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(s))
@@ -139,7 +141,7 @@ func TestTopologyIsInternetLike(t *testing.T) {
 		t.Fatalf("assortativity %v, want non-positive", r)
 	}
 	// Small world.
-	ps, err := metrics.PathLengthsFrozen(giant, rng.New(1), 300)
+	ps, err := engine.New(s).GiantPathLengths(rng.New(1), 300)
 	if err != nil {
 		t.Fatal(err)
 	}

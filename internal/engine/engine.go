@@ -17,7 +17,6 @@ package engine
 
 import (
 	"errors"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -63,13 +62,10 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// DefaultWorkers returns the default worker-pool width, GOMAXPROCS.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // New returns an engine over the snapshot. The default worker count is
 // GOMAXPROCS.
 func New(s *graph.Snapshot, opts ...Option) *Engine {
-	e := &Engine{s: s, workers: runtime.GOMAXPROCS(0), memo: make(map[string]*memoEntry)}
+	e := &Engine{s: s, workers: par.Workers(0), memo: make(map[string]*memoEntry)}
 	for _, o := range opts {
 		o(e)
 	}
@@ -203,24 +199,4 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 	e.memo = make(map[string]*memoEntry)
 	e.mu.Unlock()
 	return nil
-}
-
-// ParallelFor runs fn(worker, i) for every i in [0, n) across the given
-// number of workers (<= 0 means GOMAXPROCS), delegating to the shared
-// static-chunk scheduler in internal/par. Chunks of indices are
-// assigned round-robin by worker index — a static schedule, so which
-// worker processes which index is a pure function of (n, workers).
-// Per-worker floating-point accumulators merged in worker order
-// therefore reproduce bit for bit between runs at the same worker
-// count, preserving the toolkit's seeded-reproducibility contract.
-// fn invocations within one worker are ordered; across workers they
-// race, so fn must only write worker-private or index-private state.
-// ParallelFor returns when all indices are done.
-func ParallelFor(n, workers int, fn func(worker, i int)) {
-	par.For(n, workers, fn)
-}
-
-// parallelFor is ParallelFor with the engine's worker count.
-func (e *Engine) parallelFor(n int, fn func(worker, i int)) {
-	ParallelFor(n, e.workers, fn)
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"netmodel/internal/gen"
@@ -56,6 +55,54 @@ func assertFloatsClose(t *testing.T, key, name string, got, want []float64, tol 
 	}
 }
 
+// inducedGiant is the reference giant component: the subgraph induced
+// by the largest connected component (ties go to the component holding
+// the smallest node), found by plain queue BFS and renumbered in
+// ascending order of the original ids into a snapshot of its own.
+func inducedGiant(s *graph.Snapshot) *graph.Snapshot {
+	n := s.N()
+	comp := make([]int, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	giant, giantSize := -1, 0
+	for src := 0; src < n; src++ {
+		if comp[src] >= 0 {
+			continue
+		}
+		comp[src] = src
+		queue := []int{src}
+		for head := 0; head < len(queue); head++ {
+			for _, v := range s.Neighbors(queue[head]) {
+				if comp[v] < 0 {
+					comp[v] = src
+					queue = append(queue, int(v))
+				}
+			}
+		}
+		if len(queue) > giantSize {
+			giant, giantSize = src, len(queue)
+		}
+	}
+	toNew := make([]int, n)
+	next := 0
+	for v := range comp {
+		if comp[v] == giant {
+			toNew[v] = next
+			next++
+		}
+	}
+	g := graph.New(giantSize)
+	for _, e := range s.EdgeList() {
+		if comp[e.U] == giant {
+			for w := 0; w < e.W; w++ {
+				g.MustAddEdge(toNew[e.U], toNew[e.V])
+			}
+		}
+	}
+	return g.Freeze()
+}
+
 // sequentialMeasure composes the sequential kernels into the metric
 // vector Engine.Measure promises: degree-tail fit, clustering and
 // assortativity on the whole map, path statistics on the giant
@@ -72,7 +119,7 @@ func sequentialMeasure(s *graph.Snapshot, r *rng.Rand, pathSources int) (metrics
 	out.AvgClustering = metrics.AvgClusteringFrozen(s)
 	out.Transitivity = metrics.TransitivityFrozen(s)
 	out.Assortativity = metrics.AssortativityFrozen(s)
-	giant, _ := s.GiantComponent()
+	giant := inducedGiant(s)
 	out.GiantFrac = float64(giant.N()) / float64(s.N())
 	if giant.N() > 1 {
 		ps, err := metrics.PathLengthsFrozen(giant, r, pathSources)
@@ -207,6 +254,71 @@ func TestEngineMeasureMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestGiantPathLengthsMatchInduced pins the in-place giant path
+// statistics against an induced copy of the giant measured on its own:
+// the same sources (sampled, or all of them), the same distribution, on
+// disconnected maps and on a map whose two largest components tie.
+func TestGiantPathLengthsMatchInduced(t *testing.T) {
+	maps := make(map[string]*graph.Snapshot)
+	for _, seed := range []uint64{1, 2} {
+		for _, tc := range []struct {
+			name string
+			g    gen.Generator
+		}{
+			{"rgg", gen.RGG{N: 400, Radius: 0.06}},
+			{"gnp", gen.GNP{N: 400, P: 1.5 / 399}},
+			{"waxman", gen.Waxman{N: 400, Alpha: 0.1, Beta: 0.1}},
+		} {
+			top, err := tc.g.Generate(rng.New(seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+			}
+			maps[tc.name+"/"+string(rune('0'+seed))] = top.G.Freeze()
+		}
+	}
+	// Two largest components of four nodes each, interleaved: the path
+	// 1-3-5-7 holds the smallest node among them and wins the tie over
+	// the star centered on 8; node 0 is isolated, 9-10 a lone edge.
+	tie := graph.New(11)
+	for _, e := range [][2]int{{1, 3}, {3, 5}, {5, 7}, {8, 2}, {8, 4}, {8, 6}, {9, 10}} {
+		tie.MustAddEdge(e[0], e[1])
+	}
+	maps["tie"] = tie.Freeze()
+
+	for key, s := range maps {
+		giant := inducedGiant(s)
+		if giant.N() == s.N() {
+			t.Fatalf("%s: map is connected, the test needs a proper giant", key)
+		}
+		for _, sources := range []int{40, 0} {
+			want, err := metrics.PathLengthsFrozen(giant, rng.New(5), sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				e := New(s, WithWorkers(workers))
+				got, err := e.GiantPathLengths(rng.New(5), sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Avg != want.Avg || got.Diameter != want.Diameter || got.Sources != want.Sources ||
+					!reflect.DeepEqual(got.Distribution, want.Distribution) {
+					t.Fatalf("%s sources=%d workers=%d: %+v, want %+v", key, sources, workers, got, want)
+				}
+				m, err := e.Measure(rng.New(5), sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.GiantFrac != float64(giant.N())/float64(s.N()) || m.AvgPathLen != want.Avg || m.Diameter != want.Diameter {
+					t.Fatalf("%s sources=%d workers=%d: Measure giant %v ⟨d⟩ %v diam %d, want %v %v %d",
+						key, sources, workers, m.GiantFrac, m.AvgPathLen, m.Diameter,
+						float64(giant.N())/float64(s.N()), want.Avg, want.Diameter)
+				}
+			}
+		}
+	}
+}
+
 func TestEngineMemoization(t *testing.T) {
 	g := graph.New(5)
 	g.MustAddEdge(0, 1)
@@ -232,10 +344,10 @@ func TestEngineMemoization(t *testing.T) {
 	if p1.Avg != p2.Avg {
 		t.Fatal("exact path stats must be stable")
 	}
-	giant1, _ := e.Giant()
-	giant2, _ := e.Giant()
-	if giant1 != giant2 {
-		t.Fatal("giant component engine not memoized")
+	giant1 := e.giantNodes()
+	giant2 := e.giantNodes()
+	if &giant1[0] != &giant2[0] {
+		t.Fatal("giant component node list not memoized")
 	}
 }
 
@@ -305,39 +417,5 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 				t.Fatalf("run %d: betweenness[%d] = %v, want %v (bitwise)", run, i, again[i], first[i])
 			}
 		}
-	}
-}
-
-func TestParallelFor(t *testing.T) {
-	for _, n := range []int{0, 1, 16, 17, 1000} {
-		for _, workers := range []int{0, 1, 4, 64} {
-			var hits atomic.Int64
-			seen := make([]atomic.Int32, n)
-			ParallelFor(n, workers, func(w, i int) {
-				hits.Add(1)
-				seen[i].Add(1)
-			})
-			if hits.Load() != int64(n) {
-				t.Fatalf("n=%d workers=%d: %d invocations", n, workers, hits.Load())
-			}
-			for i := range seen {
-				if seen[i].Load() != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, seen[i].Load())
-				}
-			}
-		}
-	}
-}
-
-func TestParallelForWorkerIndexBounds(t *testing.T) {
-	const workers = 8
-	var bad atomic.Int32
-	ParallelFor(500, workers, func(w, i int) {
-		if w < 0 || w >= workers {
-			bad.Add(1)
-		}
-	})
-	if bad.Load() != 0 {
-		t.Fatal("worker index out of bounds")
 	}
 }

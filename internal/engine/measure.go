@@ -6,30 +6,42 @@ import (
 	"netmodel/internal/stats"
 )
 
-// giantPart bundles the memoized giant-component sub-snapshot with its
-// own engine, so path statistics measured on the giant share worker
-// configuration and memoization with the parent.
-type giantPart struct {
-	eng     *Engine
-	mapping []int
-}
-
-// Giant returns an engine over the giant component's sub-snapshot and
-// the new-to-old node mapping, computed once per snapshot.
-func (e *Engine) Giant() (*Engine, []int) {
-	gp := e.Cached("giant", func() any {
-		sub, mapping := e.s.GiantComponent()
-		return &giantPart{eng: New(sub, WithWorkers(e.workers)), mapping: mapping}
-	}).(*giantPart)
-	return gp.eng, gp.mapping
+// giantNodes returns the giant component's nodes in ascending order,
+// labeled once per snapshot by metrics.ComponentsHybrid. The giant is
+// the first component of maximal size, which on ties is the one whose
+// smallest node is smallest. An empty snapshot has no giant (nil).
+func (e *Engine) giantNodes() []int {
+	return e.Cached("giant", func() any {
+		n := e.s.N()
+		comp := make([]int32, n)
+		sizes := metrics.ComponentsHybrid(e.s, metrics.NewBFSScratch(n), comp, nil)
+		if len(sizes) == 0 {
+			return []int(nil)
+		}
+		giant := int32(0)
+		for id, size := range sizes {
+			if size > sizes[giant] {
+				giant = int32(id)
+			}
+		}
+		nodes := make([]int, 0, sizes[giant])
+		for v, id := range comp {
+			if id == giant {
+				nodes = append(nodes, v)
+			}
+		}
+		return nodes
+	}).([]int)
 }
 
 // Measure computes the full metric vector of the snapshot through the
 // parallel engine: the discrete power-law fit of the degree tail,
 // clustering and assortativity over the whole map, path statistics on
 // the giant component (published AS-map numbers are reported that way)
-// and the k-core depth. Path sources are sampled exactly as
-// metrics.PathLengthsFrozen samples them for a given generator state.
+// and the k-core depth. The giant's path statistics are measured in
+// place by GiantPathLengths, with no copy of the component; they equal
+// metrics.PathLengthsFrozen over the induced giant subgraph for the
+// same generator state.
 func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error) {
 	s := e.s
 	out := metrics.Snapshot{
@@ -50,10 +62,10 @@ func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error)
 	out.Transitivity = e.Transitivity()
 	out.Assortativity = e.Assortativity()
 
-	giant, _ := e.Giant()
-	out.GiantFrac = float64(giant.Snapshot().N()) / float64(s.N())
-	if giant.Snapshot().N() > 1 {
-		ps, err := giant.PathLengths(r, pathSources)
+	giant := e.giantNodes()
+	out.GiantFrac = float64(len(giant)) / float64(s.N())
+	if len(giant) > 1 {
+		ps, err := e.GiantPathLengths(r, pathSources)
 		if err != nil {
 			return out, err
 		}

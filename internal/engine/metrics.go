@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"netmodel/internal/metrics"
+	"netmodel/internal/par"
 	"netmodel/internal/rng"
 )
 
@@ -51,7 +52,7 @@ func (e *Engine) betweenness(r *rng.Rand, sources int) ([]float64, error) {
 	workers := e.workers
 	scratch := make([]*metrics.BrandesScratch, workers)
 	partial := make([][]float64, workers)
-	e.parallelFor(len(srcs), func(w, i int) {
+	par.For(len(srcs), workers, func(w, i int) {
 		if scratch[w] == nil {
 			scratch[w] = metrics.NewBrandesScratch(n)
 			partial[w] = make([]float64, n)
@@ -104,7 +105,7 @@ func (e *Engine) perNodeBFS(reduce func(dist []int32, n int) float64) []float64 
 		sc   *metrics.BFSScratch
 	}
 	scratch := make([]*bfsScratch, e.workers)
-	e.parallelFor(n, func(w, u int) {
+	par.For(n, e.workers, func(w, u int) {
 		if scratch[w] == nil {
 			scratch[w] = &bfsScratch{dist: make([]int32, n), sc: metrics.NewBFSScratch(n)}
 		}
@@ -120,35 +121,55 @@ func (e *Engine) perNodeBFS(reduce func(dist []int32, n int) float64) []float64 
 // merged statistics are bit-identical to the sequential PathLengths.
 // Exact (unsampled) runs are memoized.
 func (e *Engine) PathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
-	n := e.s.N()
-	if sources <= 0 || sources >= n {
-		if n == 0 {
-			_, err := metrics.PathSources(n, r, sources)
-			return metrics.PathStats{}, err
-		}
-		st := e.Cached("paths-exact", func() any {
-			st, _ := e.pathLengths(nil, 0)
-			return st
-		}).(metrics.PathStats)
-		return st, nil
-	}
-	return e.pathLengths(r, sources)
+	return e.pathLengths("paths-exact", nil, r, sources)
 }
 
-func (e *Engine) pathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
-	s := e.s
-	n := s.N()
+// GiantPathLengths is PathLengths restricted to the giant component,
+// measured in place on the engine's snapshot. Sources are drawn as
+// PathSources over the giant's size and mapped through its ascending
+// node list, so the statistics equal those of the induced giant
+// subgraph measured by PathLengths for the same generator state: a BFS
+// from a giant node never leaves the giant, and the unreachable nodes
+// outside it add nothing to the histogram. Exact runs are memoized.
+func (e *Engine) GiantPathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
+	return e.pathLengths("giant-paths-exact", e.giantNodes(), r, sources)
+}
+
+// pathLengths draws the sources from nodes (nil means every node) and
+// reduces their BFS distances to path statistics, memoizing exact runs
+// under key.
+func (e *Engine) pathLengths(key string, nodes []int, r *rng.Rand, sources int) (metrics.PathStats, error) {
+	n := e.s.N()
+	if nodes != nil {
+		n = len(nodes)
+	}
 	srcs, err := metrics.PathSources(n, r, sources)
 	if err != nil {
 		return metrics.PathStats{}, err
 	}
+	if nodes != nil {
+		for i, v := range srcs {
+			srcs[i] = nodes[v]
+		}
+	}
+	if len(srcs) < n {
+		return e.pathHistogram(srcs), nil
+	}
+	return e.Cached(key, func() any { return e.pathHistogram(srcs) }).(metrics.PathStats), nil
+}
+
+// pathHistogram runs one BFS per source, sharded across the pool, and
+// merges the per-worker integer histograms.
+func (e *Engine) pathHistogram(srcs []int) metrics.PathStats {
+	s := e.s
+	n := s.N()
 	type pathScratch struct {
 		dist []int32
 		sc   *metrics.BFSScratch
 		hist metrics.PathHistogram
 	}
 	scratch := make([]*pathScratch, e.workers)
-	e.parallelFor(len(srcs), func(w, i int) {
+	par.For(len(srcs), e.workers, func(w, i int) {
 		if scratch[w] == nil {
 			scratch[w] = &pathScratch{dist: make([]int32, n), sc: metrics.NewBFSScratch(n)}
 		}
@@ -161,7 +182,7 @@ func (e *Engine) pathLengths(r *rng.Rand, sources int) (metrics.PathStats, error
 			total.Merge(&sc.hist)
 		}
 	}
-	return total.ToStats(len(srcs)), nil
+	return total.ToStats(len(srcs))
 }
 
 // TrianglesPerNode counts triangles through every node by sharding
@@ -173,7 +194,7 @@ func (e *Engine) TrianglesPerNode() []int {
 		n := s.N()
 		workers := e.workers
 		partial := make([][]int, workers)
-		e.parallelFor(n, func(w, u int) {
+		par.For(n, workers, func(w, u int) {
 			if partial[w] == nil {
 				partial[w] = make([]int, n)
 			}
@@ -249,7 +270,7 @@ func (e *Engine) CountCycles() metrics.CycleCounts {
 		scratch := make([]*metrics.CycleScratch, workers)
 		ordered4 := make([]int64, workers)
 		trA5 := make([]int64, workers)
-		e.parallelFor(n, func(w, i int) {
+		par.For(n, workers, func(w, i int) {
 			if scratch[w] == nil {
 				scratch[w] = metrics.NewCycleScratch(n)
 			}

@@ -2,9 +2,11 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"netmodel/internal/engine"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
 	"netmodel/internal/rng"
@@ -155,13 +157,11 @@ func TestWSRewiringShortensPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, _ := lattice.G.Freeze().GiantComponent()
-	gs, _ := small.G.Freeze().GiantComponent()
-	pl, err := metrics.PathLengthsFrozen(gl, nil, 0)
+	pl, err := engine.New(lattice.G.Freeze()).GiantPathLengths(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := metrics.PathLengthsFrozen(gs, nil, 0)
+	ps, err := engine.New(small.G.Freeze()).GiantPathLengths(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,8 +419,7 @@ func TestInetConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	giant, _ := top.G.Freeze().GiantComponent()
-	frac := float64(giant.N()) / float64(top.G.N())
+	frac := float64(slices.Max(componentSizes(top.G))) / float64(top.G.N())
 	if frac < 0.99 {
 		t.Fatalf("Inet giant component fraction = %v, want ~1", frac)
 	}
@@ -552,5 +551,11 @@ func TestOversizedNRejected(t *testing.T) {
 	}
 }
 
+// componentSizes returns the sizes of g's connected components.
+func componentSizes(g *graph.Graph) []int32 {
+	n := g.N()
+	return metrics.ComponentsHybrid(g.Freeze(), metrics.NewBFSScratch(n), make([]int32, n), nil)
+}
+
 // connected reports whether g has exactly one connected component.
-func connected(g *graph.Graph) bool { return len(g.Freeze().Components()) == 1 }
+func connected(g *graph.Graph) bool { return len(componentSizes(g)) == 1 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,9 +21,6 @@ func TestEmptyGraph(t *testing.T) {
 	g := New(0)
 	if g.N() != 0 || g.M() != 0 || g.AvgDegree() != 0 || g.MaxDegree() != 0 {
 		t.Fatal("empty graph has non-zero counters")
-	}
-	if comps := g.Freeze().Components(); len(comps) != 0 {
-		t.Fatalf("empty graph has %d components", len(comps))
 	}
 }
 
@@ -184,69 +180,6 @@ func TestCopyIndependent(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := New(5)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	mustEdge(t, g, 1, 2) // multiplicity 2
-	mustEdge(t, g, 3, 4)
-	sub, mapping, err := g.Freeze().Induced([]int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 1 || !slices.Equal(mapping, []int{1, 2, 3}) {
-		t.Fatalf("subgraph N=%d M=%d mapping=%v", sub.N(), sub.M(), mapping)
-	}
-	// edge (1,2) must survive with multiplicity 2
-	if sub.EdgeWeight(0, 1) != 2 || sub.TotalStrength() != 2 {
-		t.Fatalf("subgraph lost multiplicity: %d", sub.EdgeWeight(0, 1))
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	s := New(3).Freeze()
-	if _, _, err := s.Induced([]int{0, 0}); err == nil {
-		t.Fatal("duplicate nodes should fail")
-	}
-	if _, _, err := s.Induced([]int{5}); err == nil {
-		t.Fatal("out-of-range should fail")
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(6)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	mustEdge(t, g, 3, 4)
-	comps := g.Freeze().Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 || comps[0][0] != 0 {
-		t.Fatalf("largest component = %v", comps[0])
-	}
-	if len(comps[2]) != 1 || comps[2][0] != 5 {
-		t.Fatalf("isolated node component = %v", comps[2])
-	}
-}
-
-func TestGiantComponent(t *testing.T) {
-	g := New(5)
-	mustEdge(t, g, 0, 1)
-	mustEdge(t, g, 1, 2)
-	mustEdge(t, g, 3, 4)
-	giant, mapping := g.Freeze().GiantComponent()
-	if giant.N() != 3 || giant.M() != 2 {
-		t.Fatalf("giant N=%d M=%d", giant.N(), giant.M())
-	}
-	if !slices.Equal(mapping, []int{0, 1, 2}) {
-		t.Fatalf("mapping = %v", mapping)
-	}
-	if len(giant.Components()) != 1 {
-		t.Fatal("giant component not connected")
 	}
 }
 

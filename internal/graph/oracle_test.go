@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 
 	"netmodel/internal/rng"
@@ -106,74 +105,6 @@ func (o *mapGraph) sortedRow(u int) (nb, wt []int32) {
 		wt = append(wt, int32(o.adj[u][int(v)]))
 	}
 	return nb, wt
-}
-
-// Components returns the connected components as sorted node slices,
-// largest first, ties broken by smallest contained index.
-func (o *mapGraph) Components() [][]int {
-	seen := make([]bool, len(o.adj))
-	var comps [][]int
-	for s := range o.adj {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		comp := []int{s}
-		for head := 0; head < len(comp); head++ {
-			for v := range o.adj[comp[head]] {
-				if !seen[v] {
-					seen[v] = true
-					comp = append(comp, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
-}
-
-// InducedSubgraph returns the subgraph induced by nodes (new index i is
-// nodes[i]) and the new-to-old mapping.
-func (o *mapGraph) InducedSubgraph(nodes []int) (*mapGraph, []int, error) {
-	toNew := make(map[int]int, len(nodes))
-	for i, u := range nodes {
-		if !o.valid(u) {
-			return nil, nil, fmt.Errorf("node %d out of range", u)
-		}
-		if _, dup := toNew[u]; dup {
-			return nil, nil, fmt.Errorf("duplicate node %d", u)
-		}
-		toNew[u] = i
-	}
-	sub := newMapGraph(len(nodes))
-	for i, u := range nodes {
-		for v, w := range o.adj[u] {
-			if j, ok := toNew[v]; ok && j > i {
-				sub.adj[i][j], sub.adj[j][i] = w, w
-				sub.m++
-				sub.strength += w
-			}
-		}
-	}
-	return sub, slices.Clone(nodes), nil
-}
-
-// GiantComponent returns the subgraph induced by the largest component
-// and its new-to-old mapping.
-func (o *mapGraph) GiantComponent() (*mapGraph, []int) {
-	comps := o.Components()
-	if len(comps) == 0 {
-		return newMapGraph(0), nil
-	}
-	sub, mapping, _ := o.InducedSubgraph(comps[0])
-	return sub, mapping
 }
 
 // EdgeList returns the simple edges sorted by (U,V).

@@ -304,137 +304,3 @@ func (s *Snapshot) FillArcEdgeIDs(buf []int32) []int32 {
 	}
 	return buf
 }
-
-// Components returns the connected components as sorted slices of node
-// indices, largest first with ties broken by smallest contained index.
-func (s *Snapshot) Components() [][]int {
-	n := s.N()
-	seen := make([]bool, n)
-	var comps [][]int
-	queue := make([]int32, 0, n)
-	for src := 0; src < n; src++ {
-		if seen[src] {
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, int32(src))
-		seen[src] = true
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range s.Neighbors(int(u)) {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		comp := make([]int, len(queue))
-		for i, u := range queue {
-			comp[i] = int(u)
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i]) != len(comps[j]) {
-			return len(comps[i]) > len(comps[j])
-		}
-		return comps[i][0] < comps[j][0]
-	})
-	return comps
-}
-
-// Induced returns the sub-snapshot induced by the given nodes and the
-// new-to-old index mapping (new index i is nodes[i]). The node list
-// must contain no duplicates or out-of-range indices.
-func (s *Snapshot) Induced(nodes []int) (*Snapshot, []int, error) {
-	n := s.N()
-	toNew := make([]int32, n)
-	for i := range toNew {
-		toNew[i] = -1
-	}
-	toOld := make([]int, len(nodes))
-	for i, u := range nodes {
-		if u < 0 || u >= n {
-			return nil, nil, fmt.Errorf("graph: node %d out of range", u)
-		}
-		if toNew[u] >= 0 {
-			return nil, nil, fmt.Errorf("graph: duplicate node %d", u)
-		}
-		toNew[u] = int32(i)
-		toOld[i] = u
-	}
-	sub := &Snapshot{offsets: make([]int32, len(nodes)+1), version: nextSnapshotVersion()}
-	sub.ends = sub.offsets[1:]
-	arcs := int32(0)
-	for i, u := range toOld {
-		for _, v := range s.Neighbors(u) {
-			if toNew[v] >= 0 {
-				arcs++
-			}
-		}
-		sub.offsets[i+1] = arcs
-	}
-	sub.neighbors = make([]int32, arcs)
-	sub.weights = make([]int32, arcs)
-	sub.arena = &arena{tip: sub.version}
-	for i, u := range toOld {
-		a := sub.offsets[i]
-		lo, hi := s.offsets[u], s.ends[u]
-		for arc := lo; arc < hi; arc++ {
-			j := toNew[s.neighbors[arc]]
-			if j < 0 {
-				continue
-			}
-			sub.neighbors[a] = j
-			sub.weights[a] = s.weights[arc]
-			a++
-		}
-		// Old rows are sorted but the remapping need not be monotone;
-		// restore the sorted-row invariant.
-		row := sub.neighbors[sub.offsets[i]:a]
-		ws := sub.weights[sub.offsets[i]:a]
-		sort.Sort(&arcRow{row, ws})
-		if d := len(row); d > sub.maxDeg {
-			sub.maxDeg = d
-		}
-	}
-	for i := range toOld {
-		for j, v := range sub.Neighbors(i) {
-			if int(v) > i {
-				sub.m++
-				sub.strength += int(sub.Weights(i)[j])
-			}
-		}
-	}
-	return sub, toOld, nil
-}
-
-type arcRow struct {
-	nb []int32
-	w  []int32
-}
-
-func (r *arcRow) Len() int           { return len(r.nb) }
-func (r *arcRow) Less(i, j int) bool { return r.nb[i] < r.nb[j] }
-func (r *arcRow) Swap(i, j int) {
-	r.nb[i], r.nb[j] = r.nb[j], r.nb[i]
-	r.w[i], r.w[j] = r.w[j], r.w[i]
-}
-
-// GiantComponent returns the sub-snapshot induced by the largest
-// connected component (the first of Components) with the new-to-old
-// mapping. An empty snapshot yields an empty one and a nil mapping.
-func (s *Snapshot) GiantComponent() (*Snapshot, []int) {
-	comps := s.Components()
-	if len(comps) == 0 {
-		empty := &Snapshot{offsets: make([]int32, 1), version: nextSnapshotVersion()}
-		empty.ends = empty.offsets[1:]
-		return empty, nil
-	}
-	sub, mapping, err := s.Induced(comps[0])
-	if err != nil {
-		panic("graph: internal error extracting giant component: " + err.Error())
-	}
-	return sub, mapping
-}

@@ -92,111 +92,6 @@ func TestSnapshotHasEdge(t *testing.T) {
 	}
 }
 
-func TestSnapshotComponents(t *testing.T) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		// Sparse: guaranteed disconnected pieces.
-		g := randomMultigraph(t, seed, 80, 40)
-		s := g.Freeze()
-		o := oracleOf(g)
-		if !reflect.DeepEqual(s.Components(), o.Components()) {
-			t.Fatalf("seed %d: components differ", seed)
-		}
-		gs, gmap := o.GiantComponent()
-		ss, smap := s.GiantComponent()
-		if !reflect.DeepEqual(gmap, smap) {
-			t.Fatalf("seed %d: giant mappings differ", seed)
-		}
-		if !reflect.DeepEqual(gs.EdgeList(), ss.EdgeList()) {
-			t.Fatalf("seed %d: giant edge lists differ", seed)
-		}
-	}
-}
-
-func TestSnapshotInduced(t *testing.T) {
-	g := randomMultigraph(t, 11, 50, 120)
-	s := g.Freeze()
-	nodes := []int{3, 7, 8, 12, 20, 33, 41, 49}
-	gSub, gMap, err := oracleOf(g).InducedSubgraph(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sSub, sMap, err := s.Induced(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gMap, sMap) {
-		t.Fatal("induced mappings differ")
-	}
-	if !reflect.DeepEqual(gSub.EdgeList(), sSub.EdgeList()) {
-		t.Fatal("induced edge lists differ")
-	}
-	if sSub.M() != gSub.M() || sSub.TotalStrength() != gSub.TotalStrength() {
-		t.Fatalf("induced counters differ: (%d,%d) vs (%d,%d)",
-			sSub.M(), sSub.TotalStrength(), gSub.M(), gSub.TotalStrength())
-	}
-	if _, _, err := s.Induced([]int{0, 0}); err == nil {
-		t.Fatal("duplicate node must error")
-	}
-	if _, _, err := s.Induced([]int{-1}); err == nil {
-		t.Fatal("out-of-range node must error")
-	}
-}
-
-// TestSnapshotInducedEdgeCases covers the degenerate inputs: an empty
-// node list, a singleton graph, and a giant component that is the whole
-// graph.
-func TestSnapshotInducedEdgeCases(t *testing.T) {
-	g := randomMultigraph(t, 19, 30, 70)
-	s := g.Freeze()
-
-	empty, mapping, err := s.Induced(nil)
-	if err != nil {
-		t.Fatalf("empty node list: %v", err)
-	}
-	if empty.N() != 0 || empty.M() != 0 || len(mapping) != 0 {
-		t.Fatalf("empty induced snapshot: N=%d M=%d mapping=%v", empty.N(), empty.M(), mapping)
-	}
-	if comps := empty.Components(); len(comps) != 0 {
-		t.Fatalf("empty induced snapshot has %d components", len(comps))
-	}
-
-	single := New(1).Freeze()
-	sub, mapping, err := single.Induced([]int{0})
-	if err != nil {
-		t.Fatalf("singleton: %v", err)
-	}
-	if sub.N() != 1 || sub.M() != 0 || sub.Degree(0) != 0 || mapping[0] != 0 {
-		t.Fatal("singleton induced snapshot malformed")
-	}
-	giant, gm := single.GiantComponent()
-	if giant.N() != 1 || gm[0] != 0 {
-		t.Fatal("singleton giant component malformed")
-	}
-
-	// A connected graph's giant component is the whole graph.
-	conn := New(6)
-	for u := 1; u < 6; u++ {
-		conn.MustAddEdge(u-1, u)
-	}
-	conn.MustAddEdge(0, 5)
-	cs := conn.Freeze()
-	whole, wm, err := cs.Induced([]int{0, 1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSnapshotsEqual(t, "whole-induced", whole, cs)
-	for i, u := range wm {
-		if i != u {
-			t.Fatalf("identity mapping broken at %d -> %d", i, u)
-		}
-	}
-	gsub, gmap := cs.GiantComponent()
-	assertSnapshotsEqual(t, "whole-giant", gsub, cs)
-	if len(gmap) != 6 {
-		t.Fatalf("giant mapping %v", gmap)
-	}
-}
-
 func TestSnapshotArcEdgeIDs(t *testing.T) {
 	g := randomMultigraph(t, 13, 40, 90)
 	s := g.Freeze()
@@ -232,13 +127,6 @@ func TestSnapshotEmptyAndTiny(t *testing.T) {
 	s := New(0).Freeze()
 	if s.N() != 0 || s.M() != 0 || s.AvgDegree() != 0 {
 		t.Fatal("empty snapshot malformed")
-	}
-	if comps := s.Components(); len(comps) != 0 {
-		t.Fatalf("empty snapshot has %d components", len(comps))
-	}
-	giant, mapping := s.GiantComponent()
-	if giant.N() != 0 || mapping != nil {
-		t.Fatal("empty giant component malformed")
 	}
 	one := New(1).Freeze()
 	if one.N() != 1 || one.Degree(0) != 0 || len(one.Neighbors(0)) != 0 {

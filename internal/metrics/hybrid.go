@@ -285,8 +285,8 @@ func (sc *BFSScratch) runFrom(s *graph.Snapshot, src int, dist []int32, label bo
 // component sizes onto sizes (pass sizes[:0] of a reused buffer for an
 // allocation-free steady state). Ids are assigned in ascending order
 // of each component's smallest node, so the id with the maximal size —
-// first such id on ties — is exactly the giant component
-// Snapshot.Components() ranks first. One visited epoch spans the whole
+// first such id on ties — is the giant component: the largest, ties
+// broken by smallest contained node. One visited epoch spans the whole
 // scan: the per-component traversals share the scratch's stamp array
 // and never re-clear it.
 func ComponentsHybrid(s *graph.Snapshot, sc *BFSScratch, comp []int32, sizes []int32) []int32 {

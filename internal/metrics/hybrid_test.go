@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"netmodel/internal/gen"
@@ -128,42 +130,54 @@ func TestBFSHybridWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestComponentsHybridMatchesSnapshot pins the labeling kernel against
-// Snapshot.Components: same partition, and the id holding the maximal
-// size (first on ties) names exactly the component Components ranks
-// first — the giant-selection contract of the failure layer.
+// checkComponentLabels pins one ComponentsHybrid labeling against the
+// components oracle: same partition, and the id holding the maximal
+// size (first on ties) names exactly the component the oracle ranks
+// first — the giant-selection contract of the failure layer and of the
+// engine's giant path statistics.
+func checkComponentLabels(t *testing.T, name string, s *graph.Snapshot, comp, sizes []int32) {
+	t.Helper()
+	comps := components(s)
+	if len(sizes) != len(comps) {
+		t.Fatalf("%s: %d labeled components, the oracle gives %d", name, len(sizes), len(comps))
+	}
+	// Partition equality: every oracle member set maps to one label, and
+	// the label's size matches.
+	for _, c := range comps {
+		id := comp[c[0]]
+		if int(sizes[id]) != len(c) {
+			t.Fatalf("%s: component of %d has size %d, labeled size %d", name, c[0], len(c), sizes[id])
+		}
+		for _, u := range c {
+			if comp[u] != id {
+				t.Fatalf("%s: node %d labeled %d, expected %d", name, u, comp[u], id)
+			}
+		}
+	}
+	if len(comps) == 0 {
+		return
+	}
+	giant := int32(0)
+	for id := range sizes {
+		if sizes[id] > sizes[giant] {
+			giant = int32(id)
+		}
+	}
+	if comp[comps[0][0]] != giant {
+		t.Fatalf("%s: giant label %d does not name the oracle's first component", name, giant)
+	}
+}
+
+// TestComponentsHybridMatchesSnapshot checks the labeling of every
+// equivalence case against the oracle, then scans again through the
+// same scratch.
 func TestComponentsHybridMatchesSnapshot(t *testing.T) {
 	sc := NewBFSScratch(0)
 	for name, s := range hybridCases(t) {
 		n := s.N()
 		comp := make([]int32, n)
 		sizes := ComponentsHybrid(s, sc, comp, nil)
-		comps := s.Components()
-		if len(sizes) != len(comps) {
-			t.Fatalf("%s: %d labeled components, Components gives %d", name, len(sizes), len(comps))
-		}
-		// Partition equality: every Components member set maps to one
-		// label, and the label's size matches.
-		for _, c := range comps {
-			id := comp[c[0]]
-			if int(sizes[id]) != len(c) {
-				t.Fatalf("%s: component of %d has size %d, labeled size %d", name, c[0], len(c), sizes[id])
-			}
-			for _, u := range c {
-				if comp[u] != id {
-					t.Fatalf("%s: node %d labeled %d, expected %d", name, u, comp[u], id)
-				}
-			}
-		}
-		giant := int32(0)
-		for id := range sizes {
-			if sizes[id] > sizes[giant] {
-				giant = int32(id)
-			}
-		}
-		if comp[comps[0][0]] != giant {
-			t.Fatalf("%s: giant label %d does not name Components' first component", name, giant)
-		}
+		checkComponentLabels(t, name, s, comp, sizes)
 		// Steady-state reuse: a second scan through the same scratch and
 		// a recycled sizes buffer must reproduce the labels.
 		comp2 := make([]int32, n)
@@ -177,6 +191,55 @@ func TestComponentsHybridMatchesSnapshot(t *testing.T) {
 			t.Fatalf("%s: size count moved across reuse", name)
 		}
 	}
+}
+
+// TestComponentsHybridSparseRandom checks sparse random multigraphs
+// (80 nodes, at most 40 distinct edges): many small components, many
+// equal-size ties for the giant rule to break.
+func TestComponentsHybridSparseRandom(t *testing.T) {
+	sc := NewBFSScratch(0)
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rng.New(seed)
+		g := graph.New(80)
+		for i := 0; i < 40; i++ {
+			u, v := r.Intn(80), r.Intn(80)
+			if u == v {
+				continue
+			}
+			g.MustAddEdge(u, v)
+			if r.Float64() < 0.2 {
+				g.MustAddEdge(u, v) // bump multiplicity
+			}
+		}
+		s := g.Freeze()
+		comp := make([]int32, s.N())
+		sizes := ComponentsHybrid(s, sc, comp, nil)
+		checkComponentLabels(t, fmt.Sprintf("seed %d", seed), s, comp, sizes)
+	}
+}
+
+// TestComponentsHybridHandBuilt: a path 0-1-2, an edge 3-4 and an
+// isolated node 5 give three components, the oracle ranks them by size,
+// and the giant label names {0, 1, 2}.
+func TestComponentsHybridHandBuilt(t *testing.T) {
+	g := graph.New(6)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	g.MustAddEdge(3, 4)
+	s := g.Freeze()
+	want := [][]int{{0, 1, 2}, {3, 4}, {5}}
+	if got := components(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("oracle components = %v, want %v", got, want)
+	}
+	comp := make([]int32, s.N())
+	sizes := ComponentsHybrid(s, NewBFSScratch(0), comp, nil)
+	if len(sizes) != 3 {
+		t.Fatalf("%d labeled components, want 3", len(sizes))
+	}
+	if sizes[comp[0]] != 3 || sizes[comp[3]] != 2 || sizes[comp[5]] != 1 {
+		t.Fatalf("labeled sizes %v, labels %v", sizes, comp)
+	}
+	checkComponentLabels(t, "hand-built", s, comp, sizes)
 }
 
 // TestBFSHybridEmpty covers the degenerate snapshots.

@@ -109,7 +109,7 @@ func TestPathAndEccentricityConsistency(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 60, 0.08)
-		giant, _ := g.Freeze().GiantComponent()
+		giant := giantOf(g).Freeze()
 		if giant.N() < 2 {
 			continue
 		}

@@ -359,11 +359,57 @@ func maxCore(g *graph.Graph) int {
 	return m
 }
 
-// giantOf returns the largest connected component of g, renumbered in
-// ascending order of the original ids, as a mutable graph.
+// components returns the connected components of s as sorted node
+// slices, largest first with ties broken by smallest contained index —
+// the ranking whose first entry ComponentsHybrid's giant label must name.
+func components(s *graph.Snapshot) [][]int {
+	n := s.N()
+	seen := make([]bool, n)
+	var comps [][]int
+	for src := 0; src < n; src++ {
+		if seen[src] {
+			continue
+		}
+		seen[src] = true
+		comp := []int{src}
+		for head := 0; head < len(comp); head++ {
+			for _, v := range s.Neighbors(comp[head]) {
+				if !seen[v] {
+					seen[v] = true
+					comp = append(comp, int(v))
+				}
+			}
+		}
+		sort.Ints(comp)
+		comps = append(comps, comp)
+	}
+	sort.SliceStable(comps, func(i, j int) bool { return len(comps[i]) > len(comps[j]) })
+	return comps
+}
+
+// giantOf returns the largest connected component of g (the first of
+// components), renumbered in ascending order of the original ids, as a
+// mutable graph.
 func giantOf(g *graph.Graph) *graph.Graph {
-	sub, _ := g.Freeze().GiantComponent()
-	giant, err := graph.Build(sub.N(), sub.EdgeList(), 1)
+	s := g.Freeze()
+	comps := components(s)
+	if len(comps) == 0 {
+		return graph.New(0)
+	}
+	toNew := make([]int, s.N())
+	for i := range toNew {
+		toNew[i] = -1
+	}
+	for i, u := range comps[0] {
+		toNew[u] = i
+	}
+	var edges []graph.Edge
+	for _, e := range s.EdgeList() {
+		if toNew[e.U] >= 0 {
+			edges = append(edges, graph.Edge{U: toNew[e.U], V: toNew[e.V], W: e.W})
+		}
+	}
+	giant, err := graph.Build(len(comps[0]), edges, 1)
 	if err != nil {
 		panic(err)
 	}

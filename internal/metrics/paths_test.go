@@ -79,7 +79,7 @@ func TestPathLengthsComplete(t *testing.T) {
 func TestPathLengthsSampledApproximatesExact(t *testing.T) {
 	r := rng.New(17)
 	g := randomGraph(r, 500, 0.02)
-	giant, _ := g.Freeze().GiantComponent()
+	giant := giantOf(g).Freeze()
 	exact, err := PathLengthsFrozen(giant, nil, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,39 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForEdgeSizes: empty, one-index, one-chunk and chunk-and-one loops
+// run every index exactly once, also at the default width (0) and with
+// more workers than chunks.
+func TestForEdgeSizes(t *testing.T) {
+	for _, n := range []int{0, 1, Chunk, Chunk + 1, 1000} {
+		for _, workers := range []int{0, 1, 4, 64} {
+			hits := make([]int32, n)
+			For(n, workers, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, h)
+				}
+			}
+		}
+	}
+}
+
+// TestForWorkerIndexBounds: the worker index handed to fn always lies
+// in [0, Workers(workers)), the bound callers size per-worker scratch by.
+func TestForWorkerIndexBounds(t *testing.T) {
+	for _, workers := range []int{0, 1, 8, 64} {
+		var bad atomic.Int32
+		For(500, workers, func(w, _ int) {
+			if w < 0 || w >= Workers(workers) {
+				bad.Add(1)
+			}
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("workers=%d: worker index out of bounds", workers)
+		}
+	}
+}
+
 // TestForStaticSchedule: the worker that owns an index is a pure
 // function of (n, workers) — the property every deterministic merge in
 // the toolkit rests on.

@@ -513,7 +513,6 @@ func simulateEvent(ctx *simContext) (*SimReport, error) {
 // the one-time arrival pre-draw stays outside the measured epochs.
 func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 	spec := ctx.spec
-	nLinks := len(ctx.edges)
 	scratch := ctx.cfg.scratch
 	if scratch == nil {
 		scratch = &SimScratch{} // private to this run
@@ -521,13 +520,8 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 	ev := newEventSim(ctx, cal, scratch)
 	rep := &SimReport{Spec: spec, Epochs: make([]EpochStats, 0, spec.Epochs)}
 	dt := ev.dt
+	obs := newLinkObs(ctx)
 	var (
-		avgLoad     = make([]float64, nLinks)
-		ccdfCounts  = make([]int, len(utilCCDFThresholds))
-		fctSum      float64
-		utilSum     float64
-		activeSum   int
-		overloaded  int
 		activeCount int
 		now         float64
 		curEpoch    int
@@ -649,8 +643,6 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 
 		// Link observations under this epoch's rates, compacting links
 		// whose flows have all departed out of the carrying list.
-		var epochUtilSum, epochMaxUtil float64
-		epochOverloaded := 0
 		keep := ev.carrying[:0]
 		for _, e := range ev.carrying {
 			if ev.nact[e] == 0 {
@@ -658,27 +650,9 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				continue
 			}
 			keep = append(keep, e)
-			util := utilOf(ev.load[e], ev.capEdge(e))
-			epochUtilSum += util
-			if util > epochMaxUtil {
-				epochMaxUtil = util
-			}
-			if util >= spec.OverloadAt {
-				epochOverloaded++
-			}
-			for ti, thr := range utilCCDFThresholds {
-				if util >= thr {
-					ccdfCounts[ti]++
-				}
-			}
-			avgLoad[e] += ev.load[e] * dt
+			obs.link(int(e), ev.load[e], ev.capEdge(e))
 		}
 		ev.carrying = keep
-		utilSum += epochUtilSum
-		overloaded += epochOverloaded
-		if epochMaxUtil > rep.MaxUtil {
-			rep.MaxUtil = epochMaxUtil
-		}
 
 		// Departures: pop every event predicted inside this epoch; an
 		// event is valid only if the flow still holds the rate it was
@@ -693,7 +667,7 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				continue // stranded prediction
 			}
 			f.done = true
-			fctSum += de.t - f.arrived
+			obs.fctSum += de.t - f.arrived
 			completedNow++
 			activeCount--
 			if ctx.fail != nil {
@@ -708,25 +682,10 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				ev.markDirty(g)
 			}
 		}
-		rep.Completed += completedNow
-		activeSum += activeCount
-		es := EpochStats{
-			Epoch:        epoch,
-			Arrived:      admitted,
-			Completed:    completedNow,
-			Active:       activeCount,
-			MeanUtil:     epochUtilSum / float64(nLinks),
-			MaxUtil:      epochMaxUtil,
-			OverloadFrac: float64(epochOverloaded) / float64(nLinks),
-		}
-		if fail := ctx.fail; fail != nil {
-			es.LinksDown = fail.linksDown
-			es.NodesDown = fail.nodesDown
-			es.Rerouted = reroutedNow
-			es.Killed = killedNow
-			es.Retried = retriedNow
-		}
-		rep.Epochs = append(rep.Epochs, es)
+		obs.endEpoch(rep, EpochStats{
+			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: activeCount,
+			Rerouted: reroutedNow, Killed: killedNow, Retried: retriedNow,
+		})
 	}
 
 	// Residuals: materialize every live flow's remaining volume at the
@@ -746,6 +705,6 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		}
 		rep.ResidualSize += rem
 	}
-	finishReport(rep, ctx, fctSum, utilSum, activeSum, overloaded, ccdfCounts, avgLoad)
+	obs.finishReport(rep)
 	return rep, nil
 }

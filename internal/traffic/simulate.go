@@ -824,17 +824,12 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	} else {
 		scratch.wf.ensure(len(edges))
 	}
+	obs := newLinkObs(ctx)
 	var (
-		active     = scratch.active[:0]
-		wf         = scratch.wf
-		avgLoad    = make([]float64, len(edges))
-		ccdfCounts = make([]int, len(utilCCDFThresholds))
-		fctSum     float64
-		utilSum    float64
-		activeSum  int
-		overloaded int
-		flowID     int32
-		pend       = scratch.pend[:0]
+		active = scratch.active[:0]
+		wf     = scratch.wf
+		flowID int32
+		pend   = scratch.pend[:0]
 		// freeFlows recycles departed simFlow entries; in steady state
 		// admissions draw from it instead of the heap. A shared scratch
 		// carries the pool across runs, so the population only grows
@@ -949,8 +944,6 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		wf.fill(active, capEdge)
 
 		// Link observations under the epoch's rates.
-		var epochUtilSum, epochMaxUtil float64
-		epochOverloaded := 0
 		for _, e := range wf.links {
 			// Max-min rates never exceed capacity; the subtraction chain
 			// can stray by an ulp in either direction, so clamp to [0, cap].
@@ -961,26 +954,8 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			if load > capEdge[e] {
 				load = capEdge[e]
 			}
-			util := utilOf(load, capEdge[e])
-			epochUtilSum += util
-			if util > epochMaxUtil {
-				epochMaxUtil = util
-			}
-			if util >= spec.OverloadAt {
-				epochOverloaded++
-			}
-			for ti, thr := range utilCCDFThresholds {
-				if util >= thr {
-					ccdfCounts[ti]++
-				}
-			}
-			avgLoad[e] += load * dt
+			obs.link(int(e), load, capEdge[e])
 			wf.nflows[e] = 0 // reset for the next epoch
-		}
-		utilSum += epochUtilSum
-		overloaded += epochOverloaded
-		if epochMaxUtil > rep.MaxUtil {
-			rep.MaxUtil = epochMaxUtil
 		}
 
 		// Advance flows by one epoch; completions leave with a sub-epoch
@@ -992,7 +967,7 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			send := f.rate * dt
 			if f.rate > 0 && f.remaining <= send {
 				finish := now + f.remaining/f.rate
-				fctSum += finish - f.arrived
+				obs.fctSum += finish - f.arrived
 				completedNow++
 				if ctx.fail != nil {
 					ctx.fail.noteFCT(f.arrived, finish-f.arrived)
@@ -1008,25 +983,10 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			keep = append(keep, f)
 		}
 		active = keep
-		rep.Completed += completedNow
-		activeSum += len(active)
-		es := EpochStats{
-			Epoch:        epoch,
-			Arrived:      admitted,
-			Completed:    completedNow,
-			Active:       len(active),
-			MeanUtil:     epochUtilSum / float64(len(edges)),
-			MaxUtil:      epochMaxUtil,
-			OverloadFrac: float64(epochOverloaded) / float64(len(edges)),
-		}
-		if fail := ctx.fail; fail != nil {
-			es.LinksDown = fail.linksDown
-			es.NodesDown = fail.nodesDown
-			es.Rerouted = reroutedNow
-			es.Killed = killedNow
-			es.Retried = retriedNow
-		}
-		rep.Epochs = append(rep.Epochs, es)
+		obs.endEpoch(rep, EpochStats{
+			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: len(active),
+			Rerouted: reroutedNow, Killed: killedNow, Retried: retriedNow,
+		})
 	}
 
 	rep.ResidualFlows = len(active)
@@ -1038,32 +998,99 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	// pool at its all-time peak.
 	freeFlows = append(freeFlows, active...)
 	scratch.active, scratch.pend, scratch.freeFlows = active[:0], pend[:0], freeFlows
-	finishReport(rep, ctx, fctSum, utilSum, activeSum, overloaded, ccdfCounts, avgLoad)
+	obs.finishReport(rep)
 	return rep, nil
+}
+
+// linkObs accumulates what both engines observe of the links under
+// each epoch's rates — utilization, overload count, CCDF bins and
+// time-integrated load — together with the run totals the report is
+// folded from. Each engine feeds it links in its own iteration order.
+type linkObs struct {
+	ctx        *simContext
+	avgLoad    []float64
+	ccdfCounts []int
+	fctSum     float64
+	utilSum    float64
+	activeSum  int
+	overloaded int
+	// The current epoch's sums, folded into the totals by endEpoch.
+	epochUtilSum, epochMaxUtil float64
+	epochOverloaded            int
+}
+
+func newLinkObs(ctx *simContext) linkObs {
+	return linkObs{
+		ctx:        ctx,
+		avgLoad:    make([]float64, len(ctx.edges)),
+		ccdfCounts: make([]int, len(utilCCDFThresholds)),
+	}
+}
+
+// link records one epoch of link e carrying load.
+func (o *linkObs) link(e int, load, capacity float64) {
+	util := utilOf(load, capacity)
+	o.epochUtilSum += util
+	if util > o.epochMaxUtil {
+		o.epochMaxUtil = util
+	}
+	if util >= o.ctx.spec.OverloadAt {
+		o.epochOverloaded++
+	}
+	for ti, thr := range utilCCDFThresholds {
+		if util >= thr {
+			o.ccdfCounts[ti]++
+		}
+	}
+	o.avgLoad[e] += load * o.ctx.spec.EpochLen
+}
+
+// endEpoch completes the epoch's row es — the engine fills the flow
+// counters — with the link statistics and failure state, folds the
+// epoch into the run totals and appends the row to the report.
+func (o *linkObs) endEpoch(rep *SimReport, es EpochStats) {
+	nLinks := float64(len(o.ctx.edges))
+	es.MeanUtil = o.epochUtilSum / nLinks
+	es.MaxUtil = o.epochMaxUtil
+	es.OverloadFrac = float64(o.epochOverloaded) / nLinks
+	if fail := o.ctx.fail; fail != nil {
+		es.LinksDown = fail.linksDown
+		es.NodesDown = fail.nodesDown
+	}
+	o.utilSum += o.epochUtilSum
+	o.overloaded += o.epochOverloaded
+	if o.epochMaxUtil > rep.MaxUtil {
+		rep.MaxUtil = o.epochMaxUtil
+	}
+	o.epochUtilSum, o.epochMaxUtil, o.epochOverloaded = 0, 0, 0
+	rep.Completed += es.Completed
+	o.activeSum += es.Active
+	rep.Epochs = append(rep.Epochs, es)
 }
 
 // finishReport folds the accumulated sums into the aggregate fields and
 // materializes the CCDF and the time-averaged LoadReport — shared by
 // both engines so the aggregation arithmetic cannot drift apart.
-func finishReport(rep *SimReport, ctx *simContext, fctSum, utilSum float64, activeSum, overloaded int, ccdfCounts []int, avgLoad []float64) {
+func (o *linkObs) finishReport(rep *SimReport) {
+	ctx := o.ctx
 	spec, edges, capEdge := ctx.spec, ctx.edges, ctx.capEdge
 	if ctx.fail != nil {
 		rep.Failures = ctx.fail.report()
 	}
 	if rep.Completed > 0 {
-		rep.MeanFCT = fctSum / float64(rep.Completed)
+		rep.MeanFCT = o.fctSum / float64(rep.Completed)
 	}
 	linkEpochs := len(edges) * spec.Epochs
 	if linkEpochs > 0 {
-		rep.MeanActive = float64(activeSum) / float64(spec.Epochs)
-		rep.MeanUtil = utilSum / float64(linkEpochs)
-		rep.OverloadFrac = float64(overloaded) / float64(linkEpochs)
+		rep.MeanActive = float64(o.activeSum) / float64(spec.Epochs)
+		rep.MeanUtil = o.utilSum / float64(linkEpochs)
+		rep.OverloadFrac = float64(o.overloaded) / float64(linkEpochs)
 	}
 	rep.UtilCCDF = make([]UtilBin, len(utilCCDFThresholds))
 	for ti, thr := range utilCCDFThresholds {
 		frac := 0.0
 		if linkEpochs > 0 {
-			frac = float64(ccdfCounts[ti]) / float64(linkEpochs)
+			frac = float64(o.ccdfCounts[ti]) / float64(linkEpochs)
 		}
 		rep.UtilCCDF[ti] = UtilBin{Util: thr, Frac: frac}
 	}
@@ -1077,7 +1104,7 @@ func finishReport(rep *SimReport, ctx *simContext, fctSum, utilSum float64, acti
 	load := &LoadReport{Links: make([]LinkLoad, 0, len(edges))}
 	horizon := float64(spec.Epochs) * spec.EpochLen
 	var loadSum float64
-	for id, l := range avgLoad {
+	for id, l := range o.avgLoad {
 		if l == 0 {
 			continue
 		}

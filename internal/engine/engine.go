@@ -43,6 +43,9 @@ type Engine struct {
 	mu      sync.Mutex
 	memo    map[string]*memoEntry
 	inherit map[string]func() any // incremental computations for the current snapshot, by bare key
+	// msbfs is the free list of path-statistics lane scratches, at most
+	// one per worker.
+	msbfs []*metrics.MSBFSScratch
 }
 
 type memoEntry struct {

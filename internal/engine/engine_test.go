@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"netmodel/internal/gen"
@@ -317,6 +318,51 @@ func TestGiantPathLengthsMatchInduced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPathLengthsConcurrent runs sampled giant path statistics (200
+// sources: three full MS-BFS batches and a short one, over a 2-wide
+// pool) and the exact whole-map statistics from four goroutines on one
+// engine. The calls share the engine's free list of lane scratches;
+// every result must equal a serial call on a fresh engine.
+func TestPathLengthsConcurrent(t *testing.T) {
+	top, err := gen.GNP{N: 800, P: 2.5 / 799}.Generate(rng.New(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := top.G.Freeze()
+	serial := New(s, WithWorkers(1))
+	wantExact, err := serial.PathLengths(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, rounds = 4, 3
+	wantGiant := make([]metrics.PathStats, goroutines*rounds)
+	for i := range wantGiant {
+		if wantGiant[i], err = serial.GiantPathLengths(rng.New(uint64(i)), 200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(s, WithWorkers(2))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				i := g*rounds + round
+				got, err := e.GiantPathLengths(rng.New(uint64(i)), 200)
+				if err != nil || !reflect.DeepEqual(got, wantGiant[i]) {
+					t.Errorf("goroutine %d round %d: giant paths %+v (%v), serial %+v", g, round, got, err, wantGiant[i])
+				}
+				exact, err := e.PathLengths(nil, 0)
+				if err != nil || !reflect.DeepEqual(exact, wantExact) {
+					t.Errorf("goroutine %d round %d: exact paths %+v (%v), serial %+v", g, round, exact, err, wantExact)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestEngineMemoization(t *testing.T) {

@@ -54,7 +54,7 @@ func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error)
 		out.GiantFrac = 1
 		return out, nil
 	}
-	if fit, err := stats.FitPowerLawDiscrete(e.DegreesAsFloats()); err == nil {
+	if fit := e.degreeFit(); fit != nil {
 		out.Gamma = fit.Alpha
 		out.GammaKS = fit.KS
 	}
@@ -74,6 +74,20 @@ func (e *Engine) Measure(r *rng.Rand, pathSources int) (metrics.Snapshot, error)
 	}
 	out.MaxCore = e.KCore().MaxCore
 	return out, nil
+}
+
+// degreeFit returns the discrete power-law fit of the degree sequence,
+// or nil when the sequence admits none. The fit is a pure function of
+// the memoized degrees, so it is memoized too: the measure and compare
+// stages of a sweep cell fit once.
+func (e *Engine) degreeFit() *stats.PowerLawFit {
+	return e.Cached("degree-fit", func() any {
+		fit, err := stats.FitPowerLawDiscrete(e.DegreesAsFloats())
+		if err != nil {
+			return (*stats.PowerLawFit)(nil)
+		}
+		return &fit
+	}).(*stats.PowerLawFit)
 }
 
 // MeasureGrowth computes the trajectory observation vector of the

@@ -116,10 +116,10 @@ func (e *Engine) perNodeBFS(reduce func(dist []int32, n int) float64) []float64 
 }
 
 // PathLengths measures shortest-path statistics from every node
-// (sources <= 0 or >= N) or a uniform sample, sharding BFS roots across
-// the pool. The per-worker reductions are integer histograms, so the
-// merged statistics are bit-identical to the sequential PathLengths.
-// Exact (unsampled) runs are memoized.
+// (sources <= 0 or >= N) or a uniform sample, sharding 64-source
+// MS-BFS batches across the pool. The per-worker reductions are integer
+// histograms, so the merged statistics are bit-identical to the
+// sequential PathLengthsFrozen. Exact (unsampled) runs are memoized.
 func (e *Engine) PathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
 	return e.pathLengths("paths-exact", nil, r, sources)
 }
@@ -158,31 +158,34 @@ func (e *Engine) pathLengths(key string, nodes []int, r *rng.Rand, sources int) 
 	return e.Cached(key, func() any { return e.pathHistogram(srcs) }).(metrics.PathStats), nil
 }
 
-// pathHistogram runs one BFS per source, sharded across the pool, and
-// merges the per-worker integer histograms.
+// pathHistogram folds the BFS distances from srcs into path statistics
+// with the MS-BFS kernel, which shards its 64-source batches across one
+// lane scratch per pool worker and merges the per-worker integer
+// histograms. The scratches come from the engine's free list, which
+// keeps at most one per worker, so repeated path measurements of one
+// engine (the measure and compare stages of a sweep cell) reuse their
+// rows.
 func (e *Engine) pathHistogram(srcs []int) metrics.PathStats {
-	s := e.s
-	n := s.N()
-	type pathScratch struct {
-		dist []int32
-		sc   *metrics.BFSScratch
-		hist metrics.PathHistogram
-	}
-	scratch := make([]*pathScratch, e.workers)
-	par.For(len(srcs), e.workers, func(w, i int) {
-		if scratch[w] == nil {
-			scratch[w] = &pathScratch{dist: make([]int32, n), sc: metrics.NewBFSScratch(n)}
-		}
-		metrics.BFSHybrid(s, srcs[i], scratch[w].dist, scratch[w].sc)
-		scratch[w].hist.AccumulateDistances(srcs[i], scratch[w].dist)
-	})
-	var total metrics.PathHistogram
-	for _, sc := range scratch {
-		if sc != nil {
-			total.Merge(&sc.hist)
+	scs := make([]*metrics.MSBFSScratch, e.workers)
+	e.mu.Lock()
+	for w := range scs {
+		if k := len(e.msbfs); k > 0 {
+			scs[w], e.msbfs = e.msbfs[k-1], e.msbfs[:k-1]
+		} else {
+			scs[w] = new(metrics.MSBFSScratch)
 		}
 	}
-	return total.ToStats(len(srcs))
+	e.mu.Unlock()
+	var h metrics.PathHistogram
+	h.AccumulateMSBFS(e.s, srcs, scs)
+	e.mu.Lock()
+	for _, sc := range scs {
+		if len(e.msbfs) < e.workers {
+			e.msbfs = append(e.msbfs, sc)
+		}
+	}
+	e.mu.Unlock()
+	return h.ToStats(len(srcs))
 }
 
 // TrianglesPerNode counts triangles through every node by sharding

@@ -320,7 +320,9 @@ func (h *PathHistogram) ToStats(sources int) PathStats {
 // PathLengthsFrozen measures shortest-path statistics by BFS from every
 // node (sources <= 0 or >= N) or from a uniform sample of `sources`
 // nodes. Sampling makes the N² cost tractable on large maps; the
-// distribution estimate is unbiased for connected graphs.
+// distribution estimate is unbiased for connected graphs. It runs one
+// BFSHybrid per source and is the reference the engine's batched
+// MS-BFS statistics are tested against.
 func PathLengthsFrozen(s *graph.Snapshot, r *rng.Rand, sources int) (PathStats, error) {
 	n := s.N()
 	srcs, err := PathSources(n, r, sources)

@@ -8,17 +8,19 @@ import (
 )
 
 // This file is the direction-optimizing BFS kernel shared by every
-// dist-only traversal consumer: the frozen path-metric kernels, the
+// dist-only traversal consumer: the per-node closeness kernels, the
 // DistMap cold rebuilds and budget fallbacks, the routing-tree builds
 // of the traffic package, and the component scans of the failure
-// layer. The kernel switches between the classic top-down frontier
-// expansion and a bottom-up sweep (Beamer's hybrid): when the frontier
-// carries a large share of the unexplored arcs, scanning the unvisited
-// nodes for any parent in the frontier touches far fewer arcs than
-// expanding every frontier edge — on the scale-free topologies this
-// repo generates, the two or three middle BFS levels hold almost the
-// whole graph, and the bottom-up sweep early-exits at the first parent
-// found. BFS levels are direction-independent, so the distance vector
+// layer and the engine's giant. Path statistics run the 64-lane MS-BFS
+// of msbfs.go instead; PathLengthsFrozen, one BFSHybrid per source,
+// stays as its oracle. The kernel switches between the classic
+// top-down frontier expansion and a bottom-up sweep (Beamer's hybrid):
+// when the frontier carries a large share of the unexplored arcs,
+// scanning the unvisited nodes for any parent in the frontier touches
+// far fewer arcs than expanding every frontier edge — on the
+// scale-free topologies this repo generates, the two or three middle
+// BFS levels hold almost the whole graph, and the bottom-up sweep
+// early-exits at the first parent found. BFS levels are direction-independent, so the distance vector
 // is bit-identical to BFSFrozen's whatever the per-level direction
 // choices; only the within-level discovery order differs, which is why
 // order-consuming kernels (BrandesFrozen, the ECMP demand router) stay

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -15,7 +16,8 @@ import (
 // The kernel benchmarks are the acceptance surface of the zero-alloc
 // hot paths: the direction-optimizing hybrid BFS against the classic
 // queue kernel on cold shortest-path-tree builds, exact pair-search
-// paths against a cold tree build per path, and the marginal
+// paths against a cold tree build per path, the 64-lane MS-BFS path
+// histogram against 64 per-source BFS runs, and the marginal
 // allocation cost of one steady-state operation — a simulate epoch in
 // either engine, a DistMap refresh, a Routing refresh — measured by
 // differencing seeded-deterministic runs so one-time setup cancels
@@ -100,6 +102,101 @@ func kernelsColdTreeRows(t *testing.T, n int) []benchutil.Row {
 	hybridRow := row.As("kernels-coldtree-hybrid", 1, hybrid/nsrc).Against(classicRow).WithAllocs(allocsPerOp, bytesPerOp)
 	t.Logf("coldtree n=%d: classic %v, hybrid %v (%.2fx), warm hybrid %g allocs/op", n, classic, hybrid, hybridRow.Speedup, allocsPerOp)
 	return []benchutil.Row{classicRow, hybridRow}
+}
+
+// kernelsMSBFSRows times the path-statistics histogram of 64 sources
+// two ways — 64 BFSHybrid runs folded by AccumulateDistances, and one
+// 64-lane MS-BFS batch — on two maps, and asserts the two histograms
+// equal. The BA map takes the cold-tree rows' 64 sources, and its
+// middle MS-BFS levels pull; the random geometric graph at its default
+// mean degree 4.2 has a small giant (4% of the nodes at 100k) and a hop
+// diameter in the hundreds, so every level pushes, and its 64 sources
+// are spread over the giant.
+func kernelsMSBFSRows(t *testing.T, n int) []benchutil.Row {
+	t.Helper()
+	const nsrc = 64
+	ba := kernelsFreezeBA(t, n, 1)
+	baSrcs := make([]int, nsrc)
+	for i := range baSrcs {
+		baSrcs[i] = i * ba.N() / nsrc
+	}
+	top, err := gen.RGG{N: n, Radius: math.Sqrt(4.2/math.Pi) / math.Sqrt(float64(n))}.Generate(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgg := top.G.Freeze()
+	comp := make([]int32, rgg.N())
+	sizes := metrics.ComponentsHybrid(rgg, metrics.NewBFSScratch(rgg.N()), comp, nil)
+	giant := int32(0)
+	for id, size := range sizes {
+		if size > sizes[giant] {
+			giant = int32(id)
+		}
+	}
+	var giantNodes []int
+	for v, c := range comp {
+		if c == giant {
+			giantNodes = append(giantNodes, v)
+		}
+	}
+	rggSrcs := make([]int, nsrc)
+	for i := range rggSrcs {
+		rggSrcs[i] = giantNodes[i*len(giantNodes)/nsrc]
+	}
+	return append(kernelsMSBFSPair(t, "kernels-bfs-paths", "kernels-msbfs-vs-bfs", ba, baSrcs),
+		kernelsMSBFSPair(t, "kernels-bfs-paths-rgg", "kernels-msbfs-vs-bfs-rgg", rgg, rggSrcs)...)
+}
+
+// kernelsMSBFSPair times one map's two path-histogram arms under the
+// names bfsName and msName. The arms alternate over five passes, each
+// arm reporting its median pass, so host noise lands on both; the warm
+// MS-BFS batch into a sized histogram must allocate nothing.
+func kernelsMSBFSPair(t *testing.T, bfsName, msName string, snap *graph.Snapshot, srcs []int) []benchutil.Row {
+	t.Helper()
+	const passes = 5
+	n := snap.N()
+	dist := make([]int32, n)
+	sc := metrics.NewBFSScratch(n)
+	msc := []*metrics.MSBFSScratch{new(metrics.MSBFSScratch)}
+	perSource := func() (h metrics.PathHistogram) {
+		for _, src := range srcs {
+			metrics.BFSHybrid(snap, src, dist, sc)
+			h.AccumulateDistances(src, dist)
+		}
+		return h
+	}
+	batch := func() (h metrics.PathHistogram) {
+		h.AccumulateMSBFS(snap, srcs, msc)
+		return h
+	}
+	// The first pass of each arm warms it (pages in the CSR, sizes the
+	// scratch) and pins the equivalence.
+	want, got := perSource(), batch()
+	if !slices.Equal(got.Counts, want.Counts) || got.Sum != want.Sum || got.Total != want.Total {
+		t.Fatalf("%s n=%d: MS-BFS histogram %+v, per-source BFS %+v", msName, n, got, want)
+	}
+	bfsTimes := make([]time.Duration, passes)
+	msTimes := make([]time.Duration, passes)
+	for p := range passes {
+		start := time.Now()
+		perSource()
+		bfsTimes[p] = time.Since(start)
+		start = time.Now()
+		batch()
+		msTimes[p] = time.Since(start)
+	}
+	slices.Sort(bfsTimes)
+	slices.Sort(msTimes)
+	allocsPerOp, bytesPerOp := benchutil.MarginalAllocs(1, 3, func(ops int) {
+		for i := 0; i < ops; i++ {
+			got.AccumulateMSBFS(snap, srcs, msc)
+		}
+	})
+	row := benchutil.Row{N: n, Sources: len(srcs)}
+	bfsRow := row.As(bfsName, 1, bfsTimes[passes/2])
+	msRow := row.As(msName, 1, msTimes[passes/2]).Against(bfsRow).WithAllocs(allocsPerOp, bytesPerOp)
+	t.Logf("%s n=%d: 64 BFS %v, MS-BFS %v (%.1fx), warm MS-BFS %g allocs/op", msName, n, bfsTimes[passes/2], msTimes[passes/2], msRow.Speedup, allocsPerOp)
+	return []benchutil.Row{bfsRow, msRow}
 }
 
 // kernelsPairRows times canonical-path resolution for 64 fixed OD
@@ -403,15 +500,16 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
-// smoke plus the 100k acceptance size), pair-search vs tree-path rows
-// at the same sizes, and the steady-state allocation rows the benchcheck
-// ceilings gate.
+// smoke plus the 100k acceptance size), pair-search vs tree-path and
+// MS-BFS vs per-source path-histogram rows at the same sizes, and the
+// steady-state allocation rows the benchcheck ceilings gate.
 func TestBenchJSON(t *testing.T) {
 	dir := benchutil.OutDir(t)
 	var rows []benchutil.Row
 	for _, n := range benchutil.Scale([]int{10000}, []int{10000, 100000}) {
 		rows = append(rows, kernelsColdTreeRows(t, n)...)
 		rows = append(rows, kernelsPairRows(t, n)...)
+		rows = append(rows, kernelsMSBFSRows(t, n)...)
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)

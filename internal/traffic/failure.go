@@ -184,6 +184,27 @@ func (sp FailureSpec) Validate() error {
 	return nil
 }
 
+// maxRenewalCycles caps the expected outage cycles per entity that a
+// repairing random-mode timeline walks, one loop each: a tiny MTBF+MTTR
+// would stall CompileFailures — forever once 1/MTBF overflows and the
+// walk's clock stops.
+const maxRenewalCycles = 1 << 20
+
+// checkRenewal rejects a repairing random-mode spec that would walk more
+// than maxRenewalCycles over epochs of length epochLen, or whose MTBF or
+// MTTR has no finite reciprocal. A permanent outage walks one cycle.
+func (sp FailureSpec) checkRenewal(epochs int, epochLen float64) error {
+	if sp.Mode != FailRandom || sp.MTTR <= 0 {
+		return nil
+	}
+	cycles := float64(epochs) * epochLen / (sp.MTBF + sp.MTTR)
+	if math.IsInf(1/sp.MTBF, 0) || math.IsInf(1/sp.MTTR, 0) || !(cycles <= maxRenewalCycles) {
+		return fmt.Errorf("traffic: random failure mtbf %g and mttr %g too short for the horizon (over %d outage cycles per entity)",
+			sp.MTBF, sp.MTTR, maxRenewalCycles)
+	}
+	return nil
+}
+
 // Label is the spec's compact sweep-axis label, the value of the
 // "failures" column in workload CSV rows.
 func (sp FailureSpec) Label() string {
@@ -293,6 +314,9 @@ func CompileFailures(s *graph.Snapshot, spec FailureSpec, epochs int, epochLen f
 		}
 
 	case FailRandom:
+		if err := spec.checkRenewal(epochs, epochLen); err != nil {
+			return nil, err
+		}
 		if spec.Links > len(edges) {
 			return nil, errors.New("traffic: more failing links than links in the topology")
 		}
@@ -751,8 +775,10 @@ func (fs *failState) requeue(epoch int, rf killedFlow) {
 	if rf.retries >= int32(fs.spec.MaxRetries) {
 		return
 	}
-	if at := epoch + fs.spec.RetryAfter; at < fs.ctx.spec.Epochs {
-		rf.at = int32(at)
+	// Compare the backoff against the epochs left rather than adding
+	// it to the epoch: a backoff near MaxInt would wrap the sum.
+	if fs.spec.RetryAfter < fs.ctx.spec.Epochs-epoch {
+		rf.at = int32(epoch + fs.spec.RetryAfter)
 		fs.retryQ = append(fs.retryQ, rf)
 	}
 }

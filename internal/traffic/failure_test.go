@@ -3,9 +3,11 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"netmodel/internal/graph"
 	"netmodel/internal/rng"
@@ -330,6 +332,93 @@ func TestFailureKillAndRetry(t *testing.T) {
 	}
 	if stats[5].LinksDown != 0 {
 		t.Fatalf("epoch 5 must record the repair: %+v", stats[5])
+	}
+}
+
+// TestFailureRetryBackoffBeyondHorizon pins that a backoff past the
+// horizon drops every killed flow, however large: RetryAfter MaxInt
+// must not wrap the retry epoch around into the horizon, and the run
+// must equal the one whose backoff is exactly the horizon.
+func TestFailureRetryBackoffBeyondHorizon(t *testing.T) {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
+	s := g.Freeze()
+	masses := []float64{1, 0, 1}
+	const epochs = 12
+	run := func(engine string, retryAfter int) (*SimReport, []byte) {
+		spec := WorkloadSpec{Engine: engine, LoadFactor: 0.5, Epochs: epochs, Sizes: "exp", MeanSize: 6,
+			Failures: &FailureSpec{Mode: FailScheduled, Events: []FailureEvent{
+				{Epoch: 3, Kind: "link", U: 1, V: 2},
+				{Epoch: 5, Kind: "link", U: 1, V: 2, Up: true},
+			}, MaxRetries: 3, RetryAfter: retryAfter}}
+		rep, err := Simulate(s, masses, spec, rng.New(1), 1, WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Spec.Failures.RetryAfter = 0 // the one echoed field that differs
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flows, err := json.Marshal(rep.Flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, append(data, flows...)
+	}
+	for _, engine := range []string{EngineEpoch, EngineEvent} {
+		huge, hugeJSON := run(engine, math.MaxInt)
+		if huge.Failures.Killed == 0 {
+			t.Fatalf("%s: the cut must kill flows", engine)
+		}
+		if huge.Failures.Retried != 0 {
+			t.Fatalf("%s: backoff MaxInt retried %d flows inside a %d-epoch horizon", engine, huge.Failures.Retried, epochs)
+		}
+		_, horizonJSON := run(engine, epochs)
+		if !bytes.Equal(hugeJSON, horizonJSON) {
+			t.Fatalf("%s: backoff MaxInt diverged from backoff = horizon", engine)
+		}
+	}
+}
+
+// TestFailureRenewalCapRejectsFast pins that random outage specs whose
+// renewal walk would stall compilation — sub-epoch MTBF+MTTR, or an
+// MTBF whose reciprocal overflows — fail with an error instead, both
+// in CompileFailures and through Simulate, well within a second.
+func TestFailureRenewalCapRejectsFast(t *testing.T) {
+	s := meshGraph(20).Freeze()
+	for _, spec := range []FailureSpec{
+		{Mode: FailRandom, Links: 1, MTBF: 1e-300, MTTR: 1e-300},
+		{Mode: FailRandom, Links: 1, MTBF: 1e-310, MTTR: 1e300},
+		{Mode: FailRandom, Links: 1, MTBF: 1e-7, MTTR: 1e-7},
+	} {
+		done := make(chan [2]error, 1)
+		go func() {
+			_, compileErr := CompileFailures(s, spec, 20, 1, rng.New(1), nil)
+			fs := spec
+			_, simErr := Simulate(s, UniformMasses(20), WorkloadSpec{LoadFactor: 0.5, Failures: &fs}, rng.New(1), 1)
+			done <- [2]error{compileErr, simErr}
+		}()
+		select {
+		case errs := <-done:
+			for _, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "random failure mtbf") {
+					t.Fatalf("mtbf %g mttr %g: got error %v, want a random failure mtbf rejection", spec.MTBF, spec.MTTR, err)
+				}
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("mtbf %g mttr %g: no rejection within a second", spec.MTBF, spec.MTTR)
+		}
+	}
+	// A permanent outage walks at most one cycle, so a tiny MTBF stays
+	// accepted there: everything fails at the first epoch start.
+	tl, err := CompileFailures(s, FailureSpec{Mode: FailRandom, Links: 2, MTBF: 1e-300}, 20, 1, rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl.LinksFailed() != 2 || tl.Ops(1) != 2 {
+		t.Fatalf("permanent tiny-mtbf outages: %d links failed, %d ops at epoch 1", tl.LinksFailed(), tl.Ops(1))
 	}
 }
 

@@ -17,13 +17,14 @@ import (
 // hot paths: the direction-optimizing hybrid BFS against the classic
 // queue kernel on cold shortest-path-tree builds, exact pair-search
 // paths against a cold tree build per path, the 64-lane MS-BFS path
-// histogram against 64 per-source BFS runs, and the marginal
-// allocation cost of one steady-state operation — a simulate epoch in
-// either engine, a DistMap refresh, a Routing refresh — measured by
-// differencing seeded-deterministic runs so one-time setup cancels
-// exactly. The allocation rows are gated from above by benchcheck's
-// max_allocs_per_op / max_bytes_per_op ceilings (0 for the steady
-// states), the speedup rows from below by the usual floor:
+// histogram against 64 per-source BFS runs, the allocations of one
+// simulation setup (a fixed handful, however many origins), and the
+// marginal allocation cost of one steady-state operation — a simulate
+// epoch in either engine, a DistMap refresh, a Routing refresh —
+// measured by differencing seeded-deterministic runs so one-time setup
+// cancels exactly. The allocation rows are gated from above by
+// benchcheck's max_allocs_per_op / max_bytes_per_op ceilings (0 for the
+// steady states), the speedup rows from below by the usual floor:
 //
 //	go test -run TestBenchJSON ./internal/traffic -bench-out DIR   # BENCH_kernels.json
 //
@@ -272,6 +273,34 @@ func kernelsWorkload(tb testing.TB, n, flows int) (*graph.Snapshot, []float64, W
 	return snap, masses, spec
 }
 
+// kernelsSimSetupRow measures one newSimContext call on a BA map of n
+// nodes, every node an origin: spec validation, link capacities, the
+// destination alias table, and each origin's split stream and arrival
+// state. The routing state is built outside the measured region, so
+// the row is the workload stage's per-cell setup alone. Its
+// allocations are a handful of flat slices, independent of n; an
+// object per origin would show up as ~n allocs/op.
+func kernelsSimSetupRow(t *testing.T, n int) benchutil.Row {
+	t.Helper()
+	const ops = 4
+	snap, masses, spec := kernelsWorkload(t, n, 200)
+	rt := NewRouting(snap)
+	setup := func() {
+		if _, err := newSimContext(snap, rt, masses, spec, rng.New(7), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setup() // page in the snapshot and the masses
+	elapsed, allocs, bytes := benchutil.Timed(func() {
+		for i := 0; i < ops; i++ {
+			setup()
+		}
+	})
+	allocsPerOp, bytesPerOp := float64(allocs)/ops, float64(bytes)/ops
+	t.Logf("sim setup n=%d: %v/op, %g allocs/op, %.0f B/op", n, elapsed/ops, allocsPerOp, bytesPerOp)
+	return benchutil.Row{N: n}.As("kernels-sim-setup", 1, elapsed/ops).WithAllocs(allocsPerOp, bytesPerOp)
+}
+
 // kernelsEngineSteadyRow measures one engine's marginal allocations per
 // steady-state epoch. Both timed runs share a routing state pre-warmed
 // over the longer horizon (both draw the identical seeded arrival
@@ -501,7 +530,8 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
 // smoke plus the 100k acceptance size), pair-search vs tree-path and
-// MS-BFS vs per-source path-histogram rows at the same sizes, and the
+// MS-BFS vs per-source path-histogram rows at the same sizes, the
+// simulation-setup allocation rows at the same sizes, and the
 // steady-state allocation rows the benchcheck ceilings gate.
 func TestBenchJSON(t *testing.T) {
 	dir := benchutil.OutDir(t)
@@ -510,6 +540,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsColdTreeRows(t, n)...)
 		rows = append(rows, kernelsPairRows(t, n)...)
 		rows = append(rows, kernelsMSBFSRows(t, n)...)
+		rows = append(rows, kernelsSimSetupRow(t, n))
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)

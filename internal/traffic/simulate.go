@@ -508,9 +508,8 @@ type simContext struct {
 	// srcNodes are the origins with positive mass, ascending; streams
 	// and sources are indexed alongside.
 	srcNodes []int
-	streams  []*rng.Rand
-	sources  []ArrivalSource
-	sizes    SizeDist
+	streams  []rng.Rand
+	sources  []arrivalState
 	alias    *rng.Alias
 	// fail is the fault-injection state, nil on the no-failure path.
 	fail *failState
@@ -597,18 +596,19 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 		}
 		rt = cfg.rt
 	}
-	positive := 0
+	// The origins are the nodes with positive mass, ascending.
+	srcNodes := make([]int, 0, n)
 	var sumMass float64
-	for _, m := range masses {
+	for u, m := range masses {
 		if m < 0 {
 			return nil, errors.New("traffic: negative mass")
 		}
 		if m > 0 {
-			positive++
+			srcNodes = append(srcNodes, u)
 		}
 		sumMass += m
 	}
-	if positive < 2 {
+	if len(srcNodes) < 2 {
 		return nil, errors.New("traffic: workload needs at least two positive masses")
 	}
 	alias, err := rng.NewAliasTable(masses)
@@ -629,29 +629,22 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 	}
 	lambdaTotal := spec.LoadFactor * capTotal / spec.MeanSize
 
-	// One split stream per origin with positive mass, keyed by node id:
-	// the stream feeds the origin's arrival process and, interleaved in
-	// arrival order, its destination and size draws. Worker count never
-	// touches these streams.
-	proc := spec.arrivalProcess()
-	var srcNodes []int
-	for u, m := range masses {
-		if m > 0 {
-			srcNodes = append(srcNodes, u)
-		}
-	}
-	streams := make([]*rng.Rand, len(srcNodes))
-	sources := make([]ArrivalSource, len(srcNodes))
+	// One split stream per origin, keyed by node id: the stream feeds
+	// the origin's arrival process and, interleaved in arrival order,
+	// its destination and size draws. Worker count never touches these
+	// streams.
+	streams := make([]rng.Rand, len(srcNodes))
+	sources := make([]arrivalState, len(srcNodes))
 	for i, u := range srcNodes {
-		streams[i] = r.Split(uint64(u))
-		sources[i] = proc.NewSource(streams[i], lambdaTotal*masses[u]/sumMass)
+		r.SplitInto(&streams[i], uint64(u))
+		sources[i] = spec.newArrivalState(&streams[i], lambdaTotal*masses[u]/sumMass)
 	}
 
 	ctx := &simContext{
 		s: s, rt: rt, spec: spec, cfg: cfg, workers: workers,
 		edges: edges, capEdge: capEdge,
 		srcNodes: srcNodes, streams: streams, sources: sources,
-		sizes: spec.sizeDist(), alias: alias,
+		alias: alias,
 	}
 	if spec.Failures != nil && spec.Failures.Active() {
 		fail, err := newFailState(ctx, masses, r)
@@ -669,14 +662,14 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 // is the contract both engines share, so pre-drawing a whole horizon
 // origin-by-origin replays the identical stream.
 func (ctx *simContext) drawArrivals(i int, dt float64, pend []pending) []pending {
-	u := ctx.srcNodes[i]
-	k := ctx.sources[i].Arrivals(dt)
+	u, r := ctx.srcNodes[i], &ctx.streams[i]
+	k := ctx.sources[i].arrivals(r, dt)
 	for j := 0; j < k; j++ {
-		dst := ctx.alias.NextWith(ctx.streams[i])
+		dst := ctx.alias.NextWith(r)
 		for dst == u {
-			dst = ctx.alias.NextWith(ctx.streams[i])
+			dst = ctx.alias.NextWith(r)
 		}
-		pend = append(pend, pending{src: u, dst: dst, size: ctx.sizes.Sample(ctx.streams[i])})
+		pend = append(pend, pending{src: u, dst: dst, size: ctx.spec.sampleSize(r)})
 	}
 	return pend
 }

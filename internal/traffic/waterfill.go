@@ -8,9 +8,8 @@ package traffic
 // first-use order, flows fixed in per-link admission order, the
 // exhausted bottleneck's residue snapped to exactly zero — is the
 // epoch engine's original, bit for bit; the event engine's lazy-heap
-// solver is validated against it. The ROADMAP's pluggable
-// SharingPolicy layer will slot alternative allocators beside this
-// one, which is why it lives behind its own seam.
+// solver is validated against it. Max-min fairness is the only sharing
+// rule either engine implements.
 
 // wfState is the pooled state of the water-filling allocator.
 type wfState struct {

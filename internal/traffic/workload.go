@@ -13,169 +13,95 @@ import (
 // arrive over time on gravity-weighted origin-destination pairs, carry
 // heavy-tailed sizes, and share link bandwidth while they live — the
 // flow-level abstraction of the congestion-control and flow-level
-// stability literature (Garg-Young, Feuillet). Arrival processes and
-// size distributions are pluggable; every random draw comes from a
-// stream split off the workload seed per source node, so a simulation
-// is a pure function of (snapshot, masses, spec, seed) — bit-identical
-// at every worker count.
+// stability literature (Garg-Young, Feuillet). The arrival processes
+// and size laws are plain values a spec string selects by switch; every
+// random draw comes from a stream split off the workload seed per
+// source node, so a simulation is a pure function of (snapshot, masses,
+// spec, seed) — bit-identical at every worker count.
 
-// SizeDist draws flow sizes (in capacity·time units: a size-1 flow
-// saturates a unit-capacity link for one time unit).
-type SizeDist interface {
-	// Name identifies the distribution family ("pareto", ...).
-	Name() string
-	// Sample draws one flow size > 0 from the given stream.
-	Sample(r *rng.Rand) float64
-}
-
-// ParetoSizes is the canonical heavy-tailed flow-size law: Pareto with
-// the given mean and tail index Alpha > 1 (the minimum size is derived
-// as Mean·(Alpha-1)/Alpha). Smaller Alpha means heavier tails: the
-// mice-and-elephants mix sharpens as Alpha drops toward 1.
-type ParetoSizes struct {
-	Mean, Alpha float64
-}
-
-// Name implements SizeDist.
-func (p ParetoSizes) Name() string { return "pareto" }
-
-// Sample implements SizeDist.
-func (p ParetoSizes) Sample(r *rng.Rand) float64 {
-	xm := p.Mean * (p.Alpha - 1) / p.Alpha
-	return r.Pareto(xm, p.Alpha)
-}
-
-// LognormalSizes draws lognormal flow sizes with the given mean and
-// log-space standard deviation Sigma (the location parameter is derived
-// so the arithmetic mean is Mean).
-type LognormalSizes struct {
-	Mean, Sigma float64
-}
-
-// Name implements SizeDist.
-func (l LognormalSizes) Name() string { return "lognormal" }
-
-// Sample implements SizeDist.
-func (l LognormalSizes) Sample(r *rng.Rand) float64 {
-	mu := math.Log(l.Mean) - l.Sigma*l.Sigma/2
-	return math.Exp(r.Normal(mu, l.Sigma))
-}
-
-// ExpSizes draws exponential flow sizes — the light-tailed reference
-// against which the heavy-tailed laws are compared.
-type ExpSizes struct {
-	Mean float64
-}
-
-// Name implements SizeDist.
-func (e ExpSizes) Name() string { return "exp" }
-
-// Sample implements SizeDist.
-func (e ExpSizes) Sample(r *rng.Rand) float64 { return r.Exp(1 / e.Mean) }
-
-// ArrivalProcess mints per-source arrival sources. Each source owns its
-// own split random stream, which keeps the arrival sample paths of
-// distinct nodes independent and the whole workload deterministic.
-type ArrivalProcess interface {
-	// Name identifies the process family ("poisson", "onoff").
-	Name() string
-	// NewSource returns the arrival state of one origin node with the
-	// given long-run mean arrival rate (flows per unit time), drawing
-	// only from r (which the source retains).
-	NewSource(r *rng.Rand, rate float64) ArrivalSource
-}
-
-// ArrivalSource is the evolving arrival state of one origin node.
-type ArrivalSource interface {
-	// Arrivals advances the source by dt time units and returns how many
-	// flows arrived in that window.
-	Arrivals(dt float64) int
-}
-
-// PoissonArrivals is the memoryless session-arrival process: counts per
-// window are Poisson with mean rate·dt.
-type PoissonArrivals struct{}
-
-// Name implements ArrivalProcess.
-func (PoissonArrivals) Name() string { return "poisson" }
-
-type poissonSource struct {
-	r    *rng.Rand
-	rate float64
-}
-
-// NewSource implements ArrivalProcess.
-func (PoissonArrivals) NewSource(r *rng.Rand, rate float64) ArrivalSource {
-	return &poissonSource{r: r, rate: rate}
-}
-
-func (s *poissonSource) Arrivals(dt float64) int {
-	return s.r.Poisson(s.rate * dt)
-}
-
-// OnOffArrivals is the Markov-modulated burst process: a source
-// alternates between exponential on-periods (mean MeanOn) and
-// off-periods (mean MeanOff), emitting Poisson arrivals only while on,
-// at an intensity scaled by (MeanOn+MeanOff)/MeanOn so the long-run
-// mean rate matches the requested one. The initial state is drawn from
-// the stationary distribution.
-type OnOffArrivals struct {
-	MeanOn, MeanOff float64
-}
-
-// Name implements ArrivalProcess.
-func (OnOffArrivals) Name() string { return "onoff" }
-
-type onOffSource struct {
-	r               *rng.Rand
-	on              bool
-	left            float64 // time left in the current state
-	lambdaOn        float64 // arrival intensity while on
+// arrivalState is one origin's evolving arrival state. A Poisson origin
+// (onOff false) emits Poisson counts with mean rate·dt per window. An
+// on-off origin is the Markov-modulated burst process: it alternates
+// between exponential on-periods (mean meanOn) and off-periods (mean
+// meanOff), emitting Poisson arrivals only while on, at an intensity
+// (rate) scaled by (meanOn+meanOff)/meanOn so the long-run mean rate
+// matches the requested one. The origin's split stream is passed to
+// every call, not held, so the states of all origins sit in one flat
+// slice next to the streams.
+type arrivalState struct {
+	onOff, on       bool
+	rate            float64 // Poisson intensity (while on, for on-off)
+	left            float64 // on-off: time left in the current state
 	meanOn, meanOff float64
 }
 
-// NewSource implements ArrivalProcess.
-func (p OnOffArrivals) NewSource(r *rng.Rand, rate float64) ArrivalSource {
-	s := &onOffSource{
-		r:        r,
-		lambdaOn: rate * (p.MeanOn + p.MeanOff) / p.MeanOn,
-		meanOn:   p.MeanOn,
-		meanOff:  p.MeanOff,
+// newArrivalState returns the arrival state of one origin with the
+// given long-run mean arrival rate (flows per unit time) under the
+// spec's process, drawing an on-off origin's initial state from the
+// stationary distribution on r.
+func (sp *WorkloadSpec) newArrivalState(r *rng.Rand, rate float64) arrivalState {
+	if sp.Arrivals != "onoff" {
+		return arrivalState{rate: rate}
 	}
-	s.on = r.Float64() < p.MeanOn/(p.MeanOn+p.MeanOff)
-	if s.on {
-		s.left = r.Exp(1 / s.meanOn)
-	} else {
-		s.left = r.Exp(1 / s.meanOff)
-	}
-	return s
+	a := arrivalState{onOff: true, rate: rate * (sp.MeanOn + sp.MeanOff) / sp.MeanOn,
+		meanOn: sp.MeanOn, meanOff: sp.MeanOff}
+	a.on = r.Float64() < sp.MeanOn/(sp.MeanOn+sp.MeanOff)
+	a.left = a.period(r)
+	return a
 }
 
-func (s *onOffSource) Arrivals(dt float64) int {
+// period draws the length of a fresh on-off period in the current
+// state.
+func (a *arrivalState) period(r *rng.Rand) float64 {
+	if a.on {
+		return r.Exp(1 / a.meanOn)
+	}
+	return r.Exp(1 / a.meanOff)
+}
+
+// arrivals advances the state by dt time units on the origin's stream r
+// and returns how many flows arrived in that window.
+func (a *arrivalState) arrivals(r *rng.Rand, dt float64) int {
+	if !a.onOff {
+		return r.Poisson(a.rate * dt)
+	}
 	var onTime float64
 	for dt > 0 {
-		step := dt
-		if s.left < step {
-			step = s.left
-		}
-		if s.on {
+		step := min(dt, a.left)
+		if a.on {
 			onTime += step
 		}
 		dt -= step
-		s.left -= step
-		if s.left <= 0 {
-			s.on = !s.on
-			if s.on {
-				s.left = s.r.Exp(1 / s.meanOn)
-			} else {
-				s.left = s.r.Exp(1 / s.meanOff)
-			}
+		a.left -= step
+		if a.left <= 0 {
+			a.on = !a.on
+			a.left = a.period(r)
 		}
 	}
-	if onTime == 0 {
-		return 0
+	// A window spent wholly off draws nothing: Poisson(0) is 0 without
+	// a draw.
+	return r.Poisson(a.rate * onTime)
+}
+
+// sampleSize draws one flow size > 0 (in capacity·time units: a size-1
+// flow saturates a unit-capacity link for one time unit) from the
+// spec's size law on r. Pareto is the canonical heavy-tailed law, with
+// tail index TailIndex > 1 and the minimum size derived from the mean;
+// smaller tail indexes sharpen the mice-and-elephants mix. Lognormal
+// takes TailIndex as its log-space sigma, the location derived so the
+// arithmetic mean is MeanSize. Exponential is the light-tailed
+// reference.
+func (sp *WorkloadSpec) sampleSize(r *rng.Rand) float64 {
+	switch sp.Sizes {
+	case "lognormal":
+		mu := math.Log(sp.MeanSize) - sp.TailIndex*sp.TailIndex/2
+		return math.Exp(r.Normal(mu, sp.TailIndex))
+	case "exp":
+		return r.Exp(1 / sp.MeanSize)
+	default:
+		xm := sp.MeanSize * (sp.TailIndex - 1) / sp.TailIndex
+		return r.Pareto(xm, sp.TailIndex)
 	}
-	return s.r.Poisson(s.lambdaOn * onTime)
 }
 
 // WorkloadSpec is the flag- and JSON-friendly description of a flow
@@ -355,26 +281,9 @@ func (sp WorkloadSpec) Validate() error {
 		if err := sp.Failures.Validate(); err != nil {
 			return err
 		}
+		if err := sp.Failures.checkRenewal(sp.Epochs, sp.EpochLen); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// arrivalProcess resolves the named process.
-func (sp WorkloadSpec) arrivalProcess() ArrivalProcess {
-	if sp.Arrivals == "onoff" {
-		return OnOffArrivals{MeanOn: sp.MeanOn, MeanOff: sp.MeanOff}
-	}
-	return PoissonArrivals{}
-}
-
-// sizeDist resolves the named size law.
-func (sp WorkloadSpec) sizeDist() SizeDist {
-	switch sp.Sizes {
-	case "lognormal":
-		return LognormalSizes{Mean: sp.MeanSize, Sigma: sp.TailIndex}
-	case "exp":
-		return ExpSizes{Mean: sp.MeanSize}
-	default:
-		return ParetoSizes{Mean: sp.MeanSize, Alpha: sp.TailIndex}
-	}
 }

@@ -53,33 +53,34 @@ var badWorkloadSpecs = []WorkloadSpec{
 	{LoadFactor: 0.5, TailIndex: math.NaN()},         // NaN tail
 	{LoadFactor: math.Inf(1)},                        // infinite load
 	{LoadFactor: 0.5, MeanSize: math.Inf(1)},         // infinite size
+	// A sub-epoch repairing outage cycle: ~1e301 renewal cycles per
+	// entity over the horizon.
+	{LoadFactor: 0.5, Failures: &FailureSpec{Mode: FailRandom, Links: 1, MTBF: 1e-300, MTTR: 1e-300}},
+	// A denormal MTBF: 1/MTBF is +Inf, so the renewal clock never
+	// advances past the up-periods.
+	{LoadFactor: 0.5, Failures: &FailureSpec{Mode: FailRandom, Links: 1, MTBF: 1e-310, MTTR: 1e300}},
 }
 
-// sampleMean draws k sizes and returns their mean.
-func sampleMean(d SizeDist, k int, seed uint64) float64 {
+// sampleMean draws k sizes from the spec's size law and returns their
+// mean.
+func sampleMean(sp WorkloadSpec, k int, seed uint64) float64 {
 	r := rng.New(seed)
 	var sum float64
 	for i := 0; i < k; i++ {
-		sum += d.Sample(r)
+		sum += sp.sampleSize(r)
 	}
 	return sum / float64(k)
 }
 
 func TestSizeDistMeans(t *testing.T) {
-	for _, tc := range []struct {
-		d    SizeDist
-		name string
-	}{
-		{ParetoSizes{Mean: 4, Alpha: 2.5}, "pareto"},
-		{LognormalSizes{Mean: 4, Sigma: 0.8}, "lognormal"},
-		{ExpSizes{Mean: 4}, "exp"},
+	for _, sp := range []WorkloadSpec{
+		{Sizes: "pareto", MeanSize: 4, TailIndex: 2.5},
+		{Sizes: "lognormal", MeanSize: 4, TailIndex: 0.8},
+		{Sizes: "exp", MeanSize: 4},
 	} {
-		if tc.d.Name() != tc.name {
-			t.Fatalf("name %q, want %q", tc.d.Name(), tc.name)
-		}
-		mean := sampleMean(tc.d, 200000, 11)
+		mean := sampleMean(sp, 200000, 11)
 		if math.Abs(mean-4) > 0.4 {
-			t.Fatalf("%s sample mean %v, want ~4", tc.name, mean)
+			t.Fatalf("%s sample mean %v, want ~4", sp.Sizes, mean)
 		}
 	}
 }
@@ -89,10 +90,10 @@ func TestParetoSizesTailHeaviness(t *testing.T) {
 	// mean at equal means.
 	count := func(alpha float64) int {
 		r := rng.New(3)
-		d := ParetoSizes{Mean: 1, Alpha: alpha}
+		sp := WorkloadSpec{Sizes: "pareto", MeanSize: 1, TailIndex: alpha}
 		big := 0
 		for i := 0; i < 100000; i++ {
-			if d.Sample(r) > 10 {
+			if sp.sampleSize(r) > 10 {
 				big++
 			}
 		}
@@ -103,19 +104,22 @@ func TestParetoSizesTailHeaviness(t *testing.T) {
 	}
 }
 
-// arrivalsOver drives one source through k windows of length dt.
-func arrivalsOver(src ArrivalSource, k int, dt float64) (total int, counts []int) {
+// arrivalsOver drives one origin of the spec's arrival process at the
+// given rate through k windows of length dt, on a stream seeded with
+// seed.
+func arrivalsOver(sp WorkloadSpec, rate float64, seed uint64, k int, dt float64) (total int, counts []int) {
+	r := rng.New(seed)
+	a := sp.newArrivalState(r, rate)
 	counts = make([]int, k)
 	for i := range counts {
-		counts[i] = src.Arrivals(dt)
+		counts[i] = a.arrivals(r, dt)
 		total += counts[i]
 	}
 	return total, counts
 }
 
 func TestPoissonArrivalsMeanRate(t *testing.T) {
-	src := PoissonArrivals{}.NewSource(rng.New(7), 3)
-	total, _ := arrivalsOver(src, 20000, 1)
+	total, _ := arrivalsOver(WorkloadSpec{Arrivals: "poisson"}, 3, 7, 20000, 1)
 	mean := float64(total) / 20000
 	if math.Abs(mean-3) > 0.1 {
 		t.Fatalf("poisson mean rate %v, want ~3", mean)
@@ -123,9 +127,8 @@ func TestPoissonArrivalsMeanRate(t *testing.T) {
 }
 
 func TestOnOffArrivalsMeanRateAndBurstiness(t *testing.T) {
-	p := OnOffArrivals{MeanOn: 1, MeanOff: 4}
-	src := p.NewSource(rng.New(7), 3)
-	total, counts := arrivalsOver(src, 20000, 1)
+	sp := WorkloadSpec{Arrivals: "onoff", MeanOn: 1, MeanOff: 4}
+	total, counts := arrivalsOver(sp, 3, 7, 20000, 1)
 	mean := float64(total) / float64(len(counts))
 	if math.Abs(mean-3) > 0.15 {
 		t.Fatalf("on-off mean rate %v, want ~3", mean)
@@ -143,12 +146,12 @@ func TestOnOffArrivalsMeanRateAndBurstiness(t *testing.T) {
 }
 
 func TestArrivalSourcesDeterministic(t *testing.T) {
-	for _, proc := range []ArrivalProcess{PoissonArrivals{}, OnOffArrivals{MeanOn: 1, MeanOff: 2}} {
-		_, a := arrivalsOver(proc.NewSource(rng.New(42), 2), 100, 0.5)
-		_, b := arrivalsOver(proc.NewSource(rng.New(42), 2), 100, 0.5)
+	for _, sp := range []WorkloadSpec{{Arrivals: "poisson"}, {Arrivals: "onoff", MeanOn: 1, MeanOff: 2}} {
+		_, a := arrivalsOver(sp, 2, 42, 100, 0.5)
+		_, b := arrivalsOver(sp, 2, 42, 100, 0.5)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s window %d: %d vs %d on the same seed", proc.Name(), i, a[i], b[i])
+				t.Fatalf("%s window %d: %d vs %d on the same seed", sp.Arrivals, i, a[i], b[i])
 			}
 		}
 	}

@@ -20,6 +20,7 @@ package benchutil
 import (
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -177,21 +178,28 @@ func readBaseline(m *runtime.MemStats) {
 // zero when every buffer's high-water mark is reached inside the common
 // prefix. run must construct all state fresh on each call (sharing
 // warmed state across both calls is fine — it cancels too).
+//
+// Each arm runs three times and the per-arm minima are differenced. A
+// seeded allocation repeats in every window, so the minimum keeps it;
+// a stray runtime allocation (a background sweep, a timer) only ever
+// adds to the one window it lands in, so the minimum drops it.
 func MarginalAllocs(ops1, ops2 int, run func(ops int)) (allocsPerOp, bytesPerOp float64) {
 	if ops2 <= ops1 {
 		panic("benchutil: MarginalAllocs needs ops2 > ops1")
 	}
-	a1, b1 := MeasureAllocs(func() { run(ops1) })
-	a2, b2 := MeasureAllocs(func() { run(ops2) })
+	minAllocs := func(ops int) (allocs, bytes uint64) {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for range 3 {
+			a, b := MeasureAllocs(func() { run(ops) })
+			allocs, bytes = min(allocs, a), min(bytes, b)
+		}
+		return allocs, bytes
+	}
+	a1, b1 := minAllocs(ops1)
+	a2, b2 := minAllocs(ops2)
 	span := float64(ops2 - ops1)
-	// The counters are monotonic but the short run can allocate more
-	// than the long run's surplus implies never happens with identical
-	// seeding; clamp anyway so a fluke reads 0, not 2^64.
-	if a2 < a1 {
-		a1 = a2
-	}
-	if b2 < b1 {
-		b1 = b2
-	}
+	// With identical seeding the short run never allocates more than
+	// the long one; clamp anyway so a fluke reads 0, not 2^64.
+	a1, b1 = min(a1, a2), min(b1, b2)
 	return float64(a2-a1) / span, float64(b2-b1) / span
 }

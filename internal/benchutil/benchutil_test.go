@@ -70,6 +70,26 @@ func TestMarginalAllocsZeroForPureSetup(t *testing.T) {
 	}
 }
 
+// oneAllocSink keeps each op's object on the heap.
+var oneAllocSink []*[4]int64
+
+// TestMarginalAllocsKeepsOneAllocPerOp: the per-arm minimum drops stray
+// runtime allocations but must not hide a real one — a workload that
+// allocates exactly one object per op (into a slice of fixed size
+// made in setup) reads exactly 1.0 allocs/op and its object size in
+// bytes.
+func TestMarginalAllocsKeepsOneAllocPerOp(t *testing.T) {
+	allocs, bytes := MarginalAllocs(8, 24, func(ops int) {
+		oneAllocSink = make([]*[4]int64, 24)
+		for i := range ops {
+			oneAllocSink[i] = new([4]int64)
+		}
+	})
+	if allocs != 1 || bytes != 32 {
+		t.Fatalf("one 32-byte object per op measured as %.3f allocs/op, %.3f B/op", allocs, bytes)
+	}
+}
+
 func TestWriteRowsSchema(t *testing.T) {
 	dir := t.TempDir()
 	base := Row{N: 10}.As("base", 1, 4)

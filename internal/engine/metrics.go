@@ -188,31 +188,12 @@ func (e *Engine) pathHistogram(srcs []int) metrics.PathStats {
 	return h.ToStats(len(srcs))
 }
 
-// TrianglesPerNode counts triangles through every node by sharding
-// smallest-corner ranges across the pool. Memoized; do not modify the
-// result.
+// TrianglesPerNode counts triangles through every node with the
+// degree-oriented kernel sharded across the pool
+// (metrics.TrianglesPerNodeWith). Memoized; do not modify the result.
 func (e *Engine) TrianglesPerNode() []int {
 	return e.Cached("triangles", func() any {
-		s := e.s
-		n := s.N()
-		workers := e.workers
-		partial := make([][]int, workers)
-		par.For(n, workers, func(w, u int) {
-			if partial[w] == nil {
-				partial[w] = make([]int, n)
-			}
-			metrics.TriangleRangeFrozen(s, u, u+1, partial[w])
-		})
-		t := make([]int, n)
-		for _, p := range partial {
-			if p == nil {
-				continue
-			}
-			for i, v := range p {
-				t[i] += v
-			}
-		}
-		return t
+		return metrics.TrianglesPerNodeWith(e.s, e.workers)
 	}).([]int)
 }
 

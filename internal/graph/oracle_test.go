@@ -27,6 +27,42 @@ func newMapGraph(n int) *mapGraph {
 	return o
 }
 
+// searchArcEdgeIDs is the arc→edge fill FillArcEdgeIDs replaced: each
+// arc (u, v) with v < u finds its reverse arc by binary search in row
+// v and copies that arc's id. It is the oracle of the cursor fill.
+func searchArcEdgeIDs(s *Snapshot) []int32 {
+	buf := make([]int32, s.ArcSpace())
+	next := int32(0)
+	for u := 0; u < s.N(); u++ {
+		lo, hi := s.ArcRange(u)
+		for a := lo; a < hi; a++ {
+			if v := int(s.neighbors[a]); v > u {
+				buf[a] = next
+				next++
+			} else {
+				buf[a] = buf[s.arcOf(v, u)]
+			}
+		}
+	}
+	return buf
+}
+
+// assertArcEdgeIDs checks FillArcEdgeIDs into the reused buffers against
+// the search-based oracle on every live arc (entries outside live rows
+// are meaningless) and returns the buffers for the next call.
+func assertArcEdgeIDs(t *testing.T, tag string, s *Snapshot, buf, cursor []int32) ([]int32, []int32) {
+	t.Helper()
+	buf, cursor = s.FillArcEdgeIDs(buf, cursor)
+	want := searchArcEdgeIDs(s)
+	for u := 0; u < s.N(); u++ {
+		lo, hi := s.ArcRange(u)
+		if !slices.Equal(buf[lo:hi], want[lo:hi]) {
+			t.Fatalf("%s: row %d edge ids %v, search fill %v", tag, u, buf[lo:hi], want[lo:hi])
+		}
+	}
+	return buf, cursor
+}
+
 // oracleOf rebuilds g's topology as a mapGraph.
 func oracleOf(g *Graph) *mapGraph {
 	o := newMapGraph(g.N())
@@ -165,6 +201,7 @@ func runScript(t *testing.T, script []byte) {
 	}
 	g, o := New(int(script[0]%8)), newMapGraph(int(script[0]%8))
 	base := g.Freeze()
+	var ids, cursor []int32
 	script = script[1:]
 	for step := 0; step+3 <= len(script); step += 3 {
 		op := script[step] % 8
@@ -198,6 +235,7 @@ func runScript(t *testing.T, script []byte) {
 			}
 			assertSnapshotsEqual(t, tag, next, cold)
 			assertMatchesOracle(t, tag, g, o)
+			ids, cursor = assertArcEdgeIDs(t, tag, next, ids, cursor)
 			base = next
 		}
 		if g.HasEdge(a, b) != (o.EdgeWeight(a, b) > 0) || g.EdgeWeight(a, b) != o.EdgeWeight(a, b) {

@@ -269,18 +269,26 @@ func (s *Snapshot) AppendEdges(buf []Edge) []Edge {
 // modified. Entries outside live row ranges are meaningless.
 func (s *Snapshot) ArcEdgeIDs() []int32 {
 	s.edgeOnce.Do(func() {
-		s.arcEdge = s.FillArcEdgeIDs(nil)
+		s.arcEdge, _ = s.FillArcEdgeIDs(nil, nil)
 	})
 	return s.arcEdge
 }
 
 // FillArcEdgeIDs computes the ArcEdgeIDs mapping into buf — grown when
 // too small, contents overwritten — without touching the snapshot's
-// lazy cache. Refresh paths that rebuild the mapping for every epoch's
-// new snapshot use it to cycle one buffer instead of leaving a cached
-// copy on each dead snapshot. The same caveat applies: entries outside
-// live row ranges are meaningless (here: stale).
-func (s *Snapshot) FillArcEdgeIDs(buf []int32) []int32 {
+// lazy cache, and returns it with the cursor scratch (N entries, grown
+// when too small) it used. Refresh paths that rebuild the mapping for
+// every epoch's new snapshot use it to cycle both buffers instead of
+// leaving a cached copy on each dead snapshot. The same caveat
+// applies: entries outside live row ranges are meaningless (here:
+// stale).
+//
+// The fill is one O(M) pass with no search. Row u's arcs above u take
+// consecutive ids, and cursor[u] records the first. A later row w > u
+// meets its arc to u in ascending w, the order in which row u lists
+// its neighbours above u, so that arc takes cursor[u], which then
+// advances.
+func (s *Snapshot) FillArcEdgeIDs(buf, cursor []int32) (ids, cur []int32) {
 	if cap(buf) < len(s.neighbors) {
 		// An eighth of headroom: churn refreezes let the arcs slab creep
 		// a few entries per epoch (removal holes are not compacted), and
@@ -288,19 +296,24 @@ func (s *Snapshot) FillArcEdgeIDs(buf []int32) []int32 {
 		buf = make([]int32, len(s.neighbors), len(s.neighbors)+len(s.neighbors)/8+64)
 	}
 	buf = buf[:len(s.neighbors)]
-	next := int32(0)
 	n := s.N()
+	if cap(cursor) < n {
+		cursor = make([]int32, n, n+n/8+64)
+	}
+	cursor = cursor[:n]
+	next := int32(0)
 	for u := 0; u < n; u++ {
+		cursor[u] = next
 		lo, hi := s.offsets[u], s.ends[u]
 		for a := lo; a < hi; a++ {
-			v := int(s.neighbors[a])
-			if v > u {
+			if v := s.neighbors[a]; int(v) > u {
 				buf[a] = next
 				next++
 			} else {
-				buf[a] = buf[s.arcOf(v, u)]
+				buf[a] = cursor[v]
+				cursor[v]++
 			}
 		}
 	}
-	return buf
+	return buf, cursor
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -120,6 +121,50 @@ func TestSnapshotArcEdgeIDs(t *testing.T) {
 		if !ok {
 			t.Fatalf("edge id %d never referenced", id)
 		}
+	}
+}
+
+// TestFillArcEdgeIDsMatchesSearch pins the cursor fill to the
+// search-based oracle on fresh snapshots and on refreshed ones whose
+// rows carry removal holes and relocations, cycling one pair of
+// buffers across all of them as Routing.Refresh does.
+func TestFillArcEdgeIDsMatchesSearch(t *testing.T) {
+	var ids, cursor []int32
+	holes := false
+	for seed := uint64(1); seed <= 3; seed++ {
+		g := randomMultigraph(t, seed, 60, 200)
+		s := g.Freeze()
+		ids, cursor = assertArcEdgeIDs(t, fmt.Sprintf("seed %d fresh", seed), s, ids, cursor)
+		r := rng.New(seed + 100)
+		for epoch := 0; epoch < 6; epoch++ {
+			for i := 0; i < 25; i++ {
+				u, v := r.Intn(g.N()), r.Intn(g.N())
+				switch {
+				case u == v:
+				case g.HasEdge(u, v):
+					for g.HasEdge(u, v) {
+						if err := g.RemoveEdge(u, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
+					g.MustAddEdge(u, v)
+				}
+			}
+			if epoch%2 == 1 {
+				g.AddNode()
+			}
+			next, _, err := g.Refreeze(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = next
+			holes = holes || s.ArcSpace() > 2*s.M()
+			ids, cursor = assertArcEdgeIDs(t, fmt.Sprintf("seed %d epoch %d", seed, epoch), s, ids, cursor)
+		}
+	}
+	if !holes {
+		t.Fatal("no refreshed snapshot left a gap in its arc space")
 	}
 }
 

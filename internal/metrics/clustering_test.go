@@ -75,6 +75,77 @@ func TestTrianglesMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestTrianglesDegreeOriented pins the degree-oriented kernel on the
+// shapes where its orientation rule has corner cases: every edge a
+// degree tie (broken by id), a hub whose out-row is empty, cliques,
+// an isolated node, and a node whose neighbours all outrank it. The
+// out-rows must hold every edge once, at its lower (degree, id) end,
+// sorted by id; the counts must match the brute-force enumeration and
+// the id-ordered oracle.
+func TestTrianglesDegreeOriented(t *testing.T) {
+	lowCorner := graph.New(5) // K4 on 1..4 plus node 0 joined to 1 and 2
+	for u := 1; u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			lowCorner.MustAddEdge(u, v)
+		}
+	}
+	lowCorner.MustAddEdge(0, 1)
+	lowCorner.MustAddEdge(0, 2)
+	bowtie := graph.New(5) // triangles 0-1-2 and 2-3-4: ties at 0, 1, 3, 4
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}} {
+		bowtie.MustAddEdge(e[0], e[1])
+	}
+	isolated := graph.New(4) // the triangle 0-1-2 and the lone node 3
+	isolated.MustAddEdge(0, 1)
+	isolated.MustAddEdge(1, 2)
+	isolated.MustAddEdge(2, 0)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		want []int
+	}{
+		{"ties-cycle", cycleGraph(3), []int{1, 1, 1}},
+		{"ties-bowtie", bowtie, []int{1, 1, 2, 1, 1}},
+		{"star", star(7), make([]int, 7)},
+		{"K4", complete(4), []int{3, 3, 3, 3}},
+		{"K5", complete(5), []int{6, 6, 6, 6, 6}},
+		{"isolated-node", isolated, []int{1, 1, 1, 0}},
+		{"neighbours-outrank", lowCorner, []int{1, 4, 4, 3, 3}},
+	}
+	for _, tc := range cases {
+		s := tc.g.Freeze()
+		r := orientByDegree(s)
+		rank := func(u int) [2]int { return [2]int{s.Degree(u), u} }
+		below := func(a, b [2]int) bool { return a[0] < b[0] || a[0] == b[0] && a[1] < b[1] }
+		seen := 0
+		for u := 0; u < s.N(); u++ {
+			row := r.adj[r.off[u]:r.off[u+1]]
+			for i, v := range row {
+				if !below(rank(u), rank(int(v))) || !s.HasEdge(u, int(v)) || i > 0 && row[i-1] >= v {
+					t.Fatalf("%s: out-row of %d is %v", tc.name, u, row)
+				}
+			}
+			seen += len(row)
+		}
+		if seen != s.M() || len(r.off) != s.N()+1 {
+			t.Fatalf("%s: %d oriented arcs over %d offsets, want %d over %d", tc.name, seen, len(r.off), s.M(), s.N()+1)
+		}
+		got := TrianglesPerNodeFrozen(s)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: T = %v, want %v", tc.name, got, tc.want)
+		}
+		if brute, oracle := bruteTrianglesPerNode(tc.g), idOrderedTriangles(s); !reflect.DeepEqual(brute, tc.want) || !reflect.DeepEqual(oracle, tc.want) {
+			t.Fatalf("%s: brute force %v, id-ordered %v, want %v", tc.name, brute, oracle, tc.want)
+		}
+	}
+	// The star's hub outranks every leaf, so its out-row is empty and
+	// each spoke sits in its leaf's row.
+	r := orientByDegree(star(7).Freeze())
+	if r.off[1] != 0 {
+		t.Fatalf("star hub out-row has %d arcs, want 0", r.off[1])
+	}
+}
+
 func TestLocalClusteringComplete(t *testing.T) {
 	c := LocalClusteringFrozen(complete(6).Freeze())
 	for u, cu := range c {

@@ -6,16 +6,18 @@ import (
 	"sort"
 
 	"netmodel/internal/graph"
+	"netmodel/internal/par"
 	"netmodel/internal/rng"
 )
 
 // This file holds the CSR kernels of the metrics package: every metric
 // accepts an immutable *graph.Snapshot and scans its flat sorted
 // arrays. The per-source kernels (BFSFrozen, BrandesFrozen,
-// TriangleRangeFrozen, CycleNodeFrozen) are exported so the parallel
-// engine can shard them across workers; the *Frozen whole-graph
-// functions below run them sequentially and serve as the
-// single-threaded reference the engine is tested against.
+// CycleNodeFrozen) are exported so the parallel engine can shard them
+// across workers, and the triangle kernel shards itself
+// (TrianglesPerNodeWith); the *Frozen whole-graph functions below run
+// on one worker and serve as the single-threaded reference the engine
+// is tested against.
 
 // BFSFrozen fills dist with the hop distance from src to every node
 // (-1 for unreachable) and returns the BFS visit order in queue. Both
@@ -339,50 +341,113 @@ func PathLengthsFrozen(s *graph.Snapshot, r *rng.Rand, sources int) (PathStats, 
 	return h.ToStats(len(srcs)), nil
 }
 
-// TriangleRangeFrozen counts every triangle whose smallest node lies in
-// [lo, hi), crediting all three corners in t (len s.N()). Each triangle
-// a < b < c is found exactly once, at the edge (a,b) by a sorted-row
-// intersection restricted to common neighbors above b — so disjoint
-// ranges partition the triangle set and per-worker t arrays sum to the
-// exact per-node triangle counts.
-func TriangleRangeFrozen(s *graph.Snapshot, lo, hi int, t []int) {
-	for u := lo; u < hi; u++ {
-		row := s.Neighbors(u)
-		for i, v := range row {
-			if int(v) <= u {
-				continue
-			}
-			// Intersect row[i+1:] (neighbors of u above v) with the
-			// neighbors of v above v; both slices are sorted.
-			a := row[i+1:]
-			b := s.Neighbors(int(v))
-			j := sort.Search(len(b), func(k int) bool { return b[k] > v })
-			b = b[j:]
-			x, y := 0, 0
-			for x < len(a) && y < len(b) {
-				switch {
-				case a[x] < b[y]:
-					x++
-				case a[x] > b[y]:
-					y++
-				default:
-					t[u]++
-					t[v]++
-					t[a[x]]++
-					x++
-					y++
-				}
+// orientedRows is the degree-oriented out-adjacency of a snapshot, the
+// input of the triangle kernel. Nodes are ranked by (degree, id), and
+// the edge {u, v} is kept once, in the row of its lower-ranked end, so
+// a hub keeps only its few higher-degree neighbours. Each row is the
+// snapshot's id-sorted row with the lower-ranked neighbours filtered
+// out, so it stays sorted by id and the build needs no sort.
+type orientedRows struct {
+	off []int32 // len N+1; out-row of u is adj[off[u]:off[u+1]]
+	adj []int32 // len M
+}
+
+// orientByDegree builds the degree-oriented out-rows of s in one pass
+// over its rows: u -> v exists iff (deg u, u) < (deg v, v). Rows are
+// read through offsets/ends, so refreshed snapshots with slack work.
+func orientByDegree(s *graph.Snapshot) orientedRows {
+	n := s.N()
+	offsets, ends, nbrs := s.CSR()
+	r := orientedRows{off: make([]int32, n+1), adj: make([]int32, s.M())}
+	k := int32(0)
+	for u := 0; u < n; u++ {
+		r.off[u] = k
+		du := ends[u] - offsets[u]
+		for _, v := range nbrs[offsets[u]:ends[u]] {
+			if dv := ends[v] - offsets[v]; dv > du || dv == du && int(v) > u {
+				r.adj[k] = v
+				k++
 			}
 		}
 	}
+	r.off[n] = k
+	return r
+}
+
+// countTriangles counts every triangle whose lowest-ranked corner is u,
+// crediting all three corners in t (len N). It marks out(u) in mark, a
+// bitset with one bit per node that is zero on entry and zero again on
+// return, then scans out(v) for every v in out(u): each marked w
+// closes a triangle. A merge of out(u) with out(v) would find the same
+// w but re-read out(u) for every v. A triangle of rank order
+// a < b < c is found exactly once, at u = a, v = b, w = c, so calls
+// for disjoint sets of u partition the triangle set and per-worker t
+// arrays sum to the exact per-node counts. Orienting by rank bounds
+// the total work at O(M^1.5) (Chiba–Nishizeki).
+func (r orientedRows) countTriangles(u int, t []int, mark []uint64) {
+	off, adj := r.off, r.adj
+	a := adj[off[u]:off[u+1]]
+	if len(a) < 2 {
+		return
+	}
+	for _, w := range a {
+		mark[w>>6] |= 1 << (w & 63)
+	}
+	tu := 0
+	for _, v := range a {
+		tv := 0
+		for _, w := range adj[off[v]:off[v+1]] {
+			if mark[w>>6]&(1<<(w&63)) != 0 {
+				t[w]++
+				tv++
+			}
+		}
+		t[v] += tv
+		tu += tv
+	}
+	t[u] += tu
+	for _, w := range a {
+		mark[w>>6] = 0
+	}
+}
+
+// TrianglesPerNodeWith returns T(u), the number of triangles through
+// each node, counted on the simple adjacency structure with the
+// degree-oriented kernel across workers (<= 0 means GOMAXPROCS). The
+// out-rows are built once per call; the counting loop over u is
+// sharded with par.For, each worker with its own mark bitset. Worker 0
+// counts straight into the result, so one worker allocates no partial;
+// each further worker's partial array is summed in afterwards, which
+// is exact at any worker count because every triangle is found once.
+func TrianglesPerNodeWith(s *graph.Snapshot, workers int) []int {
+	n := s.N()
+	workers = par.Workers(workers)
+	r := orientByDegree(s)
+	t := make([]int, n)
+	partial := make([][]int, workers)
+	mark := make([][]uint64, workers)
+	partial[0] = t
+	par.For(n, workers, func(w, u int) {
+		if partial[w] == nil {
+			partial[w] = make([]int, n)
+		}
+		if mark[w] == nil {
+			mark[w] = make([]uint64, (n+63)/64)
+		}
+		r.countTriangles(u, partial[w], mark[w])
+	})
+	for _, p := range partial[1:] {
+		for i, v := range p {
+			t[i] += v
+		}
+	}
+	return t
 }
 
 // TrianglesPerNodeFrozen returns T(u), the number of triangles through
-// each node, counted on the simple adjacency structure.
+// each node, counted on the simple adjacency structure by one worker.
 func TrianglesPerNodeFrozen(s *graph.Snapshot) []int {
-	t := make([]int, s.N())
-	TriangleRangeFrozen(s, 0, s.N(), t)
-	return t
+	return TrianglesPerNodeWith(s, 1)
 }
 
 // TotalTrianglesFrozen returns the number of triangles in the graph.

@@ -188,6 +188,44 @@ func harmonicCloseness(g *graph.Graph) []float64 {
 	return out
 }
 
+// idOrderedTriangles is the id-ordered triangle kernel that the
+// degree-oriented TrianglesPerNodeWith replaced, kept as the oracle
+// its counts are fuzzed against. Each triangle a < b < c
+// is found once, at the edge (a, b), by intersecting the id-sorted
+// rows of a and b above b. In preferential-attachment maps the low ids
+// are the hubs, so every hub row is intersected once per higher-id
+// neighbour.
+func idOrderedTriangles(s *graph.Snapshot) []int {
+	t := make([]int, s.N())
+	for u := range t {
+		row := s.Neighbors(u)
+		for i, v := range row {
+			if int(v) <= u {
+				continue
+			}
+			a := row[i+1:]
+			b := s.Neighbors(int(v))
+			b = b[sort.Search(len(b), func(k int) bool { return b[k] > v }):]
+			x, y := 0, 0
+			for x < len(a) && y < len(b) {
+				switch {
+				case a[x] < b[y]:
+					x++
+				case a[x] > b[y]:
+					y++
+				default:
+					t[u]++
+					t[v]++
+					t[a[x]]++
+					x++
+					y++
+				}
+			}
+		}
+	}
+	return t
+}
+
 // localClustering derives c(u) = 2T(u) / (k_u (k_u - 1)) from the
 // brute-force triangle enumeration.
 func localClustering(g *graph.Graph) []float64 {

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -17,7 +18,8 @@ import (
 // hot paths: the direction-optimizing hybrid BFS against the classic
 // queue kernel on cold shortest-path-tree builds, exact pair-search
 // paths against a cold tree build per path, the 64-lane MS-BFS path
-// histogram against 64 per-source BFS runs, the allocations of one
+// histogram against 64 per-source BFS runs, degree-oriented triangle
+// counting against the id-ordered intersection, the allocations of one
 // simulation setup (a fixed handful, however many origins), and the
 // marginal allocation cost of one steady-state operation — a simulate
 // epoch in either engine, a DistMap refresh, a Routing refresh —
@@ -198,6 +200,99 @@ func kernelsMSBFSPair(t *testing.T, bfsName, msName string, snap *graph.Snapshot
 	msRow := row.As(msName, 1, msTimes[passes/2]).Against(bfsRow).WithAllocs(allocsPerOp, bytesPerOp)
 	t.Logf("%s n=%d: 64 BFS %v, MS-BFS %v (%.1fx), warm MS-BFS %g allocs/op", msName, n, bfsTimes[passes/2], msTimes[passes/2], msRow.Speedup, allocsPerOp)
 	return []benchutil.Row{bfsRow, msRow}
+}
+
+// kernelsTriangleRows times per-node triangle counting two ways — the
+// id-ordered intersection the metrics package ran before, kept below as
+// idOrderedTriangles, and the degree-oriented TrianglesPerNodeFrozen —
+// on the sweep's default glp and BA maps (glp M=1 p=0.45 beta=0.64, BA
+// M=2), asserting equal per-node counts. In both families the low ids
+// are the hubs, the worst case of the id orientation. BA closes the
+// fewest triangles per edge, so there the per-call out-row build is
+// the largest share of the oriented kernel's time.
+func kernelsTriangleRows(t *testing.T, n int) []benchutil.Row {
+	t.Helper()
+	var rows []benchutil.Row
+	for _, fam := range []struct {
+		suffix string
+		g      gen.Generator
+	}{
+		{"", gen.GLP{N: n, M: 1, P: 0.45, Beta: 0.64}},
+		{"-ba", gen.BA{N: n, M: 2}},
+	} {
+		top, err := fam.g.Generate(rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, kernelsTrianglePair(t, "kernels-triangles-id"+fam.suffix,
+			"kernels-triangles-degree"+fam.suffix, fam.g.Name(), top.G.Freeze())...)
+	}
+	return rows
+}
+
+// kernelsTrianglePair times one map's two triangle-counting arms under
+// the names idName and degName, alternating over five passes with each
+// arm reporting its median pass, as the MS-BFS rows do.
+func kernelsTrianglePair(t *testing.T, idName, degName, model string, snap *graph.Snapshot) []benchutil.Row {
+	t.Helper()
+	const passes = 5
+	// The first pass of each arm warms it and pins the equivalence.
+	if got, want := metrics.TrianglesPerNodeFrozen(snap), idOrderedTriangles(snap); !slices.Equal(got, want) {
+		t.Fatalf("%s n=%d: degree-oriented triangle counts differ from the id-ordered ones", degName, snap.N())
+	}
+	idTimes := make([]time.Duration, passes)
+	degTimes := make([]time.Duration, passes)
+	for p := range passes {
+		start := time.Now()
+		idOrderedTriangles(snap)
+		idTimes[p] = time.Since(start)
+		start = time.Now()
+		metrics.TrianglesPerNodeFrozen(snap)
+		degTimes[p] = time.Since(start)
+	}
+	slices.Sort(idTimes)
+	slices.Sort(degTimes)
+	row := benchutil.Row{N: snap.N(), Model: model}
+	idRow := row.As(idName, 1, idTimes[passes/2])
+	degRow := row.As(degName, 1, degTimes[passes/2]).Against(idRow)
+	t.Logf("%s n=%d: id-ordered %v, degree-oriented %v (%.1fx)", degName, snap.N(), idTimes[passes/2], degTimes[passes/2], degRow.Speedup)
+	return []benchutil.Row{idRow, degRow}
+}
+
+// idOrderedTriangles is the baseline arm of the triangle rows: each
+// triangle a < b < c is found once, at the edge (a, b), by intersecting
+// the id-sorted rows of a and b above b. It is a copy of the metrics
+// package's test oracle, which test files of another package cannot
+// import.
+func idOrderedTriangles(s *graph.Snapshot) []int {
+	t := make([]int, s.N())
+	for u := range t {
+		row := s.Neighbors(u)
+		for i, v := range row {
+			if int(v) <= u {
+				continue
+			}
+			a := row[i+1:]
+			b := s.Neighbors(int(v))
+			b = b[sort.Search(len(b), func(k int) bool { return b[k] > v }):]
+			x, y := 0, 0
+			for x < len(a) && y < len(b) {
+				switch {
+				case a[x] < b[y]:
+					x++
+				case a[x] > b[y]:
+					y++
+				default:
+					t[u]++
+					t[v]++
+					t[a[x]]++
+					x++
+					y++
+				}
+			}
+		}
+	}
+	return t
 }
 
 // kernelsPairRows times canonical-path resolution for 64 fixed OD
@@ -529,8 +624,9 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
-// smoke plus the 100k acceptance size), pair-search vs tree-path and
-// MS-BFS vs per-source path-histogram rows at the same sizes, the
+// smoke plus the 100k acceptance size), pair-search vs tree-path,
+// MS-BFS vs per-source path-histogram and degree-oriented vs
+// id-ordered triangle rows at the same sizes, the
 // simulation-setup allocation rows at the same sizes, and the
 // steady-state allocation rows the benchcheck ceilings gate.
 func TestBenchJSON(t *testing.T) {
@@ -540,6 +636,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsColdTreeRows(t, n)...)
 		rows = append(rows, kernelsPairRows(t, n)...)
 		rows = append(rows, kernelsMSBFSRows(t, n)...)
+		rows = append(rows, kernelsTriangleRows(t, n)...)
 		rows = append(rows, kernelsSimSetupRow(t, n))
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))

@@ -40,7 +40,7 @@ func (rt *Routing) Snapshot() *graph.Snapshot { return rt.s }
 // relationship between the old and new snapshots.
 func (rt *Routing) Reset(next *graph.Snapshot) {
 	rt.s = next
-	rt.rfArcEdge = next.FillArcEdgeIDs(rt.rfArcEdge)
+	rt.rfArcEdge, rt.rfArcCursor = next.FillArcEdgeIDs(rt.rfArcEdge, rt.rfArcCursor)
 	rt.arcEdge = rt.rfArcEdge
 	rt.max = RoutingTreeBudget(next.N())
 	for src, dist := range rt.trees {
@@ -95,12 +95,12 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	rt.rfIns, rt.rfRem = ins, rem
 	prev := rt.s
 
-	// The refreshed arc→edge map cycles through rt's own buffer rather
+	// The refreshed arc→edge map cycles through rt's own buffers rather
 	// than populating each epoch's snapshot cache; rt.arcEdge below
 	// aliases it, which is safe because the previous map is never read
 	// once a refresh begins.
-	arcEdge := next.FillArcEdgeIDs(rt.rfArcEdge)
-	rt.rfArcEdge = arcEdge
+	rt.rfArcEdge, rt.rfArcCursor = next.FillArcEdgeIDs(rt.rfArcEdge, rt.rfArcCursor)
+	arcEdge := rt.rfArcEdge
 	srcs := append(rt.rfSrcs[:0], rt.fifo...)
 	rt.rfSrcs = srcs
 	if cap(rt.rfChanged) < len(srcs) {

@@ -77,6 +77,7 @@ type Routing struct {
 	rfScratch    []*metrics.DistScratch
 	rfEdges      []graph.Edge
 	rfArcEdge    []int32
+	rfArcCursor  []int32 // FillArcEdgeIDs' per-node cursor scratch
 	rfNext       *graph.Snapshot
 	rfBudget     int
 	rfBody       func(worker, i int)

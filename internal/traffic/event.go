@@ -532,8 +532,8 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		scratch.solvers = append(scratch.solvers, &shareHeap{})
 	}
 	solvers := scratch.solvers
-	// Both per-epoch hot closures are created once per run — the
-	// admission callback and the component-solve body read the epoch's
+	// The per-epoch hot closures are created once per run — the
+	// admission callbacks and the component-solve body read the epoch's
 	// state through captured variables, so the steady state's marginal
 	// cost carries no closure allocations.
 	admitFlow := func(p pending, path []int32) {
@@ -551,6 +551,10 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		admitted++
 		activeCount++
 	}
+	readmitFlow := func(rf failFlow, path []int32) {
+		ev.attach(rf.id, rf.src, rf.dst, path, rf.remaining, rf.arrived, rf.retries, curEpoch)
+		activeCount++
+	}
 	solveOne := func(w, i int) {
 		ev.solveComponent(&comps[i], solvers[w])
 	}
@@ -565,7 +569,6 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		// replaced (reroute) or killed — and re-admit due retries. The
 		// detached links are dirty, so the closure re-solves their
 		// components without the departed members.
-		reroutedNow, killedNow, retriedNow := 0, 0, 0
 		if fail := ctx.fail; fail != nil {
 			if err := fail.beginEpoch(epoch); err != nil {
 				return nil, err
@@ -579,42 +582,16 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 					}
 					ev.detach(int32(id), epoch)
 					// Copy before attach: appending may move ev.flows.
-					tid, src, dst := f.tid, f.src, f.dst
-					remaining, arrived, retries := f.remaining, f.arrived, f.retries
-					if np, ok := fail.resolve(int(src), int(dst)); ok {
-						reroutedNow++
-						fail.rerouted++
-						if ctx.cfg.trace {
-							rep.Flows[tid].Reroutes++
-						}
-						ev.attach(tid, src, dst, np, remaining, arrived, retries, epoch)
-						continue
-					}
-					killedNow++
-					activeCount--
-					fail.kill(epoch, tid, src, dst, remaining, arrived, retries)
-					if ctx.cfg.trace {
-						rep.Flows[tid].Killed = true
+					ff := failFlow{id: f.tid, src: f.src, dst: f.dst,
+						remaining: f.remaining, arrived: f.arrived, retries: f.retries}
+					if path, ok := fail.reroute(ff, rep.Flows); ok {
+						ev.attach(ff.id, ff.src, ff.dst, path, ff.remaining, ff.arrived, ff.retries, epoch)
+					} else {
+						activeCount--
 					}
 				}
 			}
-			for _, rf := range fail.takeRetries(epoch) {
-				fail.retried++
-				retriedNow++
-				rf.retries++
-				if ctx.cfg.trace {
-					rep.Flows[rf.id].Retries++
-				}
-				if path, ok := fail.resolve(int(rf.src), int(rf.dst)); ok {
-					ev.attach(rf.id, rf.src, rf.dst, path, rf.remaining, rf.arrived, rf.retries, epoch)
-					activeCount++
-					if ctx.cfg.trace {
-						rep.Flows[rf.id].Killed = false
-					}
-				} else {
-					fail.requeue(epoch, rf)
-				}
-			}
+			fail.retry(rep.Flows, readmitFlow)
 		}
 
 		// Admission: route the pre-drawn arrivals, create flows, add
@@ -684,7 +661,6 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		}
 		obs.endEpoch(rep, EpochStats{
 			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: activeCount,
-			Rerouted: reroutedNow, Killed: killedNow, Retried: retriedNow,
 		})
 	}
 

@@ -20,12 +20,13 @@ import (
 // mutable mirror of the topology: outage ops remove edges from the
 // mirror, Refreeze produces a removal delta, and the private routing
 // state rides Routing.Refresh's scoped removal repair, so the surviving
-// topology's shortest paths stay warm across failure epochs. Both
-// traffic engines consume the same state in the same order — reroute
-// affected flows when an alternate path exists, kill them with a
-// recorded fate otherwise, re-admit killed flows under a bounded
-// retry/backoff — which keeps per-flow fates engine-independent and
-// every byte of the report worker-count invariant. The no-failure path
+// topology's shortest-path trees stay warm across failure epochs (its
+// memoized paths do not: the repair drops them). Both traffic engines
+// run the same failState methods in the same order — reroute affected
+// flows when an alternate path exists, kill them with a recorded fate
+// otherwise, re-admit killed flows under a bounded retry/backoff —
+// which keeps per-flow fates engine-independent and every byte of the
+// report worker-count invariant. The no-failure path
 // (Failures nil or mode "none") never touches any of this.
 
 // The failure modes selectable through FailureSpec.Mode.
@@ -465,15 +466,16 @@ type SurvivabilityReport struct {
 	FCTInflation float64 `json:"fct_inflation"`
 }
 
-// killedFlow is a killed flow parked in the retry queue: enough state
-// to re-admit it with its remaining volume and original arrival.
-type killedFlow struct {
+// failFlow is what the failure phase needs of one flow, in either
+// engine: enough state to reroute it, or to park it in the retry queue
+// and re-admit it later with its remaining volume and original arrival.
+type failFlow struct {
 	id        int32 // trace identity
 	src, dst  int32
 	remaining float64
 	arrived   float64
 	retries   int32 // re-admission attempts already consumed
-	at        int32 // epoch of the next attempt
+	at        int32 // epoch of the next attempt, while parked
 }
 
 // failState is the per-run fault-injection state both engines drive in
@@ -503,21 +505,26 @@ type failState struct {
 	nodesDown  int
 	capTotal   float64
 
+	epoch   int  // the current epoch, set by beginEpoch
 	flipped bool // the current epoch applied at least one op
-	retryQ  []killedFlow
+	retryQ  []failFlow
 
 	killed, rerouted, retried int
-	discSum, giantSum         float64
-	giantMin                  float64
-	epochsSeen                int
-	curDisc, curGiant         float64
-	firstFailT                float64 // +Inf when the timeline never fails
-	fctPreSum, fctPostSum     float64
-	fctPreN, fctPostN         int
-	compMark                  []bool
-	compID                    []int32
-	compSizes                 []int32
-	compBFS                   *metrics.BFSScratch
+	// The current epoch's counts of the same events, reset by beginEpoch
+	// and read into the epoch row by linkObs.endEpoch.
+	epochKilled, epochRerouted, epochRetried int
+
+	discSum, giantSum     float64
+	giantMin              float64
+	epochsSeen            int
+	curDisc, curGiant     float64
+	firstFailT            float64 // +Inf when the timeline never fails
+	fctPreSum, fctPostSum float64
+	fctPreN, fctPostN     int
+	compMark              []bool
+	compID                []int32
+	compSizes             []int32
+	compBFS               *metrics.BFSScratch
 }
 
 // newFailState compiles the workload's failure spec and builds the
@@ -670,7 +677,8 @@ func (fs *failState) setEdgePresence(id int32) {
 // call it exactly once per epoch, before reroutes, retries and
 // arrivals; fs.flipped tells them whether any topology state moved.
 func (fs *failState) beginEpoch(epoch int) error {
-	fs.flipped = false
+	fs.epoch, fs.flipped = epoch, false
+	fs.epochKilled, fs.epochRerouted, fs.epochRetried = 0, 0, 0
 	if ops := fs.tl.ops[epoch]; len(ops) > 0 {
 		arcEdge := fs.ctx.s.ArcEdgeIDs()
 		for _, op := range ops {
@@ -733,8 +741,8 @@ func (fs *failState) pathBroken(path []int32) bool {
 }
 
 // toBase translates a path of mirror-snapshot edge ids into a fresh
-// base-id slice. Always a copy: the input may alias the private routing
-// state's memo, which the next refreeze remaps in place.
+// base-id slice; flows keep it across refreezes, which renumber the
+// mirror's edges.
 func (fs *failState) toBase(path []int32) []int32 {
 	out := make([]int32, len(path))
 	for i, e := range path {
@@ -761,41 +769,78 @@ func (fs *failState) resolve(src, dst int) ([]int32, bool) {
 	return fs.toBase(path), true
 }
 
-// kill records one kill event and parks the flow for re-admission when
-// retry budget and horizon allow.
-func (fs *failState) kill(epoch int, id, src, dst int32, remaining, arrived float64, retries int32) {
+// reroute handles one flow whose path lost a link: it returns the
+// flow's new base-id path over the surviving topology, or ok=false once
+// it has killed the flow and parked it for retry. flows is the run's
+// trace (nil when untraced), which records the fate.
+func (fs *failState) reroute(f failFlow, flows []FlowRecord) ([]int32, bool) {
+	if path, ok := fs.resolve(int(f.src), int(f.dst)); ok {
+		fs.rerouted++
+		fs.epochRerouted++
+		if flows != nil {
+			flows[f.id].Reroutes++
+		}
+		return path, true
+	}
 	fs.killed++
-	fs.requeue(epoch, killedFlow{id: id, src: src, dst: dst,
-		remaining: remaining, arrived: arrived, retries: retries})
+	fs.epochKilled++
+	if flows != nil {
+		flows[f.id].Killed = true
+	}
+	fs.requeue(f)
+	return nil, false
+}
+
+// retry attempts the re-admission of every killed flow due this epoch,
+// in kill order: a flow with a surviving path goes to admit with its
+// base-id path, one without is parked again. Each attempt counts and is
+// traced in flows (nil when untraced).
+func (fs *failState) retry(flows []FlowRecord, admit func(f failFlow, path []int32)) {
+	for _, f := range fs.takeRetries() {
+		fs.retried++
+		fs.epochRetried++
+		f.retries++
+		if flows != nil {
+			flows[f.id].Retries++
+		}
+		path, ok := fs.resolve(int(f.src), int(f.dst))
+		if !ok {
+			fs.requeue(f)
+			continue
+		}
+		if flows != nil {
+			flows[f.id].Killed = false
+		}
+		admit(f, path)
+	}
 }
 
 // requeue schedules a killed flow's next re-admission attempt, dropping
 // it when the retry budget is spent or the horizon ends first.
-func (fs *failState) requeue(epoch int, rf killedFlow) {
-	if rf.retries >= int32(fs.spec.MaxRetries) {
+func (fs *failState) requeue(f failFlow) {
+	if f.retries >= int32(fs.spec.MaxRetries) {
 		return
 	}
 	// Compare the backoff against the epochs left rather than adding
 	// it to the epoch: a backoff near MaxInt would wrap the sum.
-	if fs.spec.RetryAfter < fs.ctx.spec.Epochs-epoch {
-		rf.at = int32(epoch + fs.spec.RetryAfter)
-		fs.retryQ = append(fs.retryQ, rf)
+	if fs.spec.RetryAfter < fs.ctx.spec.Epochs-fs.epoch {
+		f.at = int32(fs.epoch + fs.spec.RetryAfter)
+		fs.retryQ = append(fs.retryQ, f)
 	}
 }
 
-// takeRetries pops the flows due for a re-admission attempt at the
-// given epoch, in kill order. The queue is at-sorted by construction:
-// every entry is enqueued RetryAfter epochs past a monotone epoch
-// counter.
-func (fs *failState) takeRetries(epoch int) []killedFlow {
+// takeRetries pops the flows due for a re-admission attempt this
+// epoch, in kill order. The queue is at-sorted by construction: every
+// entry is enqueued RetryAfter epochs past a monotone epoch counter.
+func (fs *failState) takeRetries() []failFlow {
 	k := 0
-	for k < len(fs.retryQ) && fs.retryQ[k].at <= int32(epoch) {
+	for k < len(fs.retryQ) && fs.retryQ[k].at <= int32(fs.epoch) {
 		k++
 	}
 	if k == 0 {
 		return nil
 	}
-	due := append([]killedFlow(nil), fs.retryQ[:k]...)
+	due := append([]failFlow(nil), fs.retryQ[:k]...)
 	fs.retryQ = fs.retryQ[:copy(fs.retryQ, fs.retryQ[k:])]
 	return due
 }

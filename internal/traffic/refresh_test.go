@@ -117,22 +117,6 @@ func coldTree(s *graph.Snapshot, src int) (dist, parent []int32) {
 	return dist, parent
 }
 
-// coldOracle memoizes coldTree by source over one snapshot, so an
-// epoch's oracle serves again as the next epoch's old side.
-type coldOracle struct {
-	s     *graph.Snapshot
-	trees map[int][2][]int32
-}
-
-func (o *coldOracle) tree(src int) (dist, parent []int32) {
-	tr, ok := o.trees[src]
-	if !ok {
-		tr[0], tr[1] = coldTree(o.s, src)
-		o.trees[src] = tr
-	}
-	return tr[0], tr[1]
-}
-
 // oraclePath reads the path from dst back to the source off coldTree's
 // parents, as snapshot edge ids, and reports whether dst is reachable.
 func oraclePath(s *graph.Snapshot, dist, parent []int32, dst int) ([]int32, bool) {
@@ -148,61 +132,50 @@ func oraclePath(s *graph.Snapshot, dist, parent []int32, dst int) ([]int32, bool
 	return path, true
 }
 
-// requireRefreshed pins a refreshed routing state against cold oracles
-// over the snapshots before and after the refresh. Every cached row is
-// a cold BFS of the new snapshot. The memo keeps an entry of before
-// exactly when its origin is still cached and its tree is unchanged on
-// every node of the old snapshot — same distance and same canonical
-// parent in both oracles — and a kept entry reads the same as a cold
-// walk over the new snapshot. old is the previous call's returned
-// oracle (nil, or one over another snapshot, starts afresh); the
-// result is the new snapshot's oracle and how many entries were kept.
-func requireRefreshed(t *testing.T, label string, before, rt *Routing, old *coldOracle) (_ *coldOracle, kept int) {
+// requireRefreshed pins a refreshed routing state against cold
+// oracles over the new snapshot: every cached row is a cold BFS, the
+// memo is empty, and every OD pair memoized before the refresh resolves
+// through admitPending — on a copy, so rt stays as refreshed — to the
+// cold walk oraclePath.
+func requireRefreshed(t *testing.T, label string, before, rt *Routing) {
 	t.Helper()
-	prev, next := before.s, rt.s
-	if old == nil || old.s != prev {
-		old = &coldOracle{s: prev, trees: make(map[int][2][]int32)}
+	next := rt.s
+	cold := make(map[int][2][]int32)
+	tree := func(src int) (dist, parent []int32) {
+		tr, ok := cold[src]
+		if !ok {
+			tr[0], tr[1] = coldTree(next, src)
+			cold[src] = tr
+		}
+		return tr[0], tr[1]
 	}
-	cur := &coldOracle{s: next, trees: make(map[int][2][]int32)}
 	for src, dist := range rt.trees {
-		if want, _ := cur.tree(src); !slices.Equal(dist, want) {
+		if want, _ := tree(src); !slices.Equal(dist, want) {
 			t.Fatalf("%s: cached tree %d diverged from a cold BFS", label, src)
 		}
 	}
-	for key := range before.paths {
-		src, dst := int(key>>32), int(int32(key))
-		_, cached := rt.trees[src]
-		same := false
-		if cached {
-			dp, pp := old.tree(src)
-			dn, pn := cur.tree(src)
-			same = slices.Equal(dp, dn[:len(dp)]) && slices.Equal(pp, pn[:len(pp)])
-		}
-		got, survived := rt.paths[key]
-		if survived != same {
-			t.Fatalf("%s: memo %d→%d survived=%v, want %v (origin cached %v)",
-				label, src, dst, survived, same, cached)
-		}
-		if !survived {
-			continue
-		}
-		kept++
-		dn, pn := cur.tree(src)
-		want, reachable := oraclePath(next, dn, pn, dst)
-		if got == nil {
-			if reachable {
-				t.Fatalf("%s: stale unreachable memo %d→%d", label, src, dst)
-			}
-		} else if !slices.Equal(got, want) {
-			t.Fatalf("%s: memo path %d→%d is %v, cold walk %v", label, src, dst, got, want)
+	if len(rt.paths) != 0 {
+		t.Fatalf("%s: %d memoized paths survived the refresh", label, len(rt.paths))
+	}
+	// Sorted keys group the pairs by ascending origin, as admitPending
+	// requires.
+	var pend []pending
+	for _, key := range slices.Sorted(maps.Keys(before.paths)) {
+		pend = append(pend, pending{src: int(key >> 32), dst: int(int32(key)), size: 1})
+	}
+	got := make(map[int64][]int32, len(pend))
+	admitPending(cloneRouting(rt), 1, pend, func(p pending, path []int32) {
+		got[pathKey(p.src, p.dst)] = path
+	})
+	for _, p := range pend {
+		dist, parent := tree(p.src)
+		want, reachable := oraclePath(next, dist, parent, p.dst)
+		path, ok := got[pathKey(p.src, p.dst)]
+		if ok != reachable || !slices.Equal(path, want) {
+			t.Fatalf("%s: %d→%d resolves to %v (reachable %v), cold walk %v (reachable %v)",
+				label, p.src, p.dst, path, ok, want, reachable)
 		}
 	}
-	for key := range rt.paths {
-		if _, ok := before.paths[key]; !ok {
-			t.Fatalf("%s: refresh invented memo entry %d→%d", label, key>>32, int32(key))
-		}
-	}
-	return cur, kept
 }
 
 // requireSameFlows asserts two traced simulations drew and finished the
@@ -230,10 +203,10 @@ func requireSameFlows(t *testing.T, label string, a, b *SimReport) {
 // TestRoutingRefreshEquivalence drives a shared routing state along a
 // growth trajectory with Refresh and pins it against cold rebuilds at
 // every epoch: repaired trees are entry-identical to cold builds, the
-// memo keeps exactly the entries of cached, unchanged trees and they
-// re-read identically from a cold walk (requireRefreshed), refresh is
-// worker-count invariant, and simulations over the refreshed state —
-// both engines — reproduce the cold-rebuild flows.
+// memo is dropped and every pair it held resolves again to a cold walk
+// (requireRefreshed), refresh is worker-count invariant, and
+// simulations over the refreshed state — both engines — reproduce the
+// cold-rebuild flows.
 func TestRoutingRefreshEquivalence(t *testing.T) {
 	top, err := gen.BA{N: 600, M: 2}.Generate(rng.New(2))
 	if err != nil {
@@ -245,12 +218,9 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := NewRouting(seed)
-	epoch, kept, dropped := 0, 0, 0
-	var oracle *coldOracle
-	// Fine epochs of 20 edges leave some trees untouched, so the memo
-	// keeps entries as well as dropping them. Every epoch memoizes a few
-	// paths per cached origin; the simulations run every 100 edges and
-	// on the final epoch.
+	epoch, resolved := 0, 0
+	// Every epoch memoizes a few paths per cached origin; the
+	// simulations run every 100 edges and on the final epoch.
 	replayGrowth(t, top, 20, func(prev, next *graph.Snapshot, d *graph.Delta) {
 		epoch++
 		// Worker invariance: the same state repaired at widths 1 and 4.
@@ -263,10 +233,8 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 		if rt.s != next || rt.Snapshot() != next {
 			t.Fatal("refresh did not rebase the snapshot")
 		}
-		var k int
-		oracle, k = requireRefreshed(t, fmt.Sprintf("epoch %d", epoch), before, rt, oracle)
-		kept += k
-		dropped += len(before.paths) - k
+		requireRefreshed(t, fmt.Sprintf("epoch %d", epoch), before, rt)
+		resolved += len(before.paths)
 		for _, src := range rt.fifo {
 			for j := 1; j <= 4; j++ {
 				if dst := (src + 97*j) % n; dst != src {
@@ -300,17 +268,15 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 	if epoch < 5 {
 		t.Fatalf("trajectory too short: %d epochs", epoch)
 	}
-	// Retention must be exercised both ways, or the exact-survival check
-	// above could pass vacuously.
-	if kept == 0 || dropped == 0 {
-		t.Fatalf("memo entries kept %d, dropped %d: want both nonzero", kept, dropped)
+	if resolved == 0 {
+		t.Fatal("no memoized pair was re-resolved after a refresh")
 	}
-	t.Logf("memo entries across refreshes: %d kept, %d dropped", kept, dropped)
+	t.Logf("pairs re-resolved across refreshes: %d", resolved)
 }
 
 // TestRoutingRefreshUnderChurn drives the scoped removal repair: mixed
 // insert+remove epochs where only trees traversing a dead arc may cold
-// rebuild. Every cached tree, the exact memo retention
+// rebuild. Every cached tree, every pair memoized before a refresh
 // (requireRefreshed), and the simulations on top must match cold
 // rebuilds, at every worker count.
 func TestRoutingRefreshUnderChurn(t *testing.T) {
@@ -346,8 +312,7 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		}
 	}
 	warm(prev)
-	kept, dropped := 0, 0
-	var oracle *coldOracle
+	resolved := 0
 	for epoch := 0; epoch < 15; epoch++ {
 		edges := prev.EdgeList()
 		removed := 0
@@ -377,10 +342,8 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		rt.Refresh(next, d, 4)
 		alt.Refresh(next, d, 1)
 		requireRoutingEqual(t, "churn-worker-invariance", rt, alt)
-		var k int
-		oracle, k = requireRefreshed(t, fmt.Sprintf("churn epoch %d", epoch), before, rt, oracle)
-		kept += k
-		dropped += len(before.paths) - k
+		requireRefreshed(t, fmt.Sprintf("churn epoch %d", epoch), before, rt)
+		resolved += len(before.paths)
 		masses := make([]float64, next.N())
 		for u := range masses {
 			masses[u] = float64(next.Degree(u) + 1)
@@ -398,10 +361,10 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 		warm(next)
 		prev = next
 	}
-	if kept == 0 || dropped == 0 {
-		t.Fatalf("memo entries kept %d, dropped %d: want both nonzero", kept, dropped)
+	if resolved == 0 {
+		t.Fatal("no memoized pair was re-resolved after a churn refresh")
 	}
-	t.Logf("memo entries across churn refreshes: %d kept, %d dropped", kept, dropped)
+	t.Logf("pairs re-resolved across churn refreshes: %d", resolved)
 }
 
 // FuzzRoutingRefresh decodes bytes into a multi-epoch mutation script
@@ -410,9 +373,9 @@ func TestRoutingRefreshUnderChurn(t *testing.T) {
 // FuzzCoreMap — and runs it through Refreeze. Before every epoch a few
 // origins are cached under a small tree budget (so some are evicted)
 // and memoize paths; after it, refreshes at 1 and 4 workers must agree,
-// every cached tree must equal buildTree, and the memo must keep
-// exactly the entries of cached, unchanged trees, each reading the same
-// as a cold walk (requireRefreshed). Plain `go test` runs the seeds;
+// every cached tree must equal buildTree, the memo must be empty, and
+// every pair it held must resolve again to a cold walk
+// (requireRefreshed). Plain `go test` runs the seeds;
 // explore further with
 //
 //	go test ./internal/traffic -run '^$' -fuzz FuzzRoutingRefresh
@@ -439,7 +402,6 @@ func FuzzRoutingRefresh(f *testing.F) {
 		g := graph.New(int(script[0] % 16))
 		prev := g.Freeze()
 		rt := NewRouting(prev)
-		var oracle *coldOracle
 		epochs := 0
 		epoch := func() {
 			if n := prev.N(); n > 0 {
@@ -475,7 +437,7 @@ func FuzzRoutingRefresh(f *testing.F) {
 					t.Fatalf("%s: tree %d diverged from buildTree", tag, src)
 				}
 			}
-			oracle, _ = requireRefreshed(t, tag, before, rt, oracle)
+			requireRefreshed(t, tag, before, rt)
 			prev = next
 		}
 		for i := 1; i+2 < len(script); i += 3 {
@@ -504,14 +466,14 @@ func FuzzRoutingRefresh(f *testing.F) {
 
 // TestRepairTreeBudgetFallback forces the relaxation over budget so the
 // repair takes the cold-rebuild path, which must still land exactly on
-// the canonical tree and report the change.
+// the canonical tree.
 func TestRepairTreeBudgetFallback(t *testing.T) {
 	top, err := gen.BA{N: 200, M: 2}.Generate(rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tree []int32
-	replayGrowth(t, top, 60, func(base, next *graph.Snapshot, d *graph.Delta) {
+	replayGrowth(t, top, 60, func(_, next *graph.Snapshot, d *graph.Delta) {
 		if tree == nil {
 			tree = buildTree(next, 0)
 			return
@@ -522,15 +484,58 @@ func TestRepairTreeBudgetFallback(t *testing.T) {
 				ins = append(ins, e)
 			}
 		}
-		var changed bool
-		tree, changed = repairTree(base, next, tree, 0, ins, nil, metrics.NewDistScratch(next.N()), 1)
-		if !changed {
-			t.Fatal("budget fallback must report the tree as changed")
-		}
+		tree = repairTree(next, tree, 0, ins, nil, metrics.NewDistScratch(next.N()), 1)
 		if want := buildTree(next, 0); !slices.Equal(tree, want) {
 			t.Fatal("budget-fallback tree diverged from cold build")
 		}
 	})
+}
+
+// TestRepairTreeRemovalRule pins repairTree's removal scoping on small
+// maps, every row against buildTree over the refreshed snapshot from
+// source 0: a removed arc between adjacent levels forces a cold rebuild
+// exactly when its deeper endpoint v is left with no neighbor one hop
+// closer. canonical states whether the first removed arc was v's
+// canonical parent arc before the removal.
+func TestRepairTreeRemovalRule(t *testing.T) {
+	square := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
+	for _, tc := range []struct {
+		name          string
+		edges, remove [][2]int
+		canonical     bool
+	}{
+		{"not the canonical parent", square, [][2]int{{2, 3}}, false},
+		{"canonical parent, closer neighbor left", square, [][2]int{{1, 3}}, true},
+		{"last closer neighbor", [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {2, 4}}, [][2]int{{1, 2}}, true},
+		{"every closer neighbor at once", square, [][2]int{{1, 3}, {2, 3}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New(5)
+			for _, e := range tc.edges {
+				g.MustAddEdge(e[0], e[1])
+			}
+			prev := g.Freeze()
+			row := buildTree(prev, 0)
+			u, v := tc.remove[0][0], tc.remove[0][1]
+			_, _, nbr := prev.CSR()
+			if arc := selectParent(prev, row, v); (arc >= 0 && int(nbr[arc]) == u) != tc.canonical {
+				t.Fatalf("arc %d-%d: canonical parent arc %d, want canonical=%v", u, v, arc, tc.canonical)
+			}
+			for _, e := range tc.remove {
+				if err := g.RemoveEdge(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next, d, err := g.Refreeze(prev)
+			if err != nil || d == nil {
+				t.Fatalf("expected a removal delta, got %v, %v", d, err)
+			}
+			got := repairTree(next, row, 0, nil, d.Edges(), metrics.NewDistScratch(next.N()), 1<<20)
+			if want := buildTree(next, 0); !slices.Equal(got, want) {
+				t.Fatalf("repaired row %v, cold build %v", got, want)
+			}
+		})
+	}
 }
 
 // TestSimulateRejectsStaleRouting pins the guard: a shared routing

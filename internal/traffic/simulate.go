@@ -70,22 +70,14 @@ type Routing struct {
 	// otherwise alloc-free repair. rfRows receives each repaired row
 	// (index-private, so the parallel repairs never write the map).
 	rfIns, rfRem []graph.DeltaEdge
-	rfOldToNew   []int32
 	rfSrcs       []int
 	rfRows       [][]int32
-	rfChanged    []bool
 	rfScratch    []*metrics.DistScratch
-	rfEdges      []graph.Edge
 	rfArcEdge    []int32
 	rfArcCursor  []int32 // FillArcEdgeIDs' per-node cursor scratch
 	rfNext       *graph.Snapshot
 	rfBudget     int
 	rfBody       func(worker, i int)
-	// changedStamp[src] == changedRound marks sources whose tree
-	// changed this Refresh — the memo-invalidation set, a stamped array
-	// instead of a per-call map.
-	changedStamp []int32
-	changedRound int32
 }
 
 // routingPathBudget caps the memoized paths (entries, not bytes; a
@@ -182,8 +174,9 @@ func RoutingOf(eng *engine.Engine) *Routing {
 // for unreachable nodes and for a node left with no closer neighbor).
 // The choice is a pure function of the snapshot and the distance field
 // — not of BFS discovery order — and it is the one parent rule: tree
-// paths walk it, Routing.Refresh's invalidation tests it, and pairPath
-// (pairpath.go) reproduces it from its two search balls.
+// paths walk it, and pairPath (pairpath.go) reproduces it from its two
+// search balls. Routing.Refresh uses its -1 result to find a node a
+// removal left with no closer neighbor.
 func selectParent(s *graph.Snapshot, dist []int32, v int) int32 {
 	dv := dist[v]
 	if dv <= 0 {
@@ -860,6 +853,14 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		}
 		flowID++
 	}
+	readmitFlow := func(rf failFlow, path []int32) {
+		f := newFlow()
+		*f = simFlow{
+			src: rf.src, dst: rf.dst, id: rf.id, retries: rf.retries,
+			remaining: rf.remaining, arrived: rf.arrived, rate: -1, path: path,
+		}
+		active = append(active, f)
+	}
 	for epoch := 0; epoch < spec.Epochs; epoch++ {
 		now = float64(epoch) * dt
 
@@ -869,7 +870,6 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		// fate — and re-admit killed flows whose retry backoff expired.
 		// All of it precedes arrivals, in the exact order the event
 		// engine replicates.
-		reroutedNow, killedNow, retriedNow := 0, 0, 0
 		if fail := ctx.fail; fail != nil {
 			if err := fail.beginEpoch(epoch); err != nil {
 				return nil, err
@@ -877,50 +877,20 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			if fail.flipped {
 				keep := active[:0]
 				for _, f := range active {
-					if !fail.pathBroken(f.path) {
-						keep = append(keep, f)
-						continue
-					}
-					if np, ok := fail.resolve(int(f.src), int(f.dst)); ok {
-						f.path = np
-						reroutedNow++
-						fail.rerouted++
-						if ctx.cfg.trace {
-							rep.Flows[f.id].Reroutes++
+					if fail.pathBroken(f.path) {
+						path, ok := fail.reroute(failFlow{id: f.id, src: f.src, dst: f.dst,
+							remaining: f.remaining, arrived: f.arrived, retries: f.retries}, rep.Flows)
+						if !ok {
+							freeFlows = append(freeFlows, f)
+							continue
 						}
-						keep = append(keep, f)
-						continue
+						f.path = path
 					}
-					killedNow++
-					fail.kill(epoch, f.id, f.src, f.dst, f.remaining, f.arrived, f.retries)
-					if ctx.cfg.trace {
-						rep.Flows[f.id].Killed = true
-					}
-					freeFlows = append(freeFlows, f)
+					keep = append(keep, f)
 				}
 				active = keep
 			}
-			for _, rf := range fail.takeRetries(epoch) {
-				fail.retried++
-				retriedNow++
-				rf.retries++
-				if ctx.cfg.trace {
-					rep.Flows[rf.id].Retries++
-				}
-				if path, ok := fail.resolve(int(rf.src), int(rf.dst)); ok {
-					f := newFlow()
-					*f = simFlow{
-						src: rf.src, dst: rf.dst, id: rf.id, retries: rf.retries,
-						remaining: rf.remaining, arrived: rf.arrived, rate: -1, path: path,
-					}
-					active = append(active, f)
-					if ctx.cfg.trace {
-						rep.Flows[rf.id].Killed = false
-					}
-				} else {
-					fail.requeue(epoch, rf)
-				}
-			}
+			fail.retry(rep.Flows, readmitFlow)
 		}
 
 		// Arrivals, in ascending origin order.
@@ -979,7 +949,6 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		active = keep
 		obs.endEpoch(rep, EpochStats{
 			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: len(active),
-			Rerouted: reroutedNow, Killed: killedNow, Retried: retriedNow,
 		})
 	}
 
@@ -1040,8 +1009,9 @@ func (o *linkObs) link(e int, load, capacity float64) {
 }
 
 // endEpoch completes the epoch's row es — the engine fills the flow
-// counters — with the link statistics and failure state, folds the
-// epoch into the run totals and appends the row to the report.
+// counters — with the link statistics and the failure state and
+// counts, folds the epoch into the run totals and appends the row to
+// the report.
 func (o *linkObs) endEpoch(rep *SimReport, es EpochStats) {
 	nLinks := float64(len(o.ctx.edges))
 	es.MeanUtil = o.epochUtilSum / nLinks
@@ -1050,6 +1020,9 @@ func (o *linkObs) endEpoch(rep *SimReport, es EpochStats) {
 	if fail := o.ctx.fail; fail != nil {
 		es.LinksDown = fail.linksDown
 		es.NodesDown = fail.nodesDown
+		es.Rerouted = fail.epochRerouted
+		es.Killed = fail.epochKilled
+		es.Retried = fail.epochRetried
 	}
 	o.utilSum += o.epochUtilSum
 	o.overloaded += o.epochOverloaded

@@ -18,13 +18,17 @@ import (
 // pure append of larger neighbor ids — the common case in growth
 // models, where arrivals take the next dense id — are written into the
 // row's slack capacity, beyond every earlier snapshot's ends marker;
-// rows that shrink, reweight or interleave are relocated to fresh
-// space at the arena tail with new slack. Untouched rows keep their
-// storage. Relocation leaves garbage behind, so when the arena grows
-// past twice the live arc count the refresh compacts into a fresh
-// arena instead. Only the tip snapshot of a lineage may extend the
-// shared arena (see arena.claim); refreshing twice from the same base
-// silently degrades to the compacting copy, never to corruption.
+// rows that shrink, reweight or interleave are relocated to the
+// arena's spare capacity, beyond every earlier snapshot's arena
+// length, with new slack. Untouched rows keep their storage. A
+// refresh sizes its relocations first and touches the allocator only
+// when they overflow the spare capacity: it compacts into a fresh
+// arena (reserving twice the compacted size) when the dead space that
+// relocations left behind exceeds half the capacity live rows hold,
+// and otherwise doubles the arena once. Only the tip snapshot of a
+// lineage may extend the shared arena (see arena.claim); refreshing
+// twice from the same base silently degrades to the compacting copy,
+// never to corruption.
 
 // DeltaEdge is one simple edge whose multiplicity changed between a
 // base snapshot and its refreshed successor. OldW == 0 means the edge
@@ -48,9 +52,6 @@ type Delta struct {
 
 // BaseVersion returns the version of the snapshot the delta extends.
 func (d *Delta) BaseVersion() uint64 { return d.baseVersion }
-
-// BaseN returns the node count of the base snapshot.
-func (d *Delta) BaseN() int { return d.baseN }
 
 // N returns the node count after the delta; nodes are only ever added.
 func (d *Delta) N() int { return d.n }
@@ -193,13 +194,15 @@ func slackFor(rowLen int) int { return rowLen/4 + 4 }
 
 // Refresh produces the next immutable snapshot by merging the delta
 // into this one: touched rows are appended in place (when the change is
-// a pure append into remaining slack), relocated to the arena tail with
-// fresh slack, or — when garbage from past relocations exceeds the
-// live arcs — compacted into a fresh arena. Untouched rows share their
-// storage with the base snapshot. The result is logically identical to
-// freezing the mutated graph from scratch: same rows, same counts, same
-// metrics. The delta must extend exactly this snapshot (by version);
-// drive refreshes through Graph.Refreeze to get that pairing for free.
+// a pure append into remaining slack) or relocated with fresh slack
+// into the arena's spare capacity. When the relocations do not fit
+// that capacity, the arena is compacted into a fresh one if dead space
+// exceeds half the capacity live rows hold, and doubled otherwise.
+// Untouched rows share their storage with the base snapshot. The
+// result is logically identical to freezing the mutated graph from
+// scratch: same rows, same counts, same metrics. The delta must extend
+// exactly this snapshot (by version); drive refreshes through
+// Graph.Refreeze to get that pairing for free.
 func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 	if d == nil {
 		return nil, errors.New("graph: Refresh needs a non-nil delta")
@@ -264,39 +267,57 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 	})
 
 	liveArcs := 2 * next.m
-	// Compact when relocation garbage dominates, or when this snapshot
-	// is no longer the lineage tip (someone else extended the arena).
-	if len(s.neighbors) > 2*liveArcs+4096 || s.arena == nil || !s.arena.claim(s.version, next.version) {
+	// Size the relocations first, so the arena is reallocated at most
+	// once per refresh: when they overflow its spare capacity, compact
+	// if dead space (arena length beyond the capacity rows hold) is
+	// over half of the held capacity, else grow the arena once.
+	nb, wt := s.neighbors, s.weights
+	need := 0
+	for i := 0; i < len(changes); {
+		cs := rowRun(changes, i)
+		i += len(cs)
+		u := int(cs[0].node)
+		off := next.offsets[u]
+		if !pureAppend(nb, off, int(next.ends[u]-off), int(next.caps[u]), cs) {
+			newLen := mergedLen(int(next.ends[u]-off), cs)
+			need += newLen + slackFor(newLen)
+		}
+	}
+	fits := len(nb)+need <= cap(nb)
+	compact := false
+	if !fits {
+		held := 0
+		for _, c := range next.caps[:oldN] {
+			held += int(c)
+		}
+		compact = len(nb)-held > held/2
+	}
+	// Compact as well when this snapshot is no longer the lineage tip
+	// (someone else extended the arena).
+	if compact || s.arena == nil || !s.arena.claim(s.version, next.version) {
 		if err := s.rebuildInto(next, changes, liveArcs); err != nil {
 			return nil, err
 		}
 		return next, nil
 	}
-
-	nb, wt := s.neighbors, s.weights
-	for i := 0; i < len(changes); {
-		j := i
-		for j < len(changes) && changes[j].node == changes[i].node {
-			j++
+	if !fits {
+		if len(nb)+need > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: snapshot overflow: arena beyond int32 (%d arcs)", len(nb)+need)
 		}
-		u := int(changes[i].node)
-		cs := changes[i:j]
-		i = j
+		size := min(max(2*cap(nb), len(nb)+need), math.MaxInt32)
+		nb = append(make([]int32, 0, size), nb...)
+		wt = append(make([]int32, 0, size), wt...)
+	}
 
+	for i := 0; i < len(changes); {
+		cs := rowRun(changes, i)
+		i += len(cs)
+		u := int(cs[0].node)
 		off := next.offsets[u]
 		oldLen := int(next.ends[u] - off)
-		// Pure append: every change inserts a neighbor id above the
-		// current row tail, and the row's slack holds them all. The
-		// written region lies beyond every earlier snapshot's ends[u],
-		// so sharing the row storage stays safe.
-		pure := oldLen+len(cs) <= int(next.caps[u])
-		for _, c := range cs {
-			if c.oldW != 0 || (oldLen > 0 && c.nbr <= nb[off+int32(oldLen)-1]) {
-				pure = false
-				break
-			}
-		}
-		if pure {
+		// Pure append: the written region lies beyond every earlier
+		// snapshot's ends[u], so sharing the row storage stays safe.
+		if pureAppend(nb, off, oldLen, int(next.caps[u]), cs) {
 			for k, c := range cs {
 				nb[off+int32(oldLen+k)] = c.nbr
 				wt[off+int32(oldLen+k)] = c.newW
@@ -305,28 +326,48 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 			continue
 		}
 
-		// Relocate: merge the old row with the changes into fresh space
-		// at the arena tail, with new slack.
+		// Relocate: merge the old row with the changes into the arena's
+		// spare capacity, which lies beyond every earlier snapshot's
+		// arena length, with new slack.
 		newLen := mergedLen(oldLen, cs)
-		newCap := newLen + slackFor(newLen)
-		if int64(len(nb))+int64(newCap) > math.MaxInt32 {
-			return nil, fmt.Errorf("graph: snapshot overflow: arena beyond int32 at node %d", u)
-		}
-		start := int32(len(nb))
+		start := len(nb)
 		nb, wt = mergeRow(nb, wt, s.neighbors[off:off+int32(oldLen)], s.weights[off:off+int32(oldLen)], cs)
-		for len(nb) < int(start)+newCap {
-			nb = append(nb, 0)
-			wt = append(wt, 0)
-		}
-		next.offsets[u] = start
-		next.ends[u] = start + int32(newLen)
-		next.caps[u] = int32(newCap)
+		end := start + newLen + slackFor(newLen)
+		nb, wt = nb[:end], wt[:end]
+		next.offsets[u] = int32(start)
+		next.ends[u] = int32(start + newLen)
+		next.caps[u] = int32(end - start)
 	}
 	next.offsets[n] = int32(len(nb))
 	next.neighbors, next.weights = nb, wt
 	next.arena = s.arena
 	next.recountMaxDeg()
 	return next, nil
+}
+
+// rowRun returns the run of sorted changes starting at i that share
+// its node: one row's changes.
+func rowRun(changes []rowChange, i int) []rowChange {
+	j := i
+	for j < len(changes) && changes[j].node == changes[i].node {
+		j++
+	}
+	return changes[i:j]
+}
+
+// pureAppend reports whether a row's changes can be written into its
+// own slack: every change inserts a neighbor id above the current row
+// tail, and the row's capacity holds them all.
+func pureAppend(nb []int32, off int32, oldLen, capacity int, cs []rowChange) bool {
+	if oldLen+len(cs) > capacity {
+		return false
+	}
+	for _, c := range cs {
+		if c.oldW != 0 || (oldLen > 0 && c.nbr <= nb[off+int32(oldLen)-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mergedLen returns the row length after applying the changes: old
@@ -373,15 +414,16 @@ func mergeRow(nb, wt, rowNb, rowWt []int32, cs []rowChange) ([]int32, []int32) {
 }
 
 // rebuildInto compacts the refreshed topology into a fresh arena:
-// every row is copied (touched rows merged with their changes) with
-// fresh slack, dropping all relocation garbage. next already carries
-// offsets/ends/caps copies and updated counters.
+// every row is copied (touched rows merged with their changes) with an
+// eighth of slack, dropping all relocation garbage. The arena reserves
+// twice the compacted size, so the relocations of the following
+// epochs land in spare capacity instead of a new arena. Short rows get
+// no slack of their own: most rows of a growth model never change
+// again, and those that do relocate once into the reserve. next
+// already carries offsets/ends/caps copies and updated counters.
 func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int) error {
 	n := next.N()
-	budget := int64(liveArcs) + int64(liveArcs)/8 + 2*int64(n)
-	if budget > math.MaxInt32 {
-		budget = math.MaxInt32
-	}
+	budget := min(2*(int64(liveArcs)+int64(liveArcs)/8), math.MaxInt32)
 	nb := make([]int32, 0, budget)
 	wt := make([]int32, 0, budget)
 	oldN := s.N()
@@ -398,7 +440,7 @@ func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int
 			rowNb, rowWt = s.Neighbors(u), s.Weights(u)
 		}
 		newLen := mergedLen(len(rowNb), cs)
-		newCap := newLen + newLen/8 + 2
+		newCap := newLen + newLen/8
 		if int64(len(nb))+int64(newCap) > math.MaxInt32 {
 			return fmt.Errorf("graph: snapshot overflow: compaction beyond int32 at node %d", u)
 		}
@@ -409,10 +451,7 @@ func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int
 		} else {
 			nb, wt = mergeRow(nb, wt, rowNb, rowWt, cs)
 		}
-		for len(nb) < int(start)+newCap {
-			nb = append(nb, 0)
-			wt = append(wt, 0)
-		}
+		nb, wt = nb[:int(start)+newCap], wt[:int(start)+newCap]
 		next.offsets[u] = start
 		next.ends[u] = start + int32(newLen)
 		next.caps[u] = int32(newCap)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"testing"
+	"unsafe"
 
 	"netmodel/internal/rng"
 )
@@ -171,8 +172,10 @@ func TestRefreshTwiceFromSameBase(t *testing.T) {
 }
 
 // TestRefreshCompaction drives a long removal-heavy trajectory so
-// relocation garbage outgrows the live arcs and the compaction path
-// runs; correctness is pinned against fresh freezes throughout.
+// relocation garbage outgrows the live rows and the compaction path
+// runs — seen as a new arena backing that is shorter than the old one,
+// which doubling never yields; correctness is pinned against fresh
+// freezes throughout.
 func TestRefreshCompaction(t *testing.T) {
 	r := rng.New(17)
 	g := New(40)
@@ -183,6 +186,7 @@ func TestRefreshCompaction(t *testing.T) {
 		}
 	}
 	prev := g.Freeze()
+	compactions := 0
 	for epoch := 0; epoch < 60; epoch++ {
 		// Heavy churn: remove and re-add so rows relocate repeatedly.
 		for i := 0; i < 60; i++ {
@@ -203,7 +207,15 @@ func TestRefreshCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSnapshotsEqual(t, "churn", next, g.Copy().Freeze())
+		_, _, before := prev.CSR()
+		_, _, after := next.CSR()
+		if unsafe.SliceData(before) != unsafe.SliceData(after) && len(after) < len(before) {
+			compactions++
+		}
 		prev = next
+	}
+	if compactions == 0 {
+		t.Fatal("no refresh compacted the arena")
 	}
 }
 
@@ -294,7 +306,7 @@ func TestRefreshNodeOnlyDelta(t *testing.T) {
 	if err != nil || d == nil {
 		t.Fatalf("err %v delta %v", err, d)
 	}
-	if len(d.Edges()) != 0 || d.N() != 4 || d.BaseN() != 2 {
+	if len(d.Edges()) != 0 || d.N() != 4 || d.baseN != 2 {
 		t.Fatalf("delta %+v malformed", d)
 	}
 	assertSnapshotsEqual(t, "node-only", next, g.Copy().Freeze())

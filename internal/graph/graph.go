@@ -244,15 +244,6 @@ func (g *Graph) Neighbors(u int, fn func(v, w int) bool) {
 	}
 }
 
-// NeighborList returns the neighbors of u sorted ascending.
-func (g *Graph) NeighborList(u int) []int {
-	out := make([]int, len(g.rows[u]))
-	for i, a := range g.rows[u] {
-		out[i] = int(a.v)
-	}
-	return out
-}
-
 // Edges calls fn for every simple edge with u < v and multiplicity w,
 // stopping early if fn returns false. Edges come sorted by (u, v).
 func (g *Graph) Edges(fn func(u, v, w int) bool) {

@@ -63,6 +63,15 @@ func assertArcEdgeIDs(t *testing.T, tag string, s *Snapshot, buf, cursor []int32
 	return buf, cursor
 }
 
+// NeighborList returns the neighbors of u sorted ascending.
+func (g *Graph) NeighborList(u int) []int {
+	out := make([]int, len(g.rows[u]))
+	for i, a := range g.rows[u] {
+		out[i] = int(a.v)
+	}
+	return out
+}
+
 // oracleOf rebuilds g's topology as a mapGraph.
 func oracleOf(g *Graph) *mapGraph {
 	o := newMapGraph(g.N())
@@ -190,10 +199,16 @@ func assertMatchesOracle(t *testing.T, tag string, g *Graph, o *mapGraph) {
 //	op%8 1..3  AddEdge(a, b)
 //	op%8 4..6  RemoveEdge(a, b)
 //	op%8 7     checkpoint: Refreeze(base) must equal a cold
-//	           Copy().FreezeChecked(), and every node must match the oracle
+//	           Copy().FreezeChecked(), and every node must match the oracle;
+//	           with op&8 set, refresh instead off the a-th kept snapshot
+//	           (mod their count), usually not the lineage tip, which must
+//	           equal the same cold freeze
 //
 // After every step the touched pair's observables must agree, and so
-// must the two graphs' verdicts (created, error or not).
+// must the two graphs' verdicts (created, error or not). Every
+// refreshed snapshot is kept with the cold freeze of its epoch, and at
+// the end each must still equal it: later refreshes writing into row
+// slack or arena capacity must never show through an older snapshot.
 func runScript(t *testing.T, script []byte) {
 	t.Helper()
 	if len(script) == 0 {
@@ -201,6 +216,8 @@ func runScript(t *testing.T, script []byte) {
 	}
 	g, o := New(int(script[0]%8)), newMapGraph(int(script[0]%8))
 	base := g.Freeze()
+	type epoch struct{ snap, cold *Snapshot }
+	kept := []epoch{{base, g.Copy().Freeze()}}
 	var ids, cursor []int32
 	script = script[1:]
 	for step := 0; step+3 <= len(script); step += 3 {
@@ -224,6 +241,16 @@ func runScript(t *testing.T, script []byte) {
 			if (gerr == nil) != (oerr == nil) {
 				t.Fatalf("%s: RemoveEdge = %v, oracle %v", tag, gerr, oerr)
 			}
+		case script[step]&8 != 0:
+			old := kept[a%len(kept)].snap
+			next, err := old.Refresh(deltaFrom(old, g))
+			if err != nil {
+				t.Fatalf("%s: Refresh off v%d: %v", tag, old.Version(), err)
+			}
+			cold := g.Copy().Freeze()
+			assertSnapshotsEqual(t, tag, next, cold)
+			ids, cursor = assertArcEdgeIDs(t, tag, next, ids, cursor)
+			kept = append(kept, epoch{next, cold})
 		default:
 			next, _, err := g.Refreeze(base)
 			if err != nil {
@@ -236,6 +263,7 @@ func runScript(t *testing.T, script []byte) {
 			assertSnapshotsEqual(t, tag, next, cold)
 			assertMatchesOracle(t, tag, g, o)
 			ids, cursor = assertArcEdgeIDs(t, tag, next, ids, cursor)
+			kept = append(kept, epoch{next, cold})
 			base = next
 		}
 		if g.HasEdge(a, b) != (o.EdgeWeight(a, b) > 0) || g.EdgeWeight(a, b) != o.EdgeWeight(a, b) {
@@ -246,6 +274,35 @@ func runScript(t *testing.T, script []byte) {
 		}
 	}
 	assertMatchesOracle(t, "end", g, o)
+	for i, e := range kept {
+		assertSnapshotsEqual(t, fmt.Sprintf("kept snapshot %d", i), e.snap, e.cold)
+	}
+}
+
+// deltaFrom diffs g's current topology against the snapshot s: the
+// delta a refresh of s needs to reach g, whether or not s is the
+// snapshot g's mutation log extends.
+func deltaFrom(s *Snapshot, g *Graph) *Delta {
+	d := &Delta{baseVersion: s.Version(), baseN: s.N(), n: g.N()}
+	was, now := s.EdgeList(), g.EdgeList()
+	for len(was) > 0 || len(now) > 0 {
+		var e DeltaEdge
+		switch {
+		case len(now) == 0 || (len(was) > 0 && (was[0].U < now[0].U || was[0].U == now[0].U && was[0].V < now[0].V)):
+			e = DeltaEdge{U: int32(was[0].U), V: int32(was[0].V), OldW: int32(was[0].W)}
+			was = was[1:]
+		case len(was) == 0 || was[0].U != now[0].U || was[0].V != now[0].V:
+			e = DeltaEdge{U: int32(now[0].U), V: int32(now[0].V), NewW: int32(now[0].W)}
+			now = now[1:]
+		default:
+			e = DeltaEdge{U: int32(now[0].U), V: int32(now[0].V), OldW: int32(was[0].W), NewW: int32(now[0].W)}
+			was, now = was[1:], now[1:]
+		}
+		if e.OldW != e.NewW {
+			d.edges = append(d.edges, e)
+		}
+	}
+	return d
 }
 
 // TestGraphMatchesMapOracle drives random insert/remove scripts, biased
@@ -271,11 +328,16 @@ func TestGraphMatchesMapOracle(t *testing.T) {
 }
 
 // FuzzGraphMutations: any byte script keeps the row-backed graph in
-// lockstep with the map oracle, and every Refreeze equals a cold freeze.
+// lockstep with the map oracle, every refresh (Refreeze of the tip or
+// a second refresh off an older snapshot) equals a cold freeze, and
+// every refreshed snapshot still equals its epoch's freeze at the end.
 func FuzzGraphMutations(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 1, 1, 1, 2, 7, 0, 0, 4, 0, 1, 7, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 2, 1, 0, 5, 0, 1, 7, 1, 1, 6, 1, 0})
 	f.Add([]byte{7, 1, 2, 3, 1, 3, 2, 1, 2, 4, 7, 9, 9, 4, 3, 2, 4, 2, 3, 7, 0, 0, 0, 5, 5})
+	// Refresh off a superseded snapshot: it must not append into the
+	// row slack the tip refresh already filled.
+	f.Add([]byte{3, 1, 0, 1, 1, 0, 2, 7, 0, 0, 1, 1, 2, 7, 0, 0, 1, 1, 2, 15, 1, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*2000 {
 			script = script[:3*2000]

@@ -106,10 +106,12 @@ func FitPowerLawHistogram(hist []int) (PowerLawFit, error) {
 			continue
 		}
 		// KS over the tail: the empirical CDF is checked at both ends
-		// of each tied group, the extremes of the per-sample scan.
+		// of each tied group, the extremes of the per-sample scan. A
+		// candidate wins only below the best KS so far, so its scan
+		// stops once it reaches that distance.
 		maxD := 0.0
 		before := 0
-		for j := i; j < len(ks); j++ {
+		for j := i; j < len(ks) && maxD < best.KS; j++ {
 			cnt := hist[ks[j]]
 			model := 1 - math.Pow((float64(ks[j])+0.5)/(xmin-0.5), 1-alpha)
 			lo := math.Abs(float64(before+1)/float64(nTail) - model)

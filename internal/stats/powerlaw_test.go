@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -134,5 +135,112 @@ func TestFitPowerLawHistogramErrors(t *testing.T) {
 	}
 	if _, err := FitPowerLawHistogram(nil); err == nil {
 		t.Fatal("empty histogram must error")
+	}
+}
+
+// unprunedFitPowerLawHistogram is FitPowerLawHistogram without the
+// KS scan's early exit: every candidate's scan runs over the whole
+// tail. It is the oracle of the pruned scan.
+func unprunedFitPowerLawHistogram(hist []int) (PowerLawFit, error) {
+	var ks []int
+	total := 0
+	for k := 1; k < len(hist); k++ {
+		if hist[k] > 0 {
+			ks = append(ks, k)
+			total += hist[k]
+		}
+	}
+	if total < 10 {
+		return PowerLawFit{}, errors.New("stats: too few samples for power-law fit")
+	}
+	sufN := make([]int, len(ks)+1)
+	sufL := make([]float64, len(ks)+1)
+	for i := len(ks) - 1; i >= 0; i-- {
+		cnt := hist[ks[i]]
+		sufN[i] = sufN[i+1] + cnt
+		sufL[i] = sufL[i+1] + float64(cnt)*math.Log(float64(ks[i]))
+	}
+	best := PowerLawFit{KS: math.Inf(1)}
+	for i, k := range ks {
+		nTail := sufN[i]
+		if nTail < 10 {
+			break
+		}
+		xmin := float64(k)
+		s := sufL[i] - float64(nTail)*math.Log(xmin-0.5)
+		if s <= 0 {
+			continue
+		}
+		alpha := 1 + float64(nTail)/s
+		if alpha <= 1 || math.IsNaN(alpha) {
+			continue
+		}
+		maxD := 0.0
+		before := 0
+		for j := i; j < len(ks); j++ {
+			cnt := hist[ks[j]]
+			model := 1 - math.Pow((float64(ks[j])+0.5)/(xmin-0.5), 1-alpha)
+			lo := math.Abs(float64(before+1)/float64(nTail) - model)
+			hi := math.Abs(float64(before+cnt)/float64(nTail) - model)
+			if lo > maxD {
+				maxD = lo
+			}
+			if hi > maxD {
+				maxD = hi
+			}
+			before += cnt
+		}
+		if maxD < best.KS {
+			best = PowerLawFit{Alpha: alpha, Xmin: xmin, KS: maxD, NTail: nTail}
+		}
+	}
+	if math.IsInf(best.KS, 1) {
+		return PowerLawFit{}, errors.New("stats: no valid power-law regime found")
+	}
+	return best, nil
+}
+
+// TestFitPowerLawHistogramMatchesUnpruned: the early exit of the KS
+// scan only skips candidates that cannot win, so every field of the
+// fit, and the error verdict, must be bit-identical to the full scan
+// over random and heavy-tailed histograms.
+func TestFitPowerLawHistogramMatchesUnpruned(t *testing.T) {
+	r := rng.New(11)
+	fits := 0
+	for trial := 0; trial < 400; trial++ {
+		var hist []int
+		if trial%2 == 0 {
+			// Uniform random counts over a random support, holes included.
+			hist = make([]int, 1+r.Intn(200))
+			for k := range hist {
+				if r.Float64() < 0.6 {
+					hist[k] = r.Intn(50)
+				}
+			}
+		} else {
+			// Heavy-tailed: Pareto samples rounded to integer values.
+			hist = make([]int, 2001)
+			alpha := 1.5 + 2*r.Float64()
+			for i := 0; i < 200+r.Intn(5000); i++ {
+				hist[min(int(math.Round(r.Pareto(1, alpha-1))), 2000)]++
+			}
+		}
+		got, gerr := FitPowerLawHistogram(hist)
+		want, werr := unprunedFitPowerLawHistogram(hist)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("trial %d: error %v, oracle %v", trial, gerr, werr)
+		}
+		if gerr == nil {
+			fits++
+		}
+		if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) ||
+			math.Float64bits(got.Xmin) != math.Float64bits(want.Xmin) ||
+			math.Float64bits(got.KS) != math.Float64bits(want.KS) || got.NTail != want.NTail {
+			t.Fatalf("trial %d: fit %+v, oracle %+v", trial, got, want)
+		}
+	}
+	t.Logf("%d of 400 histograms fit", fits)
+	if fits < 300 {
+		t.Fatalf("only %d of 400 histograms fit; the comparison covers too few fits", fits)
 	}
 }

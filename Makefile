@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test examples experiments-check fuzz bench bench-json bench-smoke bench-check staticcheck lint fmt ci
+.PHONY: all build test examples experiments-check fuzz bench bench-json bench-smoke bench-check bench-verify staticcheck lint fmt ci
 
 all: build
 
@@ -85,6 +85,18 @@ bench-smoke:
 # acceptance-scale row.
 bench-check:
 	$(GO) run ./cmd/benchcheck -floors bench_floors.json
+
+# bench-check reads the committed rows, so it says nothing about HEAD.
+# This re-records every bench-json scenario at acceptance scale into a
+# temporary directory and gates those fresh rows against the same
+# floors; the committed BENCH_*.json files stay untouched. Long (the
+# combined run outlasts go test's default timeout) and outside CI and
+# `make ci`.
+bench-verify:
+	@dir=$$(mktemp -d) || exit 1; \
+	$(GO) test -timeout 90m -run TestBenchJSON . ./internal/traffic/ -bench-out "$$dir" && \
+	$(GO) run ./cmd/benchcheck -floors bench_floors.json -dir "$$dir"; \
+	status=$$?; rm -rf "$$dir"; exit $$status
 
 # staticcheck is pinned in CI (installed into the runner's Go bin);
 # locally this uses whatever staticcheck is on PATH and explains how

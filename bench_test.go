@@ -108,7 +108,7 @@ func BenchmarkE2ClusteringSpectrum(b *testing.B) {
 	once("E2", func() {
 		fmt.Printf("\nE2: clustering at N=%d (AS map: ⟨c⟩≈0.30, slope≈-0.75)\n", n)
 		fmt.Printf("%-8s %10s %10s %12s\n", "model", "⟨c⟩", "c(k)slope", "⟨c⟩/⟨c_ER⟩")
-		cer := metrics.AvgClusteringFrozen(build(b, "gnp", n).Freeze())
+		cer := engine.New(build(b, "gnp", n).Freeze(), engine.WithWorkers(1)).AvgClustering()
 		for _, m := range []string{"glp", "pfp", "econ", "gnp"} {
 			eng := engine.New(build(b, m, n).Freeze())
 			c := eng.AvgClustering()
@@ -123,7 +123,8 @@ func BenchmarkE2ClusteringSpectrum(b *testing.B) {
 	s := build(b, "pfp", n).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.ClusteringSpectrumFrozen(s)
+		// A fresh engine per iteration: the engine memoizes clustering.
+		engine.New(s, engine.WithWorkers(1)).ClusteringSpectrum()
 	}
 }
 
@@ -173,8 +174,8 @@ func BenchmarkE4KCore(b *testing.B) {
 // region, and the per-node triangle distribution P(T) is broad.
 func BenchmarkE5Betweenness(b *testing.B) {
 	const n = 2000
-	s := build(b, "pfp", n).Freeze()
-	bc := metrics.BetweennessFrozen(s)
+	eng := engine.New(build(b, "pfp", n).Freeze(), engine.WithWorkers(1))
+	bc := eng.Betweenness()
 	once("E5", func() {
 		var pos []float64
 		for _, v := range bc {
@@ -196,7 +197,7 @@ func BenchmarkE5Betweenness(b *testing.B) {
 		if f, err := stats.LogLogFit(lx, ly); err == nil {
 			fmt.Printf("cumulative log-log slope: %.2f\n", f.Slope)
 		}
-		tri := metrics.TrianglesPerNodeFrozen(s)
+		tri := eng.TrianglesPerNode()
 		maxT := 0
 		for _, t := range tri {
 			if t > maxT {
@@ -207,7 +208,7 @@ func BenchmarkE5Betweenness(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metrics.BetweennessSampledFrozen(s, rng.New(uint64(i)), 64); err != nil {
+		if _, err := eng.BetweennessSampled(rng.New(uint64(i)), 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +259,7 @@ func BenchmarkE7LoopScaling(b *testing.B) {
 			var lx, l3, l4, l5 []float64
 			fmt.Printf("%-6s %8s %12s %14s %16s\n", model, "N", "N3", "N4", "N5")
 			for _, n := range sizes {
-				cc := metrics.CountCyclesFrozen(build(b, model, n).Freeze())
+				cc := engine.New(build(b, model, n).Freeze(), engine.WithWorkers(1)).CountCycles()
 				fmt.Printf("%-6s %8d %12d %14d %16d\n", "", n, cc.C3, cc.C4, cc.C5)
 				lx = append(lx, float64(n))
 				l3 = append(l3, float64(cc.C3))
@@ -279,7 +280,8 @@ func BenchmarkE7LoopScaling(b *testing.B) {
 	s := build(b, "pfp", 2000).Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.CountCyclesFrozen(s)
+		// A fresh engine per iteration: the engine memoizes the counts.
+		engine.New(s, engine.WithWorkers(1)).CountCycles()
 	}
 }
 

@@ -96,7 +96,9 @@ func run(args []string, stdout io.Writer) error {
 	if *measureEvery > 0 {
 		obs := core.NewTrajectoryObserver(pool)
 		if *paths {
-			obs.EnablePathMetrics(*pathSources, *seed)
+			if err := obs.EnablePathMetrics(*pathSources, *seed, *n); err != nil {
+				return err
+			}
 		}
 		top, err = gen.GenerateTrajectoryWith(m.Build(*n), rng.New(*seed), pool,
 			gen.Trajectory{Every: *measureEvery, Observe: obs.Observe})

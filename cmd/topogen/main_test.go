@@ -167,3 +167,19 @@ func TestProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestPathsEnvelope: exact -paths on a map whose n² distance rows
+// exceed the envelope fails with one line naming -path-sources before
+// anything is generated (a 50k exact run would need 9.3 GiB), while a
+// sampled -paths run still goes through the same check and generates.
+func TestPathsEnvelope(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-model", "ba", "-n", "50000", "-seed", "9", "-measure-every", "1000", "-paths", "-workers", "1"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-path-sources") || strings.Contains(err.Error(), "\n") || out.Len() != 0 {
+		t.Fatalf("oversized exact -paths: err %v, %d bytes of output", err, out.Len())
+	}
+	if err := run([]string{"-model", "ba", "-n", "2000", "-seed", "9", "-measure-every", "1000", "-paths",
+		"-path-sources", "16", "-trajectory-out", filepath.Join(t.TempDir(), "t.txt")}, &out); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -81,7 +81,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if *measureEvery > 0 {
 		obs := core.NewTrajectoryObserver(pool)
 		if *paths {
-			obs.EnablePathMetrics(*sources, *seed)
+			if err := obs.EnablePathMetrics(*sources, *seed, g.N()); err != nil {
+				return err
+			}
 		}
 		if err := replayTrajectory(g, *measureEvery, obs); err != nil {
 			return err

@@ -135,13 +135,13 @@ func runFailureDistMapBench(tb testing.TB, n, epochs int, repair bool) time.Dura
 	return failureChurn(tb, n, epochs, func(next *graph.Snapshot, d *graph.Delta) {
 		if repair {
 			if dm == nil {
-				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, genBenchWorkers)
+				dm = metrics.NewDistMap(next, metrics.PivotSources(rng.New(3), next.N(), failBenchSources), genBenchWorkers)
 			} else {
 				dm.Refresh(next, d, genBenchWorkers)
 			}
 		} else {
 			if dm == nil {
-				dm = metrics.NewDistMapSampled(next, rng.New(3), failBenchSources, genBenchWorkers)
+				dm = metrics.NewDistMap(next, metrics.PivotSources(rng.New(3), next.N(), failBenchSources), genBenchWorkers)
 			} else {
 				dm = metrics.NewDistMap(next, dm.Sources(), genBenchWorkers)
 			}

@@ -64,21 +64,6 @@ func NewAnnotated(g *graph.Graph) *Annotated {
 	return &Annotated{G: g, rels: make(map[[2]int]Rel)}
 }
 
-// SetRel records the relationship of the ordered pair (u,v); (v,u) is
-// implied symmetric (p2c inverts to c2p, peer stays peer). The edge must
-// exist.
-func (a *Annotated) SetRel(u, v int, r Rel) error {
-	if !a.G.HasEdge(u, v) {
-		return fmt.Errorf("aspolicy: no edge (%d,%d)", u, v)
-	}
-	if u > v {
-		u, v = v, u
-		r = invert(r)
-	}
-	a.rels[[2]int{u, v}] = r
-	return nil
-}
-
 // RelOf returns the relationship of the ordered pair (u,v), or 0 when
 // the edge is absent or unannotated.
 func (a *Annotated) RelOf(u, v int) Rel {
@@ -97,19 +82,6 @@ func invert(r Rel) Rel {
 	default:
 		return r
 	}
-}
-
-// Complete reports whether every simple edge carries a relationship.
-func (a *Annotated) Complete() bool {
-	ok := true
-	a.G.Edges(func(u, v, w int) bool {
-		if a.RelOf(u, v) == 0 {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
 }
 
 // Counts returns the number of provider-customer and peering links.

@@ -98,18 +98,6 @@ func (f *Frozen) eachArc(fn func(arc int32, rel Rel) bool) {
 	}
 }
 
-// Complete reports whether every arc carries a relationship.
-func (f *Frozen) Complete() bool {
-	complete := true
-	f.eachArc(func(_ int32, rel Rel) bool {
-		if rel == 0 {
-			complete = false
-		}
-		return complete
-	})
-	return complete
-}
-
 // CustomerCone returns, for every AS, the size of its customer cone:
 // the number of ASs reachable by walking provider→customer links only,
 // including the AS itself. The cone is the standard measure of an AS's
@@ -182,33 +170,6 @@ const (
 	phaseDown
 	numPhases
 )
-
-// ValleyFreeDistances returns the shortest valley-free distance from
-// src to every node, -1 where no policy-compliant path exists.
-func (f *Frozen) ValleyFreeDistances(src int) ([]int, error) {
-	dist := make([]int32, numPhases*f.S.N())
-	queue := make([]int32, 0, f.S.N())
-	if err := f.valleyFree(src, dist, queue); err != nil {
-		return nil, err
-	}
-	n := f.S.N()
-	out := make([]int, n)
-	for v := 0; v < n; v++ {
-		du := dist[v*numPhases+phaseUp]
-		dd := dist[v*numPhases+phaseDown]
-		switch {
-		case du < 0:
-			out[v] = int(dd)
-		case dd < 0:
-			out[v] = int(du)
-		case du < dd:
-			out[v] = int(du)
-		default:
-			out[v] = int(dd)
-		}
-	}
-	return out, nil
-}
 
 // valleyFree runs the two-phase policy BFS from src into dist (length
 // numPhases*N, overwritten). queue is scratch.

@@ -2,6 +2,7 @@ package aspolicy
 
 import (
 	"errors"
+	"fmt"
 
 	"netmodel/internal/rng"
 )
@@ -10,6 +11,9 @@ import (
 // relationship table. They are the straightforward per-pair-lookup
 // forms of Frozen's CSR traversals, kept here as the oracles that the
 // TestFrozen*MatchesMap suites compare the production code against.
+// The file ends with the test-only accessors: hand annotation
+// (SetRel), completeness checks and the per-source reduction of the
+// valley-free kernel.
 
 // CustomerCone returns every AS's customer-cone size, one sequential
 // provider→customer DFS per node.
@@ -183,4 +187,71 @@ func bfsPlain(a *Annotated, src int) []int {
 		})
 	}
 	return dist
+}
+
+// ValleyFreeDistances returns the shortest valley-free distance from
+// src to every node, -1 where no policy-compliant path exists.
+func (f *Frozen) ValleyFreeDistances(src int) ([]int, error) {
+	dist := make([]int32, numPhases*f.S.N())
+	queue := make([]int32, 0, f.S.N())
+	if err := f.valleyFree(src, dist, queue); err != nil {
+		return nil, err
+	}
+	n := f.S.N()
+	out := make([]int, n)
+	for v := 0; v < n; v++ {
+		du := dist[v*numPhases+phaseUp]
+		dd := dist[v*numPhases+phaseDown]
+		switch {
+		case du < 0:
+			out[v] = int(dd)
+		case dd < 0:
+			out[v] = int(du)
+		case du < dd:
+			out[v] = int(du)
+		default:
+			out[v] = int(dd)
+		}
+	}
+	return out, nil
+}
+
+// Complete reports whether every arc carries a relationship.
+func (f *Frozen) Complete() bool {
+	complete := true
+	f.eachArc(func(_ int32, rel Rel) bool {
+		if rel == 0 {
+			complete = false
+		}
+		return complete
+	})
+	return complete
+}
+
+// SetRel records the relationship of the ordered pair (u,v); (v,u) is
+// implied symmetric (p2c inverts to c2p, peer stays peer). The edge must
+// exist.
+func (a *Annotated) SetRel(u, v int, r Rel) error {
+	if !a.G.HasEdge(u, v) {
+		return fmt.Errorf("aspolicy: no edge (%d,%d)", u, v)
+	}
+	if u > v {
+		u, v = v, u
+		r = invert(r)
+	}
+	a.rels[[2]int{u, v}] = r
+	return nil
+}
+
+// Complete reports whether every simple edge carries a relationship.
+func (a *Annotated) Complete() bool {
+	ok := true
+	a.G.Edges(func(u, v, w int) bool {
+		if a.RelOf(u, v) == 0 {
+			ok = false
+			return false
+		}
+		return true
+	})
+	return ok
 }

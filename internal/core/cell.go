@@ -187,7 +187,9 @@ func (c Cell) buildTopology() (*topoArtifact, *engine.Engine, error) {
 		// measurement.
 		obs := NewTrajectoryObserver(c.Workers)
 		if c.TrajectoryPaths {
-			obs.EnablePathMetrics(c.PathSources, c.Seed)
+			if err := obs.EnablePathMetrics(c.PathSources, c.Seed, c.N); err != nil {
+				return nil, nil, err
+			}
 		}
 		top, err := gen.GenerateTrajectoryWith(g, gr, c.Workers,
 			gen.Trajectory{Every: c.MeasureEvery, Observe: obs.Observe})

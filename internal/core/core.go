@@ -235,17 +235,36 @@ func NewTrajectoryObserver(workers int) *TrajectoryObserver {
 	return &TrajectoryObserver{workers: workers}
 }
 
+// maxExactPathBytes is the memory envelope of exact trajectory path
+// metrics. An exact distance map keeps one int32 row of n entries per
+// node, n² × 4 bytes; 1 GiB admits maps of up to 16384 nodes, and a
+// larger map must sample pivots instead.
+const maxExactPathBytes = 1 << 30
+
 // EnablePathMetrics switches the observer to MeasureGrowthPaths: every
 // epoch additionally records average path length, diameter and mean
 // closeness from the engine's delta-repaired distance map. pivots <= 0
-// keeps the map exact (one BFS row per node, bit-identical to the full
-// traversal metrics); pivots > 0 samples that many BFS sources on the
-// first observed snapshot from a stream keyed by seed (the pivot set
-// stays fixed for the whole trajectory). Call before the first Observe.
-func (o *TrajectoryObserver) EnablePathMetrics(pivots int, seed uint64) {
+// (or >= the node count) keeps the map exact (one BFS row per node,
+// bit-identical to the full traversal metrics); pivots > 0 samples that
+// many BFS sources on the first observed snapshot from a stream keyed
+// by seed (the pivot set stays fixed for the whole trajectory). Call
+// before the first Observe.
+//
+// nodes, when given, is the node count the trajectory ends at. Exact
+// mode over more nodes than maxExactPathBytes admits is refused with
+// an error before any distance row is allocated, and the observer is
+// left unchanged.
+func (o *TrajectoryObserver) EnablePathMetrics(pivots int, seed uint64, nodes ...int) error {
+	for _, n := range nodes {
+		if need := 4 * float64(n) * float64(n); (pivots <= 0 || pivots >= n) && need > maxExactPathBytes {
+			return fmt.Errorf("exact path metrics over %d nodes need %.1f GiB of distance rows, above the %d GiB limit; sample pivots with -path-sources",
+				n, need/(1<<30), maxExactPathBytes>>30)
+		}
+	}
 	o.pathsOn = true
 	o.pathPivots = pivots
 	o.pathSeed = seed
+	return nil
 }
 
 // Observe implements gen.Trajectory.Observe.

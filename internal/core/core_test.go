@@ -183,3 +183,40 @@ func TestPipelineTrajectoryFallbackModels(t *testing.T) {
 		t.Fatal("fallback epoch out of sync")
 	}
 }
+
+// TestEnablePathMetricsEnvelope pins the exact-mode memory envelope:
+// n² int32 distance rows must fit maxExactPathBytes (16384 nodes at
+// 1 GiB), sampled pivots are never refused, pivots >= n count as exact,
+// and a refusal leaves the observer's path mode off.
+func TestEnablePathMetricsEnvelope(t *testing.T) {
+	for _, tc := range []struct {
+		pivots int
+		nodes  []int
+		ok     bool
+	}{
+		{0, nil, true},
+		{0, []int{5000}, true},
+		{0, []int{16384}, true},
+		{0, []int{16385}, false},
+		{0, []int{50000}, false},
+		{-3, []int{50000}, false},
+		{64, []int{50000}, true},
+		{64, []int{1 << 30}, true},
+		{50000, []int{50000}, false},
+		{16384, []int{16384}, true},
+	} {
+		obs := NewTrajectoryObserver(1)
+		err := obs.EnablePathMetrics(tc.pivots, 1, tc.nodes...)
+		if (err == nil) != tc.ok {
+			t.Fatalf("pivots %d nodes %v: err %v, want ok=%v", tc.pivots, tc.nodes, err, tc.ok)
+		}
+		if err != nil && (obs.pathsOn || !strings.Contains(err.Error(), "-path-sources") || strings.Contains(err.Error(), "\n")) {
+			t.Fatalf("pivots %d nodes %v: refusal %q (paths on: %v)", tc.pivots, tc.nodes, err, obs.pathsOn)
+		}
+	}
+	// A sweep cell reaches the same check before generating anything.
+	_, err := RunCell(Cell{Model: "ba", N: 50000, Seed: 9, Target: refdata.ASMap2001, MeasureEvery: 1000, TrajectoryPaths: true})
+	if err == nil || !strings.Contains(err.Error(), "-path-sources") {
+		t.Fatalf("oversized exact trajectory cell: err %v", err)
+	}
+}

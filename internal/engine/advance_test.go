@@ -81,7 +81,7 @@ func TestAdvanceStaleEntryNeverServed(t *testing.T) {
 	if reflect.DeepEqual(staleTri, freshTri) {
 		t.Fatal("triangle counts did not change after closing a triangle")
 	}
-	if want := metrics.TrianglesPerNodeFrozen(next); !reflect.DeepEqual(freshTri, want) {
+	if want := metrics.TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(freshTri, want) {
 		t.Fatalf("advanced triangles %v, want %v", freshTri, want)
 	}
 }
@@ -174,7 +174,7 @@ func TestAdvanceWithoutDelta(t *testing.T) {
 	if err := eng.Advance(next, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := eng.TrianglesPerNode(), metrics.TrianglesPerNodeFrozen(next); !reflect.DeepEqual(got, want) {
+	if got, want := eng.TrianglesPerNode(), metrics.TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("triangles %v, want %v", got, want)
 	}
 }

@@ -6,13 +6,15 @@
 // snapshot, so a pipeline that needs clustering for a report and again
 // for a spectrum pays for it once.
 //
-// Every engine metric is numerically equivalent to its sequential
-// reference in internal/metrics: integer-valued reductions (path
-// histograms, triangle and cycle counts, coreness, rich-club) are
-// bit-identical, and floating-point accumulations (betweenness
-// dependencies, assortativity sums) agree to ~1e-12 relative error,
-// differing only in summation order. The equivalence tests in this
-// package enforce that contract across generator families and seeds.
+// The engine is the whole-graph metric surface; internal/metrics holds
+// the per-source and per-node kernels it shards and the reducers that
+// assemble their outputs. Integer-valued reductions (path histograms,
+// triangle and cycle counts, coreness, rich-club) are bit-identical at
+// every pool width, and floating-point accumulations (betweenness
+// dependencies) agree to ~1e-12 relative error, differing only in
+// summation order; at one worker they follow the sequential order. The
+// tests in this package pin the engine against brute-force and
+// test-local sequential oracles across generator families and seeds.
 package engine
 
 import (

@@ -104,6 +104,33 @@ func inducedGiant(s *graph.Snapshot) *graph.Snapshot {
 	return g.Freeze()
 }
 
+// sequentialCycles drives the per-node cycle kernel over every node on
+// one worker and assembles the counts, the sequential form of
+// Engine.CountCycles.
+func sequentialCycles(s *graph.Snapshot) metrics.CycleCounts {
+	n := s.N()
+	if n < 3 {
+		return metrics.CycleCounts{}
+	}
+	sc := metrics.NewCycleScratch(n)
+	var ordered4, trA5 int64
+	for i := 0; i < n; i++ {
+		o4, t5 := metrics.CycleNodeFrozen(s, i, sc)
+		ordered4 += o4
+		trA5 += t5
+	}
+	return metrics.CyclesFromParts(s, metrics.TrianglesPerNodeWith(s, 1), ordered4, trA5)
+}
+
+// sequentialClustering composes the one-worker triangle kernel with
+// the clustering reducers: local clustering, its mean over nodes of
+// degree >= 2, and the transitivity.
+func sequentialClustering(s *graph.Snapshot) (local []float64, avg, trans float64) {
+	tri := metrics.TrianglesPerNodeWith(s, 1)
+	local = metrics.LocalClusteringFromTriangles(s, tri)
+	return local, metrics.AvgClusteringFromLocal(s, local), metrics.TransitivityFromTriangles(s, tri)
+}
+
 // sequentialMeasure composes the sequential kernels into the metric
 // vector Engine.Measure promises: degree-tail fit, clustering and
 // assortativity on the whole map, path statistics on the giant
@@ -117,8 +144,7 @@ func sequentialMeasure(s *graph.Snapshot, r *rng.Rand, pathSources int) (metrics
 	if fit, err := stats.FitPowerLawDiscrete(metrics.DegreesAsFloatsFrozen(s)); err == nil {
 		out.Gamma, out.GammaKS = fit.Alpha, fit.KS
 	}
-	out.AvgClustering = metrics.AvgClusteringFrozen(s)
-	out.Transitivity = metrics.TransitivityFrozen(s)
+	_, out.AvgClustering, out.Transitivity = sequentialClustering(s)
 	out.Assortativity = metrics.AssortativityFrozen(s)
 	giant := inducedGiant(s)
 	out.GiantFrac = float64(giant.N()) / float64(s.N())
@@ -144,24 +170,24 @@ func sequentialMeasureGrowth(s *graph.Snapshot) metrics.GrowthStats {
 	if fit, err := stats.FitPowerLawHistogram(metrics.DegreeHistogramFrozen(s)); err == nil {
 		st.Gamma, st.GammaKS = fit.Alpha, fit.KS
 	}
-	st.AvgClustering = metrics.AvgClusteringFrozen(s)
-	st.Transitivity = metrics.TransitivityFrozen(s)
+	_, st.AvgClustering, st.Transitivity = sequentialClustering(s)
 	st.MaxCore = metrics.KCoreFrozen(s).MaxCore
 	return st
 }
 
 // TestEngineMatchesSequential is the equivalence property test: every
-// parallelized metric must reproduce the sequential kernel in
-// internal/metrics — exactly for integer-valued reductions, within 1e-9
-// for floating-point accumulations.
+// sharded metric must reproduce the one-worker composition of the
+// kernels in internal/metrics — exactly for integer-valued reductions,
+// within 1e-9 for floating-point accumulations.
 func TestEngineMatchesSequential(t *testing.T) {
 	for key, g := range testTopologies(t) {
 		s := g.Freeze()
 		e := New(s, WithWorkers(testWorkers))
+		seq := New(s, WithWorkers(1))
 
-		assertFloatsClose(t, key, "betweenness", e.Betweenness(), metrics.BetweennessFrozen(s), 1e-9)
+		assertFloatsClose(t, key, "betweenness", e.Betweenness(), seq.Betweenness(), 1e-9)
 
-		wantBC, err := metrics.BetweennessSampledFrozen(s, rng.New(99), 37)
+		wantBC, err := seq.BetweennessSampled(rng.New(99), 37)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,15 +197,13 @@ func TestEngineMatchesSequential(t *testing.T) {
 		}
 		assertFloatsClose(t, key, "sampled betweenness", gotBC, wantBC, 1e-9)
 
-		assertFloatsClose(t, key, "closeness", e.Closeness(), metrics.ClosenessFrozen(s), 0)
-		assertFloatsClose(t, key, "harmonic", e.HarmonicCloseness(), metrics.HarmonicClosenessFrozen(s), 0)
-
+		giant := inducedGiant(s)
 		for _, sources := range []int{0, 50} {
-			want, err := metrics.PathLengthsFrozen(s, rng.New(7), sources)
+			want, err := metrics.PathLengthsFrozen(giant, rng.New(7), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.PathLengths(rng.New(7), sources)
+			got, err := e.GiantPathLengths(rng.New(7), sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,16 +213,17 @@ func TestEngineMatchesSequential(t *testing.T) {
 			}
 		}
 
-		if got, want := e.TrianglesPerNode(), metrics.TrianglesPerNodeFrozen(s); !reflect.DeepEqual(got, want) {
+		if got, want := e.TrianglesPerNode(), metrics.TrianglesPerNodeWith(s, 1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: triangle counts differ", key)
 		}
-		if got, want := e.AvgClustering(), metrics.AvgClusteringFrozen(s); got != want {
-			t.Fatalf("%s: avg clustering %v vs %v", key, got, want)
+		local, avg, trans := sequentialClustering(s)
+		if got := e.AvgClustering(); got != avg {
+			t.Fatalf("%s: avg clustering %v vs %v", key, got, avg)
 		}
-		if got, want := e.Transitivity(), metrics.TransitivityFrozen(s); got != want {
-			t.Fatalf("%s: transitivity %v vs %v", key, got, want)
+		if got := e.Transitivity(); got != trans {
+			t.Fatalf("%s: transitivity %v vs %v", key, got, trans)
 		}
-		if got, want := e.ClusteringSpectrum(), metrics.ClusteringSpectrumFrozen(s); !reflect.DeepEqual(got, want) {
+		if got, want := e.ClusteringSpectrum(), metrics.ClusteringSpectrumFromLocal(s, local); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: clustering spectra differ", key)
 		}
 		if got, want := e.KCore(), metrics.KCoreFrozen(s); !reflect.DeepEqual(got, want) {
@@ -207,7 +232,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 		if got, want := e.RichClub(), metrics.RichClubFrozen(s); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: rich club differs", key)
 		}
-		if got, want := e.CountCycles(), metrics.CountCyclesFrozen(s); got != want {
+		if got, want := e.CountCycles(), sequentialCycles(s); got != want {
 			t.Fatalf("%s: cycles %+v vs %+v", key, got, want)
 		}
 		if got, want := e.Assortativity(), metrics.AssortativityFrozen(s); math.Abs(got-want) > 1e-9 {
@@ -322,9 +347,9 @@ func TestGiantPathLengthsMatchInduced(t *testing.T) {
 
 // TestPathLengthsConcurrent runs sampled giant path statistics (200
 // sources: three full MS-BFS batches and a short one, over a 2-wide
-// pool) and the exact whole-map statistics from four goroutines on one
-// engine. The calls share the engine's free list of lane scratches;
-// every result must equal a serial call on a fresh engine.
+// pool) and the exact ones from four goroutines on one engine. The
+// calls share the engine's free list of lane scratches; every result
+// must equal a serial call on a fresh engine.
 func TestPathLengthsConcurrent(t *testing.T) {
 	top, err := gen.GNP{N: 800, P: 2.5 / 799}.Generate(rng.New(4))
 	if err != nil {
@@ -332,7 +357,7 @@ func TestPathLengthsConcurrent(t *testing.T) {
 	}
 	s := top.G.Freeze()
 	serial := New(s, WithWorkers(1))
-	wantExact, err := serial.PathLengths(nil, 0)
+	wantExact, err := serial.GiantPathLengths(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +380,7 @@ func TestPathLengthsConcurrent(t *testing.T) {
 				if err != nil || !reflect.DeepEqual(got, wantGiant[i]) {
 					t.Errorf("goroutine %d round %d: giant paths %+v (%v), serial %+v", g, round, got, err, wantGiant[i])
 				}
-				exact, err := e.PathLengths(nil, 0)
+				exact, err := e.GiantPathLengths(nil, 0)
 				if err != nil || !reflect.DeepEqual(exact, wantExact) {
 					t.Errorf("goroutine %d round %d: exact paths %+v (%v), serial %+v", g, round, exact, err, wantExact)
 				}
@@ -382,11 +407,11 @@ func TestEngineMemoization(t *testing.T) {
 	if &t1[0] != &t2[0] {
 		t.Fatal("triangles not memoized")
 	}
-	p1, err := e.PathLengths(nil, 0)
+	p1, err := e.GiantPathLengths(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, _ := e.PathLengths(nil, 0)
+	p2, _ := e.GiantPathLengths(nil, 0)
 	if p1.Avg != p2.Avg {
 		t.Fatal("exact path stats must be stable")
 	}
@@ -400,17 +425,12 @@ func TestEngineMemoization(t *testing.T) {
 func TestEngineSampledErrors(t *testing.T) {
 	g := graph.New(10)
 	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 2)
 	e := New(g.Freeze())
-	if _, err := e.BetweennessSampled(nil, 5); err == nil {
-		t.Fatal("nil generator must error")
-	}
-	if _, err := e.BetweennessSampled(rng.New(1), 0); err == nil {
-		t.Fatal("non-positive sources must error")
-	}
-	if _, err := e.PathLengths(nil, 5); err == nil {
+	if _, err := e.GiantPathLengths(nil, 2); err == nil {
 		t.Fatal("sampling without generator must error")
 	}
-	if _, err := New(graph.New(0).Freeze()).PathLengths(nil, 0); err == nil {
+	if _, err := New(graph.New(0).Freeze()).GiantPathLengths(nil, 0); err == nil {
 		t.Fatal("empty graph must error")
 	}
 }
@@ -423,10 +443,10 @@ func TestEngineEmptyAndTinyGraphs(t *testing.T) {
 		}
 		s := g.Freeze()
 		e := New(s, WithWorkers(testWorkers))
-		if got, want := e.Betweenness(), metrics.BetweennessFrozen(s); !reflect.DeepEqual(got, want) {
+		if got, want := e.Betweenness(), make([]float64, n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: betweenness %v vs %v", n, got, want)
 		}
-		if got, want := e.CountCycles(), metrics.CountCyclesFrozen(s); got != want {
+		if got, want := e.CountCycles(), (metrics.CycleCounts{}); got != want {
 			t.Fatalf("n=%d: cycles differ", n)
 		}
 		snap, err := e.Measure(nil, 0)

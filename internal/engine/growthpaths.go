@@ -38,7 +38,7 @@ func (e *Engine) GrowthPathStats(pivots []int32) metrics.PathStats {
 
 // GrowthCloseness is the trajectory-mode closeness vector, an O(n)
 // reduction of the distance map's reach and distance-sum columns; exact
-// mode is bit-identical to ClosenessFrozen.
+// mode is bit-identical to one BFS per node.
 func (e *Engine) GrowthCloseness(pivots []int32) []float64 {
 	dm := e.GrowthDistMap(pivots)
 	return e.Cached("growth-closeness", func() any {

@@ -9,18 +9,23 @@ import (
 )
 
 // Betweenness computes exact Brandes betweenness from every source,
-// sharding sources across the pool. The result is memoized; callers
-// must not modify the returned slice.
+// sharding sources across the pool. Values are normalized by
+// (N-1)(N-2), the number of ordered pairs excluding the node itself, so
+// they lie in [0,1] (Freeman's convention of the AS-map betweenness
+// figures). The result is memoized; callers must not modify the
+// returned slice.
 func (e *Engine) Betweenness() []float64 {
 	return e.Cached("betweenness", func() any {
-		bc, _ := e.betweenness(nil, 0)
-		return bc
+		return e.betweenness(nil, 0)
 	}).([]float64)
 }
 
-// BetweennessSampled estimates betweenness from `sources` sampled BFS
-// roots, selecting sources exactly as the sequential implementation
-// does for the same generator state. Sampled runs are not memoized.
+// BetweennessSampled estimates betweenness from BFS trees rooted at
+// `sources` uniformly sampled nodes (drawn as PathSources does),
+// rescaling by N/sources. The estimate converges to the exact values as
+// sources approaches N, and sources >= N is the exact computation. It
+// errors on a non-positive source count or a nil generator. Sampled
+// runs are not memoized.
 func (e *Engine) BetweennessSampled(r *rng.Rand, sources int) ([]float64, error) {
 	if sources <= 0 {
 		return nil, errSourceCount
@@ -31,24 +36,26 @@ func (e *Engine) BetweennessSampled(r *rng.Rand, sources int) ([]float64, error)
 	if sources >= e.s.N() {
 		return e.Betweenness(), nil
 	}
-	return e.betweenness(r, sources)
+	return e.betweenness(r, sources), nil
 }
 
-// The sampling error cases mirror the sequential implementations in
-// internal/metrics, message for message.
 var (
 	errSourceCount = errors.New("metrics: source count must be positive")
 	errNeedRand    = errors.New("metrics: sampling requires a generator")
 )
 
-func (e *Engine) betweenness(r *rng.Rand, sources int) ([]float64, error) {
+// betweenness runs one Brandes pass per source of PathSources(n, r,
+// sources), each scaled by n/len(srcs), into per-worker partials. With
+// n >= 3 and BetweennessSampled's checks, PathSources cannot fail.
+func (e *Engine) betweenness(r *rng.Rand, sources int) []float64 {
 	s := e.s
 	n := s.N()
 	bc := make([]float64, n)
 	if n < 3 {
-		return bc, nil
+		return bc
 	}
-	srcs, scale := metrics.BetweennessSources(n, r, sources)
+	srcs, _ := metrics.PathSources(n, r, sources)
+	scale := float64(n) / float64(len(srcs))
 	workers := e.workers
 	scratch := make([]*metrics.BrandesScratch, workers)
 	partial := make([][]float64, workers)
@@ -71,91 +78,33 @@ func (e *Engine) betweenness(r *rng.Rand, sources int) ([]float64, error) {
 	for i := range bc {
 		bc[i] /= norm
 	}
-	return bc, nil
+	return bc
 }
 
-// Closeness computes Wasserman-Faust closeness for every node, one BFS
-// per node sharded across the pool. Memoized; do not modify the result.
-func (e *Engine) Closeness() []float64 {
-	return e.Cached("closeness", func() any {
-		return e.perNodeBFS(metrics.ClosenessOfDist)
-	}).([]float64)
-}
-
-// HarmonicCloseness computes harmonic closeness for every node.
-// Memoized; do not modify the result.
-func (e *Engine) HarmonicCloseness() []float64 {
-	return e.Cached("harmonic-closeness", func() any {
-		if e.s.N() < 2 {
-			return make([]float64, e.s.N())
-		}
-		return e.perNodeBFS(metrics.HarmonicOfDist)
-	}).([]float64)
-}
-
-// perNodeBFS runs one BFS per node and reduces each distance vector
-// with the given functional; out[u] depends only on u's own BFS, so the
-// parallel result is bit-identical to the sequential one.
-func (e *Engine) perNodeBFS(reduce func(dist []int32, n int) float64) []float64 {
-	s := e.s
-	n := s.N()
-	out := make([]float64, n)
-	type bfsScratch struct {
-		dist []int32
-		sc   *metrics.BFSScratch
-	}
-	scratch := make([]*bfsScratch, e.workers)
-	par.For(n, e.workers, func(w, u int) {
-		if scratch[w] == nil {
-			scratch[w] = &bfsScratch{dist: make([]int32, n), sc: metrics.NewBFSScratch(n)}
-		}
-		metrics.BFSHybrid(s, u, scratch[w].dist, scratch[w].sc)
-		out[u] = reduce(scratch[w].dist, n)
-	})
-	return out
-}
-
-// PathLengths measures shortest-path statistics from every node
-// (sources <= 0 or >= N) or a uniform sample, sharding 64-source
-// MS-BFS batches across the pool. The per-worker reductions are integer
-// histograms, so the merged statistics are bit-identical to the
-// sequential PathLengthsFrozen. Exact (unsampled) runs are memoized.
-func (e *Engine) PathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
-	return e.pathLengths("paths-exact", nil, r, sources)
-}
-
-// GiantPathLengths is PathLengths restricted to the giant component,
-// measured in place on the engine's snapshot. Sources are drawn as
-// PathSources over the giant's size and mapped through its ascending
-// node list, so the statistics equal those of the induced giant
-// subgraph measured by PathLengths for the same generator state: a BFS
-// from a giant node never leaves the giant, and the unreachable nodes
-// outside it add nothing to the histogram. Exact runs are memoized.
+// GiantPathLengths measures shortest-path statistics on the giant
+// component from every giant node (sources <= 0 or >= its size) or a
+// uniform sample, in place on the engine's snapshot, sharding 64-source
+// MS-BFS batches across the pool. Sources are drawn as PathSources over
+// the giant's size and mapped through its ascending node list, so the
+// statistics equal those of the induced giant subgraph measured by
+// PathLengthsFrozen for the same generator state: a BFS from a giant
+// node never leaves the giant, and the unreachable nodes outside it add
+// nothing to the histogram. The per-worker reductions are integer
+// histograms, so the result is bit-identical at every pool width.
+// Exact runs are memoized.
 func (e *Engine) GiantPathLengths(r *rng.Rand, sources int) (metrics.PathStats, error) {
-	return e.pathLengths("giant-paths-exact", e.giantNodes(), r, sources)
-}
-
-// pathLengths draws the sources from nodes (nil means every node) and
-// reduces their BFS distances to path statistics, memoizing exact runs
-// under key.
-func (e *Engine) pathLengths(key string, nodes []int, r *rng.Rand, sources int) (metrics.PathStats, error) {
-	n := e.s.N()
-	if nodes != nil {
-		n = len(nodes)
-	}
-	srcs, err := metrics.PathSources(n, r, sources)
+	nodes := e.giantNodes()
+	srcs, err := metrics.PathSources(len(nodes), r, sources)
 	if err != nil {
 		return metrics.PathStats{}, err
 	}
-	if nodes != nil {
-		for i, v := range srcs {
-			srcs[i] = nodes[v]
-		}
+	for i, v := range srcs {
+		srcs[i] = nodes[v]
 	}
-	if len(srcs) < n {
+	if len(srcs) < len(nodes) {
 		return e.pathHistogram(srcs), nil
 	}
-	return e.Cached(key, func() any { return e.pathHistogram(srcs) }).(metrics.PathStats), nil
+	return e.Cached("giant-paths-exact", func() any { return e.pathHistogram(srcs) }).(metrics.PathStats), nil
 }
 
 // pathHistogram folds the BFS distances from srcs into path statistics
@@ -239,9 +188,9 @@ func (e *Engine) RichClub() []metrics.RichClubPoint {
 }
 
 // CountCycles counts 3-, 4- and 5-cycles exactly, sharding the
-// per-node 2-neighborhood kernels across the pool. All reductions are
-// integral, so the counts are bit-identical to the sequential
-// CountCycles. Memoized.
+// per-node 2-neighborhood kernels across the pool and assembling them
+// with metrics.CyclesFromParts. All reductions are integral, so the
+// counts are bit-identical at every pool width. Memoized.
 func (e *Engine) CountCycles() metrics.CycleCounts {
 	return e.Cached("cycles", func() any {
 		s := e.s

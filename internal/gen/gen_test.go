@@ -143,7 +143,7 @@ func TestWSLatticeLimit(t *testing.T) {
 		}
 	}
 	// High clustering in the lattice limit.
-	if c := metrics.AvgClusteringFrozen(top.G.Freeze()); c < 0.4 {
+	if c := engine.New(top.G.Freeze()).AvgClustering(); c < 0.4 {
 		t.Fatalf("lattice clustering = %v, want >= 0.5-ish", c)
 	}
 }
@@ -210,11 +210,9 @@ func TestWaxmanNotHeavyTailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degs := metrics.DegreesAsFloatsFrozen(top.G.Freeze())
-	s := stats.Summarize(degs)
 	// Poisson-like: max degree within a small multiple of the mean.
-	if s.Max > 6*s.Mean+10 {
-		t.Fatalf("Waxman unexpectedly heavy-tailed: max %v mean %v", s.Max, s.Mean)
+	if kmax, mean := float64(top.G.MaxDegree()), top.G.AvgDegree(); kmax > 6*mean+10 {
+		t.Fatalf("Waxman unexpectedly heavy-tailed: max %v mean %v", kmax, mean)
 	}
 }
 
@@ -476,9 +474,8 @@ func TestTransitStubNoHeavyTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := stats.Summarize(metrics.DegreesAsFloatsFrozen(top.G.Freeze()))
-	if s.Max > 8*s.Mean+20 {
-		t.Fatalf("TransitStub unexpectedly heavy-tailed: max %v mean %v", s.Max, s.Mean)
+	if kmax, mean := float64(top.G.MaxDegree()), top.G.AvgDegree(); kmax > 8*mean+20 {
+		t.Fatalf("TransitStub unexpectedly heavy-tailed: max %v mean %v", kmax, mean)
 	}
 }
 

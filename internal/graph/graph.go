@@ -267,15 +267,6 @@ func (g *Graph) EdgeList() []Edge {
 	return out
 }
 
-// DegreeSequence returns the topological degree of every node.
-func (g *Graph) DegreeSequence() []int {
-	out := make([]int, len(g.rows))
-	for u, row := range g.rows {
-		out[u] = len(row)
-	}
-	return out
-}
-
 // AvgDegree returns the mean topological degree 2M/N, zero for an empty
 // graph.
 func (g *Graph) AvgDegree() float64 {

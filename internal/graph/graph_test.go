@@ -155,11 +155,10 @@ func TestDegreeSequenceAndAvg(t *testing.T) {
 	mustEdge(t, g, 0, 1)
 	mustEdge(t, g, 1, 2)
 	mustEdge(t, g, 2, 3)
-	ds := g.DegreeSequence()
 	want := []int{1, 2, 2, 1}
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Fatalf("DegreeSequence = %v", ds)
+	for u := range want {
+		if g.Degree(u) != want[u] {
+			t.Fatalf("Degree(%d) = %d, want %d", u, g.Degree(u), want[u])
 		}
 	}
 	if g.AvgDegree() != 1.5 {

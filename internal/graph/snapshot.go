@@ -218,15 +218,6 @@ func (s *Snapshot) AvgDegree() float64 {
 // MaxDegree returns the largest topological degree.
 func (s *Snapshot) MaxDegree() int { return s.maxDeg }
 
-// DegreeSequence returns the topological degree of every node.
-func (s *Snapshot) DegreeSequence() []int {
-	out := make([]int, s.N())
-	for u := range out {
-		out[u] = s.Degree(u)
-	}
-	return out
-}
-
 // Edges calls fn for every simple edge with u < v and multiplicity w, in
 // (u, v) sorted order, stopping early if fn returns false.
 func (s *Snapshot) Edges(fn func(u, v, w int) bool) {

@@ -12,11 +12,12 @@ import (
 	"netmodel/internal/graph"
 )
 
-// The fuzz targets feed arbitrary bytes to the readers. Property: the
-// reader never panics, and any graph it accepts survives a write/read
-// round trip with the same node count and edge list. Plain `go test`
-// runs the seeds (the round-trip fixtures and the error rows); explore
-// further with
+// The fuzz targets feed arbitrary bytes to the edge-list reader and to
+// the JSON test decoder. Property: the reader never panics, and any
+// graph it accepts survives a write/read round trip with the same node
+// count and edge list, so FuzzReadJSON drives WriteJSON over every
+// graph the decoder builds. Plain `go test` runs the seeds (the
+// round-trip fixtures and the error rows); explore further with
 //
 //	go test ./internal/graphio -run '^$' -fuzz FuzzReadEdgeList
 //	go test ./internal/graphio -run '^$' -fuzz FuzzReadJSON
@@ -101,10 +102,10 @@ func FuzzReadJSON(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		skipHuge(t, in)
-		g, err := ReadJSON(strings.NewReader(in))
+		g, err := readJSON(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		requireRoundTrip(t, g, WriteJSON, ReadJSON)
+		requireRoundTrip(t, g, WriteJSON, readJSON)
 	})
 }

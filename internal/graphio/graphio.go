@@ -160,25 +160,6 @@ func WriteJSON(w io.Writer, g *graph.Graph) error {
 	return enc.Encode(jg)
 }
 
-// ReadJSON decodes the format written by WriteJSON. Node counts and
-// multiplicities above math.MaxInt32 are rejected.
-func ReadJSON(r io.Reader) (*graph.Graph, error) {
-	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
-		return nil, err
-	}
-	if jg.Nodes < 0 || jg.Nodes > maxID {
-		return nil, fmt.Errorf("graphio: node count %d outside [0,%d]", jg.Nodes, maxID)
-	}
-	g := graph.New(jg.Nodes)
-	for _, e := range jg.Edges {
-		if err := addEdges(g, e[0], e[1], e[2]); err != nil {
-			return nil, fmt.Errorf("graphio: %v", err)
-		}
-	}
-	return g, nil
-}
-
 // WriteDOT emits an undirected Graphviz description. Multiplicity is
 // rendered as penwidth. Intended for small maps.
 func WriteDOT(w io.Writer, g *graph.Graph, name string) error {

@@ -2,6 +2,10 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -116,13 +120,34 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// readJSON is the decoder the JSON tests read WriteJSON's output back
+// with; no command reads JSON maps, so it lives here. Node counts and
+// multiplicities above math.MaxInt32 are rejected, as the edge-list
+// reader rejects them.
+func readJSON(r io.Reader) (*graph.Graph, error) {
+	var jg jsonGraph
+	if err := json.NewDecoder(r).Decode(&jg); err != nil {
+		return nil, err
+	}
+	if jg.Nodes < 0 || jg.Nodes > maxID {
+		return nil, fmt.Errorf("graphio: node count %d outside [0,%d]", jg.Nodes, maxID)
+	}
+	g := graph.New(jg.Nodes)
+	for _, e := range jg.Edges {
+		if err := addEdges(g, e[0], e[1], e[2]); err != nil {
+			return nil, fmt.Errorf("graphio: %v", err)
+		}
+	}
+	return g, nil
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	g := sample(t)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
+	got, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +156,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// jsonErrorRows are documents ReadJSON must reject with an error; they
+// jsonErrorRows are documents readJSON must reject with an error; they
 // double as fuzz seeds.
 var jsonErrorRows = []string{
 	`not json`,
@@ -146,9 +171,30 @@ var jsonErrorRows = []string{
 
 func TestReadJSONErrors(t *testing.T) {
 	for _, c := range jsonErrorRows {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
+		if _, err := readJSON(strings.NewReader(c)); err == nil {
 			t.Fatalf("input %q should fail", c)
 		}
+	}
+}
+
+// TestWriteJSON decodes the JSON encoding back into the wire struct:
+// the node count and every [u, v, w] edge in EdgeList order.
+func TestWriteJSON(t *testing.T) {
+	g := sample(t)
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	var got jsonGraph
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := jsonGraph{Nodes: g.N(), Edges: [][3]int{}}
+	for _, e := range g.EdgeList() {
+		want.Edges = append(want.Edges, [3]int{e.U, e.V, e.W})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSON encoding %s, want %+v", buf.String(), want)
 	}
 }
 

@@ -132,7 +132,7 @@ func TestDistMapSampledUnderChurn(t *testing.T) {
 	var dm *DistMap
 	replayChurnEpochs(t, "glp", 5, 10, func(prev, next *graph.Snapshot, d *graph.Delta) {
 		if dm == nil {
-			dm = NewDistMapSampled(prev, rng.New(17), 20, 2)
+			dm = NewDistMap(prev, PivotSources(rng.New(17), prev.N(), 20), 2)
 			return
 		}
 		dm.Refresh(next, d, 4)
@@ -155,13 +155,13 @@ func TestRefreshKernelsUnderChurnFamilies(t *testing.T) {
 			)
 			replayChurnEpochs(t, fam, seed, 12, func(prev, next *graph.Snapshot, d *graph.Delta) {
 				if !init {
-					tri = TrianglesPerNodeFrozen(prev)
+					tri = TrianglesPerNodeWith(prev, 1)
 					hist = DegreeHistogramFrozen(prev)
 					core = NewCoreMap(prev)
 					init = true
 				}
 				tri = RefreshTriangles(prev, next, d, tri)
-				if want := TrianglesPerNodeFrozen(next); !reflect.DeepEqual(tri, want) {
+				if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 					t.Fatalf("%s/%d: churned triangles diverged", fam, seed)
 				}
 				hist = RefreshDegreeHistogram(prev, next, d, hist)

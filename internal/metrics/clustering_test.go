@@ -11,19 +11,16 @@ import (
 
 func TestTrianglesComplete(t *testing.T) {
 	s := complete(5).Freeze()
-	tri := TrianglesPerNodeFrozen(s)
+	tri := TrianglesPerNodeWith(s, 1)
 	for u, ti := range tri {
 		if ti != 6 { // C(4,2) triangles through each node of K5
 			t.Fatalf("T(%d) = %d, want 6", u, ti)
 		}
 	}
-	if total := TotalTrianglesFrozen(s); total != 10 {
-		t.Fatalf("K5 triangles = %d, want 10", total)
-	}
 }
 
 func TestTrianglesTriangleWithTail(t *testing.T) {
-	tri := TrianglesPerNodeFrozen(triangleWithTail().Freeze())
+	tri := TrianglesPerNodeWith(triangleWithTail().Freeze(), 1)
 	want := []int{1, 1, 1, 0}
 	for u := range want {
 		if tri[u] != want[u] {
@@ -38,8 +35,8 @@ func TestTrianglesIgnoreMultiplicity(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 0)
-	if total := TotalTrianglesFrozen(g.Freeze()); total != 1 {
-		t.Fatalf("triangles = %d, want 1 (multiplicity must not matter)", total)
+	if tri := TrianglesPerNodeWith(g.Freeze(), 1); !reflect.DeepEqual(tri, []int{1, 1, 1}) {
+		t.Fatalf("T = %v, want [1 1 1] (multiplicity must not matter)", tri)
 	}
 }
 
@@ -69,7 +66,7 @@ func TestTrianglesMatchBruteForce(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 40, 0.15)
-		if got, want := TrianglesPerNodeFrozen(g.Freeze()), bruteTrianglesPerNode(g); !reflect.DeepEqual(got, want) {
+		if got, want := TrianglesPerNodeWith(g.Freeze(), 1), bruteTrianglesPerNode(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: triangles = %v, brute force = %v", trial, got, want)
 		}
 	}
@@ -130,7 +127,7 @@ func TestTrianglesDegreeOriented(t *testing.T) {
 		if seen != s.M() || len(r.off) != s.N()+1 {
 			t.Fatalf("%s: %d oriented arcs over %d offsets, want %d over %d", tc.name, seen, len(r.off), s.M(), s.N()+1)
 		}
-		got := TrianglesPerNodeFrozen(s)
+		got := TrianglesPerNodeWith(s, 1)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("%s: T = %v, want %v", tc.name, got, tc.want)
 		}
@@ -147,7 +144,7 @@ func TestTrianglesDegreeOriented(t *testing.T) {
 }
 
 func TestLocalClusteringComplete(t *testing.T) {
-	c := LocalClusteringFrozen(complete(6).Freeze())
+	c := localClusteringOf(complete(6).Freeze())
 	for u, cu := range c {
 		if math.Abs(cu-1) > 1e-12 {
 			t.Fatalf("c(%d) = %v, want 1", u, cu)
@@ -156,7 +153,7 @@ func TestLocalClusteringComplete(t *testing.T) {
 }
 
 func TestLocalClusteringPath(t *testing.T) {
-	c := LocalClusteringFrozen(path(5).Freeze())
+	c := localClusteringOf(path(5).Freeze())
 	for u, cu := range c {
 		if cu != 0 {
 			t.Fatalf("c(%d) = %v on a path, want 0", u, cu)
@@ -172,21 +169,21 @@ func TestAvgClusteringSkipsLowDegree(t *testing.T) {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(2, 0)
 	g.MustAddEdge(3, 4)
-	if avg := AvgClusteringFrozen(g.Freeze()); math.Abs(avg-1) > 1e-12 {
+	if avg := avgClusteringOf(g.Freeze()); math.Abs(avg-1) > 1e-12 {
 		t.Fatalf("avg clustering = %v, want 1 (degree-1 nodes excluded)", avg)
 	}
 }
 
 func TestTransitivityKnown(t *testing.T) {
-	if tr := TransitivityFrozen(complete(4).Freeze()); math.Abs(tr-1) > 1e-12 {
+	if tr := transitivityOf(complete(4).Freeze()); math.Abs(tr-1) > 1e-12 {
 		t.Fatalf("K4 transitivity = %v, want 1", tr)
 	}
-	if tr := TransitivityFrozen(star(10).Freeze()); tr != 0 {
+	if tr := transitivityOf(star(10).Freeze()); tr != 0 {
 		t.Fatalf("star transitivity = %v, want 0", tr)
 	}
 	// Triangle with tail: 1 triangle, triples: deg 2,2,3,1 ->
 	// 1+1+3+0 = 5 triples, transitivity 3/5.
-	if tr := TransitivityFrozen(triangleWithTail().Freeze()); math.Abs(tr-0.6) > 1e-12 {
+	if tr := transitivityOf(triangleWithTail().Freeze()); math.Abs(tr-0.6) > 1e-12 {
 		t.Fatalf("transitivity = %v, want 0.6", tr)
 	}
 }
@@ -194,7 +191,8 @@ func TestTransitivityKnown(t *testing.T) {
 func TestClusteringSpectrum(t *testing.T) {
 	// Triangle with tail: nodes of degree 2 have c=1, node of degree 3
 	// has c = 1/3.
-	spec := ClusteringSpectrumFrozen(triangleWithTail().Freeze())
+	s := triangleWithTail().Freeze()
+	spec := ClusteringSpectrumFromLocal(s, localClusteringOf(s))
 	if math.Abs(spec[2]-1) > 1e-12 {
 		t.Fatalf("c(k=2) = %v, want 1", spec[2])
 	}
@@ -208,7 +206,7 @@ func TestClusteringSpectrum(t *testing.T) {
 
 func TestERClusteringMatchesP(t *testing.T) {
 	// For G(n,p), expected clustering is p.
-	avg := AvgClusteringFrozen(randomGraph(rng.New(13), 800, 0.02).Freeze())
+	avg := avgClusteringOf(randomGraph(rng.New(13), 800, 0.02).Freeze())
 	if math.Abs(avg-0.02) > 0.01 {
 		t.Fatalf("ER clustering = %v, want ~0.02", avg)
 	}

@@ -89,8 +89,8 @@ func TestCountCyclesKnownGraphs(t *testing.T) {
 		{"star", star(8), CycleCounts{}},
 	}
 	for _, tc := range cases {
-		if got := CountCyclesFrozen(tc.g.Freeze()); got != tc.want {
-			t.Fatalf("%s: CountCyclesFrozen = %+v, want %+v", tc.name, got, tc.want)
+		if got := cyclesOf(tc.g.Freeze()); got != tc.want {
+			t.Fatalf("%s: cycles = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -99,10 +99,10 @@ func TestCountCyclesMatchesBruteForce(t *testing.T) {
 	r := rng.New(37)
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(r, 14, 0.3)
-		got := CountCyclesFrozen(g.Freeze())
+		got := cyclesOf(g.Freeze())
 		want := bruteCycles(g)
 		if got != want {
-			t.Fatalf("trial %d: CountCyclesFrozen = %+v, brute = %+v", trial, got, want)
+			t.Fatalf("trial %d: cycles = %+v, brute = %+v", trial, got, want)
 		}
 	}
 }
@@ -110,21 +110,21 @@ func TestCountCyclesMatchesBruteForce(t *testing.T) {
 func TestCountCyclesIgnoresMultiplicity(t *testing.T) {
 	g := cycleGraph(5)
 	g.MustAddEdge(0, 1) // double one edge
-	got := CountCyclesFrozen(g.Freeze())
+	got := cyclesOf(g.Freeze())
 	if got.C5 != 1 || got.C3 != 0 || got.C4 != 0 {
 		t.Fatalf("multiplicity changed cycle counts: %+v", got)
 	}
 }
 
 func TestCountCyclesTinyGraphs(t *testing.T) {
-	if got := CountCyclesFrozen(graph.New(0).Freeze()); got != (CycleCounts{}) {
+	if got := cyclesOf(graph.New(0).Freeze()); got != (CycleCounts{}) {
 		t.Fatal("empty graph must count zero cycles")
 	}
-	if got := CountCyclesFrozen(complete(3).Freeze()); got != (CycleCounts{C3: 1}) {
+	if got := cyclesOf(complete(3).Freeze()); got != (CycleCounts{C3: 1}) {
 		t.Fatalf("triangle counts = %+v", got)
 	}
 	// n=4 must skip the C5 path entirely.
-	if got := CountCyclesFrozen(cycleGraph(4).Freeze()); got.C5 != 0 {
+	if got := cyclesOf(cycleGraph(4).Freeze()); got.C5 != 0 {
 		t.Fatal("4-node graph cannot have 5-cycles")
 	}
 }

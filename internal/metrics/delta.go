@@ -101,7 +101,7 @@ func deltaEdgeKey(u, v int) uint64 {
 // to the change with the highest sequence index, so batches that close
 // multiple sides of the same triangle stay exact. prevTri must be the
 // triangle vector of prev; the result equals
-// TrianglesPerNodeFrozen(next).
+// TrianglesPerNodeWith(next, w) at any worker count w.
 func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, prevTri []int) []int {
 	tri := make([]int, next.N())
 	copy(tri, prevTri)

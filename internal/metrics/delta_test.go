@@ -78,7 +78,7 @@ func TestRefreshKernelsMatchFullRecompute(t *testing.T) {
 			var core *CoreMap
 			replayEpochs(t, top, 37, func(prev, next *graph.Snapshot, d *graph.Delta, g *graph.Graph) {
 				tri = RefreshTriangles(prev, next, d, tri)
-				if want := TrianglesPerNodeFrozen(next); !reflect.DeepEqual(tri, want) {
+				if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 					t.Fatalf("%s/%d n=%d: triangles diverged", fam.name, seed, next.N())
 				}
 				hist = RefreshDegreeHistogram(prev, next, d, hist)
@@ -109,7 +109,7 @@ func TestRefreshKernelsUnderChurn(t *testing.T) {
 		}
 	}
 	prev := g.Freeze()
-	tri := TrianglesPerNodeFrozen(prev)
+	tri := TrianglesPerNodeWith(prev, 1)
 	hist := DegreeHistogramFrozen(prev)
 	core := NewCoreMap(prev)
 	for epoch := 0; epoch < 40; epoch++ {
@@ -135,7 +135,7 @@ func TestRefreshKernelsUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		tri = RefreshTriangles(prev, next, d, tri)
-		if want := TrianglesPerNodeFrozen(next); !reflect.DeepEqual(tri, want) {
+		if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 			t.Fatalf("epoch %d: triangles diverged", epoch)
 		}
 		hist = RefreshDegreeHistogram(prev, next, d, hist)
@@ -191,7 +191,7 @@ func TestMeasureGrowthSequentialReference(t *testing.T) {
 		st.MaxDegree != g.MaxDegree() || st.AvgDegree != g.AvgDegree() {
 		t.Fatalf("size fields wrong: %+v", st)
 	}
-	if st.AvgClustering != AvgClusteringFrozen(s) || st.Transitivity != TransitivityFrozen(s) {
+	if st.AvgClustering != avgClusteringOf(s) || st.Transitivity != transitivityOf(s) {
 		t.Fatal("clustering fields wrong")
 	}
 	if st.MaxCore != KCoreFrozen(s).MaxCore {

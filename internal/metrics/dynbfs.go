@@ -443,13 +443,6 @@ func NewDistMap(s *graph.Snapshot, sources []int32, workers int) *DistMap {
 	return dm
 }
 
-// NewDistMapSampled builds a DistMap over k uniformly drawn pivot
-// sources (exact mode when k <= 0 or k >= s.N(), mirroring the
-// PathSources convention).
-func NewDistMapSampled(s *graph.Snapshot, r *rng.Rand, k, workers int) *DistMap {
-	return NewDistMap(s, PivotSources(r, s.N(), k), workers)
-}
-
 // Snapshot returns the snapshot the rows currently describe.
 func (dm *DistMap) Snapshot() *graph.Snapshot { return dm.s }
 
@@ -665,9 +658,9 @@ func RefreshPathLengths(dm *DistMap) PathStats {
 // RefreshCloseness derives Wasserman-Faust closeness from the map's
 // per-node reach and distance-sum columns. In exact mode the undirected
 // symmetry d(u,v) = d(v,u) makes each node's column equal its own BFS
-// row, and the expression matches ClosenessOfDist term for term, so the
-// result is bit-identical to ClosenessFrozen. In sampled mode reach is
-// rescaled by n/k, the standard pivot estimate.
+// row, and the expression is the closeness of that row term for term,
+// so the result is bit-identical to one BFS per node. In sampled mode
+// reach is rescaled by n/k, the standard pivot estimate.
 func RefreshCloseness(dm *DistMap) []float64 {
 	n := dm.s.N()
 	k := len(dm.sources)
@@ -687,7 +680,7 @@ func RefreshCloseness(dm *DistMap) []float64 {
 }
 
 // PivotSources draws the k-pivot source set of a sampled DistMap with
-// the same selection as PathSources and BetweennessSources, so sampled
+// the same selection as PathSources, so sampled
 // trajectory metrics and their frozen counterparts pick identical
 // pivots for a given generator state. k <= 0 or k >= n returns nil,
 // the exact-mode marker.

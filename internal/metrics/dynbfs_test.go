@@ -89,7 +89,7 @@ func TestDistMapRefreshMatchesCold(t *testing.T) {
 					t.Fatalf("%s/%d n=%d: path stats diverged: %+v vs %+v",
 						fam.name, seed, next.N(), ps, want)
 				}
-				if clo := RefreshCloseness(dm); !reflect.DeepEqual(clo, ClosenessFrozen(next)) {
+				if clo := RefreshCloseness(dm); !reflect.DeepEqual(clo, closenessFrozen(next)) {
 					t.Fatalf("%s/%d n=%d: closeness diverged", fam.name, seed, next.N())
 				}
 			})
@@ -165,7 +165,7 @@ func TestDistMapSampledRefresh(t *testing.T) {
 		if dm == nil {
 			// The pivot draw needs nodes, so the map starts cold on the
 			// first observed epoch and refreshes from the second on.
-			dm = NewDistMapSampled(next, rng.New(11), 24, 2)
+			dm = NewDistMap(next, PivotSources(rng.New(11), next.N(), 24), 2)
 			if dm.exact || dm.SourceCount() != 24 {
 				t.Fatalf("sampled map: exact=%v k=%d", dm.exact, dm.SourceCount())
 			}
@@ -248,7 +248,7 @@ func FuzzDistMapRefresh(f *testing.F) {
 					if got := RefreshPathLengths(cold); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: exact path stats %+v, frozen %+v", tag, got, want)
 					}
-					if got := RefreshCloseness(cold); !reflect.DeepEqual(got, ClosenessFrozen(next)) {
+					if got := RefreshCloseness(cold); !reflect.DeepEqual(got, closenessFrozen(next)) {
 						t.Fatalf("%s: exact closeness diverged from ClosenessFrozen", tag)
 					}
 				}

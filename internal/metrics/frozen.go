@@ -10,14 +10,15 @@ import (
 	"netmodel/internal/rng"
 )
 
-// This file holds the CSR kernels of the metrics package: every metric
+// This file holds the CSR kernels of the metrics package: every kernel
 // accepts an immutable *graph.Snapshot and scans its flat sorted
-// arrays. The per-source kernels (BFSFrozen, BrandesFrozen,
-// CycleNodeFrozen) are exported so the parallel engine can shard them
-// across workers, and the triangle kernel shards itself
-// (TrianglesPerNodeWith); the *Frozen whole-graph functions below run
-// on one worker and serve as the single-threaded reference the engine
-// is tested against.
+// arrays. The per-source and per-node kernels (BFSFrozen,
+// BrandesFrozen, CycleNodeFrozen) are exported so the parallel engine
+// can shard them across workers, the triangle kernel shards itself
+// (TrianglesPerNodeWith), and the *From* reducers turn their outputs
+// into whole-graph statistics. Whole-graph metrics are measured through
+// internal/engine; PathLengthsFrozen stays as the per-source reference
+// the engine's batched path statistics are tested against.
 
 // BFSFrozen fills dist with the hop distance from src to every node
 // (-1 for unreachable) and returns the BFS visit order in queue. Both
@@ -46,71 +47,6 @@ func BFSFrozen(s *graph.Snapshot, src int, dist []int32, queue []int32) []int32 
 		}
 	}
 	return queue[:size]
-}
-
-// ClosenessOfDist reduces one BFS distance vector to the
-// Wasserman-Faust-corrected closeness of its source; n is the total
-// node count of the graph.
-func ClosenessOfDist(dist []int32, n int) float64 {
-	sum, reach := 0, 0
-	for _, d := range dist {
-		if d > 0 {
-			sum += int(d)
-			reach++
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(reach) / float64(sum) * float64(reach) / float64(n-1)
-}
-
-// HarmonicOfDist reduces one BFS distance vector to the harmonic
-// closeness of its source; n is the total node count of the graph.
-func HarmonicOfDist(dist []int32, n int) float64 {
-	sum := 0.0
-	for _, d := range dist {
-		if d > 0 {
-			sum += 1 / float64(d)
-		}
-	}
-	return sum / float64(n-1)
-}
-
-// ClosenessFrozen returns the closeness centrality of every node: the
-// number of reachable nodes divided by the sum of distances to them,
-// with the Wasserman-Faust correction reach/(N-1) that keeps scores
-// comparable across components (0 for isolated nodes). The harmonic
-// variant is preferred on disconnected maps; the classic form is kept
-// because the AS map is effectively one component and the literature
-// reports it.
-func ClosenessFrozen(s *graph.Snapshot) []float64 {
-	n := s.N()
-	out := make([]float64, n)
-	dist := make([]int32, n)
-	sc := NewBFSScratch(n)
-	for u := 0; u < n; u++ {
-		BFSHybrid(s, u, dist, sc)
-		out[u] = ClosenessOfDist(dist, n)
-	}
-	return out
-}
-
-// HarmonicClosenessFrozen returns Σ_v 1/d(u,v) / (N-1) per node, well
-// defined on disconnected graphs.
-func HarmonicClosenessFrozen(s *graph.Snapshot) []float64 {
-	n := s.N()
-	out := make([]float64, n)
-	if n < 2 {
-		return out
-	}
-	dist := make([]int32, n)
-	sc := NewBFSScratch(n)
-	for u := 0; u < n; u++ {
-		BFSHybrid(s, u, dist, sc)
-		out[u] = HarmonicOfDist(dist, n)
-	}
-	return out
 }
 
 // BrandesScratch is the reusable per-worker state of one Brandes source
@@ -175,68 +111,6 @@ func BrandesFrozen(s *graph.Snapshot, src int, sc *BrandesScratch, bc []float64,
 			bc[w] += sc.delta[w] * scale
 		}
 	}
-}
-
-// BetweennessFrozen computes shortest-path betweenness centrality for
-// every node with Brandes' algorithm from every source, O(N·M) for
-// unweighted graphs. Values are normalized by (N-1)(N-2), the number of
-// ordered pairs excluding the node itself, so they lie in [0,1] —
-// Freeman's convention used in the AS-map betweenness figures.
-func BetweennessFrozen(s *graph.Snapshot) []float64 {
-	return betweennessFrozen(s, nil, 0)
-}
-
-// BetweennessSampledFrozen estimates betweenness from BFS trees rooted
-// at `sources` uniformly sampled nodes, rescaling by N/sources. The
-// estimate converges to the exact values as sources → N; it is the
-// standard accuracy/cost trade-off for maps with more than a few
-// thousand nodes. An error is returned for a nil generator or
-// non-positive source count.
-func BetweennessSampledFrozen(s *graph.Snapshot, r *rng.Rand, sources int) ([]float64, error) {
-	if sources <= 0 {
-		return nil, errors.New("metrics: source count must be positive")
-	}
-	if r == nil {
-		return nil, errors.New("metrics: sampling requires a generator")
-	}
-	if sources >= s.N() {
-		return BetweennessFrozen(s), nil
-	}
-	return betweennessFrozen(s, r, sources), nil
-}
-
-func betweennessFrozen(s *graph.Snapshot, r *rng.Rand, sources int) []float64 {
-	n := s.N()
-	bc := make([]float64, n)
-	if n < 3 {
-		return bc
-	}
-	srcs, scale := BetweennessSources(n, r, sources)
-	sc := NewBrandesScratch(n)
-	for _, src := range srcs {
-		BrandesFrozen(s, src, sc, bc, scale)
-	}
-	norm := float64(n-1) * float64(n-2)
-	for i := range bc {
-		bc[i] /= norm
-	}
-	return bc
-}
-
-// BetweennessSources is the source selection of sampled betweenness,
-// shared by the sequential and engine paths so both sample identically
-// for a given generator state: all nodes with scale 1 when
-// sources <= 0, else a uniform sample rescaled by n/sources.
-func BetweennessSources(n int, r *rng.Rand, sources int) (srcs []int, scale float64) {
-	if sources > 0 {
-		perm := r.Perm(n)
-		return perm[:sources], float64(n) / float64(sources)
-	}
-	srcs = make([]int, n)
-	for i := range srcs {
-		srcs[i] = i
-	}
-	return srcs, 1
 }
 
 // PathSources is the source selection of the path statistics: all
@@ -444,21 +318,6 @@ func TrianglesPerNodeWith(s *graph.Snapshot, workers int) []int {
 	return t
 }
 
-// TrianglesPerNodeFrozen returns T(u), the number of triangles through
-// each node, counted on the simple adjacency structure by one worker.
-func TrianglesPerNodeFrozen(s *graph.Snapshot) []int {
-	return TrianglesPerNodeWith(s, 1)
-}
-
-// TotalTrianglesFrozen returns the number of triangles in the graph.
-func TotalTrianglesFrozen(s *graph.Snapshot) int {
-	sum := 0
-	for _, ti := range TrianglesPerNodeFrozen(s) {
-		sum += ti
-	}
-	return sum / 3
-}
-
 // LocalClusteringFromTriangles converts per-node triangle counts into
 // local clustering coefficients c(u) = 2T(u) / (k_u (k_u - 1)), with
 // c = 0 for degree < 2.
@@ -471,12 +330,6 @@ func LocalClusteringFromTriangles(s *graph.Snapshot, t []int) []float64 {
 		}
 	}
 	return c
-}
-
-// LocalClusteringFrozen returns the local clustering coefficient of
-// every node.
-func LocalClusteringFrozen(s *graph.Snapshot) []float64 {
-	return LocalClusteringFromTriangles(s, TrianglesPerNodeFrozen(s))
 }
 
 // AvgClusteringFromLocal averages local clustering over nodes of degree
@@ -496,12 +349,6 @@ func AvgClusteringFromLocal(s *graph.Snapshot, c []float64) float64 {
 	return sum / float64(n)
 }
 
-// AvgClusteringFrozen returns the mean local clustering coefficient
-// over nodes of degree >= 2.
-func AvgClusteringFrozen(s *graph.Snapshot) float64 {
-	return AvgClusteringFromLocal(s, LocalClusteringFrozen(s))
-}
-
 // TransitivityFromTriangles computes the global clustering coefficient
 // 3·triangles / #connected-triples from per-node triangle counts.
 func TransitivityFromTriangles(s *graph.Snapshot, t []int) float64 {
@@ -519,11 +366,6 @@ func TransitivityFromTriangles(s *graph.Snapshot, t []int) float64 {
 		return 0
 	}
 	return 3 * float64(tri) / float64(triples)
-}
-
-// TransitivityFrozen returns the global clustering coefficient.
-func TransitivityFrozen(s *graph.Snapshot) float64 {
-	return TransitivityFromTriangles(s, TrianglesPerNodeFrozen(s))
 }
 
 // ClusteringSpectrumFromLocal bins local clustering by degree into the
@@ -547,11 +389,6 @@ func ClusteringSpectrumFromLocal(s *graph.Snapshot, c []float64) map[int]float64
 		out[k] = v / float64(cnt[k])
 	}
 	return out
-}
-
-// ClusteringSpectrumFrozen returns the clustering spectrum c(k).
-func ClusteringSpectrumFrozen(s *graph.Snapshot) map[int]float64 {
-	return ClusteringSpectrumFromLocal(s, LocalClusteringFrozen(s))
 }
 
 // KCoreFrozen computes the k-core decomposition with the
@@ -729,9 +566,19 @@ func CycleNodeFrozen(s *graph.Snapshot, i int, sc *CycleScratch) (ordered4, trA5
 	return ordered4, trA5
 }
 
-// CyclesFromParts assembles CycleCounts from per-node triangle counts
-// and the summed CycleNodeFrozen contributions, applying the trace
-// identities of CountCyclesFrozen. degree(i) is read from the snapshot.
+// CyclesFromParts assembles exact 3-, 4- and 5-cycle counts from
+// per-node triangle counts and the summed CycleNodeFrozen
+// contributions; degree(i) is read from the snapshot.
+//
+// C3 comes from per-node triangle counts. C4 uses the codegree identity
+// C4 = ¼ Σ_{i≠j} C(codeg(i,j), 2). C5 uses the trace identity
+//
+//	C5 = (tr A⁵ − 5 tr A³ − 5 Σ_i (d_i−2)(A³)_ii) / 10
+//
+// with tr A⁵ evaluated node by node as (A²e_i)ᵀA(A²e_i), (A³)_ii = 2T(i)
+// and tr A³ = 6·C3. The cost is dominated by the A² rows of the hubs;
+// exact counting is intended for maps up to a few thousand nodes (the
+// scaling-experiment regime).
 func CyclesFromParts(s *graph.Snapshot, tri []int, ordered4, trA5 int64) CycleCounts {
 	var out CycleCounts
 	n := s.N()
@@ -754,33 +601,6 @@ func CyclesFromParts(s *graph.Snapshot, tri []int, ordered4, trA5 int64) CycleCo
 	trA3 := 6 * out.C3
 	out.C5 = (trA5 - 5*trA3 - 5*corr) / 10
 	return out
-}
-
-// CountCyclesFrozen counts 3-, 4- and 5-cycles exactly.
-//
-// C3 comes from per-node triangle counts. C4 uses the codegree identity
-// C4 = ¼ Σ_{i≠j} C(codeg(i,j), 2). C5 uses the trace identity
-//
-//	C5 = (tr A⁵ − 5 tr A³ − 5 Σ_i (d_i−2)(A³)_ii) / 10
-//
-// with tr A⁵ evaluated node by node as (A²e_i)ᵀA(A²e_i), (A³)_ii = 2T(i)
-// and tr A³ = 6·C3. The cost is dominated by the A² rows of the hubs;
-// exact counting is intended for maps up to a few thousand nodes (the
-// scaling-experiment regime).
-func CountCyclesFrozen(s *graph.Snapshot) CycleCounts {
-	n := s.N()
-	if n < 3 {
-		return CycleCounts{}
-	}
-	tri := TrianglesPerNodeFrozen(s)
-	sc := NewCycleScratch(n)
-	var ordered4, trA5 int64
-	for i := 0; i < n; i++ {
-		o4, t5 := CycleNodeFrozen(s, i, sc)
-		ordered4 += o4
-		trA5 += t5
-	}
-	return CyclesFromParts(s, tri, ordered4, trA5)
 }
 
 // DegreesAsFloatsFrozen returns the degree sequence as float64 for the

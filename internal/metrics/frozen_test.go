@@ -60,33 +60,27 @@ func TestFrozenBFSMatchesMap(t *testing.T) {
 	}
 }
 
+// TestFrozenClosenessMatchesMap pins the production closeness, an
+// exact DistMap's reach and distance-sum columns, against one map BFS
+// per node.
 func TestFrozenClosenessMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 90, 200)
-		floatsClose(t, "closeness", ClosenessFrozen(s), closeness(g), 0)
-		floatsClose(t, "harmonic", HarmonicClosenessFrozen(s), harmonicCloseness(g), 0)
+		floatsClose(t, "closeness", RefreshCloseness(NewDistMap(s, nil, 2)), closeness(g), 0)
 	}
 }
 
+// TestFrozenBetweennessMatchesMap drives the BrandesFrozen kernel from
+// every source and from a scaled sample against shortest-path
+// enumeration.
 func TestFrozenBetweennessMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 30, 60)
-		floatsClose(t, "betweenness", BetweennessFrozen(s), bruteBetweenness(g), 1e-9)
+		all, _ := PathSources(30, nil, 0)
+		floatsClose(t, "betweenness", brandes(s, all, 1), bruteBetweenness(g), 1e-9)
 
 		srcs := rng.New(42 + seed).Perm(30)[:12]
-		want := bruteBetweennessFrom(g, srcs, 30.0/12)
-		got, err := BetweennessSampledFrozen(s, rng.New(42+seed), 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		floatsClose(t, "sampled betweenness", got, want, 1e-9)
-	}
-	_, s := frozenTestGraph(t, 9, 30, 60)
-	if _, err := BetweennessSampledFrozen(s, nil, 5); err == nil {
-		t.Fatal("nil generator must error")
-	}
-	if _, err := BetweennessSampledFrozen(s, rng.New(1), 0); err == nil {
-		t.Fatal("non-positive sources must error")
+		floatsClose(t, "sampled betweenness", brandes(s, srcs, 30.0/12), bruteBetweennessFrom(g, srcs, 30.0/12), 1e-9)
 	}
 }
 
@@ -123,24 +117,17 @@ func TestFrozenTrianglesAndClusteringMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 60, 240)
 		tri := bruteTrianglesPerNode(g)
-		if got := TrianglesPerNodeFrozen(s); !reflect.DeepEqual(got, tri) {
+		if got := TrianglesPerNodeWith(s, 1); !reflect.DeepEqual(got, tri) {
 			t.Fatalf("seed %d: triangle counts differ:\n got %v\nwant %v", seed, got, tri)
 		}
-		total := 0
-		for _, ti := range tri {
-			total += ti
-		}
-		if got := TotalTrianglesFrozen(s); got != total/3 {
-			t.Fatalf("seed %d: total triangles %d vs %d", seed, got, total/3)
-		}
-		floatsClose(t, "local clustering", LocalClusteringFrozen(s), localClustering(g), 0)
-		if got, want := AvgClusteringFrozen(s), avgClustering(g); got != want {
+		floatsClose(t, "local clustering", localClusteringOf(s), localClustering(g), 0)
+		if got, want := avgClusteringOf(s), avgClustering(g); got != want {
 			t.Fatalf("seed %d: avg clustering %v vs %v", seed, got, want)
 		}
-		if got, want := TransitivityFrozen(s), transitivity(g); got != want {
+		if got, want := transitivityOf(s), transitivity(g); got != want {
 			t.Fatalf("seed %d: transitivity %v vs %v", seed, got, want)
 		}
-		if got, want := ClusteringSpectrumFrozen(s), clusteringSpectrum(g); !reflect.DeepEqual(got, want) {
+		if got, want := ClusteringSpectrumFromLocal(s, localClusteringOf(s)), clusteringSpectrum(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: clustering spectra differ", seed)
 		}
 	}
@@ -180,7 +167,7 @@ func TestFrozenKCoreRichClubMatchMap(t *testing.T) {
 func TestFrozenCyclesMatchMap(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, s := frozenTestGraph(t, seed, 16, 45)
-		if got, want := CountCyclesFrozen(s), bruteCycles(g); got != want {
+		if got, want := cyclesOf(s), bruteCycles(g); got != want {
 			t.Fatalf("seed %d: cycles %+v vs %+v", seed, got, want)
 		}
 	}
@@ -193,7 +180,7 @@ func TestFrozenCyclesMatchMap(t *testing.T) {
 			g.MustAddEdge(2, 0)
 			g.MustAddEdge(2, 3)
 		}
-		if got, want := CountCyclesFrozen(g.Freeze()), bruteCycles(g); got != want {
+		if got, want := cyclesOf(g.Freeze()), bruteCycles(g); got != want {
 			t.Fatalf("n=%d: cycles %+v vs %+v", n, got, want)
 		}
 	}

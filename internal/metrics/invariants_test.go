@@ -23,12 +23,12 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 		s := g.Freeze()
 
 		// Clustering coefficients live in [0,1].
-		for _, c := range LocalClusteringFrozen(s) {
+		for _, c := range localClusteringOf(s) {
 			if c < 0 || c > 1 {
 				return false
 			}
 		}
-		if tr := TransitivityFrozen(s); tr < 0 || tr > 1 {
+		if tr := transitivityOf(s); tr < 0 || tr > 1 {
 			return false
 		}
 
@@ -47,7 +47,8 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 		// Normalized betweenness lies in [0,1]; endpoints excluded means
 		// the sum over nodes is bounded by N·(avg internal pairs) — check
 		// only the range here.
-		for _, b := range BetweennessFrozen(s) {
+		all, _ := PathSources(n, nil, 0)
+		for _, b := range brandes(s, all, 1) {
 			if b < -1e-12 || b > 1+1e-12 {
 				return false
 			}
@@ -55,12 +56,12 @@ func TestMetricInvariantsOnRandomGraphs(t *testing.T) {
 
 		// Triangle identities: Σ_u T(u) = 3·C3, and the cycle counter
 		// agrees with the per-node counter.
-		tri := TrianglesPerNodeFrozen(s)
+		tri := TrianglesPerNodeWith(s, 1)
 		sum := 0
 		for _, ti := range tri {
 			sum += ti
 		}
-		cc := CountCyclesFrozen(s)
+		cc := cyclesOf(s)
 		if int64(sum) != 3*cc.C3 {
 			return false
 		}
@@ -142,8 +143,10 @@ func TestClosenessBetweennessHubAgreement(t *testing.T) {
 	// a few peripheral edges
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(3, 4)
-	bc := BetweennessFrozen(g.Freeze())
-	cl := ClosenessFrozen(g.Freeze())
+	s := g.Freeze()
+	all, _ := PathSources(30, nil, 0)
+	bc := brandes(s, all, 1)
+	cl := RefreshCloseness(NewDistMap(s, nil, 1))
 	for u := 1; u < 30; u++ {
 		if bc[u] >= bc[0] || cl[u] >= cl[0] {
 			t.Fatalf("hub not most central: node %d bc %v vs %v, cl %v vs %v",

@@ -15,7 +15,8 @@ import (
 // straightforward adjacency-map versions of the metrics that have no
 // brute-force enumeration oracle (BFS distances, path statistics,
 // closeness, clustering, the degree family) plus the metric-vector
-// compositions built from them. They walk *graph.Graph maps with none
+// compositions built from them, and the one-worker drivers that run
+// the per-source and per-node kernels over a whole snapshot. They walk *graph.Graph maps with none
 // of the kernels' flat-array, sorted-row or direction-optimizing
 // tricks, so agreement is evidence of correctness, not of a shared bug.
 
@@ -169,23 +170,92 @@ func closeness(g *graph.Graph) []float64 {
 	return out
 }
 
-// harmonicCloseness is Σ_v 1/d(u,v) / (N-1) from one BFS per node.
-func harmonicCloseness(g *graph.Graph) []float64 {
-	n := g.N()
-	out := make([]float64, n)
-	if n < 2 {
-		return out
-	}
-	for u := 0; u < n; u++ {
-		sum := 0.0
-		for _, d := range bfs(g, u) {
-			if d > 0 {
-				sum += 1 / float64(d)
-			}
+// closenessOfDist reduces one BFS distance vector to the
+// Wasserman-Faust-corrected closeness of its source; n is the total
+// node count of the graph.
+func closenessOfDist(dist []int32, n int) float64 {
+	sum, reach := 0, 0
+	for _, d := range dist {
+		if d > 0 {
+			sum += int(d)
+			reach++
 		}
-		out[u] = sum / float64(n-1)
+	}
+	if sum == 0 {
+		return 0
+	}
+	return float64(reach) / float64(sum) * float64(reach) / float64(n-1)
+}
+
+// closenessFrozen is Wasserman-Faust closeness from one BFSHybrid per
+// node of a snapshot: the oracle of RefreshCloseness over an exact
+// DistMap, which must match it bit for bit.
+func closenessFrozen(s *graph.Snapshot) []float64 {
+	n := s.N()
+	out := make([]float64, n)
+	dist := make([]int32, n)
+	sc := NewBFSScratch(n)
+	for u := 0; u < n; u++ {
+		BFSHybrid(s, u, dist, sc)
+		out[u] = closenessOfDist(dist, n)
 	}
 	return out
+}
+
+// brandes drives the BrandesFrozen kernel from srcs on one worker, each
+// source scaled by scale, and normalizes by (N-1)(N-2) as
+// Engine.Betweenness does.
+func brandes(s *graph.Snapshot, srcs []int, scale float64) []float64 {
+	n := s.N()
+	bc := make([]float64, n)
+	if n < 3 {
+		return bc
+	}
+	sc := NewBrandesScratch(n)
+	for _, src := range srcs {
+		BrandesFrozen(s, src, sc, bc, scale)
+	}
+	norm := float64(n-1) * float64(n-2)
+	for i := range bc {
+		bc[i] /= norm
+	}
+	return bc
+}
+
+// cyclesOf drives the CycleNodeFrozen kernel over every node on one
+// worker and assembles the counts with CyclesFromParts, as
+// Engine.CountCycles does.
+func cyclesOf(s *graph.Snapshot) CycleCounts {
+	n := s.N()
+	if n < 3 {
+		return CycleCounts{}
+	}
+	sc := NewCycleScratch(n)
+	var ordered4, trA5 int64
+	for i := 0; i < n; i++ {
+		o4, t5 := CycleNodeFrozen(s, i, sc)
+		ordered4 += o4
+		trA5 += t5
+	}
+	return CyclesFromParts(s, TrianglesPerNodeWith(s, 1), ordered4, trA5)
+}
+
+// localClusteringOf composes the one-worker triangle kernel with the
+// clustering reducer, as the engine composes them.
+func localClusteringOf(s *graph.Snapshot) []float64 {
+	return LocalClusteringFromTriangles(s, TrianglesPerNodeWith(s, 1))
+}
+
+// avgClusteringOf is the mean local clustering over nodes of degree
+// >= 2, composed like localClusteringOf.
+func avgClusteringOf(s *graph.Snapshot) float64 {
+	return AvgClusteringFromLocal(s, localClusteringOf(s))
+}
+
+// transitivityOf is the global clustering coefficient, composed like
+// localClusteringOf.
+func transitivityOf(s *graph.Snapshot) float64 {
+	return TransitivityFromTriangles(s, TrianglesPerNodeWith(s, 1))
 }
 
 // idOrderedTriangles is the id-ordered triangle kernel that the

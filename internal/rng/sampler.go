@@ -6,28 +6,19 @@ import "errors"
 // distribution. Construction is O(n); each draw is O(1). Use it when the
 // weights do not change between draws (for dynamic weights, use Fenwick).
 //
-// The table itself is immutable after construction, so NextWith draws
-// from any number of goroutines concurrently as long as each supplies
-// its own stream — the sharded-generation kernels freeze one table per
-// round and sample it from every shard with seed-derived sub-streams.
+// The table holds no generator: every draw names its stream (NextWith).
+// The table is immutable after construction, so NextWith draws from any
+// number of goroutines concurrently as long as each supplies its own
+// stream — the sharded-generation kernels freeze one table per round
+// and sample it from every shard with seed-derived sub-streams.
 type Alias struct {
 	prob  []float64
 	alias []int
-	r     *Rand
 }
 
-// NewAliasTable builds an alias table without binding a generator; draws
-// must go through NextWith. It is the concurrent façade used by the
-// sharded generation kernels, where the table is shared read-only and
-// each shard samples with its own split stream.
+// NewAliasTable builds an alias table from the given non-negative
+// weights. At least one weight must be positive.
 func NewAliasTable(weights []float64) (*Alias, error) {
-	return NewAlias(nil, weights)
-}
-
-// NewAlias builds an alias sampler from the given non-negative weights.
-// At least one weight must be positive. A nil generator is allowed when
-// every draw goes through NextWith.
-func NewAlias(r *Rand, weights []float64) (*Alias, error) {
 	n := len(weights)
 	if n == 0 {
 		return nil, errors.New("rng: alias sampler needs at least one weight")
@@ -77,15 +68,12 @@ func NewAlias(r *Rand, weights []float64) (*Alias, error) {
 	for _, i := range small { // numerical leftovers
 		prob[i] = 1
 	}
-	return &Alias{prob: prob, alias: alias, r: r}, nil
+	return &Alias{prob: prob, alias: alias}, nil
 }
 
-// Next returns an index drawn with probability proportional to its weight.
-func (a *Alias) Next() int { return a.NextWith(a.r) }
-
-// NextWith draws an index using the caller's stream instead of the bound
-// one. The table is read-only, so concurrent NextWith calls with
-// distinct streams are safe.
+// NextWith returns an index drawn from r with probability proportional
+// to its weight. The table is read-only, so concurrent NextWith calls
+// with distinct streams are safe.
 func (a *Alias) NextWith(r *Rand) int {
 	i := r.Intn(len(a.prob))
 	if r.Float64() < a.prob[i] {

@@ -11,14 +11,17 @@ import (
 func TestAliasMatchesWeights(t *testing.T) {
 	r := New(101)
 	weights := []float64{1, 2, 3, 4}
-	a, err := NewAlias(r, weights)
+	a, err := NewAliasTable(weights)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Len() != len(weights) {
+		t.Fatalf("Len = %d, want %d", a.Len(), len(weights))
 	}
 	const n = 400000
 	counts := make([]float64, len(weights))
 	for i := 0; i < n; i++ {
-		counts[a.Next()]++
+		counts[a.NextWith(r)]++
 	}
 	total := 0.0
 	for _, w := range weights {
@@ -34,24 +37,26 @@ func TestAliasMatchesWeights(t *testing.T) {
 }
 
 func TestAliasSingleWeight(t *testing.T) {
-	a, err := NewAlias(New(1), []float64{5})
+	a, err := NewAliasTable([]float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := New(1)
 	for i := 0; i < 100; i++ {
-		if a.Next() != 0 {
+		if a.NextWith(r) != 0 {
 			t.Fatal("single-weight alias must always return 0")
 		}
 	}
 }
 
 func TestAliasZeroWeightNeverDrawn(t *testing.T) {
-	a, err := NewAlias(New(3), []float64{0, 1, 0, 1})
+	a, err := NewAliasTable([]float64{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := New(3)
 	for i := 0; i < 10000; i++ {
-		v := a.Next()
+		v := a.NextWith(r)
 		if v == 0 || v == 2 {
 			t.Fatalf("drew zero-weight index %d", v)
 		}
@@ -59,14 +64,13 @@ func TestAliasZeroWeightNeverDrawn(t *testing.T) {
 }
 
 func TestAliasErrors(t *testing.T) {
-	r := New(1)
-	if _, err := NewAlias(r, nil); err == nil {
+	if _, err := NewAliasTable(nil); err == nil {
 		t.Fatal("empty weights should fail")
 	}
-	if _, err := NewAlias(r, []float64{0, 0}); err == nil {
+	if _, err := NewAliasTable([]float64{0, 0}); err == nil {
 		t.Fatal("all-zero weights should fail")
 	}
-	if _, err := NewAlias(r, []float64{-1, 2}); err == nil {
+	if _, err := NewAliasTable([]float64{-1, 2}); err == nil {
 		t.Fatal("negative weight should fail")
 	}
 }
@@ -271,29 +275,6 @@ func TestFenwickNegativePanics(t *testing.T) {
 		}
 	}()
 	NewFenwick(New(1), 2).Set(0, -1)
-}
-
-// TestAliasNextWithMatchesNext: the façade draw with the bound stream's
-// twin consumes identical randomness.
-func TestAliasNextWithMatchesNext(t *testing.T) {
-	w := []float64{1, 5, 2, 0, 9}
-	a, err := NewAlias(New(3), w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewAliasTable(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(3)
-	for i := 0; i < 500; i++ {
-		if a.Next() != b.NextWith(r) {
-			t.Fatalf("NextWith diverges from Next at draw %d", i)
-		}
-	}
-	if a.Len() != len(w) {
-		t.Fatalf("Len = %d, want %d", a.Len(), len(w))
-	}
 }
 
 // TestAliasConcurrentNextWith: one frozen table, many shard streams,

@@ -39,7 +39,7 @@ func (m *Moments) N() int { return m.n }
 // Mean returns the running mean, or 0 for an empty accumulator.
 func (m *Moments) Mean() float64 { return m.mean }
 
-// Var returns the population variance (matching Summarize), or 0 when
+// Var returns the population variance (divided by N), or 0 when
 // fewer than two observations have been folded in.
 func (m *Moments) Var() float64 {
 	if m.n < 2 {

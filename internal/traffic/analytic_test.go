@@ -32,7 +32,7 @@ func TestProcessorSharingMeanFCT(t *testing.T) {
 						if sizes == "pareto" {
 							spec.TailIndex = 2.5 // finite variance
 						}
-						rep, err := Simulate(s, UniformMasses(2), spec, rng.New(seed), 1)
+						rep, err := Simulate(s, uniformMasses(2), spec, rng.New(seed), 1)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -34,7 +34,7 @@ func TestDisconnectedODPairs(t *testing.T) {
 	for _, eng := range bothEngines {
 		sp := spec
 		sp.Engine = eng
-		rep, err := Simulate(s, UniformMasses(8), sp, rng.New(11), 2, WithFlowTrace())
+		rep, err := Simulate(s, uniformMasses(8), sp, rng.New(11), 2, WithFlowTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestFlowWithinOneInterval(t *testing.T) {
 			// capacity·dt, light load so flows rarely overlap.
 			spec := WorkloadSpec{Engine: eng, LoadFactor: 0.05, Epochs: 10,
 				Sizes: "exp", MeanSize: 0.01}
-			rep, err := Simulate(s, UniformMasses(2), spec, rng.New(5), 1, WithFlowTrace())
+			rep, err := Simulate(s, uniformMasses(2), spec, rng.New(5), 1, WithFlowTrace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestIntraEpochAgreement(t *testing.T) {
 	g.MustAddEdge(0, 1)
 	s := g.Freeze()
 	spec := WorkloadSpec{LoadFactor: 0.05, Epochs: 10, Sizes: "exp", MeanSize: 0.01}
-	ep := runEngine(t, s, UniformMasses(2), spec, EngineEpoch, 5, 1)
-	evt := runEngine(t, s, UniformMasses(2), spec, EngineEvent, 5, 2)
+	ep := runEngine(t, s, uniformMasses(2), spec, EngineEpoch, 5, 1)
+	evt := runEngine(t, s, uniformMasses(2), spec, EngineEvent, 5, 2)
 	checkEngineAgreement(t, ep, evt, 1e-9)
 }

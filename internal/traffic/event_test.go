@@ -103,19 +103,19 @@ func TestEventMatchesEpochEngine(t *testing.T) {
 		spec   WorkloadSpec
 		seeds  []uint64
 	}{
-		{"mesh-light", meshGraph(40), UniformMasses(40),
+		{"mesh-light", meshGraph(40), uniformMasses(40),
 			WorkloadSpec{LoadFactor: 0.05, Epochs: 25}, []uint64{1, 2, 3}},
-		{"mesh-heavy-tail", meshGraph(60), UniformMasses(60),
+		{"mesh-heavy-tail", meshGraph(60), uniformMasses(60),
 			WorkloadSpec{LoadFactor: 0.8, Epochs: 15, TailIndex: 1.2}, []uint64{4, 5}},
-		{"mesh-onoff-lognormal", meshGraph(50), UniformMasses(50),
+		{"mesh-onoff-lognormal", meshGraph(50), uniformMasses(50),
 			WorkloadSpec{LoadFactor: 0.6, Epochs: 20, Arrivals: "onoff", Sizes: "lognormal"}, []uint64{6, 7}},
-		{"path-overload", pathGraph(12), UniformMasses(12),
+		{"path-overload", pathGraph(12), uniformMasses(12),
 			WorkloadSpec{LoadFactor: 3, Epochs: 12, Sizes: "exp"}, []uint64{8, 9}},
 		{"two-nodes-persistent", func() *graph.Graph {
 			g := graph.New(2)
 			g.MustAddEdge(0, 1)
 			return g
-		}(), UniformMasses(2),
+		}(), uniformMasses(2),
 			WorkloadSpec{LoadFactor: 4, Epochs: 10, Sizes: "exp", MeanSize: 5}, []uint64{10}},
 		{"disconnected", func() *graph.Graph {
 			g := graph.New(6)
@@ -124,7 +124,7 @@ func TestEventMatchesEpochEngine(t *testing.T) {
 			g.MustAddEdge(3, 4)
 			g.MustAddEdge(4, 5)
 			return g
-		}(), UniformMasses(6),
+		}(), uniformMasses(6),
 			WorkloadSpec{LoadFactor: 1, Epochs: 10}, []uint64{11, 12}},
 	}
 	for _, tc := range cases {
@@ -148,7 +148,7 @@ func TestEventWorkerInvariance(t *testing.T) {
 		Arrivals: "onoff", Sizes: "pareto", TailIndex: 1.4}
 	var base []byte
 	for _, workers := range []int{1, 2, 4, 8} {
-		rep, err := Simulate(s, UniformMasses(60), spec, rng.New(9), workers)
+		rep, err := Simulate(s, uniformMasses(60), spec, rng.New(9), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,14 +173,14 @@ func TestEventWorkerInvariance(t *testing.T) {
 // that actually ran, so sweep rows stay attributable.
 func TestEventSpecEchoesEngine(t *testing.T) {
 	s := meshGraph(20).Freeze()
-	rep, err := Simulate(s, UniformMasses(20), WorkloadSpec{Engine: EngineEvent, LoadFactor: 0.3, Epochs: 5}, rng.New(1), 1)
+	rep, err := Simulate(s, uniformMasses(20), WorkloadSpec{Engine: EngineEvent, LoadFactor: 0.3, Epochs: 5}, rng.New(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Spec.Engine != EngineEvent {
 		t.Fatalf("spec echo engine %q", rep.Spec.Engine)
 	}
-	rep, err = Simulate(s, UniformMasses(20), WorkloadSpec{LoadFactor: 0.3, Epochs: 5}, rng.New(1), 1)
+	rep, err = Simulate(s, uniformMasses(20), WorkloadSpec{LoadFactor: 0.3, Epochs: 5}, rng.New(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestEventFlowConservation(t *testing.T) {
 	s := meshGraph(40).Freeze()
 	spec := WorkloadSpec{Engine: EngineEvent, LoadFactor: 1.5, Epochs: 20,
 		Arrivals: "onoff", TailIndex: 1.3}
-	rep, err := Simulate(s, UniformMasses(40), spec, rng.New(21), 2)
+	rep, err := Simulate(s, uniformMasses(40), spec, rng.New(21), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

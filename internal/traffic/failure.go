@@ -246,14 +246,6 @@ func (tl *FailureTimeline) LinksFailed() int { return tl.linksFailed }
 // NodesFailed returns how many distinct nodes the timeline ever fails.
 func (tl *FailureTimeline) NodesFailed() int { return tl.nodesFailed }
 
-// Ops returns the number of compiled state flips at the given epoch.
-func (tl *FailureTimeline) Ops(epoch int) int {
-	if epoch < 0 || epoch >= len(tl.ops) {
-		return 0
-	}
-	return len(tl.ops[epoch])
-}
-
 // CompileFailures compiles the spec into a deterministic per-epoch op
 // timeline over the given snapshot and horizon. Random outages draw
 // from streams split off r per entity — splitting is pure, so the

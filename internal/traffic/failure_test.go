@@ -116,7 +116,7 @@ func TestCompileFailuresScheduled(t *testing.T) {
 		t.Fatalf("entity counts = %d links, %d nodes; want 1, 1", tl.LinksFailed(), tl.NodesFailed())
 	}
 	for epoch, want := range map[int]int{0: 0, 1: 1, 2: 1, 3: 1, 4: 0} {
-		if got := tl.Ops(epoch); got != want {
+		if got := len(tl.ops[epoch]); got != want {
 			t.Fatalf("ops at epoch %d = %d, want %d", epoch, got, want)
 		}
 	}
@@ -201,7 +201,7 @@ func TestFailureEnginesAgree(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.g.Freeze()
-			masses := UniformMasses(tc.n)
+			masses := uniformMasses(tc.n)
 			for _, seed := range tc.seeds {
 				ep := runEngine(t, s, masses, tc.spec, EngineEpoch, seed, 1)
 				evt := runEngine(t, s, masses, tc.spec, EngineEvent, seed, 2)
@@ -225,7 +225,7 @@ func TestFailureWorkerInvariance(t *testing.T) {
 			Mode: FailRandom, Links: 5, Nodes: 2, MTBF: 6, MTTR: 2, MaxRetries: 2}}
 		var base []byte
 		for _, workers := range []int{1, 2, 4, 8} {
-			rep, err := Simulate(s, UniformMasses(50), spec, rng.New(11), workers, WithFlowTrace())
+			rep, err := Simulate(s, uniformMasses(50), spec, rng.New(11), workers, WithFlowTrace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,11 +260,11 @@ func TestFailureNonePinned(t *testing.T) {
 		base := WorkloadSpec{Engine: engine, LoadFactor: 0.7, Epochs: 15, TailIndex: 1.4}
 		withNone := base
 		withNone.Failures = &FailureSpec{Mode: FailNone}
-		repNil, err := Simulate(s, UniformMasses(40), base, rng.New(3), 2, WithFlowTrace())
+		repNil, err := Simulate(s, uniformMasses(40), base, rng.New(3), 2, WithFlowTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		repNone, err := Simulate(s, UniformMasses(40), withNone, rng.New(3), 2, WithFlowTrace())
+		repNone, err := Simulate(s, uniformMasses(40), withNone, rng.New(3), 2, WithFlowTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +397,7 @@ func TestFailureRenewalCapRejectsFast(t *testing.T) {
 		go func() {
 			_, compileErr := CompileFailures(s, spec, 20, 1, rng.New(1), nil)
 			fs := spec
-			_, simErr := Simulate(s, UniformMasses(20), WorkloadSpec{LoadFactor: 0.5, Failures: &fs}, rng.New(1), 1)
+			_, simErr := Simulate(s, uniformMasses(20), WorkloadSpec{LoadFactor: 0.5, Failures: &fs}, rng.New(1), 1)
 			done <- [2]error{compileErr, simErr}
 		}()
 		select {
@@ -417,8 +417,8 @@ func TestFailureRenewalCapRejectsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.LinksFailed() != 2 || tl.Ops(1) != 2 {
-		t.Fatalf("permanent tiny-mtbf outages: %d links failed, %d ops at epoch 1", tl.LinksFailed(), tl.Ops(1))
+	if tl.LinksFailed() != 2 || len(tl.ops[1]) != 2 {
+		t.Fatalf("permanent tiny-mtbf outages: %d links failed, %d ops at epoch 1", tl.LinksFailed(), len(tl.ops[1]))
 	}
 }
 
@@ -432,8 +432,8 @@ func TestFailureReroute(t *testing.T) {
 			{Epoch: 4, Kind: "link", U: 0, V: 1},
 			{Epoch: 5, Kind: "link", U: 7, V: 8},
 		}}}
-	ep := runEngine(t, s, UniformMasses(24), spec, EngineEpoch, 2, 1)
-	evt := runEngine(t, s, UniformMasses(24), spec, EngineEvent, 2, 4)
+	ep := runEngine(t, s, uniformMasses(24), spec, EngineEpoch, 2, 1)
+	evt := runEngine(t, s, uniformMasses(24), spec, EngineEvent, 2, 4)
 	checkFailureAgreement(t, ep, evt, 1e-9)
 	f := ep.Failures
 	if f.Rerouted == 0 {
@@ -463,8 +463,8 @@ func TestFailureTargetedDegree(t *testing.T) {
 	s := g.Freeze()
 	spec := WorkloadSpec{LoadFactor: 0.3, Epochs: 8,
 		Failures: &FailureSpec{Mode: FailDegree, Nodes: 1, FailAt: 3}}
-	ep := runEngine(t, s, UniformMasses(n), spec, EngineEpoch, 4, 1)
-	evt := runEngine(t, s, UniformMasses(n), spec, EngineEvent, 4, 2)
+	ep := runEngine(t, s, uniformMasses(n), spec, EngineEpoch, 4, 1)
+	evt := runEngine(t, s, uniformMasses(n), spec, EngineEvent, 4, 2)
 	checkFailureAgreement(t, ep, evt, 1e-9)
 	f := ep.Failures
 	if f.NodesFailed != 1 {

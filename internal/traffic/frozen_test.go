@@ -78,7 +78,7 @@ func TestRouteFrozenDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := top.G
-	m, err := Gravity(UniformMasses(g.N()), 1000)
+	m, err := Gravity(uniformMasses(g.N()), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,8 +216,8 @@ func kernelsMSBFSPair(t *testing.T, bfsName, msName string, snap *graph.Snapshot
 
 // kernelsTriangleRows times per-node triangle counting two ways — the
 // id-ordered intersection the metrics package ran before, kept below as
-// idOrderedTriangles, and the degree-oriented TrianglesPerNodeFrozen —
-// on the sweep's default glp and BA maps (glp M=1 p=0.45 beta=0.64, BA
+// idOrderedTriangles, and the degree-oriented TrianglesPerNodeWith at
+// one worker — on the sweep's default glp and BA maps (glp M=1 p=0.45 beta=0.64, BA
 // M=2), asserting equal per-node counts. In both families the low ids
 // are the hubs, the worst case of the id orientation. BA closes the
 // fewest triangles per edge, so there the per-call out-row build is
@@ -249,7 +249,7 @@ func kernelsTrianglePair(t *testing.T, idName, degName, model string, snap *grap
 	t.Helper()
 	const passes = 5
 	// The first pass of each arm warms it and pins the equivalence.
-	if got, want := metrics.TrianglesPerNodeFrozen(snap), idOrderedTriangles(snap); !slices.Equal(got, want) {
+	if got, want := metrics.TrianglesPerNodeWith(snap, 1), idOrderedTriangles(snap); !slices.Equal(got, want) {
 		t.Fatalf("%s n=%d: degree-oriented triangle counts differ from the id-ordered ones", degName, snap.N())
 	}
 	idTimes := make([]time.Duration, passes)
@@ -259,7 +259,7 @@ func kernelsTrianglePair(t *testing.T, idName, degName, model string, snap *grap
 		idOrderedTriangles(snap)
 		idTimes[p] = time.Since(start)
 		start = time.Now()
-		metrics.TrianglesPerNodeFrozen(snap)
+		metrics.TrianglesPerNodeWith(snap, 1)
 		degTimes[p] = time.Since(start)
 	}
 	slices.Sort(idTimes)
@@ -505,7 +505,7 @@ func kernelsRefreshRows(t *testing.T) []benchutil.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := metrics.NewDistMapSampled(prev, rng.New(5), pivots, 1)
+	dm := metrics.NewDistMap(prev, metrics.PivotSources(rng.New(5), prev.N(), pivots), 1)
 	rt := NewRouting(prev)
 	srcs := make([]int, trees)
 	for i := range srcs {

@@ -4,11 +4,29 @@ import (
 	"errors"
 
 	"netmodel/internal/graph"
+	"netmodel/internal/metrics"
 )
 
 // The dense traffic matrix and its sequential map-based router are the
 // reference RouteFrozenDemand and GravityDemand are tested against:
 // every demand and load is computed the obvious way, O(N²) in memory.
+
+// uniformMasses returns all-ones masses for n nodes, the mass fixture
+// of the simulator tests.
+func uniformMasses(n int) []float64 {
+	m := make([]float64, n)
+	for i := range m {
+		m[i] = 1
+	}
+	return m
+}
+
+// buildTree is the cold-allocation form of buildTreeInto: src's distance
+// row over s, the oracle every repaired or pooled routing row is
+// compared against.
+func buildTree(s *graph.Snapshot, src int) []int32 {
+	return buildTreeInto(nil, s, src, metrics.NewBFSScratch(s.N()))
+}
 
 // Matrix is a traffic matrix: Demand[u][v] is the offered load from u to
 // v. It is dense; intended for maps up to a few thousand nodes.

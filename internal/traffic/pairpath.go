@@ -89,9 +89,9 @@ func expandLevel(s *graph.Snapshot, front, out []int32, mark, other []uint32, di
 }
 
 // pairPath appends the edge ids of the canonical shortest path from dst
-// back to src onto buf — exactly what walkPath(s, arcEdge,
-// buildTree(s, src), buf, dst) returns, in the same dst→src order — and
-// reports whether dst is reachable.
+// back to src onto buf — exactly what walkPath(s, arcEdge, dist, buf,
+// dst) returns over src's cold distance row dist (buildTreeInto), in the
+// same dst→src order — and reports whether dst is reachable.
 //
 // A balanced bidirectional BFS expands one complete level at a time on
 // the side whose frontier has fewer arcs and stops after the first

@@ -126,7 +126,7 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 
 // repairTree advances one cached distance row of src to next under the
 // delta's insertions ins and removals rem and returns the repaired row,
-// always buildTree(next, src).
+// always equal to src's cold row over next (buildTreeInto).
 //
 // A removed arc between adjacent levels leaves its deeper endpoint v at
 // its old distance as long as v keeps some neighbor one hop closer in

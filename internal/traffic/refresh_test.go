@@ -549,7 +549,7 @@ func TestSimulateRejectsStaleRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Simulate(next, UniformMasses(30), WorkloadSpec{LoadFactor: 0.1, Epochs: 2},
+	if _, err := Simulate(next, uniformMasses(30), WorkloadSpec{LoadFactor: 0.1, Epochs: 2},
 		rng.New(1), 1, WithRouting(rt)); err == nil {
 		t.Fatal("expected the stale-routing guard to fire")
 	}

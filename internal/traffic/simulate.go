@@ -127,9 +127,6 @@ func NewRouting(s *graph.Snapshot) *Routing {
 		trees: make(map[int][]int32), paths: make(map[int64][]int32)}
 }
 
-// TreeBudget returns the configured tree-cache entry budget.
-func (rt *Routing) TreeBudget() int { return rt.max }
-
 // MemBytes estimates the heap bytes the routing state holds live: the
 // distance rows of the cached and the pooled trees, the memoized OD
 // paths and the pair-search scratch — the byte cost an artifact cache
@@ -233,11 +230,6 @@ func buildTreeInto(dist []int32, s *graph.Snapshot, src int, sc *metrics.BFSScra
 	}
 	metrics.BFSHybrid(s, src, dist, sc)
 	return dist
-}
-
-// buildTree is the cold-allocation form of buildTreeInto.
-func buildTree(s *graph.Snapshot, src int) []int32 {
-	return buildTreeInto(nil, s, src, metrics.NewBFSScratch(s.N()))
 }
 
 // Ensure builds the trees of the given sources (ascending, no

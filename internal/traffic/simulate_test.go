@@ -24,7 +24,7 @@ func meshGraph(n int) *graph.Graph {
 
 func TestSimulateLowLoadCompletes(t *testing.T) {
 	s := meshGraph(40).Freeze()
-	rep, err := Simulate(s, UniformMasses(40), WorkloadSpec{LoadFactor: 0.02, Epochs: 30}, rng.New(1), 1)
+	rep, err := Simulate(s, uniformMasses(40), WorkloadSpec{LoadFactor: 0.02, Epochs: 30}, rng.New(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSimulateLowLoadCompletes(t *testing.T) {
 	if rep.OverloadFrac > 0.2 {
 		t.Fatalf("overload fraction %v at light load", rep.OverloadFrac)
 	}
-	heavy, err := Simulate(s, UniformMasses(40), WorkloadSpec{LoadFactor: 2, Epochs: 30}, rng.New(1), 1)
+	heavy, err := Simulate(s, uniformMasses(40), WorkloadSpec{LoadFactor: 2, Epochs: 30}, rng.New(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSimulateLowLoadCompletes(t *testing.T) {
 
 func TestSimulateHighLoadSaturates(t *testing.T) {
 	s := pathGraph(10).Freeze()
-	rep, err := Simulate(s, UniformMasses(10), WorkloadSpec{LoadFactor: 3, Epochs: 15}, rng.New(2), 1)
+	rep, err := Simulate(s, uniformMasses(10), WorkloadSpec{LoadFactor: 3, Epochs: 15}, rng.New(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSimulateHighLoadSaturates(t *testing.T) {
 
 func TestSimulateUtilCCDFMonotone(t *testing.T) {
 	s := meshGraph(30).Freeze()
-	rep, err := Simulate(s, UniformMasses(30), WorkloadSpec{LoadFactor: 0.8, Epochs: 10}, rng.New(3), 1)
+	rep, err := Simulate(s, uniformMasses(30), WorkloadSpec{LoadFactor: 0.8, Epochs: 10}, rng.New(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSimulateMaxMinTwoFlowsShareLink(t *testing.T) {
 	// contending flows — aggregate throughput per epoch equals capacity.
 	g := graph.New(2)
 	g.MustAddEdge(0, 1)
-	rep, err := Simulate(g.Freeze(), UniformMasses(2),
+	rep, err := Simulate(g.Freeze(), uniformMasses(2),
 		WorkloadSpec{LoadFactor: 4, Epochs: 10, Sizes: "exp", MeanSize: 5}, rng.New(4), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestSimulateWorkerInvariance(t *testing.T) {
 	spec := WorkloadSpec{LoadFactor: 0.7, Epochs: 12, Arrivals: "onoff", Sizes: "pareto", TailIndex: 1.4}
 	var base []byte
 	for _, workers := range []int{1, 2, 4, 8} {
-		rep, err := Simulate(s, UniformMasses(60), spec, rng.New(9), workers)
+		rep, err := Simulate(s, uniformMasses(60), spec, rng.New(9), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,17 +165,17 @@ func TestSimulateWithMemoizesRouting(t *testing.T) {
 		t.Fatal("RoutingOf must memoize per snapshot")
 	}
 	spec := WorkloadSpec{LoadFactor: 0.5, Epochs: 8}
-	warm, err := SimulateWith(eng, UniformMasses(25), spec, rng.New(5))
+	warm, err := SimulateWith(eng, uniformMasses(25), spec, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A second run over the now-warm routing cache and a run with fresh
 	// routing state must agree exactly: cache reuse never changes paths.
-	again, err := SimulateWith(eng, UniformMasses(25), spec, rng.New(5))
+	again, err := SimulateWith(eng, uniformMasses(25), spec, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Simulate(s, UniformMasses(25), spec, rng.New(5), 2)
+	fresh, err := Simulate(s, uniformMasses(25), spec, rng.New(5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,15 +202,15 @@ func TestRoutingMemBytesMatchesHeap(t *testing.T) {
 	rt := NewRouting(s)
 	const batch = 64
 	srcs := make([]int, batch)
-	for lo := 0; lo < rt.TreeBudget()+batch; lo += batch {
+	for lo := 0; lo < rt.max+batch; lo += batch {
 		for i := range srcs {
 			srcs[i] = lo + i
 		}
 		rt.Ensure(srcs, 1)
 	}
-	if len(rt.trees) != rt.TreeBudget() || len(rt.free) == 0 {
+	if len(rt.trees) != rt.max || len(rt.free) == 0 {
 		t.Fatalf("%d trees cached (budget %d), %d pooled: want a full cache and a nonempty pool",
-			len(rt.trees), rt.TreeBudget(), len(rt.free))
+			len(rt.trees), rt.max, len(rt.free))
 	}
 	check := func(stage string) {
 		t.Helper()
@@ -259,11 +259,11 @@ func TestRoutingEvictionKeepsPathsCorrect(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	s := meshGraph(10).Freeze()
-	u := UniformMasses(10)
+	u := uniformMasses(10)
 	if _, err := Simulate(graph.New(1).Freeze(), []float64{1}, WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
 		t.Fatal("single node should fail")
 	}
-	if _, err := Simulate(s, UniformMasses(4), WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
+	if _, err := Simulate(s, uniformMasses(4), WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
 		t.Fatal("masses size mismatch should fail")
 	}
 	if _, err := Simulate(s, make([]float64, 10), WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
@@ -272,10 +272,10 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(s, u, WorkloadSpec{LoadFactor: -1}, rng.New(1), 1); err == nil {
 		t.Fatal("invalid spec should fail")
 	}
-	if _, err := Simulate(graph.New(3).Freeze(), UniformMasses(3), WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
+	if _, err := Simulate(graph.New(3).Freeze(), uniformMasses(3), WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
 		t.Fatal("edgeless graph should fail")
 	}
-	neg := UniformMasses(10)
+	neg := uniformMasses(10)
 	neg[3] = -1
 	if _, err := Simulate(s, neg, WorkloadSpec{LoadFactor: 1}, rng.New(1), 1); err == nil {
 		t.Fatal("negative mass should fail")
@@ -289,7 +289,7 @@ func TestSimulateDisconnectedUndelivered(t *testing.T) {
 	g.MustAddEdge(1, 2)
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(4, 5)
-	rep, err := Simulate(g.Freeze(), UniformMasses(6), WorkloadSpec{LoadFactor: 1, Epochs: 10}, rng.New(6), 1)
+	rep, err := Simulate(g.Freeze(), uniformMasses(6), WorkloadSpec{LoadFactor: 1, Epochs: 10}, rng.New(6), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

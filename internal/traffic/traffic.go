@@ -243,12 +243,3 @@ func (rep *LoadReport) HotSpots(k int) []int {
 	}
 	return idx[:k]
 }
-
-// UniformMasses returns all-ones masses for n nodes.
-func UniformMasses(n int) []float64 {
-	m := make([]float64, n)
-	for i := range m {
-		m[i] = 1
-	}
-	return m
-}

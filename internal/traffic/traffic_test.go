@@ -55,7 +55,7 @@ func TestGravityErrors(t *testing.T) {
 
 func TestRoutePathGraphMiddleLinkBusiest(t *testing.T) {
 	g := pathGraph(4) // 0-1-2-3
-	m, err := Gravity(UniformMasses(4), 12)
+	m, err := Gravity(uniformMasses(4), 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,11 @@ import (
 // width (GOMAXPROCS workers) against the same engine pinned to one
 // worker on a 10k-node heavy-tailed topology:
 //
-//	go test -bench 'Betweenness|Closeness|Measure' -benchmem
+//	go test -run '^$' -bench 'Betweenness|Measure' -benchmem .
 //
-// The Sequential rows run the same CSR kernels one source at a time,
-// so the ratio is the multi-core speedup of sharding sources across
-// workers.
+// The Sequential rows run the same engine with one worker, one source
+// at a time, so the ratio is the multi-core speedup of sharding sources
+// across workers.
 const benchN = 10000
 
 // benchSources keeps one sampled-betweenness iteration subsecond at
@@ -40,25 +40,6 @@ func BenchmarkBetweennessEngine(b *testing.B) {
 		if _, err := eng.BetweennessSampled(rng.New(uint64(i)), benchSources); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkClosenessSequential(b *testing.B) {
-	s := build(b, "gba", benchN).Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.New(s, engine.WithWorkers(1)).Closeness()
-	}
-}
-
-func BenchmarkClosenessEngine(b *testing.B) {
-	g := build(b, "gba", benchN)
-	s := g.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh engine per iteration defeats memoization, so the
-		// measurement is the full parallel computation.
-		engine.New(s).Closeness()
 	}
 }
 

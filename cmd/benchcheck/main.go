@@ -100,6 +100,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cliutil.NoArgs(fs); err != nil {
+		return err
+	}
 	if *requireAll && *lenient {
 		return fmt.Errorf("-require-all and -lenient contradict each other; pick one")
 	}

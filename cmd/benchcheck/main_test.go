@@ -223,3 +223,16 @@ func TestRepoFloorsAgainstCommittedFiles(t *testing.T) {
 		t.Fatalf("committed floors vs committed BENCH files: %v\n%s", err, out.String())
 	}
 }
+
+// TestRejectsPositionalArgument: a directory given without -dir fails
+// with an error naming it instead of checking the current directory.
+func TestRejectsPositionalArgument(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-lenient", "results"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "results"`) {
+		t.Fatalf("err = %v, want an unexpected-argument error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected command line still wrote output:\n%s", out.String())
+	}
+}

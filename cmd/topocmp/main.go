@@ -51,6 +51,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cliutil.NoArgs(fs); err != nil {
+		return err
+	}
 	if err := cliutil.FirstError(
 		cliutil.PositiveInt("-n", *n),
 		cliutil.NonNegativeInt("-path-sources", *sources),

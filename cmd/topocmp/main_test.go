@@ -91,3 +91,16 @@ func TestCompareErrors(t *testing.T) {
 		t.Fatalf("want a one-line error naming the model, got %v", err)
 	}
 }
+
+// TestRejectsPositionalArgument: a map file given without -file fails
+// with an error naming it instead of comparing a generated model.
+func TestRejectsPositionalArgument(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-n", "300", "map.txt"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "map.txt"`) {
+		t.Fatalf("err = %v, want an unexpected-argument error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected command line still wrote output:\n%s", out.String())
+	}
+}

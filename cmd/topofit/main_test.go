@@ -42,3 +42,16 @@ func TestFitUnknownKnob(t *testing.T) {
 		t.Fatal("unknown knob should fail")
 	}
 }
+
+// TestRejectsPositionalArgument: a stray word after the knob flags
+// fails with an error naming it instead of being ignored.
+func TestRejectsPositionalArgument(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-knob", "ba-attract", "-n", "400", "extra"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "extra"`) {
+		t.Fatalf("err = %v, want an unexpected-argument error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected command line still wrote output:\n%s", out.String())
+	}
+}

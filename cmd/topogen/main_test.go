@@ -183,3 +183,16 @@ func TestPathsEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRejectsPositionalArgument: a stray word between the flags fails
+// with an error naming it instead of ending flag parsing silently.
+func TestRejectsPositionalArgument(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-model", "ba", "-n", "100", "extra", "-seed", "2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "extra"`) {
+		t.Fatalf("err = %v, want an unexpected-argument error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected command line still wrote output:\n%s", out.String())
+	}
+}

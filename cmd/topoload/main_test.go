@@ -208,3 +208,17 @@ func TestLoadRejectsBadFailureFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsPositionalArgument: topoload runs generated models and
+// reads no map file, so a command line naming one fails with an error
+// naming the word instead of running a model and ignoring the file.
+func TestRejectsPositionalArgument(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-measure-every", "1000", "-paths", "map.txt"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "map.txt"`) {
+		t.Fatalf("err = %v, want an unexpected-argument error", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected command line still wrote output:\n%s", out.String())
+	}
+}

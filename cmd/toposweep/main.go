@@ -70,6 +70,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cliutil.NoArgs(fs); err != nil {
+		return err
+	}
 	budget, err := cliutil.ParseByteSize("-cache-budget", *cacheBudget)
 	if err != nil {
 		return err

@@ -25,6 +25,7 @@ var keptExports = map[string]string{
 	"Rebuilds":           "CoreMap.Rebuilds, the k-core rebuild counter the run recorder is to export",
 	"NewSimScratch":      "the pooled simulation scratch the traffic harnesses reuse across runs",
 	"WithSimScratch":     "the option that hands a NewSimScratch pool to a simulation",
+	"TrianglesPerNode":   "cross-package test oracle: Engine.TrianglesPerNode, the held copy of the engine-owned triangle counts that the root benchmarks, FuzzTriangles and the aspolicy refresh test read",
 }
 
 // interfaceMethods are the methods of fmt.Stringer, error and

@@ -186,6 +186,17 @@ func OneOf(name, v string, allowed ...string) error {
 	return fmt.Errorf("%s: unknown value %q (have %s)", name, v, strings.Join(allowed, ", "))
 }
 
+// NoArgs rejects positional arguments left after fs parsed the command
+// line. Flag parsing stops at the first non-flag word, so a tool that
+// takes only flags would otherwise drop that word, and every flag after
+// it, without a word.
+func NoArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: %s takes flags only", fs.Arg(0), fs.Name())
+	}
+	return nil
+}
+
 // FirstError returns the first non-nil error, so a CLI can stack its
 // flag validations in one readable call.
 func FirstError(errs ...error) error {

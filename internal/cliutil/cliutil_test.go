@@ -317,3 +317,21 @@ func TestProfilerBadPath(t *testing.T) {
 		t.Fatal("Stop should surface an uncreatable -memprofile path")
 	}
 }
+
+func TestNoArgs(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.Int("n", 0, "")
+	if err := fs.Parse([]string{"-n", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := NoArgs(fs); err != nil {
+		t.Fatalf("flags only: %v", err)
+	}
+	if err := fs.Parse([]string{"-n", "3", "map.txt", "-n", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	err := NoArgs(fs)
+	if err == nil || err.Error() != `unexpected argument "map.txt": tool takes flags only` {
+		t.Fatalf("stray argument: %v", err)
+	}
+}

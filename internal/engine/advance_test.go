@@ -227,3 +227,40 @@ func TestAdvanceKCoreRidesCoreMap(t *testing.T) {
 			cm.Rebuilds(), cm.Refreshes(), epochs, epochs-2)
 	}
 }
+
+// TestAdvanceHeldResultsNeverChange: the triangle counts and the
+// k-order are engine-owned state refreshed in place across Advance,
+// so the TrianglesPerNode, LocalClustering and KCore results a caller
+// holds from epoch t must be copies that later refreshes never touch.
+// Every epoch's results are held and compared against their snapshots
+// after the whole trajectory.
+func TestAdvanceHeldResultsNeverChange(t *testing.T) {
+	top, err := gen.GLP{N: 500, M: 1, P: 0.45, Beta: 0.64}.Generate(rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type held struct {
+		tri, triCopy     []int
+		local, localCopy []float64
+		core             metrics.KCoreResult
+		coreCopy         []int
+	}
+	var all []held
+	replayTrajectory(t, top, 60, func(eng *Engine, g *graph.Graph, d *graph.Delta) {
+		eng.MeasureGrowth() // the observer's reads: refreshed triangles and k-order
+		h := held{tri: eng.TrianglesPerNode(), local: eng.LocalClustering(), core: eng.KCore()}
+		h.triCopy = append([]int(nil), h.tri...)
+		h.localCopy = append([]float64(nil), h.local...)
+		h.coreCopy = append([]int(nil), h.core.Coreness...)
+		all = append(all, h)
+	})
+	if len(all) < 5 {
+		t.Fatalf("trajectory too short: %d epochs", len(all))
+	}
+	for i, h := range all {
+		if !reflect.DeepEqual(h.tri, h.triCopy) || !reflect.DeepEqual(h.local, h.localCopy) ||
+			!reflect.DeepEqual(h.core.Coreness, h.coreCopy) {
+			t.Fatalf("epoch %d: a held result changed under later refreshes", i+1)
+		}
+	}
+}

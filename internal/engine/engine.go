@@ -15,6 +15,17 @@
 // summation order; at one worker they follow the sequential order. The
 // tests in this package pin the engine against brute-force and
 // test-local sequential oracles across generator families and seeds.
+//
+// Along a growth trajectory (Advance) three states are engine-owned and
+// refreshed in place from each epoch's delta: the triangle counts, the
+// k-order (metrics.CoreMap) and the distance map (metrics.DistMap).
+// The trajectory observation reads scalar reductions of them — average
+// clustering, transitivity, k-core depth, mean closeness — and builds
+// no per-node vector. Results handed to callers are fresh per snapshot
+// and never change afterwards: TrianglesPerNode is a copy of the owned
+// counts, LocalClustering a vector of its own, KCore's Coreness a copy
+// of the k-order's. GrowthDistMap is the exception: it returns the live
+// map, which the next Advance repairs.
 package engine
 
 import (
@@ -128,18 +139,22 @@ func (e *Engine) peek(key string) (any, bool) {
 
 // Advance rebases the engine onto next, the refreshed successor of the
 // current snapshot produced by Graph.Refreeze. When d is the delta
-// between the two snapshots, metrics with incremental kernels —
-// triangle counts (and the clustering family derived from them), the
-// k-core decomposition, the degree histogram, the incremental distance
-// map behind the trajectory path metrics — are carried forward
-// from the previous epoch's memoized values and maintained in time
+// between the two snapshots, metrics with incremental kernels are
+// carried forward from the previous epoch and maintained in time
 // proportional to the delta on their next demand; everything else is
-// dropped and recomputed lazily. The k-core rides a metrics.CoreMap:
-// the first Advance after a memoized KCore builds it from next with
-// one peel, and later epochs refresh it in place by the order-based
-// pass, visiting only the nodes whose remaining degree rises. A cold
-// KCore stays a plain peel. A nil d (Refreeze fell back to a full
-// freeze) rebases without inheritance. Advance must not run
+// dropped and recomputed lazily.
+//
+// Refreshed in place, so the previous epoch's value is consumed: the
+// triangle counts (metrics.RefreshTriangles), the k-order
+// (metrics.CoreMap, built with one peel on first demand, then refreshed
+// by the order-based pass, which visits only the nodes whose remaining
+// degree rises) and the distance map behind the trajectory path
+// metrics (metrics.DistMap). Fresh per epoch: the degree histogram
+// (metrics.RefreshDegreeHistogram copies the previous one), the KCore
+// result (a copy of the k-order's corenesses once a KCore was memoized
+// before the Advance; a cold KCore stays a plain peel), and every copy
+// or vector derived from the owned states. A nil d (Refreeze fell back
+// to a full freeze) rebases without inheritance. Advance must not run
 // concurrently with metric queries; the trajectory drivers alternate
 // strictly between advancing and measuring.
 func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
@@ -153,13 +168,14 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 			return errDeltaBase
 		}
 		if tri, ok := e.peek("triangles"); ok {
+			// The counts refresh in place; TrianglesPerNode hands out
+			// copies.
 			prevTri := tri.([]int)
 			inherit["triangles"] = func() any {
 				return metrics.RefreshTriangles(prev, next, d, prevTri)
 			}
 		}
 		if cmv, ok := e.peek("coremap"); ok {
-			// Like the distance map below, the k-order refreshes in place.
 			cm := cmv.(*metrics.CoreMap)
 			inherit["coremap"] = func() any {
 				cm.Refresh(next, d)
@@ -171,10 +187,7 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 			// next with one peel; later epochs refresh it. Each epoch's
 			// result is a fresh copy, so one a caller holds never changes.
 			inherit["kcore"] = func() any {
-				cm := e.Cached("coremap", func() any {
-					return metrics.NewCoreMap(e.s)
-				}).(*metrics.CoreMap)
-				return cm.Result()
+				return e.coreMap().Result()
 			}
 		}
 		if hist, ok := e.peek("degree-hist"); ok {
@@ -185,9 +198,10 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 		}
 		if dmv, ok := e.peek("distmap"); ok {
 			// The distance map repairs in place — it consumes the previous
-			// epoch's rows rather than copying them, so unlike the kernels
-			// above the old memo value must never be served again. Advance
-			// drops the old memo wholesale below, which is exactly that.
+			// epoch's rows rather than copying them, so, as for the
+			// triangle counts and the k-order, the old memo value must
+			// never be served again. Advance drops the old memo wholesale
+			// below, which is exactly that.
 			prevDM := dmv.(*metrics.DistMap)
 			inherit["distmap"] = func() any {
 				prevDM.Refresh(next, d, e.workers)

@@ -124,11 +124,22 @@ func sequentialCycles(s *graph.Snapshot) metrics.CycleCounts {
 
 // sequentialClustering composes the one-worker triangle kernel with
 // the clustering reducers: local clustering, its mean over nodes of
-// degree >= 2, and the transitivity.
+// degree >= 2 (averaged from the local vector in node order), and the
+// transitivity.
 func sequentialClustering(s *graph.Snapshot) (local []float64, avg, trans float64) {
 	tri := metrics.TrianglesPerNodeWith(s, 1)
 	local = metrics.LocalClusteringFromTriangles(s, tri)
-	return local, metrics.AvgClusteringFromLocal(s, local), metrics.TransitivityFromTriangles(s, tri)
+	sum, n := 0.0, 0
+	for u, c := range local {
+		if s.Degree(u) >= 2 {
+			sum += c
+			n++
+		}
+	}
+	if n > 0 {
+		avg = sum / float64(n)
+	}
+	return local, avg, metrics.TransitivityFromTriangles(s, tri)
 }
 
 // sequentialMeasure composes the sequential kernels into the metric

@@ -36,20 +36,11 @@ func (e *Engine) GrowthPathStats(pivots []int32) metrics.PathStats {
 	}).(metrics.PathStats)
 }
 
-// GrowthCloseness is the trajectory-mode closeness vector, an O(n)
-// reduction of the distance map's reach and distance-sum columns; exact
-// mode is bit-identical to one BFS per node.
-func (e *Engine) GrowthCloseness(pivots []int32) []float64 {
-	dm := e.GrowthDistMap(pivots)
-	return e.Cached("growth-closeness", func() any {
-		return metrics.RefreshCloseness(dm)
-	}).([]float64)
-}
-
 // MeasureGrowthPaths is MeasureGrowth plus the distance family: the
 // same delta-maintained structural fields, extended with average path
 // length, diameter and mean closeness from the incremental distance
-// map. pivots selects the map's source set on its first build (nil for
+// map, the closeness reduced from its columns with no per-node vector.
+// pivots selects the map's source set on its first build (nil for
 // exact mode), as in GrowthDistMap.
 func (e *Engine) MeasureGrowthPaths(pivots []int32) metrics.GrowthStats {
 	out := e.MeasureGrowth()
@@ -61,11 +52,6 @@ func (e *Engine) MeasureGrowthPaths(pivots []int32) metrics.GrowthStats {
 	out.PathSources = dm.SourceCount()
 	out.AvgPathLen = ps.Avg
 	out.Diameter = ps.Diameter
-	clo := e.GrowthCloseness(pivots)
-	sum := 0.0
-	for _, c := range clo {
-		sum += c
-	}
-	out.MeanCloseness = sum / float64(len(clo))
+	out.MeanCloseness = metrics.RefreshMeanCloseness(dm)
 	return out
 }

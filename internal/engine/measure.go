@@ -92,11 +92,12 @@ func (e *Engine) degreeFit() *stats.PowerLawFit {
 
 // MeasureGrowth computes the trajectory observation vector of the
 // current snapshot: the size fields, the degree-tail fit from the
-// degree histogram, clustering and k-core depth.
-// Every input — degree histogram, triangle counts, k-core — is
-// memoized and delta-maintained across Advance, so measuring each
-// epoch of a growth trajectory costs time proportional to the epoch's
-// delta plus O(N) derivations, not a fresh pass over the map.
+// degree histogram, clustering and k-core depth. Every input — degree
+// histogram, triangle counts, k-order — is memoized and
+// delta-maintained across Advance, and clustering and core depth are
+// scalar reductions of the engine-owned counts and k-order, so
+// measuring an epoch of a growth trajectory costs time proportional to
+// the epoch's delta plus O(N) scans and builds no per-node vector.
 func (e *Engine) MeasureGrowth() metrics.GrowthStats {
 	s := e.s
 	out := metrics.GrowthStats{
@@ -115,6 +116,6 @@ func (e *Engine) MeasureGrowth() metrics.GrowthStats {
 	}
 	out.AvgClustering = e.AvgClustering()
 	out.Transitivity = e.Transitivity()
-	out.MaxCore = e.KCore().MaxCore
+	out.MaxCore = e.coreMap().MaxCore()
 	return out
 }

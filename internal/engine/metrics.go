@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 
 	"netmodel/internal/metrics"
 	"netmodel/internal/par"
@@ -137,32 +138,44 @@ func (e *Engine) pathHistogram(srcs []int) metrics.PathStats {
 	return h.ToStats(len(srcs))
 }
 
-// TrianglesPerNode counts triangles through every node with the
-// degree-oriented kernel sharded across the pool
-// (metrics.TrianglesPerNodeWith). Memoized; do not modify the result.
-func (e *Engine) TrianglesPerNode() []int {
+// triangles returns the engine-owned triangle counts of the snapshot,
+// counted by the degree-oriented kernel sharded across the pool
+// (metrics.TrianglesPerNodeWith) and, along a trajectory, refreshed in
+// place by Advance. Internal readers must not hold the slice across an
+// Advance.
+func (e *Engine) triangles() []int {
 	return e.Cached("triangles", func() any {
 		return metrics.TrianglesPerNodeWith(e.s, e.workers)
 	}).([]int)
 }
 
+// TrianglesPerNode returns the number of triangles through every node:
+// a memoized copy of the engine-owned counts, so a slice a caller holds
+// never changes under later refreshes. Do not modify the result.
+func (e *Engine) TrianglesPerNode() []int {
+	return e.Cached("triangles-copy", func() any {
+		return slices.Clone(e.triangles())
+	}).([]int)
+}
+
 // LocalClustering returns the local clustering coefficient per node,
-// derived from the memoized triangle counts. Memoized; do not modify
-// the result.
+// derived from the triangle counts. Memoized, a fresh vector per
+// snapshot; do not modify the result.
 func (e *Engine) LocalClustering() []float64 {
 	return e.Cached("local-clustering", func() any {
-		return metrics.LocalClusteringFromTriangles(e.s, e.TrianglesPerNode())
+		return metrics.LocalClusteringFromTriangles(e.s, e.triangles())
 	}).([]float64)
 }
 
-// AvgClustering returns mean local clustering over nodes of degree >= 2.
+// AvgClustering returns mean local clustering over nodes of degree >= 2,
+// reduced from the triangle counts without a local-clustering vector.
 func (e *Engine) AvgClustering() float64 {
-	return metrics.AvgClusteringFromLocal(e.s, e.LocalClustering())
+	return metrics.AvgClusteringFromTriangles(e.s, e.triangles())
 }
 
 // Transitivity returns the global clustering coefficient.
 func (e *Engine) Transitivity() float64 {
-	return metrics.TransitivityFromTriangles(e.s, e.TrianglesPerNode())
+	return metrics.TransitivityFromTriangles(e.s, e.triangles())
 }
 
 // ClusteringSpectrum returns c(k), mean local clustering by degree.
@@ -172,11 +185,20 @@ func (e *Engine) ClusteringSpectrum() map[int]float64 {
 
 // KCore returns the k-core decomposition. The bucket algorithm is
 // inherently sequential but O(M) over flat arrays; the result is
-// memoized.
+// memoized, with a Coreness slice of its own.
 func (e *Engine) KCore() metrics.KCoreResult {
 	return e.Cached("kcore", func() any {
 		return metrics.KCoreFrozen(e.s)
 	}).(metrics.KCoreResult)
+}
+
+// coreMap returns the engine-owned k-order of the snapshot
+// (metrics.CoreMap), built with one peel on first demand and refreshed
+// in place by Advance.
+func (e *Engine) coreMap() *metrics.CoreMap {
+	return e.Cached("coremap", func() any {
+		return metrics.NewCoreMap(e.s)
+	}).(*metrics.CoreMap)
 }
 
 // RichClub returns the rich-club connectivity curve. Memoized; do not
@@ -198,7 +220,7 @@ func (e *Engine) CountCycles() metrics.CycleCounts {
 		if n < 3 {
 			return metrics.CycleCounts{}
 		}
-		tri := e.TrianglesPerNode()
+		tri := e.triangles()
 		workers := e.workers
 		scratch := make([]*metrics.CycleScratch, workers)
 		ordered4 := make([]int64, workers)

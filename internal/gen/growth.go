@@ -15,12 +15,13 @@ import (
 // the weights the next attachment samples — so the kernel trades exact
 // step-by-step coupling for frozen-weight rounds:
 //
-//  1. Plan: freeze the current preference weights into an immutable
-//     alias table and let every arrival (or step) of the round draw its
-//     edge candidates against it in parallel. Each item samples with
-//     its own sub-stream, derived from the run seed and a global item
-//     counter via rng.Rand.Split, so a plan is a pure function of the
-//     seed — independent of worker count and scheduling.
+//  1. Plan: freeze the current preference weights into an alias table,
+//     read-only for the round, and let every arrival (or step) of the
+//     round draw its edge candidates against it in parallel. Each item
+//     samples with its own sub-stream, derived from the run seed and a
+//     global item counter via rng.Rand.Split, so a plan is a pure
+//     function of the seed — independent of worker count and
+//     scheduling.
 //  2. Commit: apply the planned edges sequentially in item order,
 //     updating weights and discarding duplicates exactly where the
 //     sequential model would.
@@ -76,6 +77,7 @@ type growth struct {
 	edges   []graph.Edge
 	seen    map[uint64]struct{} // committed simple edges; nil unless the model needs duplicate checks
 	live    *graph.Graph        // trajectory mode: the graph, maintained commit by commit
+	table   rng.Alias           // the round's sampling table, rebuilt by freeze
 }
 
 // newGrowth starts a kernel run: the stream root derives from r's
@@ -153,17 +155,17 @@ func (g *growth) hasEdge(u, v int) bool {
 	return ok
 }
 
-// freeze builds the round's immutable sampling table over the committed
-// weights. nil means no positive weight remains.
+// freeze rebuilds the round's sampling table over the committed
+// weights, into the kernel's own table (valid until the next freeze).
+// nil means no positive weight remains.
 func (g *growth) freeze() *rng.Alias {
 	if g.n == 0 {
 		return nil
 	}
-	t, err := rng.NewAliasTable(g.weights[:g.n])
-	if err != nil {
+	if err := g.table.Rebuild(g.weights[:g.n]); err != nil {
 		return nil
 	}
-	return t
+	return &g.table
 }
 
 // forItems shards fn over the round's items. Item i receives the

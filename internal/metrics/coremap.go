@@ -109,6 +109,10 @@ func (cm *CoreMap) Refreshes() int { return cm.refreshes }
 // peel is not counted.
 func (cm *CoreMap) Rebuilds() int { return cm.rebuilds }
 
+// MaxCore returns the largest coreness, the k-core depth of the map,
+// read from the maintained state with no copy.
+func (cm *CoreMap) MaxCore() int { return cm.maxCore }
+
 // Result returns the decomposition as a KCoreResult with a fresh
 // Coreness slice, so a result a caller holds never changes under later
 // refreshes.
@@ -217,15 +221,14 @@ func (cm *CoreMap) grow(n int) {
 	if n <= old {
 		return
 	}
-	add := n - old
-	cm.core = append(cm.core, make([]int32, add)...)
-	cm.dplus = append(cm.dplus, make([]int32, add)...)
-	cm.dstar = append(cm.dstar, make([]int32, add)...)
-	cm.state = append(cm.state, make([]uint8, add)...)
-	cm.pend = append(cm.pend, make([]int32, add)...)
-	cm.next = append(cm.next, make([]int32, add)...)
-	cm.prev = append(cm.prev, make([]int32, add)...)
-	cm.label = append(cm.label, make([]uint64, add)...)
+	cm.core = growRow(cm.core, n, 0)
+	cm.dplus = growRow(cm.dplus, n, 0)
+	cm.dstar = growRow(cm.dstar, n, 0)
+	cm.state = growRow(cm.state, n, untouched)
+	cm.pend = growRow(cm.pend, n, 0)
+	cm.next = growRow(cm.next, n, 0)
+	cm.prev = growRow(cm.prev, n, 0)
+	cm.label = growRow(cm.label, n, 0)
 	for v := int32(old); int(v) < n; v++ {
 		cm.link(0, cm.tail[0], v)
 	}

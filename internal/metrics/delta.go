@@ -1,19 +1,24 @@
 package metrics
 
-import "netmodel/internal/graph"
+import (
+	"slices"
+
+	"netmodel/internal/graph"
+)
 
 // This file holds the incremental metric kernels behind the engine's
 // trajectory mode: metrics that admit cheap delta maintenance are
 // refreshed from (previous snapshot, previous value, delta) in time
 // proportional to the change, instead of recomputed over the whole
-// refreshed snapshot. Every kernel is pinned against its full
-// recompute by the equivalence tests in delta_test.go. Two kernels keep
-// state across epochs instead of a previous value: the k-core lives in
-// coremap.go, where CoreMap maintains a k-order and promotes only the
-// nodes whose remaining degree rises; distance-based metrics live in
-// dynbfs.go, where the DistMap structure carries repaired BFS rows
-// across epochs and derives path lengths, closeness and sampled
-// betweenness from them.
+// refreshed snapshot. The degree histogram is returned fresh; the
+// triangle counts are updated in place. Every kernel is pinned against
+// its full recompute by the equivalence tests in delta_test.go. Two
+// kernels keep state across epochs instead of a previous value: the
+// k-core lives in coremap.go, where CoreMap maintains a k-order and
+// promotes only the nodes whose remaining degree rises; distance-based
+// metrics live in dynbfs.go, where the DistMap structure carries
+// repaired BFS rows across epochs and derives path lengths and
+// closeness from them.
 
 // GrowthStats is the per-epoch observation vector of a growth
 // trajectory: the metrics of the paper's growth measurements that
@@ -63,26 +68,52 @@ func RefreshDegreeHistogram(prev, next *graph.Snapshot, d *graph.Delta, prevHist
 	hist := make([]int, size)
 	copy(hist, prevHist)
 	oldN := prev.N()
-	touched := make(map[int32]struct{})
-	for _, e := range d.Edges() {
+	edges := d.Edges()
+	touched := make([]int32, 0, 2*len(edges))
+	for _, e := range edges {
 		if e.OldW != 0 && e.NewW != 0 {
 			continue // multiplicity change: degrees untouched
 		}
-		touched[e.U] = struct{}{}
-		touched[e.V] = struct{}{}
-	}
-	for ub := range touched {
-		u := int(ub)
-		if u >= oldN {
-			continue // new nodes are binned below
+		// New nodes are binned below.
+		if int(e.U) < oldN {
+			touched = append(touched, e.U)
 		}
-		hist[prev.Degree(u)]--
-		hist[next.Degree(u)]++
+		if int(e.V) < oldN {
+			touched = append(touched, e.V)
+		}
+	}
+	slices.Sort(touched)
+	for _, u := range slices.Compact(touched) {
+		hist[prev.Degree(int(u))]--
+		hist[next.Degree(int(u))]++
 	}
 	for u := oldN; u < next.N(); u++ {
 		hist[next.Degree(u)]++
 	}
 	return hist[:next.MaxDegree()+1]
+}
+
+// growRow extends a node-indexed row to n entries, the new tail set to
+// fill, for state that follows a growing snapshot. When the capacity
+// runs out it doubles, so a row that gains a sliver of nodes each
+// epoch is copied O(log n) times over a trajectory rather than once per
+// quarter of growth, append's factor for large slices.
+func growRow[T any](row []T, n int, fill T) []T {
+	old := len(row)
+	if n <= old {
+		return row
+	}
+	if n > cap(row) {
+		grown := make([]T, old, max(n, 2*cap(row)))
+		copy(grown, row)
+		row = grown
+	}
+	row = row[:n]
+	tail := row[old:]
+	for i := range tail {
+		tail[i] = fill
+	}
+	return row
 }
 
 // deltaEdgeKey packs an unordered node pair for the per-edge sequence
@@ -99,12 +130,13 @@ func deltaEdgeKey(u, v int) uint64 {
 // triangles on the previous snapshot, every inserted edge on the next.
 // Triangles carrying several changed edges are attributed exactly once,
 // to the change with the highest sequence index, so batches that close
-// multiple sides of the same triangle stay exact. prevTri must be the
-// triangle vector of prev; the result equals
+// multiple sides of the same triangle stay exact. tri must be the
+// triangle vector of prev; it is updated in place, grown (growRow) by
+// zero entries for next's new nodes, and returned, so a caller that
+// must keep prev's counts passes a copy. The result equals
 // TrianglesPerNodeWith(next, w) at any worker count w.
-func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, prevTri []int) []int {
-	tri := make([]int, next.N())
-	copy(tri, prevTri)
+func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, tri []int) []int {
+	tri = growRow(tri, next.N(), 0)
 	var ins, rem []graph.DeltaEdge
 	for _, e := range d.Edges() {
 		switch {

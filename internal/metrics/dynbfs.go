@@ -22,8 +22,9 @@ import (
 //
 // On top of the repaired rows the DistMap maintains integer aggregates
 // (the global path histogram plus per-node reach/distance-sum columns),
-// so the per-epoch derivations RefreshPathLengths and RefreshCloseness
-// are O(n) reductions with no traversal at all.
+// so the per-epoch derivations RefreshPathLengths and
+// RefreshMeanCloseness are O(diam) and O(n) reductions with no
+// traversal at all.
 
 // DistChange records one node touched by RelaxInserted: the node id and
 // its distance before the repair (-1 for previously unreachable). The
@@ -78,15 +79,9 @@ func (sc *DistScratch) BFS() *BFSScratch {
 func (sc *DistScratch) Reset() { sc.changes = sc.changes[:0] }
 
 func (sc *DistScratch) ensure(n int) {
-	if len(sc.stamp) < n {
-		sc.stamp = append(sc.stamp, make([]int32, n-len(sc.stamp))...)
-	}
-	if len(sc.queue) < n {
-		sc.queue = append(sc.queue, make([]int32, n-len(sc.queue))...)
-	}
-	if len(sc.mark) < n {
-		sc.mark = append(sc.mark, make([]int32, n-len(sc.mark))...)
-	}
+	sc.stamp = growRow(sc.stamp, n, 0)
+	sc.queue = growRow(sc.queue, n, 0)
+	sc.mark = growRow(sc.mark, n, 0)
 }
 
 // RelaxInserted repairs one source's distance vector under the
@@ -548,8 +543,8 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	}
 	oldN, n := dm.s.N(), next.N()
 	dm.s = next
-	dm.reach = append(dm.reach, make([]int32, n-oldN)...)
-	dm.sumd = append(dm.sumd, make([]int64, n-oldN)...)
+	dm.reach = growRow(dm.reach, n, 0)
+	dm.sumd = growRow(dm.sumd, n, 0)
 	if dm.exact {
 		for v := oldN; v < n; v++ {
 			dm.sources = append(dm.sources, int32(v))
@@ -593,7 +588,7 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 				dm.repairs[i] = distRepair{nd: nd}
 				return
 			}
-			dist := growDist(old, n)
+			dist := growRow(old, n, -1)
 			dm.dist[i] = dist
 			changes, ok := RelaxDelta(next, dm.rfDes, dist, sc, dm.rfBudget)
 			if !ok {
@@ -638,14 +633,6 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	}
 }
 
-// growDist pads a distance row with -1 entries up to n nodes.
-func growDist(dist []int32, n int) []int32 {
-	for len(dist) < n {
-		dist = append(dist, -1)
-	}
-	return dist
-}
-
 // RefreshPathLengths reduces the map's maintained histogram to
 // PathStats. In exact mode the result is bit-identical to
 // PathLengthsFrozen over the same snapshot with all sources; in sampled
@@ -655,28 +642,32 @@ func RefreshPathLengths(dm *DistMap) PathStats {
 	return dm.hist.ToStats(len(dm.sources))
 }
 
-// RefreshCloseness derives Wasserman-Faust closeness from the map's
-// per-node reach and distance-sum columns. In exact mode the undirected
-// symmetry d(u,v) = d(v,u) makes each node's column equal its own BFS
-// row, and the expression is the closeness of that row term for term,
-// so the result is bit-identical to one BFS per node. In sampled mode
-// reach is rescaled by n/k, the standard pivot estimate.
-func RefreshCloseness(dm *DistMap) []float64 {
+// RefreshMeanCloseness is the mean over all n nodes of the
+// Wasserman-Faust closeness derived from the map's per-node reach and
+// distance-sum columns, reduced without building the closeness vector.
+// In exact mode the undirected symmetry d(u,v) = d(v,u) makes each
+// node's column equal its own BFS row, so every term is that row's
+// closeness; in sampled mode reach is rescaled by n/k, the standard
+// pivot estimate. The terms are summed in node order and each is
+// rounded to float64 before the sum, so no fused multiply-add can move
+// a bit: the result equals summing the per-node closeness vector in
+// order and dividing by n.
+func RefreshMeanCloseness(dm *DistMap) float64 {
 	n := dm.s.N()
 	k := len(dm.sources)
-	out := make([]float64, n)
+	total := 0.0
 	for v := 0; v < n; v++ {
 		sum, reach := dm.sumd[v], dm.reach[v]
 		if sum == 0 {
-			continue
+			continue // closeness 0: adding it leaves the sum unchanged
 		}
 		scaled := float64(reach)
 		if !dm.exact {
 			scaled = float64(reach) * float64(n) / float64(k)
 		}
-		out[v] = float64(reach) / float64(sum) * scaled / float64(n-1)
+		total += float64(float64(reach) / float64(sum) * scaled / float64(n-1))
 	}
-	return out
+	return total / float64(n)
 }
 
 // PivotSources draws the k-pivot source set of a sampled DistMap with

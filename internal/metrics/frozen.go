@@ -332,14 +332,19 @@ func LocalClusteringFromTriangles(s *graph.Snapshot, t []int) []float64 {
 	return c
 }
 
-// AvgClusteringFromLocal averages local clustering over nodes of degree
-// >= 2 (the convention of the AS-map measurements; including low-degree
-// nodes would only dilute the signal with structural zeros).
-func AvgClusteringFromLocal(s *graph.Snapshot, c []float64) float64 {
+// AvgClusteringFromTriangles averages local clustering over nodes of
+// degree >= 2 (the convention of the AS-map measurements; including
+// low-degree nodes would only dilute the signal with structural zeros)
+// straight from per-node triangle counts, without building the
+// local-clustering vector. Each node's term is the expression of
+// LocalClusteringFromTriangles, rounded to float64 before it joins the
+// sum, and the terms are summed in node order, so the result equals
+// averaging that vector over the same nodes bit for bit.
+func AvgClusteringFromTriangles(s *graph.Snapshot, t []int) float64 {
 	sum, n := 0.0, 0
-	for u := range c {
-		if s.Degree(u) >= 2 {
-			sum += c[u]
+	for u := range t {
+		if k := s.Degree(u); k >= 2 {
+			sum += float64(2 * float64(t[u]) / float64(k*(k-1)))
 			n++
 		}
 	}

@@ -202,6 +202,46 @@ func closenessFrozen(s *graph.Snapshot) []float64 {
 	return out
 }
 
+// RefreshCloseness is the per-node closeness vector whose mean
+// RefreshMeanCloseness reduces: Wasserman-Faust closeness from the
+// map's reach and distance-sum columns, reach rescaled by n/k in
+// sampled mode. In exact mode it must equal closenessFrozen bit for
+// bit.
+func RefreshCloseness(dm *DistMap) []float64 {
+	n := dm.s.N()
+	k := len(dm.sources)
+	out := make([]float64, n)
+	for v := 0; v < n; v++ {
+		sum, reach := dm.sumd[v], dm.reach[v]
+		if sum == 0 {
+			continue
+		}
+		scaled := float64(reach)
+		if !dm.exact {
+			scaled = float64(reach) * float64(n) / float64(k)
+		}
+		out[v] = float64(reach) / float64(sum) * scaled / float64(n-1)
+	}
+	return out
+}
+
+// AvgClusteringFromLocal averages a local-clustering vector over nodes
+// of degree >= 2: the two-pass form AvgClusteringFromTriangles fuses,
+// and its oracle.
+func AvgClusteringFromLocal(s *graph.Snapshot, c []float64) float64 {
+	sum, n := 0.0, 0
+	for u := range c {
+		if s.Degree(u) >= 2 {
+			sum += c[u]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // brandes drives the BrandesFrozen kernel from srcs on one worker, each
 // source scaled by scale, and normalizes by (N-1)(N-2) as
 // Engine.Betweenness does.

@@ -7,68 +7,95 @@ import "errors"
 // weights do not change between draws (for dynamic weights, use Fenwick).
 //
 // The table holds no generator: every draw names its stream (NextWith).
-// The table is immutable after construction, so NextWith draws from any
+// Between rebuilds the table is read-only, so NextWith draws from any
 // number of goroutines concurrently as long as each supplies its own
-// stream — the sharded-generation kernels freeze one table per round
-// and sample it from every shard with seed-derived sub-streams.
+// stream — the sharded-generation kernels rebuild one table per round
+// (Rebuild, into the table's own buffers) and sample it from every
+// shard with seed-derived sub-streams.
 type Alias struct {
 	prob  []float64
 	alias []int
+	work  []int // build worklists: small indices from the front, large from the back
 }
 
 // NewAliasTable builds an alias table from the given non-negative
 // weights. At least one weight must be positive.
 func NewAliasTable(weights []float64) (*Alias, error) {
+	a := new(Alias)
+	if err := a.Rebuild(weights); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Rebuild replaces the table with one over weights, under the rules of
+// NewAliasTable, reusing the table's buffers: capacity doubles when it
+// runs out, so a table rebuilt over a growing weight vector reallocates
+// O(log n) times. The arithmetic is NewAliasTable's, so the draws of a
+// rebuilt table equal those of a fresh one. On error the table is left
+// unchanged. Rebuild must not run concurrently with NextWith.
+func (a *Alias) Rebuild(weights []float64) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, errors.New("rng: alias sampler needs at least one weight")
+		return errors.New("rng: alias sampler needs at least one weight")
 	}
 	total := 0.0
 	for _, w := range weights {
 		if w < 0 {
-			return nil, errors.New("rng: alias sampler weight is negative")
+			return errors.New("rng: alias sampler weight is negative")
 		}
 		total += w
 	}
 	if total <= 0 {
-		return nil, errors.New("rng: alias sampler weights sum to zero")
+		return errors.New("rng: alias sampler weights sum to zero")
 	}
-	scaled := make([]float64, n)
+	if cap(a.prob) < n {
+		c := max(n, 2*cap(a.prob))
+		a.prob, a.alias, a.work = make([]float64, c), make([]int, c), make([]int, c)
+	}
+	// prob holds each index's scaled weight until the index leaves the
+	// worklists, when that scaled weight is its final probability. The
+	// two worklists are stacks at either end of work; an index sits in
+	// at most one of them, so they never meet.
+	prob, alias, work := a.prob[:n], a.alias[:n], a.work[:n]
 	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
+		prob[i] = w * float64(n) / total
 	}
-	prob := make([]float64, n)
-	alias := make([]int, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, p := range scaled {
+	small, large := 0, n // work[:small] and work[large:]
+	for i, p := range prob {
 		if p < 1 {
-			small = append(small, i)
+			work[small] = i
+			small++
 		} else {
-			large = append(large, i)
+			large--
+			work[large] = i
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		prob[s] = scaled[s]
+	for small > 0 && large < n {
+		small--
+		s := work[small]
+		l := work[large]
+		large++
 		alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
+		prob[l] = prob[l] + prob[s] - 1
+		if prob[l] < 1 {
+			work[small] = l
+			small++
 		} else {
-			large = append(large, l)
+			large--
+			work[large] = l
 		}
 	}
-	for _, i := range large {
-		prob[i] = 1
+	// The rest, and numerical leftovers among the small, always draw
+	// themselves; their alias is never read.
+	for _, i := range work[large:] {
+		prob[i], alias[i] = 1, i
 	}
-	for _, i := range small { // numerical leftovers
-		prob[i] = 1
+	for _, i := range work[:small] {
+		prob[i], alias[i] = 1, i
 	}
-	return &Alias{prob: prob, alias: alias}, nil
+	a.prob, a.alias = prob, alias
+	return nil
 }
 
 // NextWith returns an index drawn from r with probability proportional

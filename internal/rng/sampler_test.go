@@ -326,3 +326,40 @@ func TestFenwickSampleWith(t *testing.T) {
 		}
 	}
 }
+
+// TestAliasRebuildMatchesFresh: one table rebuilt over weight vectors
+// that grow, shrink and grow again draws exactly what a fresh table
+// over the same weights draws, stream for stream, and a failed rebuild
+// leaves the table as it was.
+func TestAliasRebuildMatchesFresh(t *testing.T) {
+	base := New(21)
+	var a Alias
+	for round, n := range []int{1, 7, 64, 65, 30, 300, 301, 1000} {
+		w := make([]float64, n)
+		for i := range w {
+			if base.Intn(5) > 0 { // some zero weights
+				w[i] = base.Float64() * float64(1+base.Intn(40))
+			}
+		}
+		w[n-1] = 1 // at least one positive weight
+		fresh, err := NewAliasTable(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Rebuild(w); err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != n || !slices.Equal(a.prob, fresh.prob) {
+			t.Fatalf("round %d (n=%d): rebuilt probabilities differ from a fresh table", round, n)
+		}
+		r1, r2 := New(uint64(round)), New(uint64(round))
+		for i := 0; i < 5000; i++ {
+			if x, y := a.NextWith(r1), fresh.NextWith(r2); x != y {
+				t.Fatalf("round %d (n=%d) draw %d: rebuilt %d, fresh %d", round, n, i, x, y)
+			}
+		}
+		if err := a.Rebuild([]float64{0, 0}); err == nil || a.Len() != n {
+			t.Fatalf("round %d: failed rebuild err=%v len=%d", round, err, a.Len())
+		}
+	}
+}

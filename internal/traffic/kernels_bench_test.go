@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"netmodel/internal/benchutil"
+	"netmodel/internal/engine"
 	"netmodel/internal/gen"
 	"netmodel/internal/graph"
 	"netmodel/internal/metrics"
@@ -20,8 +21,9 @@ import (
 // paths against a cold tree build per path, the 64-lane MS-BFS path
 // histogram against 64 per-source BFS runs, degree-oriented triangle
 // counting against the id-ordered intersection, the allocations of one
-// simulation setup (a fixed handful, however many origins), and the
-// marginal allocation cost of one steady-state operation — a simulate
+// simulation setup (a fixed handful, however many origins), the heap
+// bytes of one trajectory epoch's engine advance and observation, and
+// the marginal allocation cost of one steady-state operation — a simulate
 // epoch in either engine, a DistMap refresh, a Routing refresh —
 // measured by differencing seeded-deterministic runs so one-time setup
 // cancels exactly. The allocation rows are gated from above by
@@ -634,13 +636,84 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 		WithAllocs(float64(resetAllocs)/measure, float64(resetBytes)/measure)
 }
 
+// kernelsTrajectoryObserveRow measures the heap bytes one trajectory
+// epoch allocates in the metrics engine: Advance onto the refreshed
+// snapshot plus the MeasureGrowthPaths observation, on GLP growth (the
+// topogen defaults) to n nodes observed every n/100 arrivals, with a
+// 64-pivot distance map. Generation and Refreeze stay outside the
+// measured region, and so does the first epoch, which builds every
+// engine-owned state cold; the row is the steady per-epoch cost, whose
+// node-indexed rows grow geometrically, so their copies amortize.
+func kernelsTrajectoryObserveRow(t *testing.T, n int) benchutil.Row {
+	t.Helper()
+	const (
+		epochs = 100
+		pivots = 64
+	)
+	var (
+		prev     *graph.Snapshot
+		eng      *engine.Engine
+		pivotSet []int32
+		measured int
+		allocs   uint64
+		bytes    uint64
+		elapsed  time.Duration
+	)
+	observe := func(g *graph.Graph, nn int) error {
+		if prev == nil {
+			next, err := g.FreezeChecked()
+			if err != nil {
+				return err
+			}
+			eng = engine.New(next, engine.WithWorkers(1))
+			pivotSet = metrics.PivotSources(rng.New(1), next.N(), pivots)
+			eng.MeasureGrowthPaths(pivotSet)
+			prev = next
+			return nil
+		}
+		next, d, err := g.Refreeze(prev)
+		if err != nil {
+			return err
+		}
+		var st metrics.GrowthStats
+		start := time.Now()
+		a, b := benchutil.MeasureAllocs(func() {
+			err = eng.Advance(next, d)
+			st = eng.MeasureGrowthPaths(pivotSet)
+		})
+		elapsed += time.Since(start)
+		if err != nil {
+			return err
+		}
+		if st.N != nn || st.PathSources != pivots {
+			t.Fatalf("epoch at %d nodes observed %d nodes over %d sources", nn, st.N, st.PathSources)
+		}
+		allocs += a
+		bytes += b
+		measured++
+		prev = next
+		return nil
+	}
+	_, err := gen.GLP{N: n, M: 1, P: 0.45, Beta: 0.64}.GenerateTrajectory(rng.New(1), 1, gen.Trajectory{Every: n / epochs, Observe: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perOp := float64(bytes) / float64(measured)
+	t.Logf("trajectory observe n=%d: %d epochs, %.1f allocs/epoch, %.0f B/epoch, %v/epoch",
+		n, measured, float64(allocs)/float64(measured), perOp, elapsed/time.Duration(measured))
+	return benchutil.Row{N: n, Model: "glp", Epochs: measured, Pivots: pivots}.
+		As("kernels-trajectory-observe", 1, elapsed/time.Duration(measured)).
+		WithAllocs(float64(allocs)/float64(measured), perOp)
+}
+
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
 // smoke plus the 100k acceptance size), pair-search vs tree-path,
 // MS-BFS vs per-source path-histogram and degree-oriented vs
 // id-ordered triangle rows at the same sizes, the
-// simulation-setup allocation rows at the same sizes, and the
-// steady-state allocation rows the benchcheck ceilings gate.
+// simulation-setup and trajectory-observation allocation rows at the
+// same sizes, and the steady-state allocation rows the benchcheck
+// ceilings gate.
 func TestBenchJSON(t *testing.T) {
 	dir := benchutil.OutDir(t)
 	var rows []benchutil.Row
@@ -650,6 +723,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsMSBFSRows(t, n)...)
 		rows = append(rows, kernelsTriangleRows(t, n)...)
 		rows = append(rows, kernelsSimSetupRow(t, n))
+		rows = append(rows, kernelsTrajectoryObserveRow(t, n))
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)

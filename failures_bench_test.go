@@ -13,8 +13,8 @@ import (
 	"netmodel/internal/traffic"
 )
 
-// The failure benchmarks are the acceptance surface of scoped removal
-// repair: the same outage/repair schedule (random links going down
+// The failure benchmarks are the acceptance surface of delta-scoped row
+// repair (metrics.RelaxDelta, behind both Refresh paths): the same outage/repair schedule (random links going down
 // every epoch and coming back two epochs later — an MTTR-2 on/off
 // process) replayed against a warm routing state and a warm distance
 // map, measured either by the delta-scoped Refresh paths (repair) or
@@ -33,14 +33,13 @@ const failBenchLinks = 2
 // distance rows that repair work dominates bookkeeping at 100k nodes.
 const failBenchSources = 24
 
-// failBenchM is the BA edge density of the benchmark map. Routing
-// removal repair is tree-scoped — a tree is rebuilt cold exactly when
-// one of its own n-1 parent arcs died — so the win per epoch is the
-// fraction of warm trees a random outage misses, (1 - (n-1)/m)^links.
-// M=4 with 2 links down per epoch is the representative outage regime
-// (small simultaneous failure counts on a denser-than-tree map); at
-// M=2 half of all links are parent arcs of any given tree and any
-// repair scheme degenerates to a rebuild.
+// failBenchM is the BA edge density of the benchmark map. A row repair
+// touches only the nodes a dead arc left without a shortest-path
+// support, so its cost follows how much of each warm tree an outage
+// cuts. M=4 with 2 links down per epoch is the representative outage
+// regime (small simultaneous failure counts on a denser-than-tree map);
+// at M=2 half of all links are parent arcs of any given tree, and
+// outages cut deep subtrees out of most rows.
 const failBenchM = 4
 
 // failureChurn drives one outage/repair replay over a frozen BA map:

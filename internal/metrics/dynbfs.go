@@ -6,19 +6,19 @@ import (
 	"netmodel/internal/rng"
 )
 
-// This file is the incremental distance engine: a dynamic-BFS structure
-// (DistMap) that owns per-source distance vectors and repairs them
-// under the edges of a snapshot delta instead of re-running BFS per
-// epoch. Growth deltas only ever shrink distances, so each inserted
-// edge seeds a shrink-only relaxation wave processed level by level;
-// the wave touches exactly the nodes whose distance changed, making
-// the repair cost proportional to the delta's impact rather than n+m.
-// Mixed deltas (failure epochs remove arcs too) take RelaxDelta, which
-// first isolates the nodes whose every shortest-path support chain
-// died, re-settles them from the surviving boundary, then runs the
-// same shrink wave. Every repair carries a work budget and falls back
-// to a full per-source rebuild when the touched region rivals a cold
-// BFS — the result is always exactly the cold build.
+// This file is the incremental distance engine: RelaxDelta, the one
+// repair of a per-source BFS distance row under the edges of a
+// snapshot delta, and a dynamic-BFS structure (DistMap) that owns such
+// rows and repairs them instead of re-running BFS per epoch. Removed
+// arcs first isolate the nodes whose every shortest-path support chain
+// died, which are re-settled from the surviving boundary; inserted arcs
+// and the re-settled nodes then seed one shrink-only relaxation wave
+// processed level by level. The repair touches only the nodes whose
+// distance changed or lost its support, so its cost follows the
+// delta's impact rather than n+m. Every repair carries a work budget
+// and rolls the row back when the touched region rivals a cold BFS; the
+// caller then rebuilds that row. The result is always exactly the cold
+// build.
 //
 // On top of the repaired rows the DistMap maintains integer aggregates
 // (the global path histogram plus per-node reach/distance-sum columns),
@@ -26,19 +26,18 @@ import (
 // RefreshMeanCloseness are O(diam) and O(n) reductions with no
 // traversal at all.
 
-// DistChange records one node touched by RelaxInserted: the node id and
+// DistChange records one node touched by RelaxDelta: the node id and
 // its distance before the repair (-1 for previously unreachable). The
-// repaired value is read from the distance array itself. Restoring Old
-// into dist for every change rolls the repair back exactly — each node
+// repaired value is read from the distance array itself; each node
 // appears at most once, stamped at first touch.
 type DistChange struct {
 	Node, Old int32
 }
 
-// DistScratch is the reusable per-worker state of RelaxInserted and
-// RelaxDelta: a round-stamped touch set, the level buckets of the
-// relaxation waves, a candidate-dedupe set and the affected-node list
-// of the removal phase, and hybrid-BFS state for rebuild fallbacks.
+// DistScratch is the reusable per-worker state of RelaxDelta: a
+// round-stamped touch set, the level buckets of its waves, a
+// candidate-dedupe set and the affected-node list of the removal
+// phases, and hybrid-BFS state for rebuild fallbacks.
 type DistScratch struct {
 	stamp   []int32
 	round   int32
@@ -47,13 +46,12 @@ type DistScratch struct {
 	mark    []int32
 	mround  int32
 	bfs     *BFSScratch
-	// changes is the arena the relaxation kernels report into: each
-	// RelaxInserted/RelaxDelta call appends its DistChange records here
-	// and returns the subslice it wrote, so a warm scratch repairs
-	// without allocating. Subslices stay valid when a later call grows
-	// the arena (the old backing array survives under them); Reset
-	// truncates it once per refresh pass, after every retained subslice
-	// has been consumed.
+	// changes is the arena RelaxDelta reports into: each call appends
+	// its DistChange records here and returns the subslice it wrote, so
+	// a warm scratch repairs without allocating. Subslices stay valid
+	// when a later call grows the arena (the old backing array survives
+	// under them); Reset truncates it once per refresh pass, after every
+	// retained subslice has been consumed.
 	changes []DistChange
 }
 
@@ -84,91 +82,14 @@ func (sc *DistScratch) ensure(n int) {
 	sc.mark = growRow(sc.mark, n, 0)
 }
 
-// RelaxInserted repairs one source's distance vector under the
-// insertions of a growth delta. dist must hold the exact hop distances
-// on the delta's base snapshot, grown to next.N() entries with -1 for
-// the new nodes; ins is the delta's edge list (non-insertions are
-// skipped). Each insertion whose endpoints' distances disagree by more
-// than one seeds a shrink-only relaxation, and the wave is processed in
-// ascending distance order, so every touched node settles at its exact
-// distance on next — the final vector equals a cold BFSFrozen run.
-//
-// budget caps the neighbor-row scans of the wave. When exceeded,
-// RelaxInserted abandons the repair and returns ok == false with the
-// changes recorded so far; the caller must restore their Old values and
-// rebuild from scratch. Changes are reported one per touched node, in
-// first-touch order; the returned slice aliases the scratch's change
-// arena and stays valid until the next DistScratch.Reset.
-func RelaxInserted(next *graph.Snapshot, ins []graph.DeltaEdge, dist []int32, sc *DistScratch, budget int) (changes []DistChange, ok bool) {
-	sc.ensure(len(dist))
-	sc.round++
-	start := len(sc.changes)
-	lo, hi := int32(1<<30), int32(-1)
-	relax := func(v, dv int32) {
-		if sc.stamp[v] != sc.round {
-			sc.stamp[v] = sc.round
-			sc.changes = append(sc.changes, DistChange{Node: v, Old: dist[v]})
-		}
-		dist[v] = dv
-		for int(dv) >= len(sc.buckets) {
-			sc.buckets = append(sc.buckets, nil)
-		}
-		sc.buckets[dv] = append(sc.buckets[dv], v)
-		if dv < lo {
-			lo = dv
-		}
-		if dv > hi {
-			hi = dv
-		}
-	}
-	for _, e := range ins {
-		if e.OldW != 0 || e.NewW == 0 {
-			continue // removal or multiplicity change: not a new arc
-		}
-		if du := dist[e.U]; du >= 0 && (dist[e.V] < 0 || dist[e.V] > du+1) {
-			relax(e.V, du+1)
-		}
-		if dv := dist[e.V]; dv >= 0 && (dist[e.U] < 0 || dist[e.U] > dv+1) {
-			relax(e.U, dv+1)
-		}
-	}
-	// Process levels in ascending order: relaxations at level d only
-	// push level d+1, so when a node is popped at its current distance
-	// that distance is final. Entries superseded by a deeper relaxation
-	// are skipped stale.
-	spent := 0
-	for d := lo; d <= hi; d++ {
-		bucket := sc.buckets[d]
-		for _, v := range bucket {
-			if dist[v] != d {
-				continue
-			}
-			row := next.Neighbors(int(v))
-			spent += len(row) + 1
-			if spent > budget {
-				for x := d; x <= hi; x++ {
-					sc.buckets[x] = sc.buckets[x][:0]
-				}
-				return sc.changes[start:], false
-			}
-			nd := d + 1
-			for _, w := range row {
-				if dw := dist[w]; dw < 0 || dw > nd {
-					relax(w, nd)
-				}
-			}
-		}
-		sc.buckets[d] = sc.buckets[d][:0]
-	}
-	return sc.changes[start:], true
-}
-
-// RelaxDelta repairs one source's distance vector under a mixed
-// insert+remove delta; pure-insertion deltas delegate to RelaxInserted
-// unchanged. dist must hold the exact hop distances on the delta's base
-// snapshot, grown to next.N() entries with -1 for new nodes. The repair
-// runs in three phases, all scanning next's rows (which already exclude
-// the removed arcs):
+// RelaxDelta repairs one source's distance vector under a snapshot
+// delta — the one distance-row repair, serving both DistMap and the
+// routing trees of the traffic package. dist must hold the exact hop
+// distances on the delta's base snapshot, grown to next.N() entries with
+// -1 for new nodes; edges is the delta's edge list. The repair runs in
+// three phases, all scanning next's rows (which already exclude the
+// removed arcs); a delta without removals seeds no phase-1 candidate, so
+// its repair is phase 3 alone:
 //
 //  1. Affected detection. The deeper endpoint of each removed arc is a
 //     candidate, bucketed at its old distance and processed in
@@ -182,29 +103,23 @@ func RelaxInserted(next *graph.Snapshot, ins []graph.DeltaEdge, dist []int32, sc
 //     unit-weight bucket Dijkstra seeded from the surviving boundary
 //     (tentative distance = min over unaffected neighbors + 1);
 //     never-settled nodes become unreachable.
-//  3. Shrink wave. The insertion wave of RelaxInserted, seeded from
-//     the inserted arcs plus every re-settled node — a node whose new
-//     value arrived through an inserted arc must get the chance to
-//     relax neighbors that kept their old values.
+//  3. Shrink wave. Seeded from the inserted arcs plus every re-settled
+//     node — a node whose new value arrived through an inserted arc
+//     must get the chance to relax neighbors that kept their old
+//     values — and processed in ascending distance order, so every
+//     touched node settles at its exact distance.
 //
 // The final vector equals a cold BFSFrozen run on next. budget caps
-// the neighbor-row scans across all phases; on overrun RelaxDelta
-// returns ok == false and the caller must restore the recorded Old
-// values (the vector holds internal markers until then) and rebuild
-// from scratch. Changes are reported one per touched node, stamped at
-// first touch with the pre-repair value; the returned slice aliases
-// the scratch's change arena and stays valid until the next
-// DistScratch.Reset.
+// the neighbor-row scans across all phases; budget <= 0 selects the
+// default n + 2m + 4096, about one cold BFS over next. On overrun
+// RelaxDelta restores dist to its input values and returns ok ==
+// false; the caller rebuilds the row from scratch. Otherwise changes
+// reports one entry per touched node, stamped at first touch with the
+// pre-repair value; the slice aliases the scratch's change arena and
+// stays valid until the next DistScratch.Reset.
 func RelaxDelta(next *graph.Snapshot, edges []graph.DeltaEdge, dist []int32, sc *DistScratch, budget int) (changes []DistChange, ok bool) {
-	hasRemoval := false
-	for _, e := range edges {
-		if e.OldW != 0 && e.NewW == 0 {
-			hasRemoval = true
-			break
-		}
-	}
-	if !hasRemoval {
-		return RelaxInserted(next, edges, dist, sc, budget)
+	if budget <= 0 {
+		budget = next.N() + 2*next.M() + 4096
 	}
 	sc.ensure(len(dist))
 	sc.round++
@@ -220,7 +135,11 @@ func RelaxDelta(next *graph.Snapshot, edges []graph.DeltaEdge, dist []int32, sc 
 		for i := range sc.buckets {
 			sc.buckets[i] = sc.buckets[i][:0]
 		}
-		return sc.changes[start:], false
+		for _, c := range sc.changes[start:] {
+			dist[c.Node] = c.Old
+		}
+		sc.changes = sc.changes[:start]
+		return nil, false
 	}
 	lo, hi := int32(1<<30), int32(-1)
 	push := func(v, d int32) {
@@ -332,7 +251,9 @@ func RelaxDelta(next *graph.Snapshot, edges []graph.DeltaEdge, dist []int32, sc 
 	// Phase 3: the shrink wave, seeded from re-settled nodes and
 	// inserted arcs. Never-settled affected nodes become unreachable
 	// first so the wave's dw < 0 test treats them like any other
-	// unreached node.
+	// unreached node. Relaxations at level d only push level d+1, so a
+	// node popped at its current distance is final; entries superseded
+	// by a shallower relaxation are skipped stale.
 	lo, hi = 1<<30, -1
 	relax := func(v, dv int32) {
 		touch(v)
@@ -400,21 +321,20 @@ type DistMap struct {
 	reach []int32
 	sumd  []int64
 
-	// maxScan overrides the repair budget when positive (test hook for
-	// forcing the rebuild fallback).
+	// maxScan is RelaxDelta's budget; zero selects its default, a
+	// positive cap is the test hook for forcing the rebuild fallback.
 	maxScan int
 
 	// Refresh scratch, persisted across epochs so a steady-state repair
 	// allocates nothing: one DistScratch per worker slot, the
 	// per-source repair results of the parallel phase, and the repair
 	// closure itself — created once, re-reading its per-call parameters
-	// (rfDes, rfBudget and the map's own fields) rather than capturing
-	// call locals, so no closure literal is allocated per Refresh.
-	scratch  []*DistScratch
-	repairs  []distRepair
-	rfDes    []graph.DeltaEdge
-	rfBudget int
-	rfBody   func(worker, i int)
+	// (rfDes and the map's own fields) rather than capturing call
+	// locals, so no closure literal is allocated per Refresh.
+	scratch []*DistScratch
+	repairs []distRepair
+	rfDes   []graph.DeltaEdge
+	rfBody  func(worker, i int)
 }
 
 // distRepair is one source's outcome of a Refresh parallel phase:
@@ -522,12 +442,10 @@ func (h *PathHistogram) sub(d int32) {
 // successor of the map's current snapshot with delta d between them.
 // Each source's row is repaired independently (in parallel across
 // sources, merged in source order, so the result is identical at every
-// worker count); exact mode gains rows for the new nodes. Insertion-only
-// deltas ride the shrink wave; mixed deltas with removals take the
-// three-phase RelaxDelta repair. Rows whose repair exceeds the budget —
-// n + 2m + 4096 row scans, one cold BFS — are rebuilt from scratch, as
-// is the whole map when d is nil (full refreeze) or has a foreign base
-// version. In every case the resulting rows and aggregates are exactly
+// worker count) by RelaxDelta; exact mode gains rows for the new nodes.
+// Rows whose repair exceeds RelaxDelta's budget are rebuilt from
+// scratch, as is the whole map when d is nil (full refreeze) or has a
+// foreign base version. In every case the resulting rows and aggregates are exactly
 // those of a cold NewDistMap over next with the same sources. Refresh
 // consumes the previous state; the map never describes two snapshots at
 // once.
@@ -551,10 +469,6 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 			dm.dist = append(dm.dist, nil)
 		}
 	}
-	budget := dm.maxScan
-	if budget <= 0 {
-		budget = n + 2*next.M() + 4096
-	}
 	w := par.Workers(workers)
 	for len(dm.scratch) < w {
 		dm.scratch = append(dm.scratch, nil)
@@ -571,7 +485,7 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	for i := range results {
 		results[i] = distRepair{}
 	}
-	dm.rfDes, dm.rfBudget = d.Edges(), budget
+	dm.rfDes = d.Edges()
 	if dm.rfBody == nil {
 		dm.rfBody = func(worker, i int) {
 			next, n := dm.s, dm.s.N()
@@ -590,11 +504,8 @@ func (dm *DistMap) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 			}
 			dist := growRow(old, n, -1)
 			dm.dist[i] = dist
-			changes, ok := RelaxDelta(next, dm.rfDes, dist, sc, dm.rfBudget)
+			changes, ok := RelaxDelta(next, dm.rfDes, dist, sc, dm.maxScan)
 			if !ok {
-				for _, c := range changes {
-					dist[c.Node] = c.Old
-				}
 				nd := make([]int32, n)
 				BFSHybrid(next, int(dm.sources[i]), nd, sc.BFS())
 				dm.repairs[i] = distRepair{old: dist, nd: nd}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netmodel/internal/gen"
@@ -114,6 +115,43 @@ func TestDistMapBudgetFallback(t *testing.T) {
 		dm.Refresh(next, d, 2)
 		requireDistMapEqual(t, "budget-fallback", dm, NewDistMap(next, nil, 1))
 	})
+}
+
+// TestRelaxDeltaOverrunRollsBack walks RelaxDelta's budget up from one
+// row scan on a mixed delta (a removal that cuts a path's tail off, an
+// insertion that re-attaches it deeper), so the overrun lands in each
+// phase in turn, the removal phase's in-repair markers included: every
+// overrun must hand the row back exactly as it came in, and the first
+// budget that suffices must give the cold row.
+func TestRelaxDeltaOverrunRollsBack(t *testing.T) {
+	g := path(10)
+	prev := g.Freeze()
+	if err := g.RemoveEdge(4, 5); err != nil {
+		t.Fatal(err)
+	}
+	g.MustAddEdge(2, 8)
+	next, d, err := g.Refreeze(prev)
+	if err != nil || d == nil {
+		t.Fatalf("refreeze: %v, %v", d, err)
+	}
+	in := bfsFrozen(prev, 0)
+	sc := NewDistScratch(next.N())
+	for budget := 1; ; budget++ {
+		dist := slices.Clone(in)
+		changes, ok := RelaxDelta(next, d.Edges(), dist, sc, budget)
+		if ok {
+			if want := bfsFrozen(next, 0); !slices.Equal(dist, want) {
+				t.Fatalf("budget %d: repaired row %v, cold row %v", budget, dist, want)
+			}
+			if budget < 10 {
+				t.Fatalf("repair fit a budget of %d row scans; the test no longer reaches every phase", budget)
+			}
+			return
+		}
+		if changes != nil || !slices.Equal(dist, in) {
+			t.Fatalf("budget %d: overrun left row %v (changes %v), input %v", budget, dist, changes, in)
+		}
+	}
 }
 
 // TestDistMapDisconnected runs the repair over a graph with several

@@ -19,7 +19,7 @@ import (
 // before the simulation starts. During a run the failState below owns a
 // mutable mirror of the topology: outage ops remove edges from the
 // mirror, Refreeze produces a removal delta, and the private routing
-// state rides Routing.Refresh's scoped removal repair, so the surviving
+// state rides Routing.Refresh's row repair, so the surviving
 // topology's shortest-path trees stay warm across failure epochs (its
 // memoized paths do not: the repair drops them). Both traffic engines
 // run the same failState methods in the same order — reroute affected
@@ -472,8 +472,8 @@ type failFlow struct {
 
 // failState is the per-run fault-injection state both engines drive in
 // identical order: the compiled timeline, a mutable mirror of the base
-// topology whose refreezes feed the private routing state's scoped
-// removal repair, the base-edge down set, the retry queue, and the
+// topology whose refreezes feed the private routing state's row
+// repair, the base-edge down set, the retry queue, and the
 // survivability accumulators. Flow paths stay in base edge-id space
 // (the capacity, load and flow-set arrays are base-indexed and
 // persistent); curToBase translates the mirror snapshot's ids on every
@@ -527,6 +527,13 @@ type failState struct {
 // paths of the corresponding no-failure run.
 func newFailState(ctx *simContext, masses []float64, r *rng.Rand) (*failState, error) {
 	spec := *ctx.spec.Failures
+	// baseID maps an edge's (u, v) to its base snapshot id: the load
+	// ranking reads it here, and the mirror translation for the rest of
+	// the run.
+	baseID := make(map[int64]int32, len(ctx.edges))
+	for id, e := range ctx.edges {
+		baseID[pathKey(e.U, e.V)] = int32(id)
+	}
 	var linkLoad []float64
 	if spec.Mode == FailLoad {
 		gd, err := NewGravityDemand(masses, 1)
@@ -540,12 +547,8 @@ func newFailState(ctx *simContext, masses []float64, r *rng.Rand) (*failState, e
 			return nil, err
 		}
 		linkLoad = make([]float64, len(ctx.edges))
-		byPair := make(map[int64]int32, len(ctx.edges))
-		for id, e := range ctx.edges {
-			byPair[pathKey(e.U, e.V)] = int32(id)
-		}
 		for _, l := range lr.Links {
-			linkLoad[byPair[pathKey(l.U, l.V)]] = l.Load
+			linkLoad[baseID[pathKey(l.U, l.V)]] = l.Load
 		}
 	}
 	// The failure stream's key is outside the node-id range the
@@ -569,7 +572,7 @@ func newFailState(ctx *simContext, masses []float64, r *rng.Rand) (*failState, e
 	fs := &failState{
 		ctx: ctx, spec: spec, tl: tl,
 		mirror: mirror, cur: cur, frt: NewRouting(cur),
-		baseID:     make(map[int64]int32, len(ctx.edges)),
+		baseID:     baseID,
 		linkDown:   make([]bool, len(ctx.edges)),
 		nodeDown:   make([]bool, n),
 		edgeAbsent: make([]bool, len(ctx.edges)),
@@ -579,9 +582,8 @@ func newFailState(ctx *simContext, masses []float64, r *rng.Rand) (*failState, e
 	if tl.firstFail >= 0 {
 		fs.firstFailT = float64(tl.firstFail) * ctx.spec.EpochLen
 	}
-	for id, e := range ctx.edges {
-		fs.baseID[pathKey(e.U, e.V)] = int32(id)
-		fs.capTotal += ctx.capEdge[id]
+	for _, c := range ctx.capEdge {
+		fs.capTotal += c
 	}
 	fs.rebuildCurToBase()
 	fs.recomputeComponents()

@@ -9,17 +9,15 @@ import (
 // This file carries the routing cache across snapshot refreshes. A
 // refreshed epoch inserts or removes a handful of edges; rather than
 // rebuild every cached shortest-path tree cold, Refresh repairs each
-// cached tree's distance row with the shared shrink-only relaxation of
-// the metrics package (metrics.RelaxInserted) — parents are derived on
-// the path walk, so the row is all there is to repair — and so pays per
-// epoch for the delta's impact, not for n trees of BFS. Removal deltas
-// (failure epochs) are scoped the same way: a tree is rebuilt cold only
-// when a removed arc left its deeper endpoint with no neighbor one hop
-// closer — then distances can grow, which the shrink-only repair cannot
-// express. Memoized OD paths are dropped: in failure simulations, the
-// one production caller, almost every repaired tree changes and almost
-// no memo entry would survive, so flows re-walk their paths from the
-// repaired rows instead.
+// cached tree's distance row with the metrics package's one row repair
+// (metrics.RelaxDelta) — parents are derived on the path walk, so the
+// row is all there is to repair — and so pays per epoch for the delta's
+// impact, not for n trees of BFS. Growth and failure epochs take the
+// same repair: a row is rebuilt cold only when its repair overruns the
+// work budget. Memoized OD paths are dropped: in failure simulations,
+// the one production caller, almost every repaired tree changes and
+// almost no memo entry would survive, so flows re-walk their paths from
+// the repaired rows instead.
 
 // Snapshot returns the snapshot the routing state currently describes.
 func (rt *Routing) Snapshot() *graph.Snapshot { return rt.s }
@@ -51,7 +49,7 @@ func (rt *Routing) Reset(next *graph.Snapshot) {
 // Refresh advances the routing state to next, the refreshed successor
 // of its current snapshot with delta d between them (the pair returned
 // by Graph.Refreeze). Cached distance rows are repaired in place by
-// shrink-only relaxation, and repairs of independent source rows run in
+// metrics.RelaxDelta, and repairs of independent source rows run in
 // parallel across workers with index-private results, so the final
 // state is identical at every worker count and entry-identical to cold
 // builds over next. Memoized OD paths are dropped, as Reset drops them;
@@ -67,20 +65,6 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 		rt.Reset(next)
 		return
 	}
-	n := next.N()
-
-	// Structural insertions and removals, in delta (U,V) order.
-	ins, rem := rt.rfIns[:0], rt.rfRem[:0]
-	for _, e := range d.Edges() {
-		switch {
-		case e.OldW == 0 && e.NewW != 0:
-			ins = append(ins, e)
-		case e.OldW != 0 && e.NewW == 0:
-			rem = append(rem, e)
-		}
-	}
-	rt.rfIns, rt.rfRem = ins, rem
-
 	// The refreshed arc→edge map cycles through rt's own buffers rather
 	// than populating each epoch's snapshot cache; rt.arcEdge aliases
 	// it, which is safe because the previous map is never read once a
@@ -96,7 +80,7 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 	for len(rt.rfScratch) < w {
 		rt.rfScratch = append(rt.rfScratch, nil)
 	}
-	rt.rfNext, rt.rfBudget = next, n+2*next.M()+4096
+	rt.rfNext, rt.rfEdges = next, d.Edges()
 	if rt.rfBody == nil {
 		// Created once per Routing and reused forever: the body reads
 		// every per-call parameter from rt's refresh fields, so the
@@ -109,10 +93,11 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 			}
 			sc.Reset() // repairTree reads no change records; keep the arena bounded
 			src := rt.rfSrcs[i]
-			rt.rfRows[i] = repairTree(rt.rfNext, rt.trees[src], src, rt.rfIns, rt.rfRem, sc, rt.rfBudget)
+			rt.rfRows[i] = repairTree(rt.rfNext, rt.trees[src], src, rt.rfEdges, sc, 0)
 		}
 	}
 	par.ForEach(len(srcs), w, rt.rfBody)
+	rt.rfEdges = nil // the delta is not retained past the refresh
 	for i, src := range srcs {
 		rt.trees[src] = rows[i]
 		rows[i] = nil
@@ -120,36 +105,20 @@ func (rt *Routing) Refresh(next *graph.Snapshot, d *graph.Delta, workers int) {
 
 	rt.s = next
 	rt.arcEdge = rt.rfArcEdge
-	rt.max = RoutingTreeBudget(n)
+	rt.max = RoutingTreeBudget(next.N())
 	clear(rt.paths)
 }
 
 // repairTree advances one cached distance row of src to next under the
-// delta's insertions ins and removals rem and returns the repaired row,
-// always equal to src's cold row over next (buildTreeInto).
-//
-// A removed arc between adjacent levels leaves its deeper endpoint v at
-// its old distance as long as v keeps some neighbor one hop closer in
-// next: by induction on BFS level that neighbor is itself still at its
-// old distance, and any strictly shorter path in next must use an
-// inserted edge, which the insertion relaxation finds. When v has no
-// such neighbor left, distances can grow and the row is rebuilt cold;
-// otherwise the insertions repair it by relaxation (a cold rebuild past
-// the work budget).
-func repairTree(next *graph.Snapshot, dist []int32, src int, ins, rem []graph.DeltaEdge, sc *metrics.DistScratch, budget int) []int32 {
+// delta's edges and returns the repaired row, always equal to src's
+// cold row over next (buildTreeInto). RelaxDelta repairs the row in
+// place under budget (<= 0 selects its default); past the budget it
+// leaves the row as it was, and the row is rebuilt cold.
+func repairTree(next *graph.Snapshot, dist []int32, src int, edges []graph.DeltaEdge, sc *metrics.DistScratch, budget int) []int32 {
 	for len(dist) < next.N() {
 		dist = append(dist, -1)
 	}
-	for _, e := range rem {
-		v, p := int(e.U), int(e.V)
-		if dist[p] == dist[v]+1 {
-			v, p = p, v
-		}
-		if dist[v] == dist[p]+1 && selectParent(next, dist, v) < 0 {
-			return buildTreeInto(dist, next, src, sc.BFS())
-		}
-	}
-	if _, ok := metrics.RelaxInserted(next, ins, dist, sc, budget); !ok {
+	if _, ok := metrics.RelaxDelta(next, edges, dist, sc, budget); !ok {
 		return buildTreeInto(dist, next, src, sc.BFS())
 	}
 	return dist

@@ -274,9 +274,8 @@ func TestRoutingRefreshEquivalence(t *testing.T) {
 	t.Logf("pairs re-resolved across refreshes: %d", resolved)
 }
 
-// TestRoutingRefreshUnderChurn drives the scoped removal repair: mixed
-// insert+remove epochs where only trees traversing a dead arc may cold
-// rebuild. Every cached tree, every pair memoized before a refresh
+// TestRoutingRefreshUnderChurn drives the row repair through mixed
+// insert+remove epochs. Every cached tree, every pair memoized before a refresh
 // (requireRefreshed), and the simulations on top must match cold
 // rebuilds, at every worker count.
 func TestRoutingRefreshUnderChurn(t *testing.T) {
@@ -392,6 +391,12 @@ func FuzzRoutingRefresh(f *testing.F) {
 	// A path 0-1-2 whose tail loses its parent arc in the epoch that
 	// attaches it to a new node: the orphan's only neighbor is new.
 	f.Add([]byte{3, 1, 0, 1, 1, 1, 2, 3, 0, 0, 2, 1, 2, 0, 0, 0, 1, 2, 3, 3, 0, 0})
+	// A star 0-{1,2,3} with a tail 3-4 whose hub 0 loses every arc in
+	// one epoch, cutting the map into three components.
+	f.Add([]byte{5, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 3, 4, 3, 0, 0, 2, 0, 1, 2, 0, 2, 2, 0, 3, 3, 0, 0})
+	// A ring 0-1-2-3-4 whose arc 0-1 is removed in one epoch and
+	// re-inserted in the next: distances grow, then shrink back.
+	f.Add([]byte{5, 1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 0, 3, 0, 0, 2, 0, 1, 3, 0, 0, 1, 0, 1, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) == 0 {
 			return
@@ -464,9 +469,10 @@ func FuzzRoutingRefresh(f *testing.F) {
 	})
 }
 
-// TestRepairTreeBudgetFallback forces the relaxation over budget so the
-// repair takes the cold-rebuild path, which must still land exactly on
-// the canonical tree.
+// TestRepairTreeBudgetFallback forces every row repair over budget (one
+// row scan), so RelaxDelta rolls the row back and repairTree rebuilds it
+// cold, which must still land exactly on the canonical tree — under
+// growth epochs and under a removal epoch alike.
 func TestRepairTreeBudgetFallback(t *testing.T) {
 	top, err := gen.BA{N: 200, M: 2}.Generate(rng.New(5))
 	if err != nil {
@@ -478,25 +484,35 @@ func TestRepairTreeBudgetFallback(t *testing.T) {
 			tree = buildTree(next, 0)
 			return
 		}
-		var ins []graph.DeltaEdge
-		for _, e := range d.Edges() {
-			if e.OldW == 0 && e.NewW != 0 {
-				ins = append(ins, e)
-			}
-		}
-		tree = repairTree(next, tree, 0, ins, nil, metrics.NewDistScratch(next.N()), 1)
+		tree = repairTree(next, tree, 0, d.Edges(), metrics.NewDistScratch(next.N()), 1)
 		if want := buildTree(next, 0); !slices.Equal(tree, want) {
 			t.Fatal("budget-fallback tree diverged from cold build")
 		}
 	})
+	g := meshGraph(30)
+	prev := g.Freeze()
+	tree = buildTree(prev, 0)
+	for _, e := range [][2]int{{0, 1}, {0, 7}} {
+		if err := g.RemoveEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, d, err := g.Refreeze(prev)
+	if err != nil || d == nil {
+		t.Fatalf("expected a removal delta, got %v, %v", d, err)
+	}
+	if got := repairTree(next, tree, 0, d.Edges(), metrics.NewDistScratch(next.N()), 1); !slices.Equal(got, buildTree(next, 0)) {
+		t.Fatal("budget-fallback tree diverged from cold build after removals")
+	}
 }
 
-// TestRepairTreeRemovalRule pins repairTree's removal scoping on small
-// maps, every row against buildTree over the refreshed snapshot from
-// source 0: a removed arc between adjacent levels forces a cold rebuild
-// exactly when its deeper endpoint v is left with no neighbor one hop
-// closer. canonical states whether the first removed arc was v's
-// canonical parent arc before the removal.
+// TestRepairTreeRemovalRule runs Routing.Refresh over the removal shapes
+// that decide whether distances grow, on small maps with every node's
+// tree cached: every refreshed row must equal buildTree over the
+// refreshed snapshot. canonical states whether the first removed arc was
+// its deeper endpoint's canonical parent arc (from source 0) before the
+// removal; the last two cases leave that endpoint with no neighbor one
+// hop closer, so its distance grows.
 func TestRepairTreeRemovalRule(t *testing.T) {
 	square := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}
 	for _, tc := range []struct {
@@ -521,6 +537,8 @@ func TestRepairTreeRemovalRule(t *testing.T) {
 			if arc := selectParent(prev, row, v); (arc >= 0 && int(nbr[arc]) == u) != tc.canonical {
 				t.Fatalf("arc %d-%d: canonical parent arc %d, want canonical=%v", u, v, arc, tc.canonical)
 			}
+			rt := NewRouting(prev)
+			rt.Ensure([]int{0, 1, 2, 3, 4}, 1)
 			for _, e := range tc.remove {
 				if err := g.RemoveEdge(e[0], e[1]); err != nil {
 					t.Fatal(err)
@@ -530,9 +548,11 @@ func TestRepairTreeRemovalRule(t *testing.T) {
 			if err != nil || d == nil {
 				t.Fatalf("expected a removal delta, got %v, %v", d, err)
 			}
-			got := repairTree(next, row, 0, nil, d.Edges(), metrics.NewDistScratch(next.N()), 1<<20)
-			if want := buildTree(next, 0); !slices.Equal(got, want) {
-				t.Fatalf("repaired row %v, cold build %v", got, want)
+			rt.Refresh(next, d, 1)
+			for src := 0; src < next.N(); src++ {
+				if got, want := rt.trees[src], buildTree(next, src); !slices.Equal(got, want) {
+					t.Fatalf("source %d: refreshed row %v, cold build %v", src, got, want)
+				}
 			}
 		})
 	}

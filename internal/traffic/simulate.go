@@ -65,19 +65,18 @@ type Routing struct {
 	// Refresh scratch, persisted so a steady-state tree repair at fixed
 	// n allocates nothing (Routing.Refresh). rfBody is the repair
 	// closure, created once and re-reading its per-call parameters
-	// (rfNext, rfBudget and the slices below) from these fields — a
+	// (rfNext, rfEdges and the slices below) from these fields — a
 	// closure literal per Refresh would be the last allocation on an
 	// otherwise alloc-free repair. rfRows receives each repaired row
 	// (index-private, so the parallel repairs never write the map).
-	rfIns, rfRem []graph.DeltaEdge
-	rfSrcs       []int
-	rfRows       [][]int32
-	rfScratch    []*metrics.DistScratch
-	rfArcEdge    []int32
-	rfArcCursor  []int32 // FillArcEdgeIDs' per-node cursor scratch
-	rfNext       *graph.Snapshot
-	rfBudget     int
-	rfBody       func(worker, i int)
+	rfSrcs      []int
+	rfRows      [][]int32
+	rfScratch   []*metrics.DistScratch
+	rfArcEdge   []int32
+	rfArcCursor []int32 // FillArcEdgeIDs' per-node cursor scratch
+	rfNext      *graph.Snapshot
+	rfEdges     []graph.DeltaEdge
+	rfBody      func(worker, i int)
 }
 
 // routingPathBudget caps the memoized paths (entries, not bytes; a
@@ -515,7 +514,7 @@ func (ctx *simContext) routing() *Routing {
 // fresh routing state. See SimulateWith for the engine-memoized form
 // and the simulation semantics.
 func Simulate(s *graph.Snapshot, masses []float64, spec WorkloadSpec, r *rng.Rand, workers int, opts ...SimOption) (*SimReport, error) {
-	return simulate(s, NewRouting(s), masses, spec, r, workers, opts...)
+	return simulate(s, nil, masses, spec, r, workers, opts...)
 }
 
 // SimulateWith runs the flow-level workload over the engine's snapshot,
@@ -556,7 +555,10 @@ func simulate(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpe
 // newSimContext validates the workload and assembles the
 // engine-independent simulation state both engines run from — split
 // from simulate so benchmarks can stage a context (and the event
-// engine's pre-drawn calendar) outside a measured region.
+// engine's pre-drawn calendar) outside a measured region. The routing
+// state is WithRouting's when given, else rt, else fresh state over s
+// — built only when nothing else is, so a shared state costs no
+// throwaway build.
 func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpec, r *rng.Rand, workers int, opts ...SimOption) (*simContext, error) {
 	n := s.N()
 	if n < 2 {
@@ -576,11 +578,14 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.rt != nil {
+	switch {
+	case cfg.rt != nil:
 		if cfg.rt.s.Version() != s.Version() {
 			return nil, errors.New("traffic: shared routing state describes a different snapshot; advance it with Routing.Refresh")
 		}
 		rt = cfg.rt
+	case rt == nil:
+		rt = NewRouting(s)
 	}
 	// The origins are the nodes with positive mass, ascending.
 	srcNodes := make([]int, 0, n)

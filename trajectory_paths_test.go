@@ -19,7 +19,9 @@ import (
 func runTrajectoryPathsObserved(tb testing.TB, n, every, workers, pivots int) []core.TrajectoryPoint {
 	tb.Helper()
 	obs := core.NewTrajectoryObserver(workers)
-	obs.EnablePathMetrics(pivots, 1)
+	if err := obs.EnablePathMetrics(pivots, 1); err != nil {
+		tb.Fatal(err)
+	}
 	_, err := gen.BA{N: n, M: 2}.GenerateTrajectory(rng.New(1), 1, gen.Trajectory{
 		Every:   every,
 		Observe: obs.Observe,

@@ -170,8 +170,10 @@ func TestProfileFlags(t *testing.T) {
 
 // TestPathsEnvelope: exact -paths on a map whose n² distance rows
 // exceed the envelope fails with one line naming -path-sources before
-// anything is generated (a 50k exact run would need 9.3 GiB), while a
-// sampled -paths run still goes through the same check and generates.
+// anything is generated (a 50k exact run would need 9.4 GiB), while a
+// sampled -paths run still goes through the same check and generates,
+// and one that would fall back to exact rows at its first epoch is
+// refused there.
 func TestPathsEnvelope(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-model", "ba", "-n", "50000", "-seed", "9", "-measure-every", "1000", "-paths", "-workers", "1"}, &out)
@@ -181,6 +183,13 @@ func TestPathsEnvelope(t *testing.T) {
 	if err := run([]string{"-model", "ba", "-n", "2000", "-seed", "9", "-measure-every", "1000", "-paths",
 		"-path-sources", "16", "-trajectory-out", filepath.Join(t.TempDir(), "t.txt")}, &out); err != nil {
 		t.Fatal(err)
+	}
+	// 64 pivots do not sample a 50-node first epoch, so this run would
+	// stay exact up to 200000 nodes: refused at the first epoch.
+	out.Reset()
+	err = run([]string{"-model", "glp", "-n", "200000", "-measure-every", "50", "-paths", "-path-sources", "64"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-path-sources") || strings.Contains(err.Error(), "\n") || out.Len() != 0 {
+		t.Fatalf("exact fallback over 200000 nodes: err %v, %d bytes of output", err, out.Len())
 	}
 }
 

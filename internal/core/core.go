@@ -242,6 +242,7 @@ type TrajectoryObserver struct {
 	pathsOn    bool
 	pathPivots int
 	pathSeed   uint64
+	pathNodes  int // final node count, when EnablePathMetrics was given it
 	pivots     []int32
 }
 
@@ -253,9 +254,20 @@ func NewTrajectoryObserver(workers int) *TrajectoryObserver {
 
 // maxExactPathBytes is the memory envelope of exact trajectory path
 // metrics. An exact distance map keeps one int32 row of n entries per
-// node, n² × 4 bytes; 1 GiB admits maps of up to 16384 nodes, and a
+// node (exactPathBytes); 1 GiB admits maps of up to 16384 nodes, and a
 // larger map must sample pivots instead.
 const maxExactPathBytes = 1 << 30
+
+// exactPathBytes is the footprint of an exact distance map over n
+// nodes. metrics.DistMap stores its rows in blocks of 64 lanes, one per
+// source, each block a list of pages of 1024 nodes, so the source count
+// rounds up to whole blocks and the node count to whole pages.
+func exactPathBytes(n int) float64 {
+	const lanes, pageNodes = 64, 1024
+	sources := (n + lanes - 1) / lanes * lanes
+	nodes := (n + pageNodes - 1) / pageNodes * pageNodes
+	return 4 * float64(sources) * float64(nodes)
+}
 
 // EnablePathMetrics switches the observer to MeasureGrowthPaths: every
 // epoch additionally records average path length, diameter and mean
@@ -267,23 +279,28 @@ const maxExactPathBytes = 1 << 30
 //
 // nodes, when given, is the node count the trajectory ends at. Exact
 // mode over more nodes than maxExactPathBytes admits is refused with
-// an error before any distance row is allocated. A call after the
-// first Observe is refused too, since the trajectory's measurement
-// mode is fixed by its first epoch. A refused call leaves the observer
-// unchanged.
+// an error before any distance row is allocated. That includes a
+// sampled run whose first epoch has no more nodes than pivots: the
+// pivot draw then falls back to exact mode for the whole trajectory,
+// and the first Observe refuses it. A call after the first Observe is
+// refused too, since the trajectory's measurement mode is fixed by its
+// first epoch. A refused call leaves the observer unchanged.
 func (o *TrajectoryObserver) EnablePathMetrics(pivots int, seed uint64, nodes ...int) error {
 	if o.prev != nil {
 		return errors.New("core: path metrics must be enabled before the first trajectory epoch")
 	}
+	final := 0
 	for _, n := range nodes {
-		if need := 4 * float64(n) * float64(n); (pivots <= 0 || pivots >= n) && need > maxExactPathBytes {
+		if need := exactPathBytes(n); (pivots <= 0 || pivots >= n) && need > maxExactPathBytes {
 			return fmt.Errorf("exact path metrics over %d nodes need %.1f GiB of distance rows, above the %d GiB limit; sample pivots with -path-sources",
 				n, need/(1<<30), maxExactPathBytes>>30)
 		}
+		final = max(final, n)
 	}
 	o.pathsOn = true
 	o.pathPivots = pivots
 	o.pathSeed = seed
+	o.pathNodes = final
 	return nil
 }
 
@@ -298,10 +315,14 @@ func (o *TrajectoryObserver) Observe(g *graph.Graph, n int) error {
 		if next, err = g.FreezeChecked(); err != nil {
 			return err
 		}
-		o.eng = engine.New(next, engine.WithWorkers(o.workers))
 		if o.pathsOn && o.pathPivots > 0 {
 			o.pivots = metrics.PivotSources(rng.New(o.pathSeed), next.N(), o.pathPivots)
+			if need := exactPathBytes(o.pathNodes); o.pivots == nil && need > maxExactPathBytes {
+				return fmt.Errorf("%d path pivots do not sample the first epoch's %d nodes, so the run would keep exact path metrics, which over %d nodes need %.1f GiB of distance rows, above the %d GiB limit; raise -measure-every or lower -path-sources",
+					o.pathPivots, next.N(), o.pathNodes, need/(1<<30), maxExactPathBytes>>30)
+			}
 		}
+		o.eng = engine.New(next, engine.WithWorkers(o.workers))
 	} else {
 		// The previous epoch may still be measuring o.prev; refreshing
 		// from it only reads it.

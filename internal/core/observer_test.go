@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +211,48 @@ func TestEnablePathMetricsAfterFirstEpoch(t *testing.T) {
 		if p.Stats.PathSources != 0 {
 			t.Fatalf("epoch %d recorded %d path sources after a refused EnablePathMetrics", i, p.Stats.PathSources)
 		}
+	}
+}
+
+// TestObserverRefusesExactFallback: a sampled run whose first epoch has
+// no more nodes than pivots falls back to exact path metrics for the
+// whole trajectory. Over a final node count beyond the exact envelope
+// the first Observe refuses it with one line, before the engine or any
+// distance row exists; within the envelope the run proceeds exactly as
+// an exact one.
+func TestObserverRefusesExactFallback(t *testing.T) {
+	g, err := BuildModel("glp", 200000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := NewTrajectoryObserver(1)
+	if err := obs.EnablePathMetrics(64, 1, 200000); err != nil {
+		t.Fatal(err)
+	}
+	_, err = gen.GenerateTrajectoryWith(g, rng.New(1), 1, gen.Trajectory{Every: 50, Observe: obs.Observe})
+	if err == nil || !strings.Contains(err.Error(), "-path-sources") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("exact fallback over 200000 nodes: err %v", err)
+	}
+	if obs.Engine() != nil || len(obs.Points()) != 0 {
+		t.Fatalf("refused first epoch left an engine (%v) or %d points", obs.Engine() != nil, len(obs.Points()))
+	}
+
+	observe := func(pivots int) []TrajectoryPoint {
+		g, err := BuildModel("glp", 3000, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := NewTrajectoryObserver(2)
+		if err := obs.EnablePathMetrics(pivots, 1, 3000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gen.GenerateTrajectoryWith(g, rng.New(1), 1, gen.Trajectory{Every: 30, Observe: obs.Observe}); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Points()
+	}
+	sampled, exact := observe(64), observe(0)
+	if sampled[0].N > 64 || !reflect.DeepEqual(sampled, exact) {
+		t.Fatalf("a 64-pivot run from a %d-node first epoch diverged from the exact run", sampled[0].N)
 	}
 }

@@ -13,9 +13,10 @@ import (
 // TestGrowthPathsInheritedAcrossAdvance is the engine-level equivalence
 // of the incremental distance map: an engine advanced along a
 // trajectory — whose "distmap" entry is repaired in place by the
-// inherit hook — must produce the same distance rows, growth-path
-// vector and betweenness as a cold engine over a fresh freeze, at every
-// epoch.
+// inherit hook — must produce the same growth-path vector and
+// path-length distribution as a cold engine over a fresh freeze, at
+// every epoch. The rows themselves are pinned lane by lane in the
+// metrics package.
 func TestGrowthPathsInheritedAcrossAdvance(t *testing.T) {
 	top, err := gen.BA{N: 280, M: 2}.Generate(rng.New(4))
 	if err != nil {
@@ -32,11 +33,8 @@ func TestGrowthPathsInheritedAcrossAdvance(t *testing.T) {
 		if got.PathSources != g.N() || got.Diameter <= 0 || got.AvgPathLen <= 0 {
 			t.Fatalf("n=%d: degenerate path fields %+v", g.N(), got)
 		}
-		dm, cm := eng.GrowthDistMap(nil), cold.GrowthDistMap(nil)
-		for i := 0; i < dm.SourceCount(); i++ {
-			if !reflect.DeepEqual(dm.Dist(i), cm.Dist(i)) {
-				t.Fatalf("n=%d: distance row %d diverged", g.N(), i)
-			}
+		if got, want := eng.GrowthPathStats(nil), cold.GrowthPathStats(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: path-length distribution %+v vs %+v", g.N(), got, want)
 		}
 	})
 	if epochs < 5 {

@@ -30,6 +30,13 @@ func replayChurnEpochs(t *testing.T, fam string, seed uint64, epochs int,
 	if base == nil {
 		t.Fatalf("unknown family %q", fam)
 	}
+	replayChurn(t, base, seed, epochs, check)
+}
+
+// replayChurn runs replayChurnEpochs' mixed epochs over a copy of base.
+func replayChurn(t *testing.T, base *graph.Graph, seed uint64, epochs int,
+	check func(prev, next *graph.Snapshot, d *graph.Delta)) {
+	t.Helper()
 	g := base.Copy()
 	prev, err := g.FreezeChecked()
 	if err != nil {

@@ -27,14 +27,12 @@ func requireDistMapEqual(t *testing.T, label string, got, want *DistMap) {
 	if !reflect.DeepEqual(got.sources, want.sources) {
 		t.Fatalf("%s: sources diverged", label)
 	}
-	if len(got.dist) != len(want.dist) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got.dist), len(want.dist))
-	}
-	for i := range got.dist {
-		if !reflect.DeepEqual(got.dist[i], want.dist[i]) {
+	for i := range got.sources {
+		if !slices.Equal(got.Dist(i), want.Dist(i)) {
 			t.Fatalf("%s: row %d (source %d) diverged", label, i, got.sources[i])
 		}
 	}
+	requireBlockPadding(t, label, got)
 	if !reflect.DeepEqual(got.reach, want.reach) || !reflect.DeepEqual(got.sumd, want.sumd) {
 		t.Fatalf("%s: reach/sumd aggregates diverged", label)
 	}
@@ -51,6 +49,31 @@ func requireDistMapEqual(t *testing.T, label string, got, want *DistMap) {
 		}
 		if g != w {
 			t.Fatalf("%s: histogram count at d=%d: %d vs %d", label, d, g, w)
+		}
+	}
+}
+
+// requireBlockPadding checks the block layout's invariants: one block
+// per 64 sources, pages covering every node, and -1 in every entry past
+// the last node and in every lane past a block's last source.
+func requireBlockPadding(t *testing.T, label string, dm *DistMap) {
+	t.Helper()
+	n, k := dm.s.N(), len(dm.sources)
+	if want := (k + msbfsLanes - 1) / msbfsLanes; len(dm.blocks) != want {
+		t.Fatalf("%s: %d blocks for %d sources, want %d", label, len(dm.blocks), k, want)
+	}
+	for b := range dm.blocks {
+		blk := &dm.blocks[b]
+		if len(blk.pages)*distPageNodes < n {
+			t.Fatalf("%s: block %d pages cover %d of %d nodes", label, b, len(blk.pages)*distPageNodes, n)
+		}
+		lanes := len(dm.blockSources(b))
+		for v := range len(blk.pages) * distPageNodes {
+			for l, d := range blk.at(int32(v)) {
+				if (v >= n || l >= lanes) && d != -1 {
+					t.Fatalf("%s: block %d padding entry (node %d, lane %d) = %d, want -1", label, b, v, l, d)
+				}
+			}
 		}
 	}
 }
@@ -167,7 +190,7 @@ func TestDistMapDisconnected(t *testing.T) {
 	}
 	prev := g.Freeze()
 	dm := NewDistMap(prev, nil, 1)
-	if dm.dist[0][7] != -1 || dm.dist[0][12] != -1 {
+	if row := dm.Dist(0); row[7] != -1 || row[12] != -1 {
 		t.Fatal("expected unreachable entries in the seed snapshot")
 	}
 	// Bridge the paths, attach one isolated node, leave the rest isolated.
@@ -179,10 +202,11 @@ func TestDistMapDisconnected(t *testing.T) {
 	}
 	dm.Refresh(next, d, 2)
 	requireDistMapEqual(t, "disconnected", dm, NewDistMap(next, nil, 1))
-	if dm.dist[0][9] != 9 {
-		t.Fatalf("bridged distance 0→9 = %d, want 9", dm.dist[0][9])
+	row := dm.Dist(0)
+	if row[9] != 9 {
+		t.Fatalf("bridged distance 0→9 = %d, want 9", row[9])
 	}
-	if dm.dist[0][12] != -1 {
+	if row[12] != -1 {
 		t.Fatal("still-isolated node became reachable")
 	}
 	if clo := RefreshCloseness(dm); clo[12] != 0 {
@@ -233,13 +257,24 @@ func TestPivotSources(t *testing.T) {
 // FuzzDistMapRefresh runs the mutation scripts of FuzzCoreMap through
 // DistMap.Refresh. After every epoch, maps refreshed at 1 and 4 workers
 // must equal a cold NewDistMap over the same sources — rows,
-// aggregates, RefreshPathLengths and RefreshCloseness — in exact mode
-// and in sampled mode; exact mode must also reproduce the frozen path
-// and closeness references. The high nibble of the first byte, when
-// non-zero, caps the repair budget at that many row scans, so most
-// repairs take the rebuild fallback.
+// aggregates, RefreshPathLengths and RefreshCloseness — in exact mode,
+// in sampled mode (half the nodes) and, once the graph has more than 65
+// nodes, in wide sampled mode (all nodes but one: more than 64 pivots,
+// so a full block, split into two lane ranges at 4 workers, and a
+// partial one); exact mode must also reproduce the frozen path and
+// closeness references. The high nibble of the first byte, when
+// non-zero, caps the repair budget at that many row scans per lane, so
+// most repairs take the rebuild fallback. The last seed grows a path to
+// 80 nodes, then mixes removals, insertions and a new node per epoch.
 func FuzzDistMapRefresh(f *testing.F) {
-	for _, seed := range mutationScriptSeeds() {
+	wide := []byte{1}
+	for u := byte(1); u < 80; u++ {
+		wide = append(wide, 0, 0, 0, 1, u-1, u)
+	}
+	wide = append(wide, 3, 0, 0,
+		2, 40, 41, 1, 0, 79, 2, 10, 11, 0, 0, 0, 1, 80, 5, 3, 0, 0,
+		1, 20, 60, 2, 0, 79, 2, 70, 71, 3, 0, 0)
+	for _, seed := range append(mutationScriptSeeds(), wide) {
 		f.Add(seed)
 		tight := append([]byte(nil), seed...)
 		tight[0] |= 3 << 4
@@ -251,7 +286,7 @@ func FuzzDistMapRefresh(f *testing.F) {
 		}
 		maxScan := int(script[0] >> 4)
 		workers := []int{1, 4}
-		var exact, sampled []*DistMap
+		var exact, sampled, wideMaps []*DistMap
 		newMaps := func(s *graph.Snapshot, sources []int32) []*DistMap {
 			maps := make([]*DistMap, len(workers))
 			for i := range maps {
@@ -296,9 +331,16 @@ func FuzzDistMapRefresh(f *testing.F) {
 					if pivots := PivotSources(rng.New(uint64(len(script))), next.N(), next.N()/2); pivots != nil {
 						sampled = newMaps(next, pivots)
 					}
-					return
+				} else {
+					check(tag+" sampled", sampled, next, d, NewDistMap(next, sampled[0].Sources(), 1))
 				}
-				check(tag+" sampled", sampled, next, d, NewDistMap(next, sampled[0].Sources(), 1))
+				if wideMaps == nil {
+					if next.N() > msbfsLanes+1 {
+						wideMaps = newMaps(next, PivotSources(rng.New(uint64(len(script))), next.N(), next.N()-1))
+					}
+				} else {
+					check(tag+" wide", wideMaps, next, d, NewDistMap(next, wideMaps[0].Sources(), 1))
+				}
 			})
 	})
 }

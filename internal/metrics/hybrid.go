@@ -9,11 +9,10 @@ import (
 
 // This file is the direction-optimizing BFS kernel shared by every
 // dist-only traversal consumer: the per-node closeness kernels, the
-// DistMap cold rebuilds and budget fallbacks, the routing-tree builds
-// of the traffic package, and the component scans of the failure
-// layer and the engine's giant. Path statistics run the 64-lane MS-BFS
-// of msbfs.go instead; PathLengthsFrozen, one BFSHybrid per source,
-// stays as its oracle. The kernel switches between the classic
+// routing-tree builds of the traffic package, and the component scans
+// of the failure layer and the engine's giant. Path statistics and the
+// DistMap's lane builds run the 64-lane MS-BFS of msbfs.go instead;
+// PathLengthsFrozen, one BFSHybrid per source, stays as its oracle. The kernel switches between the classic
 // top-down frontier expansion and a bottom-up sweep (Beamer's hybrid):
 // when the frontier carries a large share of the unexplored arcs,
 // scanning the unvisited nodes for any parent in the frontier touches

@@ -34,10 +34,17 @@ import (
 // which new lanes reach it — at most once per lane, the reads of one
 // top-down BFS per source. The popcount of a level's new bits is the
 // number of (source, node) pairs at that distance, which is all a
-// PathHistogram records, so the kernel never materializes a distance
-// row. Every quantity is an integer, and the histogram is
-// bit-identical to per-source BFSHybrid runs folded by
+// PathHistogram records, so the histogram kernel (AccumulateMSBFS)
+// never materializes a distance row. Every quantity is an integer, and
+// the histogram is bit-identical to per-source BFSHybrid runs folded by
 // AccumulateDistances whatever the direction choices.
+//
+// The DistMap's blocks (dynbfs.go) use the same lane numbering: the
+// level-writing variant fillLanes runs the same traversal, one shared
+// level step (msbfsLevel), and writes each new lane's level into the
+// block's node-major entries instead of counting it. It builds the
+// lanes of cold maps, of new exact-mode sources and of repair tasks
+// that overran their budget, one MS-BFS pass per lane range.
 
 // msbfsLanes is the batch width: one bit of a uint64 lane word per
 // source.
@@ -133,40 +140,7 @@ func (h *PathHistogram) msbfs(s *graph.Snapshot, srcs []int, sc *MSBFSScratch) {
 		}
 	}
 	for d := 1; ; d++ {
-		pull := frontArcs*msbfsAlpha > unsatArcs+n
-		// Both directions leave the new lanes in next and the
-		// newly reached nodes in nxt.
-		if pull {
-			for v := range n {
-				sv := seen[v]
-				if sv == full {
-					continue
-				}
-				miss := full &^ sv
-				var acc uint64
-				for _, u := range nbrs[offs[v]:ends[v]] {
-					if acc |= visit[u]; acc&miss == miss {
-						break
-					}
-				}
-				if acc &= miss; acc != 0 {
-					next[v] = acc
-					nxt = append(nxt, int32(v))
-				}
-			}
-		} else {
-			for _, u := range cur {
-				vu := visit[u]
-				for _, v := range nbrs[offs[u]:ends[u]] {
-					if b := vu &^ seen[v]; b != 0 {
-						if next[v] == 0 {
-							nxt = append(nxt, v)
-						}
-						next[v] |= b
-					}
-				}
-			}
-		}
+		nxt = msbfsLevel(n, offs, ends, nbrs, seen, visit, next, cur, nxt, full, frontArcs*msbfsAlpha > unsatArcs+n)
 		c := 0
 		frontArcs = 0
 		for _, v := range nxt {
@@ -194,6 +168,123 @@ func (h *PathHistogram) msbfs(s *graph.Snapshot, srcs []int, sc *MSBFSScratch) {
 		h.Counts[d] += int64(c)
 		h.Sum += int64(d) * int64(c)
 		h.Total += int64(c)
+	}
+	sc.visit, sc.next = visit, next
+	sc.cur, sc.nxt = cur, nxt
+}
+
+// msbfsLevel expands the frontier cur by one level, pulling when pull
+// is set and pushing otherwise, and returns nxt holding the newly
+// reached nodes, their new lanes (those of full a node lacked) ORed
+// into next. seen is not updated; both kernels fold next into it while
+// accounting for the level.
+func msbfsLevel(n int, offs, ends, nbrs []int32, seen, visit, next []uint64, cur, nxt []int32, full uint64, pull bool) []int32 {
+	if pull {
+		for v := range n {
+			sv := seen[v]
+			if sv == full {
+				continue
+			}
+			miss := full &^ sv
+			var acc uint64
+			for _, u := range nbrs[offs[v]:ends[v]] {
+				if acc |= visit[u]; acc&miss == miss {
+					break
+				}
+			}
+			if acc &= miss; acc != 0 {
+				next[v] = acc
+				nxt = append(nxt, int32(v))
+			}
+		}
+		return nxt
+	}
+	for _, u := range cur {
+		vu := visit[u]
+		for _, v := range nbrs[offs[u]:ends[u]] {
+			if b := vu &^ seen[v]; b != 0 {
+				if next[v] == 0 {
+					nxt = append(nxt, v)
+				}
+				next[v] |= b
+			}
+		}
+	}
+	return nxt
+}
+
+// fillLanes is the level-writing MS-BFS of the distance map: one
+// traversal from the lanes of blk in full, lane l starting at srcs[l],
+// writes every lane's hop distance to each of s's nodes into
+// blk.at(v)[l]. The traversal and its direction switch are those of
+// msbfs; where msbfs counts a level's new bits, fillLanes writes the
+// level into each new lane.
+//
+// With rec nil the lanes must read -1 on entry (fresh pages): reached
+// entries get their level and the rest keep -1. With rec non-nil the
+// lanes may hold any earlier distances (a warm block being rebuilt):
+// every entry whose value changes, unreached ones reset to -1
+// included, is recorded in rec's change records before it is written.
+func (sc *MSBFSScratch) fillLanes(s *graph.Snapshot, blk *distBlock, srcs []int32, full uint64, rec *laneScratch) {
+	n := s.N()
+	sc.ensure(n)
+	seen, visit, next := sc.seen, sc.visit, sc.next
+	clear(seen[:n])
+	cur, nxt := sc.cur[:0], sc.nxt[:0]
+	offs, ends, nbrs := s.CSR()
+	set := func(v int32, lanes uint64, d int32) {
+		p := blk.at(v)
+		if rec != nil {
+			if lanes &^= lanesEq(p, lanes, d); lanes == 0 {
+				return
+			}
+			rec.record(v, lanes, p)
+		}
+		p.set(lanes, d)
+	}
+	unsatArcs, frontArcs := 2*s.M(), 0
+	for m := full; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		src := srcs[l]
+		if visit[src] == 0 {
+			cur = append(cur, src)
+			frontArcs += int(ends[src] - offs[src])
+		}
+		seen[src] |= 1 << l
+		visit[src] |= 1 << l
+		set(src, 1<<l, 0)
+	}
+	for _, u := range cur {
+		if seen[u] == full {
+			unsatArcs -= int(ends[u] - offs[u])
+		}
+	}
+	for d := int32(1); len(cur) > 0; d++ {
+		nxt = msbfsLevel(n, offs, ends, nbrs, seen, visit, next, cur, nxt, full, frontArcs*msbfsAlpha > unsatArcs+n)
+		frontArcs = 0
+		for _, v := range nxt {
+			nv := next[v]
+			sv := seen[v] | nv
+			seen[v] = sv
+			deg := int(ends[v] - offs[v])
+			frontArcs += deg
+			if sv == full {
+				unsatArcs -= deg
+			}
+			set(v, nv, d)
+		}
+		for _, u := range cur {
+			visit[u] = 0
+		}
+		visit, next = next, visit
+		cur, nxt = nxt, cur[:0]
+	}
+	if rec != nil {
+		for v := range n {
+			if miss := full &^ seen[v]; miss != 0 {
+				set(int32(v), miss, -1)
+			}
+		}
 	}
 	sc.visit, sc.next = visit, next
 	sc.cur, sc.nxt = cur, nxt

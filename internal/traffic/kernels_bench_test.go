@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -574,6 +575,196 @@ func kernelsRefreshRows(t *testing.T) []benchutil.Row {
 	}
 }
 
+// rowMajorDistMap is the baseline arm of the kernels-distmap-lanes row:
+// the distance map as it was kept before the lane blocks, one plain
+// []int32 row per pivot, each repaired by metrics.RelaxDelta (a cold
+// BFSHybrid on overrun), its change records patching the same integer
+// aggregates a DistMap maintains.
+type rowMajorDistMap struct {
+	srcs  []int32
+	rows  [][]int32
+	sc    *metrics.DistScratch
+	hist  metrics.PathHistogram
+	reach []int32
+	sumd  []int64
+}
+
+// build fills every row cold over s and recomputes the aggregates,
+// reusing the rows' storage.
+func (rm *rowMajorDistMap) build(s *graph.Snapshot) {
+	n := s.N()
+	rm.hist = metrics.PathHistogram{}
+	rm.reach = append(rm.reach[:0], make([]int32, n)...)
+	rm.sumd = append(rm.sumd[:0], make([]int64, n)...)
+	for i, src := range rm.srcs {
+		rm.rows[i] = append(rm.rows[i][:0], make([]int32, n)...)
+		metrics.BFSHybrid(s, int(src), rm.rows[i], rm.sc.BFS())
+		rm.fold(rm.rows[i], +1)
+	}
+}
+
+// fold adds (sign > 0) or retracts one row's pairs.
+func (rm *rowMajorDistMap) fold(row []int32, sign int) {
+	for v, d := range row {
+		rm.patch(int32(v), d, sign)
+	}
+}
+
+func (rm *rowMajorDistMap) patch(v, d int32, sign int) {
+	if d <= 0 {
+		return
+	}
+	if sign > 0 {
+		for int(d) >= len(rm.hist.Counts) {
+			rm.hist.Counts = append(rm.hist.Counts, 0)
+		}
+		rm.hist.Counts[d]++
+		rm.hist.Sum += int64(d)
+		rm.hist.Total++
+		rm.reach[v]++
+		rm.sumd[v] += int64(d)
+		return
+	}
+	rm.hist.Counts[d]--
+	rm.hist.Sum -= int64(d)
+	rm.hist.Total--
+	rm.reach[v]--
+	rm.sumd[v] -= int64(d)
+}
+
+// refresh repairs every row under delta d onto next.
+func (rm *rowMajorDistMap) refresh(next *graph.Snapshot, d *graph.Delta) {
+	n := next.N()
+	for len(rm.reach) < n {
+		rm.reach = append(rm.reach, 0)
+		rm.sumd = append(rm.sumd, 0)
+	}
+	rm.sc.Reset()
+	for i, src := range rm.srcs {
+		row := rm.rows[i]
+		for len(row) < n {
+			row = append(row, -1)
+		}
+		rm.rows[i] = row
+		changes, ok := metrics.RelaxDelta(next, d.Edges(), row, rm.sc, 0)
+		if !ok {
+			rm.fold(row, -1)
+			metrics.BFSHybrid(next, int(src), row, rm.sc.BFS())
+			rm.fold(row, +1)
+			continue
+		}
+		for _, c := range changes {
+			rm.patch(c.Node, c.Old, -1)
+			rm.patch(c.Node, row[c.Node], +1)
+		}
+	}
+}
+
+// kernelsDistMapLanesRows times the warm repair of a 64-pivot distance
+// map along a GLP growth replay (the topogen defaults) to n nodes
+// observed every n/100 arrivals, on one worker: one DistMap.Refresh per
+// epoch, whose lane kernel repairs the map's 64 node-major lanes
+// together, against the row-major baseline (rowMajorDistMap), which
+// repairs the 64 rows one at a time. The replay's snapshots and deltas
+// are generated once, outside the timing. Every pass rebuilds both arms
+// cold on the first epoch, untimed, and times the sum of their repairs
+// over the remaining epochs; a first pass warms both arms to the
+// replay's high-water marks, then five passes alternate the arms and
+// each reports its median. The two arms' path-length histograms are
+// asserted equal at the end of every pass, and three more passes count
+// the lanes arm's allocations: a warm refresh allocates nothing.
+func kernelsDistMapLanesRows(t *testing.T, n int) []benchutil.Row {
+	t.Helper()
+	const (
+		epochs = 100
+		pivots = 64
+		passes = 5
+	)
+	var (
+		snaps  []*graph.Snapshot
+		deltas []*graph.Delta
+	)
+	observe := func(g *graph.Graph, _ int) error {
+		if snaps == nil {
+			s, err := g.FreezeChecked()
+			snaps = append(snaps, s)
+			deltas = append(deltas, nil)
+			return err
+		}
+		next, d, err := g.Refreeze(snaps[len(snaps)-1])
+		if err != nil {
+			return err
+		}
+		if d == nil {
+			t.Fatal("growth epoch expected a delta refresh")
+		}
+		snaps = append(snaps, next)
+		deltas = append(deltas, d)
+		return nil
+	}
+	if _, err := (gen.GLP{N: n, M: 1, P: 0.45, Beta: 0.64}).GenerateTrajectory(rng.New(1), 1, gen.Trajectory{Every: n / epochs, Observe: observe}); err != nil {
+		t.Fatal(err)
+	}
+	srcs := metrics.PivotSources(rng.New(1), snaps[0].N(), pivots)
+	dm := metrics.NewDistMap(snaps[0], srcs, 1)
+	lanes := func() {
+		for e := 1; e < len(snaps); e++ {
+			dm.Refresh(snaps[e], deltas[e], 1)
+		}
+	}
+	rm := &rowMajorDistMap{srcs: srcs, rows: make([][]int32, pivots), sc: metrics.NewDistScratch(snaps[0].N())}
+	rm.build(snaps[0])
+	rowMajor := func() {
+		for e := 1; e < len(snaps); e++ {
+			rm.refresh(snaps[e], deltas[e])
+		}
+	}
+	// Each later pass starts both arms cold on the first epoch (the map
+	// through a full-refreeze Refresh, which reuses its pages).
+	coldStart := func() {
+		dm.Refresh(snaps[0], nil, 1)
+		rm.build(snaps[0])
+	}
+	check := func() {
+		if got, want := metrics.RefreshPathLengths(dm), rm.hist.ToStats(pivots); !reflect.DeepEqual(got, want) {
+			t.Fatalf("distmap-lanes n=%d: lane map path stats %+v, row-major %+v", n, got, want)
+		}
+	}
+	lanes()
+	rowMajor()
+	check()
+	rowTimes := make([]time.Duration, passes)
+	laneTimes := make([]time.Duration, passes)
+	for p := range passes {
+		coldStart()
+		start := time.Now()
+		rowMajor()
+		rowTimes[p] = time.Since(start)
+		start = time.Now()
+		lanes()
+		laneTimes[p] = time.Since(start)
+		check()
+	}
+	// A stray runtime allocation lands in one window at most, so the
+	// minimum over three passes keeps only the refreshes' own.
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		coldStart()
+		a, b := benchutil.MeasureAllocs(lanes)
+		allocs, bytes = min(allocs, a), min(bytes, b)
+	}
+	slices.Sort(rowTimes)
+	slices.Sort(laneTimes)
+	measured := len(snaps) - 1
+	row := benchutil.Row{N: n, Model: "glp", Epochs: measured, Pivots: pivots}
+	rowRow := row.As("kernels-distmap-rows", 1, rowTimes[passes/2]/time.Duration(measured))
+	laneRow := row.As("kernels-distmap-lanes", 1, laneTimes[passes/2]/time.Duration(measured)).Against(rowRow).
+		WithAllocs(float64(allocs)/float64(measured), float64(bytes)/float64(measured))
+	t.Logf("distmap-lanes n=%d: %d epochs, row-major %v, lanes %v (%.2fx), warm lanes %d allocs / %d B per pass",
+		n, measured, rowTimes[passes/2], laneTimes[passes/2], laneRow.Speedup, allocs, bytes)
+	return []benchutil.Row{rowRow, laneRow}
+}
+
 // kernelsRoutingResetRow measures the marginal allocations of moving a
 // Routing between topologies with Reset: alternate two same-size frozen
 // maps, Reset to the other map and Ensure a fixed source set each
@@ -724,6 +915,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsTriangleRows(t, n)...)
 		rows = append(rows, kernelsSimSetupRow(t, n))
 		rows = append(rows, kernelsTrajectoryObserveRow(t, n))
+		rows = append(rows, kernelsDistMapLanesRows(t, n)...)
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)

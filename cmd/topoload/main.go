@@ -18,8 +18,9 @@
 // draws only from streams split off its own seed and the simulation
 // loop is sequential, so the same grid is byte-identical at every pool
 // width. -cell-workers hands each cell an internal pool instead
-// (sharded generation and parallel shortest-path tree builds) — the
-// knob for few-huge-cell runs.
+// (sharded generation, parallel shortest-path tree builds, and a
+// topology's independent workload specs — its -failures scenarios —
+// simulated side by side) — the knob for few-huge-cell runs.
 //
 // -engine selects the simulator: "epoch" recomputes every link's
 // max-min rates each epoch (the pinned reference), "event" keeps a
@@ -84,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 	paths := fs.Bool("paths", false, "add incremental path metrics to trajectory rows (needs -measure-every)")
 	sources := fs.Int("path-sources", 50, "BFS sources for path stats per cell (0 = exact)")
 	workers := fs.Int("workers", 0, "cell pool width; 0 = GOMAXPROCS (never changes results)")
-	cellWorkers := fs.Int("cell-workers", 1, "per-cell generation/simulation pool; >= 2 uses the sharded kernels")
+	cellWorkers := fs.Int("cell-workers", 1, "per-cell pool: sharded generation, tree builds, and a topology's failure scenarios side by side; >= 2 uses the sharded kernels")
 	format := fs.String("format", "table", "output format: table, csv, json")
 	out := fs.String("o", "", "output file (default stdout)")
 	failures := fs.String("failures", "", "comma-separated failure scenarios to sweep: none, random, degree, load")

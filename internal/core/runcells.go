@@ -27,7 +27,8 @@ type RunStats struct {
 // cellGroup is one unit of the execution plan: every cell sharing a
 // topology key, with the group's unique workload specs in
 // first-occurrence order. The group runs generate/freeze/measure/
-// compare once and fans the specs out sequentially over the warm state.
+// compare once and fans the specs out over the warm state, side by side
+// on the cell's own pool (runWorkloadsRouted).
 type cellGroup struct {
 	topo    Cell   // the shared topology cell (Workload stripped)
 	key     string // topo.TopologyKey()
@@ -169,33 +170,72 @@ func (g *cellGroup) run(a groupArtifacts) groupOut {
 	return out
 }
 
-// runWorkloadsRouted simulates the specs sequentially over one owned
-// Routing, hoisting the degree masses. Each spec draws from a fresh
-// workload stream split off the cell seed — the stream a dedicated cell
-// would use — so the reports match independent cells byte for byte.
+// runWorkloadsRouted simulates the specs over the snapshot, hoisting the
+// degree masses. Each spec draws from a fresh workload stream split off
+// the cell seed — the stream a dedicated cell would use — so the reports
+// match independent cells byte for byte.
+//
+// The simulations run side by side on the cell's own pool (Workers).
+// A spec with active failures routes only over its private mirror
+// routing state and never touches rt, so each such spec is a task of its
+// own. The specs routing over rt form one task that runs them in spec
+// order, so rt ends in the state a sequential pass leaves — the state
+// the artifact cache commits. min(Workers, tasks) tasks run at once,
+// and each simulation gets Workers/width internal workers (at least
+// one), so a cell never runs more than Workers goroutines of work.
+// Reports come back in spec order, and the lowest-index failing spec
+// names the error at every width.
 func (c Cell) runWorkloadsRouted(snap *graph.Snapshot, specs []*traffic.WorkloadSpec, rt *traffic.Routing) ([]*traffic.SimReport, error) {
 	masses := make([]float64, snap.N())
 	for u := range masses {
 		masses[u] = float64(snap.Degree(u))
 	}
-	reports := make([]*traffic.SimReport, len(specs))
+	isolated := func(sp *traffic.WorkloadSpec) bool { return sp.Failures != nil && sp.Failures.Active() }
+	var shared []int
+	var tasks [][]int
 	for i, sp := range specs {
-		_, _, _, wr := c.streams()
-		wl, err := traffic.Simulate(snap, masses, *sp, wr, c.Workers, traffic.WithRouting(rt))
+		if isolated(sp) {
+			tasks = append(tasks, []int{i})
+		} else {
+			shared = append(shared, i)
+		}
+	}
+	if len(shared) > 0 {
+		tasks = append([][]int{shared}, tasks...)
+	}
+	workers := par.Workers(c.Workers)
+	width := max(1, min(workers, len(tasks)))
+	inner := max(1, workers/width)
+	reports := make([]*traffic.SimReport, len(specs))
+	errs := make([]error, len(specs))
+	par.ForEach(len(tasks), width, func(_, t int) {
+		for _, i := range tasks[t] {
+			var opts []traffic.SimOption
+			if !isolated(specs[i]) {
+				opts = append(opts, traffic.WithRouting(rt))
+			}
+			_, _, _, wr := c.streams()
+			reports[i], errs[i] = traffic.Simulate(snap, masses, *specs[i], wr, inner, opts...)
+			if errs[i] != nil {
+				return // a sequential pass would stop here too
+			}
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: workload on %s: %w", c.Model, err)
 		}
-		reports[i] = wl
 	}
 	return reports, nil
 }
 
 // RunCellsWith executes cells through a stage-keyed plan: cells are
 // grouped by topology key, each distinct topology generates/freezes/
-// measures/compares once, and the group's workload specs fan out
-// sequentially over the warm state, with groups running across a pool
-// of the given width (<= 0 means GOMAXPROCS, 1 runs every group in order
-// on the caller's goroutine). Exact-duplicate cells are served from the
+// measures/compares once, and the group's workload specs fan out over
+// the warm state on the cell's own pool (Cell.Workers; see
+// runWorkloadsRouted), with groups running across a pool of the given
+// width (<= 0 means GOMAXPROCS, 1 runs every group in order on the
+// caller's goroutine). Exact-duplicate cells are served from the
 // first occurrence and counted in RunStats. It is the only executor:
 // RunCell is its one-cell plan, and a model shoot-out is one call at
 // pool width 1, so cells keep their internal Workers pools.

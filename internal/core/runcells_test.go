@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -181,6 +184,140 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 		}
 		if budget > 0 && evictions == 0 {
 			t.Fatalf("budget=%d evicted nothing: %+v", budget, st)
+		}
+	}
+}
+
+// fanOutSpecs is a topology group's failure axis as topoload sweeps it:
+// no failures, random outages with retries and a degree-targeted outage
+// window, plus a second shared-routing spec on the event engine, so the
+// shared task runs more than one spec.
+func fanOutSpecs() []*traffic.WorkloadSpec {
+	return []*traffic.WorkloadSpec{
+		{Epochs: 8, LoadFactor: 1.2, Failures: &traffic.FailureSpec{Mode: traffic.FailNone}},
+		{Epochs: 8, LoadFactor: 1.2, Failures: &traffic.FailureSpec{Mode: traffic.FailRandom,
+			Links: 4, Nodes: 1, MTBF: 2, MTTR: 1, MaxRetries: 2}},
+		{Epochs: 8, LoadFactor: 1.2, Failures: &traffic.FailureSpec{Mode: traffic.FailDegree,
+			Links: 3, Nodes: 1, FailAt: 2, RepairAt: 5, MaxRetries: 1}},
+		{Epochs: 8, LoadFactor: 0.6, Engine: traffic.EngineEvent},
+	}
+}
+
+// routingState renders the committed part of a routing state — its
+// snapshot version, tree budget, cached distance rows, FIFO and path
+// memo — leaving out the scratch buffers, whose sizes follow the worker
+// count. fmt prints maps in key order, so equal states render equal.
+func routingState(rt *traffic.Routing) string {
+	v := reflect.ValueOf(rt).Elem()
+	return fmt.Sprint(rt.Snapshot().Version(), v.FieldByName("max"), v.FieldByName("trees"),
+		v.FieldByName("fifo"), v.FieldByName("paths"))
+}
+
+// TestWorkloadFanOutWidthInvariant pins runWorkloadsRouted's fan-out:
+// over one fixed snapshot, a group of shared-routing and failure specs
+// yields the same reports — byte for byte — and leaves the group's
+// Routing in the same state at pool widths 1, 2 and 4 as the sequential
+// pass does.
+func TestWorkloadFanOutWidthInvariant(t *testing.T) {
+	ta, _, err := testCell(3).buildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := fanOutSpecs()
+	var wantJSON []byte
+	var wantState string
+	for _, width := range []int{1, 2, 4} {
+		c := testCell(3)
+		c.Workers = width
+		rt := traffic.NewRouting(ta.snap)
+		reports, err := c.runWorkloadsRouted(ta.snap, specs, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := reports[1].Failures; f == nil || f.Killed+f.Rerouted == 0 {
+			t.Fatalf("random outages touched no flow: %+v", f)
+		}
+		got, err := json.Marshal(reports)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := routingState(rt)
+		if width == 1 {
+			wantJSON, wantState = got, state
+			continue
+		}
+		if !bytes.Equal(got, wantJSON) {
+			t.Fatalf("width %d: reports differ from the sequential pass", width)
+		}
+		if state != wantState {
+			t.Fatalf("width %d: committed routing state differs from the sequential pass", width)
+		}
+	}
+}
+
+// TestWorkloadFanOutFirstErrorWins pins the error contract: with
+// invalid specs at indexes 1 and 2, index 1's error surfaces at every
+// width, whichever of the two is a failure spec running as its own task.
+func TestWorkloadFanOutFirstErrorWins(t *testing.T) {
+	ta, _, err := testCell(4).buildTopology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := &traffic.WorkloadSpec{Epochs: 3, LoadFactor: 0.5}
+	badShared := &traffic.WorkloadSpec{Epochs: 3, LoadFactor: 0.5, Engine: "warp"}
+	badFailure := &traffic.WorkloadSpec{Epochs: 3, LoadFactor: 0.5,
+		Failures: &traffic.FailureSpec{Mode: traffic.FailRandom, Links: 1 << 20, MTBF: 1}}
+	for _, specs := range [][]*traffic.WorkloadSpec{
+		{valid, badShared, badFailure},
+		{valid, badFailure, badShared},
+	} {
+		_, want := testCell(4).runWorkloadsRouted(ta.snap, specs[:2], traffic.NewRouting(ta.snap))
+		if want == nil {
+			t.Fatal("index 1 alone ran without error")
+		}
+		for _, width := range []int{1, 2, 4} {
+			c := testCell(4)
+			c.Workers = width
+			_, err := c.runWorkloadsRouted(ta.snap, specs, traffic.NewRouting(ta.snap))
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("width %d: error %v, want index 1's %v", width, err, want)
+			}
+		}
+	}
+}
+
+// TestFanOutKeepsCacheCounters runs a failure-axis group with a
+// two-wide cell pool through an unbounded artifact cache: the cold and
+// warm passes count one miss and one hit per stage, exactly as at width
+// 1, and every report matches the uncached run.
+func TestFanOutKeepsCacheCounters(t *testing.T) {
+	var cells []Cell
+	for _, sp := range fanOutSpecs() {
+		c := testCell(5)
+		c.Workers = 2
+		c.Workload = sp
+		cells = append(cells, c)
+	}
+	baseline, _, err := RunCellsWith(cells, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac := NewArtifactCache(-1)
+	for pass := 0; pass < 2; pass++ {
+		got, _, err := RunCellsWith(cells, 1, ac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cells {
+			if !reflect.DeepEqual(baseline[i].Workload, got[i].Workload) {
+				t.Fatalf("pass %d cell %d: fanned-out cached run diverged", pass, i)
+			}
+		}
+	}
+	for _, stage := range ac.Stats().Stages {
+		if stage.Hits != 1 || stage.Misses != 1 {
+			t.Fatalf("stage %s: hits=%d misses=%d, want 1/1 over cold+warm passes",
+				stage.Stage, stage.Hits, stage.Misses)
 		}
 	}
 }

@@ -49,8 +49,8 @@ type evFlow struct {
 	remaining float64 // unfinished volume as of upEpoch
 	size      float64
 	arrived   float64
-	rate      float64 // current max-min rate; -1 while unallocated
-	path      []int32 // snapshot edge ids
+	rate      float64  // current max-min rate; -1 while unallocated
+	path      pathSpan // snapshot edge ids in the run's arena; stale once done
 }
 
 // depEvent is a predicted departure: flow id completes at instant t
@@ -174,6 +174,10 @@ type eventSim struct {
 	dt  float64
 
 	flows []evFlow
+	// paths holds the flows' paths in flow order: an entry's path is
+	// pushed when it is attached, so the spans never fall out of order
+	// and compaction always slides them in place.
+	paths pathArena
 
 	// Per-link state. lflows holds live flow ids in admission order
 	// (compacted of completed ids whenever the closure visits the
@@ -264,6 +268,7 @@ func newEventSim(ctx *simContext, cal flatCalendar, scratch *SimScratch) *eventS
 		ev.departures.a = make([]depEvent, 0, len(cal.pend))
 	}
 	ev.flows = ev.flows[:0]
+	ev.paths.reset()
 	ev.flowSeen = ev.flowSeen[:0]
 	ev.departures.a = ev.departures.a[:0]
 	ev.nextTID = 0
@@ -279,16 +284,18 @@ func (ev *eventSim) markDirty(e int32) {
 
 // attach appends a live flow entry — an original admission, a reroute's
 // replacement, or a retry re-admission — and joins it to its path's
-// link sets, dirtying them for the epoch's closure.
-func (ev *eventSim) attach(tid, src, dst int32, path []int32, remaining, arrived float64, retries int32, epoch int) {
+// link sets, dirtying them for the epoch's closure. The entry copies
+// path, mapped through xlate when non-nil, into the arena.
+func (ev *eventSim) attach(tid, src, dst int32, path, xlate []int32, remaining, arrived float64, retries int32, epoch int) {
 	id := int32(len(ev.flows))
+	span := ev.paths.push(path, xlate)
 	ev.flows = append(ev.flows, evFlow{
 		src: src, dst: dst, tid: tid, retries: retries,
 		upEpoch: int32(epoch), remaining: remaining, size: remaining,
-		arrived: arrived, rate: -1, path: path,
+		arrived: arrived, rate: -1, path: span,
 	})
 	ev.flowSeen = append(ev.flowSeen, 0)
-	for _, g := range path {
+	for _, g := range ev.paths.path(span) {
 		ev.nact[g]++
 		ev.lflows[g] = append(ev.lflows[g], id)
 		ev.markDirty(g)
@@ -311,10 +318,34 @@ func (ev *eventSim) detach(id int32, epoch int) {
 	f.upEpoch = int32(epoch)
 	f.done = true
 	f.version++ // strand any scheduled departure
-	for _, g := range f.path {
+	ev.leave(f)
+}
+
+// leave takes a done flow off its links' active counts, dirtying them,
+// and abandons its path: nothing reads a done flow's path again (the
+// closure and the failure scan skip done entries, and the closure
+// compacts them out of the link sets before any solve).
+func (ev *eventSim) leave(f *evFlow) {
+	for _, g := range ev.paths.path(f.path) {
 		ev.nact[g]--
 		ev.markDirty(g)
 	}
+	ev.paths.drop(f.path)
+}
+
+// compactPaths slides the live flows' paths together once abandoned ids
+// outnumber live ones.
+func (ev *eventSim) compactPaths() {
+	if !ev.paths.crowded() {
+		return
+	}
+	ev.paths.begin()
+	for i := range ev.flows {
+		if f := &ev.flows[i]; !f.done {
+			f.path = ev.paths.relocate(f.path)
+		}
+	}
+	ev.paths.end()
 }
 
 // flatCalendar is the pre-drawn arrival calendar flattened into one
@@ -419,7 +450,7 @@ func (ev *eventSim) closure(epoch int) []bottleneckComp {
 				f.rate = -1
 				f.version++ // strand any scheduled departure
 				c.flows = append(c.flows, fid)
-				for _, g := range f.path {
+				for _, g := range ev.paths.path(f.path) {
 					if ev.linkSeen[g] != stamp {
 						ev.linkSeen[g] = stamp
 						queue = append(queue, g)
@@ -470,7 +501,7 @@ func (ev *eventSim) solveComponent(c *bottleneckComp, h *shareHeap) {
 			}
 			f.rate = bestShare
 			unfixed--
-			for _, g := range f.path {
+			for _, g := range ev.paths.path(f.path) {
 				ev.capRem[g] -= bestShare
 				ev.nUnfixed[g]--
 				ev.linkVer[g]++
@@ -535,10 +566,13 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 	// The per-epoch hot closures are created once per run — the
 	// admission callbacks and the component-solve body read the epoch's
 	// state through captured variables, so the steady state's marginal
-	// cost carries no closure allocations.
+	// cost carries no closure allocations. admitPending's paths live only
+	// as long as the call; attach copies them into the arena (translated
+	// to base ids under fault injection).
 	admitFlow := func(p pending, path []int32) {
+		var xlate []int32
 		if ctx.fail != nil {
-			path = ctx.fail.toBase(path)
+			xlate = ctx.fail.curToBase
 		}
 		tid := ev.nextTID
 		ev.nextTID++
@@ -547,12 +581,12 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				Src: p.src, Dst: p.dst, Size: p.size, Arrived: now,
 			})
 		}
-		ev.attach(tid, int32(p.src), int32(p.dst), path, p.size, now, 0, curEpoch)
+		ev.attach(tid, int32(p.src), int32(p.dst), path, xlate, p.size, now, 0, curEpoch)
 		admitted++
 		activeCount++
 	}
 	readmitFlow := func(rf failFlow, path []int32) {
-		ev.attach(rf.id, rf.src, rf.dst, path, rf.remaining, rf.arrived, rf.retries, curEpoch)
+		ev.attach(rf.id, rf.src, rf.dst, path, nil, rf.remaining, rf.arrived, rf.retries, curEpoch)
 		activeCount++
 	}
 	solveOne := func(w, i int) {
@@ -577,7 +611,7 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				nf := len(ev.flows)
 				for id := 0; id < nf; id++ {
 					f := &ev.flows[id]
-					if f.done || !fail.pathBroken(f.path) {
+					if f.done || !fail.pathBroken(ev.paths.path(f.path)) {
 						continue
 					}
 					ev.detach(int32(id), epoch)
@@ -585,7 +619,7 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 					ff := failFlow{id: f.tid, src: f.src, dst: f.dst,
 						remaining: f.remaining, arrived: f.arrived, retries: f.retries}
 					if path, ok := fail.reroute(ff, rep.Flows); ok {
-						ev.attach(ff.id, ff.src, ff.dst, path, ff.remaining, ff.arrived, ff.retries, epoch)
+						ev.attach(ff.id, ff.src, ff.dst, path, nil, ff.remaining, ff.arrived, ff.retries, epoch)
 					} else {
 						activeCount--
 					}
@@ -597,7 +631,7 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 		// Admission: route the pre-drawn arrivals, create flows, add
 		// them to their links' sets and dirty those links.
 		admitted = 0
-		rep.Undelivered += admitPending(ctx.routing(), ctx.workers, cal.epoch(epoch), admitFlow)
+		rep.Undelivered += ctx.admit(cal.epoch(epoch), admitFlow)
 		rep.Arrived += admitted
 
 		// Re-solve only the affected components, in parallel. Writes are
@@ -654,11 +688,9 @@ func simulateEventCal(ctx *simContext, cal flatCalendar) (*SimReport, error) {
 				rep.Flows[f.tid].Done = true
 				rep.Flows[f.tid].Finished = de.t
 			}
-			for _, g := range f.path {
-				ev.nact[g]--
-				ev.markDirty(g)
-			}
+			ev.leave(f)
 		}
+		ev.compactPaths()
 		obs.endEpoch(rep, EpochStats{
 			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: activeCount,
 		})

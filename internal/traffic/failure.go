@@ -477,7 +477,7 @@ type failFlow struct {
 // survivability accumulators. Flow paths stay in base edge-id space
 // (the capacity, load and flow-set arrays are base-indexed and
 // persistent); curToBase translates the mirror snapshot's ids on every
-// admission and reroute.
+// admission and reroute, as the engine copies the path into its arena.
 type failState struct {
 	ctx  *simContext
 	spec FailureSpec
@@ -489,6 +489,7 @@ type failState struct {
 	frt       *Routing
 	baseID    map[int64]int32
 	curToBase []int32
+	pathBuf   []int32 // resolve's result, reused across calls
 
 	linkDown   []bool // base edge id: administratively down
 	nodeDown   []bool
@@ -734,39 +735,41 @@ func (fs *failState) pathBroken(path []int32) bool {
 	return false
 }
 
-// toBase translates a path of mirror-snapshot edge ids into a fresh
-// base-id slice; flows keep it across refreezes, which renumber the
-// mirror's edges.
-func (fs *failState) toBase(path []int32) []int32 {
-	out := make([]int32, len(path))
-	for i, e := range path {
-		out[i] = fs.curToBase[e]
+// toBaseInto appends the base ids of a path of mirror-snapshot edge
+// ids onto buf; flows keep base ids across refreezes, which renumber
+// the mirror's edges.
+func (fs *failState) toBaseInto(buf, path []int32) []int32 {
+	for _, e := range path {
+		buf = append(buf, fs.curToBase[e])
 	}
-	return out
+	return buf
 }
 
 // resolve routes (src, dst) over the surviving topology, returning the
-// base-id path, or ok=false when no path survives.
+// base-id path, or ok=false when no path survives. The path lives in
+// the state's own buffer until the next resolve; callers copy it. A
+// missed pair resolves as in admitPending (Routing.resolveMiss).
 func (fs *failState) resolve(src, dst int) ([]int32, bool) {
 	if fs.nodeDown[src] || fs.nodeDown[dst] {
 		return nil, false
 	}
 	path, ok, unreachable := fs.frt.cachedPath(src, dst)
 	if !ok {
-		p, reachable := fs.frt.treePath(src, dst)
-		fs.frt.storePath(src, dst, p, reachable)
+		p, reachable := fs.frt.resolveMiss(src, dst, false)
 		path, unreachable = p, !reachable
 	}
 	if unreachable {
 		return nil, false
 	}
-	return fs.toBase(path), true
+	fs.pathBuf = fs.toBaseInto(fs.pathBuf[:0], path)
+	return fs.pathBuf, true
 }
 
 // reroute handles one flow whose path lost a link: it returns the
-// flow's new base-id path over the surviving topology, or ok=false once
-// it has killed the flow and parked it for retry. flows is the run's
-// trace (nil when untraced), which records the fate.
+// flow's new base-id path over the surviving topology (valid until the
+// next resolve), or ok=false once it has killed the flow and parked it
+// for retry. flows is the run's trace (nil when untraced), which
+// records the fate.
 func (fs *failState) reroute(f failFlow, flows []FlowRecord) ([]int32, bool) {
 	if path, ok := fs.resolve(int(f.src), int(f.dst)); ok {
 		fs.rerouted++
@@ -787,8 +790,8 @@ func (fs *failState) reroute(f failFlow, flows []FlowRecord) ([]int32, bool) {
 
 // retry attempts the re-admission of every killed flow due this epoch,
 // in kill order: a flow with a surviving path goes to admit with its
-// base-id path, one without is parked again. Each attempt counts and is
-// traced in flows (nil when untraced).
+// base-id path (valid during the call), one without is parked again.
+// Each attempt counts and is traced in flows (nil when untraced).
 func (fs *failState) retry(flows []FlowRecord, admit func(f failFlow, path []int32)) {
 	for _, f := range fs.takeRetries() {
 		fs.retried++

@@ -489,7 +489,11 @@ func kernelsEngineSteadyRow(t *testing.T, engine string) benchutil.Row {
 // insertions each epoch, no growth — and measures the allocations of
 // exactly the DistMap.Refresh and Routing.Refresh calls after a warmup
 // phase has every pooled buffer at its high-water mark. Steady-state
-// refreshes on the repair path must allocate nothing.
+// refreshes on the repair path must allocate nothing. The churn is
+// replayed three times from identical seeds and each row keeps its
+// minimum counts, as benchutil.MarginalAllocs does: a seeded allocation
+// repeats in every replay, while a stray runtime allocation lands in
+// one measured window and drops out. The times are the first replay's.
 func kernelsRefreshRows(t *testing.T) []benchutil.Row {
 	t.Helper()
 	const (
@@ -499,79 +503,90 @@ func kernelsRefreshRows(t *testing.T) []benchutil.Row {
 		warmup  = 96
 		measure = 12
 	)
-	top, err := gen.BA{N: n, M: 2}.Generate(rng.New(3))
-	if err != nil {
-		t.Fatal(err)
+	type totals struct {
+		dmAllocs, dmBytes, rtAllocs, rtBytes uint64
+		dmTime, rtTime                       time.Duration
 	}
-	g := top.G.Copy()
-	prev, err := g.FreezeChecked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm := metrics.NewDistMap(prev, metrics.PivotSources(rng.New(5), prev.N(), pivots), 1)
-	rt := NewRouting(prev)
-	srcs := make([]int, trees)
-	for i := range srcs {
-		srcs[i] = i
-	}
-	rt.Ensure(srcs, 1)
-
-	r := rng.New(11)
-	var dmAllocs, dmBytes, rtAllocs, rtBytes uint64
-	var dmTime, rtTime time.Duration
-	for epoch := 0; epoch < warmup+measure; epoch++ {
-		// Exactly 8 removals and 8 insertions, so the edge count is
-		// constant: every edge-sized refresh buffer reaches its
-		// high-water mark during warmup and the measured phase sees the
-		// repair path's true steady-state allocation count.
-		edges := prev.EdgeList()
-		for removed := 0; removed < 8; {
-			e := edges[r.Intn(len(edges))]
-			if g.HasEdge(e.U, e.V) {
-				if err := g.RemoveEdge(e.U, e.V); err != nil {
-					t.Fatal(err)
-				}
-				removed++
-			}
-		}
-		for added := 0; added < 8; {
-			u, v := r.Intn(g.N()), r.Intn(g.N())
-			if u != v && !g.HasEdge(u, v) {
-				g.MustAddEdge(u, v)
-				added++
-			}
-		}
-		next, d, err := g.Refreeze(prev)
+	replay := func() (tot totals) {
+		top, err := gen.BA{N: n, M: 2}.Generate(rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d == nil {
-			t.Fatal("churn epoch expected a delta refresh")
+		g := top.G.Copy()
+		prev, err := g.FreezeChecked()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if epoch < warmup {
-			dm.Refresh(next, d, 1)
-			rt.Refresh(next, d, 1)
-		} else {
-			start := time.Now()
-			a, b := benchutil.MeasureAllocs(func() { dm.Refresh(next, d, 1) })
-			dmTime += time.Since(start)
-			dmAllocs += a
-			dmBytes += b
-			start = time.Now()
-			a, b = benchutil.MeasureAllocs(func() { rt.Refresh(next, d, 1) })
-			rtTime += time.Since(start)
-			rtAllocs += a
-			rtBytes += b
+		dm := metrics.NewDistMap(prev, metrics.PivotSources(rng.New(5), prev.N(), pivots), 1)
+		rt := NewRouting(prev)
+		srcs := make([]int, trees)
+		for i := range srcs {
+			srcs[i] = i
 		}
-		prev = next
+		rt.Ensure(srcs, 1)
+
+		r := rng.New(11)
+		for epoch := 0; epoch < warmup+measure; epoch++ {
+			// Exactly 8 removals and 8 insertions, so the edge count is
+			// constant: every edge-sized refresh buffer reaches its
+			// high-water mark during warmup and the measured phase sees
+			// the repair path's true steady-state allocation count.
+			edges := prev.EdgeList()
+			for removed := 0; removed < 8; {
+				e := edges[r.Intn(len(edges))]
+				if g.HasEdge(e.U, e.V) {
+					if err := g.RemoveEdge(e.U, e.V); err != nil {
+						t.Fatal(err)
+					}
+					removed++
+				}
+			}
+			for added := 0; added < 8; {
+				u, v := r.Intn(g.N()), r.Intn(g.N())
+				if u != v && !g.HasEdge(u, v) {
+					g.MustAddEdge(u, v)
+					added++
+				}
+			}
+			next, d, err := g.Refreeze(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d == nil {
+				t.Fatal("churn epoch expected a delta refresh")
+			}
+			if epoch < warmup {
+				dm.Refresh(next, d, 1)
+				rt.Refresh(next, d, 1)
+			} else {
+				start := time.Now()
+				a, b := benchutil.MeasureAllocs(func() { dm.Refresh(next, d, 1) })
+				tot.dmTime += time.Since(start)
+				tot.dmAllocs += a
+				tot.dmBytes += b
+				start = time.Now()
+				a, b = benchutil.MeasureAllocs(func() { rt.Refresh(next, d, 1) })
+				tot.rtTime += time.Since(start)
+				tot.rtAllocs += a
+				tot.rtBytes += b
+			}
+			prev = next
+		}
+		return tot
 	}
-	t.Logf("refresh churn: distmap %d allocs / %d epochs, routing %d allocs / %d epochs",
-		dmAllocs, measure, rtAllocs, measure)
+	best := replay()
+	for range 2 {
+		tot := replay()
+		best.dmAllocs, best.dmBytes = min(best.dmAllocs, tot.dmAllocs), min(best.dmBytes, tot.dmBytes)
+		best.rtAllocs, best.rtBytes = min(best.rtAllocs, tot.rtAllocs), min(best.rtBytes, tot.rtBytes)
+	}
+	t.Logf("refresh churn: distmap %d allocs / %d epochs, routing %d allocs / %d epochs (minimum of 3 replays)",
+		best.dmAllocs, measure, best.rtAllocs, measure)
 	return []benchutil.Row{
-		benchutil.Row{N: n, Epochs: measure, Sources: pivots}.As("kernels-distmap-refresh", 1, dmTime/measure).
-			WithAllocs(float64(dmAllocs)/measure, float64(dmBytes)/measure),
-		benchutil.Row{N: n, Epochs: measure, Sources: trees}.As("kernels-routing-refresh", 1, rtTime/measure).
-			WithAllocs(float64(rtAllocs)/measure, float64(rtBytes)/measure),
+		benchutil.Row{N: n, Epochs: measure, Sources: pivots}.As("kernels-distmap-refresh", 1, best.dmTime/measure).
+			WithAllocs(float64(best.dmAllocs)/measure, float64(best.dmBytes)/measure),
+		benchutil.Row{N: n, Epochs: measure, Sources: trees}.As("kernels-routing-refresh", 1, best.rtTime/measure).
+			WithAllocs(float64(best.rtAllocs)/measure, float64(best.rtBytes)/measure),
 	}
 }
 

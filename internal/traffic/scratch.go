@@ -1,8 +1,8 @@
 package traffic
 
 // SimScratch pools the simulation engines' run-to-run state: the
-// water-filling allocator, the epoch engine's flow freelist and
-// arrival/active buffers, the event engine's whole link/flow state, and
+// water-filling allocator, the epoch engine's flow table, path arena
+// and arrival buffer, the event engine's whole link/flow state, and
 // the per-worker solver heaps. A fresh Simulate call builds all of this
 // from nothing and lets it die with the run; a caller that simulates
 // repeatedly — a sweep, a policy search, the steady-state benchmarks —
@@ -16,12 +16,12 @@ package traffic
 // The zero value is ready. Not safe for concurrent use — one scratch
 // serves one Simulate call at a time.
 type SimScratch struct {
-	wf        *wfState
-	freeFlows []*simFlow
-	pend      []pending
-	active    []*simFlow
-	ev        *eventSim
-	solvers   []*shareHeap
+	wf      *wfState
+	flows   flowTable
+	paths   pathArena
+	pend    []pending
+	ev      *eventSim
+	solvers []*shareHeap
 }
 
 // NewSimScratch returns an empty scratch ready to thread through

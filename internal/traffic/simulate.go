@@ -36,15 +36,21 @@ type Routing struct {
 	// unreachable from src). A path is ~40 bytes against 4n for a
 	// tree, so repeated OD pairs — re-runs over one snapshot, heavy
 	// origins inside one run — skip the BFS entirely even after the
-	// tree cache evicted the origin's tree.
+	// tree cache evicted the origin's tree. It is filled only while the
+	// tree budget cannot hold every origin (memoizes): under the budget
+	// a built tree is never evicted, so walking it is already the memo,
+	// and an entry would only duplicate the path every flow copies
+	// anyway.
 	paths map[int64][]int32
 
-	// Admission scratch, persisted so a steady-state epoch whose OD
-	// pairs are all memoized admits without allocating (admitPending).
+	// Admission scratch, persisted so a steady-state epoch admits
+	// without allocating (admitPending). While the memo is off, admSlab
+	// holds the paths walked since the last admitPending call began.
 	admPaths   [][]int32
 	admUnreach []bool
 	admMiss    []int
 	admBatch   []int
+	admSlab    []int32
 	// pair resolves single OD paths without a tree when the cache
 	// cannot hold an epoch's origins (admitPending, pairpath.go).
 	pair pairScratch
@@ -92,8 +98,16 @@ func (rt *Routing) cachedPath(src, dst int) (path []int32, ok, unreachable bool)
 	return p, ok, ok && p == nil
 }
 
+// memoizes reports whether resolved paths are worth memoizing: only
+// while the tree budget is below the node count, so that a tree can be
+// evicted and a memoized path can outlive it. Under the budget every
+// tree, once built, stays cached, and a walk over it is as good as a
+// memo entry.
+func (rt *Routing) memoizes() bool { return rt.max < rt.s.N() }
+
 // storePath memoizes a resolved (src, dst) path (nil for unreachable)
-// while the budget lasts.
+// while the budget lasts. The memo keeps path, so it must not alias a
+// reused buffer.
 func (rt *Routing) storePath(src, dst int, path []int32, reachable bool) {
 	if len(rt.paths) >= routingPathBudget {
 		return
@@ -128,8 +142,10 @@ func NewRouting(s *graph.Snapshot) *Routing {
 
 // MemBytes estimates the heap bytes the routing state holds live: the
 // distance rows of the cached and the pooled trees, the memoized OD
-// paths and the pair-search scratch — the byte cost an artifact cache
-// should charge for a warm Routing.
+// paths (none while every origin fits the tree budget, see memoizes)
+// and the pair-search scratch — the byte cost an artifact cache should
+// charge for a warm Routing. Admission scratch is not charged; like the
+// Ensure and Refresh buffers it is bounded by one epoch's arrivals.
 func (rt *Routing) MemBytes() int64 {
 	var b int64
 	for _, dist := range rt.trees {
@@ -204,15 +220,40 @@ func walkPath(s *graph.Snapshot, arcEdge, dist, buf []int32, dst int) ([]int32, 
 	return buf, true
 }
 
-// treePath resolves (src, dst) by walking src's distance row, building
-// and caching the row first if needed.
-func (rt *Routing) treePath(src, dst int) ([]int32, bool) {
+// treePathInto resolves (src, dst) by walking src's distance row onto
+// buf, building and caching the row first if needed.
+func (rt *Routing) treePathInto(src, dst int, buf []int32) ([]int32, bool) {
 	dist, ok := rt.trees[src]
 	if !ok {
 		rt.Ensure([]int{src}, 1)
 		dist = rt.trees[src]
 	}
-	return walkPath(rt.s, rt.arcEdge, dist, nil, dst)
+	return walkPath(rt.s, rt.arcEdge, dist, buf, dst)
+}
+
+// resolveMiss resolves an unmemoized (src, dst) by pair search (pair)
+// or by walking src's tree. While the state memoizes, the path is a
+// fresh slice and is memoized; otherwise it is appended to the
+// admission slab and stays valid until the next admitPending call.
+func (rt *Routing) resolveMiss(src, dst int, pair bool) ([]int32, bool) {
+	memo := rt.memoizes()
+	var buf []int32
+	if !memo {
+		buf = rt.admSlab
+	}
+	start := len(buf)
+	var ok bool
+	if pair {
+		buf, ok = rt.pair.pairPath(rt.s, rt.arcEdge, src, dst, buf)
+	} else {
+		buf, ok = rt.treePathInto(src, dst, buf)
+	}
+	if memo {
+		rt.storePath(src, dst, buf, ok)
+		return buf, ok
+	}
+	rt.admSlab = buf
+	return buf[start:len(buf):len(buf)], ok
 }
 
 // buildTreeInto fills dist with src's hop distances over s by one
@@ -436,6 +477,10 @@ type simConfig struct {
 	trace   bool
 	rt      *Routing
 	scratch *SimScratch
+	// afterAdmit, when set, runs after every epoch's admissions; the
+	// tests scribble over the admission buffers through it to show that
+	// admitted flows own their paths.
+	afterAdmit func(ctx *simContext)
 }
 
 // SimOption is a functional option of Simulate and SimulateWith.
@@ -458,17 +503,6 @@ func WithFlowTrace() SimOption {
 // Simulate rejects a routing state describing a different snapshot.
 func WithRouting(rt *Routing) SimOption {
 	return func(c *simConfig) { c.rt = rt }
-}
-
-// simFlow is one in-flight flow of the epoch engine.
-type simFlow struct {
-	src, dst  int32
-	id        int32 // admission index, the trace identity
-	retries   int32 // re-admission attempts consumed so far
-	remaining float64
-	arrived   float64 // arrival instant
-	rate      float64 // current max-min rate; -1 while unallocated
-	path      []int32 // snapshot edge ids
 }
 
 // pending is one drawn-but-unrouted arrival.
@@ -502,7 +536,8 @@ type simContext struct {
 
 // routing returns the routing state admissions and reroutes resolve
 // against: the private mirror-topology state under fault injection, the
-// shared base state otherwise.
+// shared base state otherwise (rt is never read under fault injection,
+// and may be nil there).
 func (ctx *simContext) routing() *Routing {
 	if ctx.fail != nil {
 		return ctx.fail.frt
@@ -558,7 +593,8 @@ func simulate(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpe
 // engine's pre-drawn calendar) outside a measured region. The routing
 // state is WithRouting's when given, else rt, else fresh state over s
 // — built only when nothing else is, so a shared state costs no
-// throwaway build.
+// throwaway build, and never under fault injection, which routes over
+// its private mirror state alone.
 func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec WorkloadSpec, r *rng.Rand, workers int, opts ...SimOption) (*simContext, error) {
 	n := s.N()
 	if n < 2 {
@@ -584,7 +620,7 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 			return nil, errors.New("traffic: shared routing state describes a different snapshot; advance it with Routing.Refresh")
 		}
 		rt = cfg.rt
-	case rt == nil:
+	case rt == nil && (spec.Failures == nil || !spec.Failures.Active()):
 		rt = NewRouting(s)
 	}
 	// The origins are the nodes with positive mass, ascending.
@@ -647,6 +683,16 @@ func newSimContext(s *graph.Snapshot, rt *Routing, masses []float64, spec Worklo
 	return ctx, nil
 }
 
+// admit routes one epoch's arrivals over the current routing state
+// (admitPending) and returns the undelivered count.
+func (ctx *simContext) admit(pend []pending, admit func(p pending, path []int32)) int {
+	undelivered := admitPending(ctx.routing(), ctx.workers, pend, admit)
+	if ctx.cfg.afterAdmit != nil {
+		ctx.cfg.afterAdmit(ctx)
+	}
+	return undelivered
+}
+
 // drawArrivals advances origin i's source by one epoch and appends its
 // drawn (dst, size) pairs onto pend. The draw order per origin —
 // arrival count, then per flow destination (with rejection) and size —
@@ -676,23 +722,26 @@ func (ctx *simContext) drawArrivals(i int, dt float64, pend []pending) []pending
 // at most the tree budget: each chunk Ensures its distinct origins
 // (parallel BFS builds) and reads paths before the next chunk can
 // evict them — memory stays bounded by the budget even when one epoch's
-// arrivals span more origins than the cache holds. Every resolved path
-// is memoized. Reachable flows go to admit in pend order; unreachable
-// ones are counted.
+// arrivals span more origins than the cache holds. Resolved paths are
+// memoized only while the tree budget is below the node count
+// (memoizes); otherwise they are walked into a reused slab. Reachable
+// flows go to admit in pend order; unreachable ones are counted. A path
+// handed to admit is valid only during the call: admit copies what it
+// keeps.
 func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending, path []int32)) (undelivered int) {
-	// The index-parallel buffers persist on the routing state: an epoch
-	// whose OD pairs are all memoized — the steady state of a long run —
-	// admits its arrivals without a single allocation.
+	// The index-parallel buffers and the path slab persist on the
+	// routing state, so a steady-state epoch admits its arrivals without
+	// a single allocation.
 	if cap(rt.admPaths) < len(pend) {
 		rt.admPaths = make([][]int32, len(pend))
 		rt.admUnreach = make([]bool, len(pend))
 	}
 	paths := rt.admPaths[:len(pend)]
 	unreach := rt.admUnreach[:len(pend)]
-	for i := range paths {
-		paths[i] = nil
+	for i := range unreach {
 		unreach[i] = false
 	}
+	rt.admSlab = rt.admSlab[:0]
 	// miss holds the pend indexes whose OD pair is not memoized; pend
 	// is grouped by origin, so miss inherits the grouping.
 	miss := rt.admMiss[:0]
@@ -712,9 +761,8 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		}
 	}
 	rt.admMiss = miss
-	resolve := func(i int, path []int32, ok bool) {
-		p := pend[i]
-		rt.storePath(p.src, p.dst, path, ok)
+	resolve := func(i int, pair bool) {
+		path, ok := rt.resolveMiss(pend[i].src, pend[i].dst, pair)
 		if !ok {
 			unreach[i] = true
 			return
@@ -735,8 +783,7 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 				rest = append(rest, miss[k:j]...)
 			} else {
 				for _, i := range miss[k:j] {
-					path, ok := rt.pair.pairPath(rt.s, rt.arcEdge, src, pend[i].dst, nil)
-					resolve(i, path, ok)
+					resolve(i, true)
 				}
 			}
 			k = j
@@ -759,9 +806,7 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		rt.admBatch = batch
 		rt.Ensure(batch, workers)
 		for ; k < j; k++ {
-			i := miss[k]
-			path, ok := rt.treePath(pend[i].src, pend[i].dst)
-			resolve(i, path, ok)
+			resolve(miss[k], false)
 		}
 	}
 	for i, p := range pend {
@@ -771,6 +816,9 @@ func admitPending(rt *Routing, workers int, pend []pending, admit func(p pending
 		}
 		admit(p, paths[i])
 	}
+	// Drop the references, so the buffer pins neither a memo entry nor
+	// a slab a later call outgrew.
+	clear(paths)
 	return undelivered
 }
 
@@ -809,40 +857,36 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		scratch.wf.ensure(len(edges))
 	}
 	obs := newLinkObs(ctx)
+	// The active flows and their paths live in the scratch's chunked
+	// table and arena (flowtable.go), which a shared scratch carries
+	// across runs at their high-water marks.
+	active, arena := &scratch.flows, &scratch.paths
+	active.n = 0
+	arena.reset()
 	var (
-		active = scratch.active[:0]
-		wf     = scratch.wf
-		flowID int32
-		pend   = scratch.pend[:0]
-		// freeFlows recycles departed simFlow entries; in steady state
-		// admissions draw from it instead of the heap. A shared scratch
-		// carries the pool across runs, so the population only grows
-		// when concurrency exceeds its all-time peak.
-		freeFlows = scratch.freeFlows
-		now       float64
-		admitted  int
+		wf       = scratch.wf
+		flowID   int32
+		pend     = scratch.pend[:0]
+		now      float64
+		admitted int
 	)
-	newFlow := func() *simFlow {
-		if k := len(freeFlows); k > 0 {
-			f := freeFlows[k-1]
-			freeFlows = freeFlows[:k-1]
-			return f
-		}
-		return &simFlow{}
-	}
 	// One closure for every epoch's admissions: creating it per epoch
 	// would put one allocation in the steady state's marginal cost.
+	// Flows own their paths: an admission copies the path into the arena
+	// (translated to base ids under fault injection), since
+	// admitPending's paths live only as long as the call.
 	admitFlow := func(p pending, path []int32) {
-		if ctx.fail != nil {
-			path = ctx.fail.toBase(path)
-		}
 		admitted++
-		f := newFlow()
+		f := active.add()
 		*f = simFlow{
 			src: int32(p.src), dst: int32(p.dst), id: flowID,
-			remaining: p.size, arrived: now, rate: -1, path: path,
+			remaining: p.size, arrived: now, rate: -1,
 		}
-		active = append(active, f)
+		var xlate []int32
+		if ctx.fail != nil {
+			xlate = ctx.fail.curToBase
+		}
+		f.path = arena.push(path, xlate)
 		if ctx.cfg.trace {
 			rep.Flows = append(rep.Flows, FlowRecord{
 				Src: p.src, Dst: p.dst, Size: p.size, Arrived: now,
@@ -851,12 +895,12 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		flowID++
 	}
 	readmitFlow := func(rf failFlow, path []int32) {
-		f := newFlow()
+		f := active.add()
 		*f = simFlow{
 			src: rf.src, dst: rf.dst, id: rf.id, retries: rf.retries,
-			remaining: rf.remaining, arrived: rf.arrived, rate: -1, path: path,
+			remaining: rf.remaining, arrived: rf.arrived, rate: -1,
 		}
-		active = append(active, f)
+		f.path = arena.push(path, nil)
 	}
 	for epoch := 0; epoch < spec.Epochs; epoch++ {
 		now = float64(epoch) * dt
@@ -872,20 +916,21 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 				return nil, err
 			}
 			if fail.flipped {
-				keep := active[:0]
-				for _, f := range active {
-					if fail.pathBroken(f.path) {
+				w := 0
+				for i := 0; i < active.n; i++ {
+					f := active.at(i)
+					if fail.pathBroken(arena.path(f.path)) {
 						path, ok := fail.reroute(failFlow{id: f.id, src: f.src, dst: f.dst,
 							remaining: f.remaining, arrived: f.arrived, retries: f.retries}, rep.Flows)
 						if !ok {
-							freeFlows = append(freeFlows, f)
+							arena.drop(f.path)
 							continue
 						}
-						f.path = path
+						f.path = arena.replace(f.path, path)
 					}
-					keep = append(keep, f)
+					w = active.put(w, f)
 				}
-				active = keep
+				active.n = w
 			}
 			fail.retry(rep.Flows, readmitFlow)
 		}
@@ -897,12 +942,12 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		}
 
 		admitted = 0
-		rep.Undelivered += admitPending(ctx.routing(), ctx.workers, pend, admitFlow)
+		rep.Undelivered += ctx.admit(pend, admitFlow)
 		rep.Arrived += admitted
 
 		// Max-min fair rates, solved by the pooled water-filler
 		// (waterfill.go). Sequential, fixed iteration order.
-		wf.fill(active, capEdge)
+		wf.fill(active, arena, capEdge)
 
 		// Link observations under the epoch's rates.
 		for _, e := range wf.links {
@@ -923,8 +968,9 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		// completion estimate (the flow held its rate, so the estimate is
 		// exact up to within-epoch departures).
 		completedNow := 0
-		keep := active[:0]
-		for _, f := range active {
+		w := 0
+		for i := 0; i < active.n; i++ {
+			f := active.at(i)
 			send := f.rate * dt
 			if f.rate > 0 && f.remaining <= send {
 				finish := now + f.remaining/f.rate
@@ -937,27 +983,31 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 					rep.Flows[f.id].Done = true
 					rep.Flows[f.id].Finished = finish
 				}
-				freeFlows = append(freeFlows, f)
+				arena.drop(f.path)
 				continue
 			}
 			f.remaining -= send
-			keep = append(keep, f)
+			w = active.put(w, f)
 		}
-		active = keep
+		active.n = w
+		if arena.crowded() {
+			arena.begin()
+			for i := 0; i < active.n; i++ {
+				f := active.at(i)
+				f.path = arena.relocate(f.path)
+			}
+			arena.end()
+		}
 		obs.endEpoch(rep, EpochStats{
-			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: len(active),
+			Epoch: epoch, Arrived: admitted, Completed: completedNow, Active: active.n,
 		})
 	}
 
-	rep.ResidualFlows = len(active)
-	for _, f := range active {
-		rep.ResidualSize += f.remaining
+	rep.ResidualFlows = active.n
+	for i := 0; i < active.n; i++ {
+		rep.ResidualSize += active.at(i).remaining
 	}
-	// Park the buffers for the next run sharing this scratch; residual
-	// actives rejoin the freelist so the flow population stays a closed
-	// pool at its all-time peak.
-	freeFlows = append(freeFlows, active...)
-	scratch.active, scratch.pend, scratch.freeFlows = active[:0], pend[:0], freeFlows
+	scratch.pend = pend[:0] // park the arrival buffer for the next run
 	obs.finishReport(rep)
 	return rep, nil
 }

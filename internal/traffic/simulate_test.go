@@ -4,13 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"netmodel/internal/engine"
 	"netmodel/internal/graph"
 	"netmodel/internal/rng"
 )
+
+// treePath resolves (src, dst) into a fresh slice, the walk a memo entry
+// holds.
+func (rt *Routing) treePath(src, dst int) ([]int32, bool) {
+	return rt.treePathInto(src, dst, nil)
+}
 
 // meshGraph is a ring with chords — connected, multipath, cheap.
 func meshGraph(n int) *graph.Graph {
@@ -295,5 +303,130 @@ func TestSimulateDisconnectedUndelivered(t *testing.T) {
 	}
 	if rep.Undelivered == 0 {
 		t.Fatal("cross-component flows must surface as undelivered")
+	}
+}
+
+// ownershipWorkload is a small dense workload for the path-ownership
+// tests: a 300-node BA map (well under its tree budget), both engines,
+// without failures and under random outages with retries.
+func ownershipWorkload(t *testing.T) (*graph.Snapshot, []float64, []WorkloadSpec) {
+	t.Helper()
+	s, masses, spec := kernelsWorkload(t, 300, 150)
+	spec.Epochs = 12
+	var specs []WorkloadSpec
+	for _, eng := range []string{EngineEpoch, EngineEvent} {
+		for _, fail := range []*FailureSpec{nil, {Mode: FailRandom, Links: 6, Nodes: 1, MTBF: 3, MTTR: 1, MaxRetries: 2}} {
+			sp := spec
+			sp.Engine, sp.Failures = eng, fail
+			specs = append(specs, sp)
+		}
+	}
+	return s, masses, specs
+}
+
+// TestMemoSkippedUnderTreeBudget pins the memo rule at n <= tree budget:
+// a simulation memoizes nothing, and it reproduces — flow by flow — the
+// report of a run whose memo was pre-filled with every OD pair through
+// storePath.
+func TestMemoSkippedUnderTreeBudget(t *testing.T) {
+	s, masses, specs := ownershipWorkload(t)
+	for _, spec := range specs {
+		rt := NewRouting(s)
+		if rt.memoizes() {
+			t.Fatalf("n=%d under a budget of %d trees still memoizes", s.N(), rt.max)
+		}
+		got, err := Simulate(s, masses, spec, rng.New(3), 1, WithRouting(rt), WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rt.paths) != 0 {
+			t.Fatalf("%s/%v: %d paths memoized under the tree budget", spec.Engine, spec.Failures, len(rt.paths))
+		}
+		filled := NewRouting(s)
+		for src := 0; src < s.N(); src++ {
+			for dst := 0; dst < s.N(); dst++ {
+				if dst != src {
+					p, ok := filled.treePath(src, dst)
+					filled.storePath(src, dst, p, ok)
+				}
+			}
+		}
+		want, err := Simulate(s, masses, spec, rng.New(3), 1, WithRouting(filled), WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%v: walked paths and a pre-filled memo disagree", spec.Engine, spec.Failures)
+		}
+	}
+}
+
+// TestMemoFillsAboveTreeBudget: once the tree budget is below the node
+// count, admissions memoize every resolved pair — each entry the tree
+// walk — and the report matches the memo-free run's.
+func TestMemoFillsAboveTreeBudget(t *testing.T) {
+	s, masses, specs := ownershipWorkload(t)
+	for _, spec := range specs[:2] { // the epoch engine, with and without failures
+		want, err := Simulate(s, masses, spec, rng.New(3), 1, WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := NewRouting(s)
+		rt.max = 16
+		got, err := Simulate(s, masses, spec, rng.New(3), 1, WithRouting(rt), WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: memoizing run diverged from the walking run", spec.Failures)
+		}
+		if spec.Failures != nil {
+			continue // admissions resolve over the private mirror routing
+		}
+		if len(rt.paths) < got.Arrived/4 {
+			t.Fatalf("%d paths memoized for %d arrivals", len(rt.paths), got.Arrived)
+		}
+		oracle := NewRouting(s)
+		for key, p := range rt.paths {
+			want, ok := oracle.treePath(int(key>>32), int(int32(key)))
+			if !ok || !slices.Equal(p, want) {
+				t.Fatalf("memoized path %d→%d = %v, tree walk %v", key>>32, int32(key), p, want)
+			}
+		}
+	}
+}
+
+// TestAdmittedFlowsOwnTheirPaths zeroes the admission slab and the
+// failure layer's resolve buffer after every epoch's admissions — edge
+// 0 is a real link, so a flow still reading either would silently
+// reroute — and requires the reports of both engines, with and without
+// failures, to stay flow-for-flow identical.
+func TestAdmittedFlowsOwnTheirPaths(t *testing.T) {
+	s, masses, specs := ownershipWorkload(t)
+	scribbled := 0
+	scribble := func(ctx *simContext) {
+		slab := ctx.routing().admSlab
+		scribbled += len(slab)
+		clear(slab[:cap(slab)])
+		if ctx.fail != nil {
+			clear(ctx.fail.pathBuf[:cap(ctx.fail.pathBuf)])
+		}
+	}
+	for _, spec := range specs {
+		want, err := Simulate(s, masses, spec, rng.New(9), 1, WithFlowTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Simulate(s, masses, spec, rng.New(9), 1, WithFlowTrace(),
+			func(c *simConfig) { c.afterAdmit = scribble })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s/%v: overwriting the admission buffers changed the run", spec.Engine, spec.Failures)
+		}
+	}
+	if scribbled == 0 {
+		t.Fatal("no admission walked into the slab")
 	}
 }

@@ -46,11 +46,12 @@ func (wf *wfState) ensure(nlinks int) {
 // Afterwards wf.links lists the carrying links for the observation
 // pass, with wf.capRem holding their unclaimed capacity; the caller
 // zeroes wf.nflows as it consumes them.
-func (wf *wfState) fill(active []*simFlow, capEdge []float64) {
+func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) {
 	wf.links = wf.links[:0]
-	for fi, f := range active {
+	for fi := 0; fi < active.n; fi++ {
+		f := active.at(fi)
 		f.rate = -1
-		for _, e := range f.path {
+		for _, e := range arena.path(f.path) {
 			if wf.nflows[e] == 0 {
 				wf.links = append(wf.links, e)
 				wf.capRem[e] = capEdge[e]
@@ -60,7 +61,7 @@ func (wf *wfState) fill(active []*simFlow, capEdge []float64) {
 			wf.lflows[e] = append(wf.lflows[e], int32(fi))
 		}
 	}
-	for unfixed := len(active); unfixed > 0; {
+	for unfixed := active.n; unfixed > 0; {
 		best := int32(-1)
 		var bestShare float64
 		for _, e := range wf.links {
@@ -79,13 +80,13 @@ func (wf *wfState) fill(active []*simFlow, capEdge []float64) {
 			bestShare = 0 // floating-point slack
 		}
 		for _, fi := range wf.lflows[best] {
-			f := active[fi]
+			f := active.at(int(fi))
 			if f.rate >= 0 {
 				continue
 			}
 			f.rate = bestShare
 			unfixed--
-			for _, e := range f.path {
+			for _, e := range arena.path(f.path) {
 				wf.capRem[e] -= bestShare
 				wf.nflows[e]--
 			}

@@ -227,9 +227,16 @@ type TrajectoryPoint struct {
 // measurement; call them once Observe has returned, not concurrently
 // with it. The recorded points are those of a synchronous
 // refreeze-advance-measure loop.
+//
+// Epoch k's measurement reads the snapshots of epochs k-1 and k (the
+// triangle refresh walks both). Once it has finished, the next Observe
+// retires epoch k-1's snapshot (graph.Snapshot.Retire), so its storage
+// feeds the refreshes of later epochs. The last two snapshots are never
+// retired: the final engine keeps reading them.
 type TrajectoryObserver struct {
 	workers int
 	prev    *graph.Snapshot
+	older   *graph.Snapshot // the snapshot before prev, retired by the next Observe
 	eng     *engine.Engine
 	points  []TrajectoryPoint
 	// inflight counts the epoch measurement running beside the
@@ -330,11 +337,14 @@ func (o *TrajectoryObserver) Observe(g *graph.Graph, n int) error {
 			return err
 		}
 		o.inflight.Wait()
+		if o.older != nil {
+			o.older.Retire()
+		}
 		if err = o.eng.Advance(next, d); err != nil {
 			return err
 		}
 	}
-	o.prev = next
+	o.older, o.prev = o.prev, next
 	o.inflight.Add(1)
 	go o.measure(d != nil)
 	return nil

@@ -59,6 +59,9 @@ type Engine struct {
 	// msbfs is the free list of path-statistics lane scratches, at most
 	// one per worker.
 	msbfs []*metrics.MSBFSScratch
+	// triScratch is the triangle refresh's lookup table, used by one
+	// epoch's refresh at a time.
+	triScratch metrics.TriangleScratch
 }
 
 type memoEntry struct {
@@ -172,7 +175,7 @@ func (e *Engine) Advance(next *graph.Snapshot, d *graph.Delta) error {
 			// copies.
 			prevTri := tri.([]int)
 			inherit["triangles"] = func() any {
-				return metrics.RefreshTriangles(prev, next, d, prevTri)
+				return metrics.RefreshTriangles(prev, next, d, prevTri, &e.triScratch)
 			}
 		}
 		if cmv, ok := e.peek("coremap"); ok {

@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // This file implements incremental freeze: instead of rebuilding the
@@ -28,7 +27,8 @@ import (
 // and otherwise doubles the arena once. Only the tip snapshot of a
 // lineage may extend the shared arena (see arena.claim); refreshing
 // twice from the same base silently degrades to the compacting copy,
-// never to corruption.
+// never to corruption. Storage of retired snapshots feeds the next
+// refreshes of their lineage (see retire.go).
 
 // DeltaEdge is one simple edge whose multiplicity changed between a
 // base snapshot and its refreshed successor. OldW == 0 means the edge
@@ -48,6 +48,7 @@ type Delta struct {
 	baseVersion uint64
 	baseN, n    int
 	edges       []DeltaEdge
+	retired     bool // the base snapshot retired and took the edge buffer back
 }
 
 // BaseVersion returns the version of the snapshot the delta extends.
@@ -57,13 +58,20 @@ func (d *Delta) BaseVersion() uint64 { return d.baseVersion }
 func (d *Delta) N() int { return d.n }
 
 // Edges returns the changed simple edges sorted by (U, V). The slice
-// aliases the delta and must not be modified.
-func (d *Delta) Edges() []DeltaEdge { return d.edges }
+// aliases the delta and must not be modified, and it is recycled when
+// the delta's base snapshot retires (Snapshot.Retire): a call after
+// that panics.
+func (d *Delta) Edges() []DeltaEdge {
+	if d.retired {
+		panic("graph: read of a delta whose base snapshot retired")
+	}
+	return d.edges
+}
 
 // Counts returns how many simple edges the delta inserts and removes
 // (multiplicity-only changes are in neither count).
 func (d *Delta) Counts() (inserted, removed int) {
-	for _, e := range d.edges {
+	for _, e := range d.Edges() {
 		if e.OldW == 0 {
 			inserted++
 		} else if e.NewW == 0 {
@@ -73,44 +81,23 @@ func (d *Delta) Counts() (inserted, removed int) {
 	return inserted, removed
 }
 
-// arena guards extension rights over a lineage's shared arc arrays.
-// Many snapshots alias the same backing; only the lineage tip may
-// append to it or write into row slack, because everything it writes
-// lies beyond every earlier snapshot's visible row ends.
-type arena struct {
-	mu  sync.Mutex
-	tip uint64
-}
-
-// claim transfers extension rights from the snapshot version `from` to
-// `to`; it fails when `from` is no longer the tip (a second refresh off
-// the same base), in which case the caller must copy instead of extend.
-func (a *arena) claim(from, to uint64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tip != from {
-		return false
-	}
-	a.tip = to
-	return true
-}
-
 // mutLog is the graph-side delta log: the edges touched since the last
-// freeze, relative to that snapshot's version. The log caps its own
-// length — once the mutation volume rivals the graph itself a refresh
-// would not beat a rebuild, so the log marks itself lost and Refreeze
-// falls back to a full freeze.
+// freeze, relative to that snapshot's version, each packed as u<<32|v
+// with u < v. The log caps its own length — once the mutation volume
+// rivals the graph itself a refresh would not beat a rebuild, so the
+// log marks itself lost and Refreeze falls back to a full freeze.
 type mutLog struct {
 	active      bool
 	lost        bool
 	baseVersion uint64
 	baseN       int
-	touched     [][2]int32
+	touched     []uint64
 }
 
-// startLog begins logging mutations relative to the snapshot s.
+// startLog begins logging mutations relative to the snapshot s, reusing
+// the previous epoch's touch buffer.
 func (g *Graph) startLog(s *Snapshot) {
-	g.log = mutLog{active: true, baseVersion: s.version, baseN: g.N()}
+	g.log = mutLog{active: true, baseVersion: s.version, baseN: g.N(), touched: g.log.touched[:0]}
 }
 
 // logTouch records that the simple edge (u,v) changed. Out-of-envelope
@@ -127,7 +114,7 @@ func (g *Graph) logTouch(u, v int) {
 		g.log.touched = nil
 		return
 	}
-	g.log.touched = append(g.log.touched, [2]int32{int32(u), int32(v)})
+	g.log.touched = append(g.log.touched, uint64(u)<<32|uint64(v))
 }
 
 // Refreeze returns an up-to-date snapshot of g. When base is the
@@ -139,9 +126,13 @@ func (g *Graph) logTouch(u, v int) {
 // to a full FreezeChecked and the returned delta is nil.
 func (g *Graph) Refreeze(base *Snapshot) (*Snapshot, *Delta, error) {
 	if base != nil && g.log.active && !g.log.lost && g.log.baseVersion == base.version {
-		d := g.buildDelta(base)
+		d := g.buildDelta(base, base.arena.lin.takeEdges())
 		next, err := base.Refresh(d)
 		if err == nil {
+			if next.arena.lin == base.arena.lin {
+				// The delta's buffer goes back when its base retires.
+				base.spawned = d
+			}
 			g.startLog(next)
 			return next, d, nil
 		}
@@ -153,29 +144,24 @@ func (g *Graph) Refreeze(base *Snapshot) (*Snapshot, *Delta, error) {
 }
 
 // buildDelta materializes the net change between base and g's current
-// adjacency from the touch log: dedupe the touched pairs, read old
-// multiplicities from the snapshot and new ones from the graph, and
+// adjacency from the touch log into buf: dedupe the touched pairs, read
+// old multiplicities from the snapshot and new ones from the graph, and
 // drop pairs that changed and changed back.
-func (g *Graph) buildDelta(base *Snapshot) *Delta {
-	d := &Delta{baseVersion: base.version, baseN: g.log.baseN, n: g.N()}
+func (g *Graph) buildDelta(base *Snapshot, buf []DeltaEdge) *Delta {
+	d := &Delta{baseVersion: base.version, baseN: g.log.baseN, n: g.N(), edges: buf[:0]}
 	touched := g.log.touched
-	sort.Slice(touched, func(i, j int) bool {
-		if touched[i][0] != touched[j][0] {
-			return touched[i][0] < touched[j][0]
-		}
-		return touched[i][1] < touched[j][1]
-	})
+	slices.Sort(touched)
 	for i, p := range touched {
 		if i > 0 && p == touched[i-1] {
 			continue
 		}
-		u, v := int(p[0]), int(p[1])
+		u, v := int(p>>32), int(uint32(p))
 		oldW := base.EdgeWeight(u, v)
 		newW := g.EdgeWeight(u, v)
 		if oldW == newW {
 			continue
 		}
-		d.edges = append(d.edges, DeltaEdge{U: p[0], V: p[1], OldW: int32(oldW), NewW: int32(newW)})
+		d.edges = append(d.edges, DeltaEdge{U: int32(u), V: int32(v), OldW: int32(oldW), NewW: int32(newW)})
 	}
 	return d
 }
@@ -197,7 +183,9 @@ func slackFor(rowLen int) int { return rowLen/4 + 4 }
 // a pure append into remaining slack) or relocated with fresh slack
 // into the arena's spare capacity. When the relocations do not fit
 // that capacity, the arena is compacted into a fresh one if dead space
-// exceeds half the capacity live rows hold, and doubled otherwise.
+// exceeds half the capacity live rows hold, and doubled otherwise;
+// the new arena and the per-node arrays come from storage of retired
+// snapshots of the lineage when it is large enough (see Retire).
 // Untouched rows share their storage with the base snapshot. The
 // result is logically identical to freezing the mutated graph from
 // scratch: same rows, same counts, same metrics. The delta must extend
@@ -217,17 +205,24 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 		return nil, fmt.Errorf("graph: snapshot overflow: %d nodes", d.n)
 	}
 	oldN, n := d.baseN, d.n
-
-	next := &Snapshot{
-		offsets:  make([]int32, n+1),
-		ends:     make([]int32, n),
-		caps:     make([]int32, n),
-		m:        s.m,
-		strength: s.strength,
-		version:  nextSnapshotVersion(),
+	changes, m, strength, err := s.rowChanges(d)
+	if err != nil {
+		return nil, err
 	}
+	next := &Snapshot{m: m, strength: strength, version: nextSnapshotVersion()}
+	// Only the tip refresh continues the lineage; a second refresh off
+	// the same base starts its own, so the two never trade storage.
+	tip := s.arena != nil && s.arena.claim(s.version, next.version)
+	lin := &lineage{}
+	if tip {
+		lin = s.arena.lin
+	}
+	na := lin.takeNodes(n)
+	next.offsets, next.ends, next.caps = na.offsets, na.ends, na.caps
 	copy(next.offsets, s.offsets[:oldN])
+	clear(next.offsets[oldN:])
 	copy(next.ends, s.ends[:oldN])
+	clear(next.ends[oldN:])
 	if s.caps != nil {
 		copy(next.caps, s.caps[:oldN])
 	} else {
@@ -235,36 +230,7 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 			next.caps[u] = s.ends[u] - s.offsets[u]
 		}
 	}
-
-	// Split each changed edge into its two row views and validate the
-	// delta against this snapshot as we go.
-	changes := make([]rowChange, 0, 2*len(d.edges))
-	for _, e := range d.edges {
-		if e.U < 0 || e.U >= e.V || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: delta edge (%d,%d) out of range", e.U, e.V)
-		}
-		if e.OldW == e.NewW || e.OldW < 0 || e.NewW < 0 {
-			return nil, fmt.Errorf("graph: delta edge (%d,%d) weight %d -> %d is not a change", e.U, e.V, e.OldW, e.NewW)
-		}
-		if got := int32(s.EdgeWeight(int(e.U), int(e.V))); got != e.OldW {
-			return nil, fmt.Errorf("graph: delta edge (%d,%d) claims old weight %d, snapshot has %d", e.U, e.V, e.OldW, got)
-		}
-		changes = append(changes,
-			rowChange{node: e.U, nbr: e.V, oldW: e.OldW, newW: e.NewW},
-			rowChange{node: e.V, nbr: e.U, oldW: e.OldW, newW: e.NewW})
-		if e.OldW == 0 {
-			next.m++
-		} else if e.NewW == 0 {
-			next.m--
-		}
-		next.strength += int(e.NewW - e.OldW)
-	}
-	sort.Slice(changes, func(i, j int) bool {
-		if changes[i].node != changes[j].node {
-			return changes[i].node < changes[j].node
-		}
-		return changes[i].nbr < changes[j].nbr
-	})
+	clear(next.caps[oldN:])
 
 	liveArcs := 2 * next.m
 	// Size the relocations first, so the arena is reallocated at most
@@ -294,19 +260,24 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 	}
 	// Compact as well when this snapshot is no longer the lineage tip
 	// (someone else extended the arena).
-	if compact || s.arena == nil || !s.arena.claim(s.version, next.version) {
-		if err := s.rebuildInto(next, changes, liveArcs); err != nil {
+	if compact || !tip {
+		if err := s.rebuildInto(next, changes, liveArcs, lin); err != nil {
 			return nil, err
 		}
 		return next, nil
 	}
+	a := s.arena
 	if !fits {
 		if len(nb)+need > math.MaxInt32 {
 			return nil, fmt.Errorf("graph: snapshot overflow: arena beyond int32 (%d arcs)", len(nb)+need)
 		}
-		size := min(max(2*cap(nb), len(nb)+need), math.MaxInt32)
-		nb = append(make([]int32, 0, size), nb...)
-		wt = append(make([]int32, 0, size), wt...)
+		rnb, rwt := lin.takeArena(max(len(nb)+need, recycleArcs(liveArcs)))
+		if rnb == nil {
+			size := min(max(2*cap(nb), len(nb)+need), math.MaxInt32)
+			rnb, rwt = make([]int32, 0, size), make([]int32, 0, size)
+		}
+		nb, wt = append(rnb, nb...), append(rwt, wt...)
+		a = &arena{lin: lin, tip: next.version, recycle: true}
 	}
 
 	for i := 0; i < len(changes); {
@@ -340,9 +311,58 @@ func (s *Snapshot) Refresh(d *Delta) (*Snapshot, error) {
 	}
 	next.offsets[n] = int32(len(nb))
 	next.neighbors, next.weights = nb, wt
-	next.arena = s.arena
+	a.attach(next)
 	next.recountMaxDeg()
 	return next, nil
+}
+
+// rowChanges validates the delta against s and splits each changed
+// edge into its two row views, grouped by row and sorted by neighbor
+// within each row, with the edge and strength counters after the
+// delta. Delta edges are sorted by (U, V) with U < V, so row u's views
+// are its V-views (neighbor U < u, ascending) followed by its U-views
+// (neighbor V > u, ascending, already contiguous in the delta): only
+// the V-views need sorting, by packed V<<32 | delta-index keys.
+func (s *Snapshot) rowChanges(d *Delta) (changes []rowChange, m, strength int, err error) {
+	edges := d.Edges()
+	m, strength = s.m, s.strength
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		if e.U < 0 || e.U >= e.V || int(e.V) >= d.n {
+			return nil, 0, 0, fmt.Errorf("graph: delta edge (%d,%d) out of range", e.U, e.V)
+		}
+		if i > 0 && (e.U < edges[i-1].U || e.U == edges[i-1].U && e.V <= edges[i-1].V) {
+			return nil, 0, 0, fmt.Errorf("graph: delta edge (%d,%d) out of (U, V) order", e.U, e.V)
+		}
+		if e.OldW == e.NewW || e.OldW < 0 || e.NewW < 0 {
+			return nil, 0, 0, fmt.Errorf("graph: delta edge (%d,%d) weight %d -> %d is not a change", e.U, e.V, e.OldW, e.NewW)
+		}
+		if got := int32(s.EdgeWeight(int(e.U), int(e.V))); got != e.OldW {
+			return nil, 0, 0, fmt.Errorf("graph: delta edge (%d,%d) claims old weight %d, snapshot has %d", e.U, e.V, e.OldW, got)
+		}
+		if e.OldW == 0 {
+			m++
+		} else if e.NewW == 0 {
+			m--
+		}
+		strength += int(e.NewW - e.OldW)
+		keys[i] = uint64(e.V)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	changes = make([]rowChange, 0, 2*len(edges))
+	ui := 0 // first U-view not yet emitted
+	for _, k := range keys {
+		e := edges[uint32(k)]
+		for ; ui < len(edges) && edges[ui].U < e.V; ui++ {
+			u := edges[ui]
+			changes = append(changes, rowChange{node: u.U, nbr: u.V, oldW: u.OldW, newW: u.NewW})
+		}
+		changes = append(changes, rowChange{node: e.V, nbr: e.U, oldW: e.OldW, newW: e.NewW})
+	}
+	for _, u := range edges[ui:] {
+		changes = append(changes, rowChange{node: u.U, nbr: u.V, oldW: u.OldW, newW: u.NewW})
+	}
+	return changes, m, strength, nil
 }
 
 // rowRun returns the run of sorted changes starting at i that share
@@ -413,19 +433,23 @@ func mergeRow(nb, wt, rowNb, rowWt []int32, cs []rowChange) ([]int32, []int32) {
 	return nb, wt
 }
 
-// rebuildInto compacts the refreshed topology into a fresh arena:
-// every row is copied (touched rows merged with their changes) with an
-// eighth of slack, dropping all relocation garbage. The arena reserves
-// twice the compacted size, so the relocations of the following
-// epochs land in spare capacity instead of a new arena. Short rows get
-// no slack of their own: most rows of a growth model never change
-// again, and those that do relocate once into the reserve. next
-// already carries offsets/ends/caps copies and updated counters.
-func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int) error {
+// rebuildInto compacts the refreshed topology into a new arena, retired
+// storage of the lineage when it holds recycleArcs(liveArcs), else a
+// fresh one: every row is copied (touched rows merged with their
+// changes) with an eighth of slack, dropping all relocation garbage. A
+// fresh arena reserves twice the compacted size, so the relocations of
+// the following epochs land in spare capacity instead of a new arena.
+// Short rows get no slack of their own: most rows of a growth model
+// never change again, and those that do relocate once into the
+// reserve. next already carries offsets/ends/caps copies and updated
+// counters.
+func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int, lin *lineage) error {
 	n := next.N()
-	budget := min(2*(int64(liveArcs)+int64(liveArcs)/8), math.MaxInt32)
-	nb := make([]int32, 0, budget)
-	wt := make([]int32, 0, budget)
+	nb, wt := lin.takeArena(recycleArcs(liveArcs))
+	if nb == nil {
+		budget := min(2*(int64(liveArcs)+int64(liveArcs)/8), math.MaxInt32)
+		nb, wt = make([]int32, 0, budget), make([]int32, 0, budget)
+	}
 	oldN := s.N()
 	ci := 0
 	for u := 0; u < n; u++ {
@@ -458,7 +482,7 @@ func (s *Snapshot) rebuildInto(next *Snapshot, changes []rowChange, liveArcs int
 	}
 	next.offsets[n] = int32(len(nb))
 	next.neighbors, next.weights = nb, wt
-	next.arena = &arena{tip: next.version}
+	(&arena{lin: lin, tip: next.version, recycle: true}).attach(next)
 	next.recountMaxDeg()
 	return nil
 }

@@ -148,26 +148,64 @@ func TestRefreshRemovalOnly(t *testing.T) {
 // TestRefreshTwiceFromSameBase pins the arena-claim rule: a second
 // refresh off the same base cannot extend the shared arena in place and
 // must fall back to the compacting copy, leaving both results and the
-// base correct.
+// base correct. The two branches are separate lineages: after either
+// one retires the other still matches, and storage the second branch
+// retires never feeds the first branch's later refreshes.
 func TestRefreshTwiceFromSameBase(t *testing.T) {
-	r := rng.New(9)
-	g := New(5)
-	g.MustAddEdge(0, 1)
-	base := g.Freeze()
-	mutateEpoch(t, g, r, 4, 12)
-	first, d, err := g.Refreeze(base)
-	if err != nil || d == nil {
-		t.Fatalf("refreeze: %v (delta %v)", err, d)
-	}
-	second, err := base.Refresh(d)
-	if err != nil {
-		t.Fatalf("second refresh: %v", err)
-	}
-	fresh := g.Copy().Freeze()
-	assertSnapshotsEqual(t, "first", first, fresh)
-	assertSnapshotsEqual(t, "second", second, fresh)
-	if base.N() != 5 || base.M() != 1 {
-		t.Fatal("base snapshot mutated")
+	for _, retire := range []string{"none", "first", "second"} {
+		r := rng.New(9)
+		g := New(5)
+		g.MustAddEdge(0, 1)
+		base := g.Freeze()
+		mutateEpoch(t, g, r, 4, 12)
+		first, d, err := g.Refreeze(base)
+		if err != nil || d == nil {
+			t.Fatalf("refreeze: %v (delta %v)", err, d)
+		}
+		second, err := base.Refresh(d)
+		if err != nil {
+			t.Fatalf("second refresh: %v", err)
+		}
+		if second.arena.lin == first.arena.lin {
+			t.Fatal("second refresh off the same base continued the first's lineage")
+		}
+		fresh := g.Copy().Freeze()
+		switch retire {
+		case "first":
+			first.Retire()
+			assertSnapshotsEqual(t, "second after first retired", second, fresh)
+		case "second":
+			retired := map[*int32]bool{
+				unsafe.SliceData(second.offsets): true, unsafe.SliceData(second.ends): true,
+				unsafe.SliceData(second.caps): true, unsafe.SliceData(second.neighbors): true,
+			}
+			second.Retire()
+			assertSnapshotsEqual(t, "first after second retired", first, fresh)
+			// The first branch keeps growing and retiring; none of its
+			// refreshes may land on the second branch's storage.
+			prev, older := first, base
+			for epoch := 0; epoch < 30; epoch++ {
+				mutateEpoch(t, g, r, 3, 10)
+				next, _, err := g.Refreeze(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range [][]int32{next.offsets, next.ends, next.caps, next.neighbors} {
+					if retired[unsafe.SliceData(p)] {
+						t.Fatalf("epoch %d: the first branch reused the second branch's storage", epoch)
+					}
+				}
+				older.Retire()
+				assertSnapshotsEqual(t, "first branch", next, g.Copy().Freeze())
+				prev, older = next, prev
+			}
+		default:
+			assertSnapshotsEqual(t, "first", first, fresh)
+			assertSnapshotsEqual(t, "second", second, fresh)
+		}
+		if retire != "second" && (base.N() != 5 || base.M() != 1) {
+			t.Fatal("base snapshot mutated")
+		}
 	}
 }
 

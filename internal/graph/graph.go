@@ -86,7 +86,7 @@ func (g *Graph) TotalStrength() int { return g.strength }
 func (g *Graph) MemEstimate() int64 {
 	b := int64(cap(g.rows))*int64(unsafe.Sizeof([]arc(nil))) +
 		int64(cap(g.str))*int64(unsafe.Sizeof(int(0))) +
-		int64(cap(g.log.touched))*int64(unsafe.Sizeof([2]int32{}))
+		int64(cap(g.log.touched))*int64(unsafe.Sizeof(uint64(0)))
 	for _, row := range g.rows {
 		b += int64(cap(row)) * int64(unsafe.Sizeof(arc{}))
 	}

@@ -209,6 +209,10 @@ func assertMatchesOracle(t *testing.T, tag string, g *Graph, o *mapGraph) {
 // refreshed snapshot is kept with the cold freeze of its epoch, and at
 // the end each must still equal it: later refreshes writing into row
 // slack or arena capacity must never show through an older snapshot.
+// Each Refreeze checkpoint retires the Refreeze result from two
+// checkpoints back, as the trajectory observer does, and drops it from
+// the kept set, so retired storage feeds the following refreshes
+// without ever showing through a kept snapshot.
 func runScript(t *testing.T, script []byte) {
 	t.Helper()
 	if len(script) == 0 {
@@ -218,6 +222,7 @@ func runScript(t *testing.T, script []byte) {
 	base := g.Freeze()
 	type epoch struct{ snap, cold *Snapshot }
 	kept := []epoch{{base, g.Copy().Freeze()}}
+	tips := []*Snapshot{base} // Refreeze results, oldest first; retired two back
 	var ids, cursor []int32
 	script = script[1:]
 	for step := 0; step+3 <= len(script); step += 3 {
@@ -265,6 +270,12 @@ func runScript(t *testing.T, script []byte) {
 			ids, cursor = assertArcEdgeIDs(t, tag, next, ids, cursor)
 			kept = append(kept, epoch{next, cold})
 			base = next
+			if tips = append(tips, next); len(tips) == 3 {
+				old := tips[0]
+				tips = tips[1:]
+				kept = slices.DeleteFunc(kept, func(e epoch) bool { return e.snap == old })
+				old.Retire()
+			}
 		}
 		if g.HasEdge(a, b) != (o.EdgeWeight(a, b) > 0) || g.EdgeWeight(a, b) != o.EdgeWeight(a, b) {
 			t.Fatalf("%s: edge weight %d, oracle %d", tag, g.EdgeWeight(a, b), o.EdgeWeight(a, b))

@@ -28,7 +28,9 @@ import (
 //
 // The mutable row-backed Graph remains the API for generation and
 // rewiring; analysis freezes once and reads the snapshot, refreshing
-// from the graph's mutation delta at each later observation epoch.
+// from the graph's mutation delta at each later observation epoch. A
+// trajectory that is done with an epoch's snapshot retires it (Retire),
+// and the next refreshes of the lineage reuse its storage.
 type Snapshot struct {
 	offsets   []int32 // len N+1; row of node u starts at offsets[u]
 	ends      []int32 // len N; row of node u ends at ends[u]; tight snapshots alias offsets[1:]
@@ -39,7 +41,8 @@ type Snapshot struct {
 	strength  int     // total multiplicity over simple edges
 	maxDeg    int
 	version   uint64
-	arena     *arena // growth rights over the shared arc arena (see delta.go)
+	arena     *arena // the arc storage and its growth rights (see retire.go)
+	spawned   *Delta // the delta Graph.Refreeze refreshed s with, recycled by Retire
 
 	edgeOnce sync.Once
 	arcEdge  []int32 // lazy: arc index -> simple-edge index in [0, M)
@@ -85,7 +88,7 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		version:   nextSnapshotVersion(),
 	}
 	s.ends = s.offsets[1:]
-	s.arena = &arena{tip: s.version}
+	(&arena{lin: &lineage{}, tip: s.version}).attach(s)
 	for u, row := range g.rows {
 		s.offsets[u+1] = s.offsets[u] + int32(len(row))
 		s.maxDeg = max(s.maxDeg, len(row))
@@ -107,8 +110,14 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 // keyed by version can never serve a stale entry after a refresh.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// N returns the number of nodes.
-func (s *Snapshot) N() int { return len(s.offsets) - 1 }
+// N returns the number of nodes. It panics on a retired snapshot (see
+// Retire), and so does every read that goes through it.
+func (s *Snapshot) N() int {
+	if s.offsets == nil {
+		panic("graph: read of a retired snapshot")
+	}
+	return len(s.offsets) - 1
+}
 
 // MemBytes returns the heap bytes held by the snapshot's arrays — the
 // cost an artifact cache should charge for keeping it resident. The

@@ -167,7 +167,7 @@ func TestRefreshKernelsUnderChurnFamilies(t *testing.T) {
 					core = NewCoreMap(prev)
 					init = true
 				}
-				tri = RefreshTriangles(prev, next, d, tri)
+				tri = RefreshTriangles(prev, next, d, tri, nil)
 				if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 					t.Fatalf("%s/%d: churned triangles diverged", fam, seed)
 				}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/bits"
 	"slices"
 
 	"netmodel/internal/graph"
@@ -116,53 +117,102 @@ func growRow[T any](row []T, n int, fill T) []T {
 	return row
 }
 
-// deltaEdgeKey packs an unordered node pair for the per-edge sequence
-// maps of the incremental kernels.
-func deltaEdgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
+// TriangleScratch is the reusable lookup table of RefreshTriangles: an
+// open-addressing map from each changed edge, packed as U<<32|V, to its
+// index in the delta. The zero value is ready to use; a caller that
+// refreshes every epoch keeps one, so the table is allocated once.
+type TriangleScratch struct {
+	keys  []uint64
+	idx   []int32
+	shift uint
+}
+
+// emptyKey marks a free slot; packed edges have U < 2^31, so none
+// equals it.
+const emptyKey = ^uint64(0)
+
+// index loads the delta edges into the table, at most half full.
+func (sc *TriangleScratch) index(edges []graph.DeltaEdge) {
+	bitsLen := 0
+	if len(edges) > 0 {
+		bitsLen = bits.Len(uint(2*len(edges) - 1))
 	}
-	return uint64(u)<<32 | uint64(v)
+	size := 1 << bitsLen
+	if cap(sc.keys) < size {
+		sc.keys, sc.idx = make([]uint64, size), make([]int32, size)
+	}
+	sc.keys, sc.idx, sc.shift = sc.keys[:size], sc.idx[:size], uint(64-bitsLen)
+	for i := range sc.keys {
+		sc.keys[i] = emptyKey
+	}
+	for i, e := range edges {
+		k := uint64(e.U)<<32 | uint64(e.V)
+		h := sc.slot(k)
+		for sc.keys[h] != emptyKey {
+			h = (h + 1) & (size - 1)
+		}
+		sc.keys[h], sc.idx[h] = k, int32(i)
+	}
+}
+
+// slot is the home slot of a packed edge (Fibonacci hashing).
+func (sc *TriangleScratch) slot(k uint64) int {
+	return int((k * 0x9e3779b97f4a7c15) >> sc.shift)
+}
+
+// lookup returns the delta index of the simple edge {a, b}, or -1 when
+// the edge did not change.
+func (sc *TriangleScratch) lookup(a, b int32) int {
+	if a > b {
+		a, b = b, a
+	}
+	k := uint64(a)<<32 | uint64(b)
+	mask := len(sc.keys) - 1
+	for h := sc.slot(k); ; h = (h + 1) & mask {
+		switch sc.keys[h] {
+		case k:
+			return int(sc.idx[h])
+		case emptyKey:
+			return -1
+		}
+	}
 }
 
 // RefreshTriangles maintains the per-node triangle counts across a
 // refresh in O(Σ wedges touched): every removed edge closes its
 // triangles on the previous snapshot, every inserted edge on the next.
-// Triangles carrying several changed edges are attributed exactly once,
-// to the change with the highest sequence index, so batches that close
-// multiple sides of the same triangle stay exact. tri must be the
-// triangle vector of prev; it is updated in place, grown (growRow) by
-// zero entries for next's new nodes, and returned, so a caller that
-// must keep prev's counts passes a copy. The result equals
-// TrianglesPerNodeWith(next, w) at any worker count w.
-func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, tri []int) []int {
+// Triangles carrying several changed edges of the same kind are
+// attributed exactly once, to the one latest in the delta's (U, V)
+// order, so batches that close multiple sides of the same triangle stay
+// exact. tri must be the triangle vector of prev; it is updated in
+// place, grown (growRow) by zero entries for next's new nodes, and
+// returned, so a caller that must keep prev's counts passes a copy. sc
+// holds the edge lookup table across calls (nil: a private one). The
+// result equals TrianglesPerNodeWith(next, w) at any worker count w.
+func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, tri []int, sc *TriangleScratch) []int {
 	tri = growRow(tri, next.N(), 0)
-	var ins, rem []graph.DeltaEdge
-	for _, e := range d.Edges() {
-		switch {
-		case e.OldW == 0:
-			ins = append(ins, e)
-		case e.NewW == 0:
-			rem = append(rem, e)
-		}
+	edges := d.Edges()
+	if sc == nil {
+		sc = &TriangleScratch{}
 	}
-	apply := func(s *graph.Snapshot, edges []graph.DeltaEdge, sign int) {
-		idx := make(map[uint64]int, len(edges))
-		for i, e := range edges {
-			idx[deltaEdgeKey(int(e.U), int(e.V))] = i
+	sc.index(edges)
+	// apply credits the triangles of the changes of one sign (removals
+	// on prev, insertions on next). A triangle's other changed sides
+	// are looked up in sc; a side changed another way, or not at all,
+	// does not compete.
+	apply := func(s *graph.Snapshot, sign int) {
+		earlier := func(a, b int32, i int) bool {
+			j := sc.lookup(a, b)
+			return j < 0 || edgeSign(edges[j]) != sign || j < i
 		}
-		seq := func(a, b int) int {
-			if j, ok := idx[deltaEdgeKey(a, b)]; ok {
-				return j
+		for i, e := range edges {
+			if edgeSign(e) != sign {
+				continue
 			}
-			return -1
-		}
-		for i, e := range edges {
 			u, v := int(e.U), int(e.V)
 			// Common neighbors of u and v on s: each is a triangle that
 			// this change creates (insertions on next) or destroys
-			// (removals on prev). Credit it only when this edge has the
-			// highest changed-edge index in the triangle.
+			// (removals on prev).
 			a, b := s.Neighbors(u), s.Neighbors(v)
 			x, y := 0, 0
 			for x < len(a) && y < len(b) {
@@ -172,8 +222,8 @@ func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, tri []int) []i
 				case a[x] > b[y]:
 					y++
 				default:
-					w := int(a[x])
-					if seq(u, w) < i && seq(v, w) < i {
+					w := a[x]
+					if earlier(e.U, w, i) && earlier(e.V, w, i) {
 						tri[u] += sign
 						tri[v] += sign
 						tri[w] += sign
@@ -184,7 +234,19 @@ func RefreshTriangles(prev, next *graph.Snapshot, d *graph.Delta, tri []int) []i
 			}
 		}
 	}
-	apply(prev, rem, -1)
-	apply(next, ins, +1)
+	apply(prev, -1)
+	apply(next, +1)
 	return tri
+}
+
+// edgeSign classifies a delta edge: +1 inserted, -1 removed, 0 a
+// multiplicity change.
+func edgeSign(e graph.DeltaEdge) int {
+	switch {
+	case e.OldW == 0:
+		return 1
+	case e.NewW == 0:
+		return -1
+	}
+	return 0
 }

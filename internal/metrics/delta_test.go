@@ -76,8 +76,9 @@ func TestRefreshKernelsMatchFullRecompute(t *testing.T) {
 			tri := []int(nil)
 			hist := []int(nil)
 			var core *CoreMap
+			var sc TriangleScratch // reused across epochs, as the engine does
 			replayEpochs(t, top, 37, func(prev, next *graph.Snapshot, d *graph.Delta, g *graph.Graph) {
-				tri = RefreshTriangles(prev, next, d, tri)
+				tri = RefreshTriangles(prev, next, d, tri, &sc)
 				if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 					t.Fatalf("%s/%d n=%d: triangles diverged", fam.name, seed, next.N())
 				}
@@ -134,7 +135,7 @@ func TestRefreshKernelsUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tri = RefreshTriangles(prev, next, d, tri)
+		tri = RefreshTriangles(prev, next, d, tri, nil)
 		if want := TrianglesPerNodeWith(next, 1); !reflect.DeepEqual(tri, want) {
 			t.Fatalf("epoch %d: triangles diverged", epoch)
 		}

@@ -596,7 +596,7 @@ func newFailState(ctx *simContext, masses []float64, r *rng.Rand) (*failState, e
 // translation after a refreeze. Mirror edges are always a subset of the
 // base edge set, so every lookup hits.
 func (fs *failState) rebuildCurToBase() {
-	fs.curEdges = fs.cur.EdgeList()
+	fs.curEdges = fs.cur.AppendEdges(fs.curEdges[:0])
 	fs.curToBase = fs.curToBase[:0]
 	for _, e := range fs.curEdges {
 		fs.curToBase = append(fs.curToBase, fs.baseID[pathKey(e.U, e.V)])

@@ -842,28 +842,39 @@ func kernelsRoutingResetRow(t *testing.T) benchutil.Row {
 		WithAllocs(float64(resetAllocs)/measure, float64(resetBytes)/measure)
 }
 
-// kernelsTrajectoryObserveRow measures the heap bytes one trajectory
-// epoch allocates in the metrics engine: Advance onto the refreshed
-// snapshot plus the MeasureGrowthPaths observation, on GLP growth (the
-// topogen defaults) to n nodes observed every n/100 arrivals, with a
-// 64-pivot distance map. Generation and Refreeze stay outside the
-// measured region, and so does the first epoch, which builds every
-// engine-owned state cold; the row is the steady per-epoch cost, whose
-// node-indexed rows grow geometrically, so their copies amortize.
-func kernelsTrajectoryObserveRow(t *testing.T, n int) benchutil.Row {
+// kernelsTrajectoryRows measures the heap bytes one trajectory epoch
+// allocates, on GLP growth (the topogen defaults) to n nodes observed
+// every n/100 arrivals, with a 64-pivot distance map, in two rows:
+//
+//   - kernels-trajectory-observe: the metrics engine's Advance onto the
+//     refreshed snapshot plus the MeasureGrowthPaths observation;
+//   - kernels-trajectory-refreeze: the graph's Refreeze plus the
+//     retirement of the snapshot two epochs back, the order
+//     core.TrajectoryObserver retires in, so the refresh reuses that
+//     snapshot's per-node arrays, delta buffer and, once no live
+//     snapshot shares it, its arc arena.
+//
+// Generation stays outside both measured regions, and so does the
+// first epoch, which freezes cold and builds every engine-owned state
+// cold; the rows are the steady per-epoch costs, whose node-indexed
+// rows grow geometrically, so their copies amortize.
+func kernelsTrajectoryRows(t *testing.T, n int) []benchutil.Row {
 	t.Helper()
 	const (
 		epochs = 100
 		pivots = 64
 	)
 	var (
-		prev     *graph.Snapshot
-		eng      *engine.Engine
-		pivotSet []int32
-		measured int
-		allocs   uint64
-		bytes    uint64
-		elapsed  time.Duration
+		prev, older *graph.Snapshot
+		eng         *engine.Engine
+		pivotSet    []int32
+		measured    int
+		allocs      uint64
+		bytes       uint64
+		elapsed     time.Duration
+		frzAllocs   uint64
+		frzBytes    uint64
+		frzElapsed  time.Duration
 	)
 	observe := func(g *graph.Graph, nn int) error {
 		if prev == nil {
@@ -877,13 +888,28 @@ func kernelsTrajectoryObserveRow(t *testing.T, n int) benchutil.Row {
 			prev = next
 			return nil
 		}
-		next, d, err := g.Refreeze(prev)
+		var next *graph.Snapshot
+		var d *graph.Delta
+		var err error
+		start := time.Now()
+		a, b := benchutil.MeasureAllocs(func() {
+			next, d, err = g.Refreeze(prev)
+			if older != nil {
+				older.Retire()
+			}
+		})
+		frzElapsed += time.Since(start)
 		if err != nil {
 			return err
 		}
+		if d == nil {
+			t.Fatalf("epoch at %d nodes: full freeze, want a delta refresh", nn)
+		}
+		frzAllocs += a
+		frzBytes += b
 		var st metrics.GrowthStats
-		start := time.Now()
-		a, b := benchutil.MeasureAllocs(func() {
+		start = time.Now()
+		a, b = benchutil.MeasureAllocs(func() {
 			err = eng.Advance(next, d)
 			st = eng.MeasureGrowthPaths(pivotSet)
 		})
@@ -897,7 +923,7 @@ func kernelsTrajectoryObserveRow(t *testing.T, n int) benchutil.Row {
 		allocs += a
 		bytes += b
 		measured++
-		prev = next
+		older, prev = prev, next
 		return nil
 	}
 	_, err := gen.GLP{N: n, M: 1, P: 0.45, Beta: 0.64}.GenerateTrajectory(rng.New(1), 1, gen.Trajectory{Every: n / epochs, Observe: observe})
@@ -905,20 +931,27 @@ func kernelsTrajectoryObserveRow(t *testing.T, n int) benchutil.Row {
 		t.Fatal(err)
 	}
 	perOp := float64(bytes) / float64(measured)
+	frzPerOp := float64(frzBytes) / float64(measured)
 	t.Logf("trajectory observe n=%d: %d epochs, %.1f allocs/epoch, %.0f B/epoch, %v/epoch",
 		n, measured, float64(allocs)/float64(measured), perOp, elapsed/time.Duration(measured))
-	return benchutil.Row{N: n, Model: "glp", Epochs: measured, Pivots: pivots}.
-		As("kernels-trajectory-observe", 1, elapsed/time.Duration(measured)).
-		WithAllocs(float64(allocs)/float64(measured), perOp)
+	t.Logf("trajectory refreeze n=%d: %d epochs, %.1f allocs/epoch, %.0f B/epoch, %v/epoch",
+		n, measured, float64(frzAllocs)/float64(measured), frzPerOp, frzElapsed/time.Duration(measured))
+	row := benchutil.Row{N: n, Model: "glp", Epochs: measured, Pivots: pivots}
+	return []benchutil.Row{
+		row.As("kernels-trajectory-observe", 1, elapsed/time.Duration(measured)).
+			WithAllocs(float64(allocs)/float64(measured), perOp),
+		row.As("kernels-trajectory-refreeze", 1, frzElapsed/time.Duration(measured)).
+			WithAllocs(float64(frzAllocs)/float64(measured), frzPerOp),
+	}
 }
 
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
 // smoke plus the 100k acceptance size), pair-search vs tree-path,
 // MS-BFS vs per-source path-histogram and degree-oriented vs
-// id-ordered triangle rows at the same sizes, the
-// simulation-setup and trajectory-observation allocation rows at the
-// same sizes, and the steady-state allocation rows the benchcheck
+// id-ordered triangle rows at the same sizes, the simulation-setup,
+// trajectory-observation and trajectory-refreeze allocation rows at
+// the same sizes, and the steady-state allocation rows the benchcheck
 // ceilings gate.
 func TestBenchJSON(t *testing.T) {
 	dir := benchutil.OutDir(t)
@@ -929,7 +962,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsMSBFSRows(t, n)...)
 		rows = append(rows, kernelsTriangleRows(t, n)...)
 		rows = append(rows, kernelsSimSetupRow(t, n))
-		rows = append(rows, kernelsTrajectoryObserveRow(t, n))
+		rows = append(rows, kernelsTrajectoryRows(t, n)...)
 		rows = append(rows, kernelsDistMapLanesRows(t, n)...)
 	}
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))

@@ -2,8 +2,8 @@ package traffic
 
 // This file is the epoch engine's max-min water-filling allocator,
 // extracted behind a pooled scratch so a steady-state epoch allocates
-// nothing: per-link flow lists are index-truncated slabs instead of a
-// per-epoch map, and the link/capacity arrays persist across epochs.
+// nothing: the per-link flow lists share one link-major slab instead of
+// a per-epoch map, and the link/capacity arrays persist across epochs.
 // The arithmetic — bottleneck selection by strict < over links in
 // first-use order, flows fixed in per-link admission order, the
 // exhausted bottleneck's residue snapped to exactly zero — is the
@@ -16,14 +16,18 @@ type wfState struct {
 	nflows []int32   // flows still unallocated across the link
 	capRem []float64 // capacity not yet claimed by fixed flows
 	links  []int32   // links carrying active flows, first-use order
-	lflows [][]int32 // per-link flow indexes, admission order
+	// Link e's flow indexes, in admission order, are
+	// slab[lstart[e]:lend[e]]; links take slab ranges in first-use order.
+	lstart, lend []int32
+	slab         []int32
 }
 
 func newWFState(nlinks int) *wfState {
 	return &wfState{
 		nflows: make([]int32, nlinks),
 		capRem: make([]float64, nlinks),
-		lflows: make([][]int32, nlinks),
+		lstart: make([]int32, nlinks),
+		lend:   make([]int32, nlinks),
 	}
 }
 
@@ -35,7 +39,8 @@ func (wf *wfState) ensure(nlinks int) {
 	if n := len(wf.nflows); n < nlinks {
 		wf.nflows = append(wf.nflows, make([]int32, nlinks-n)...)
 		wf.capRem = append(wf.capRem, make([]float64, nlinks-n)...)
-		wf.lflows = append(wf.lflows, make([][]int32, nlinks-n)...)
+		wf.lstart = append(wf.lstart, make([]int32, nlinks-n)...)
+		wf.lend = append(wf.lend, make([]int32, nlinks-n)...)
 	}
 }
 
@@ -47,6 +52,8 @@ func (wf *wfState) ensure(nlinks int) {
 // pass, with wf.capRem holding their unclaimed capacity; the caller
 // zeroes wf.nflows as it consumes them.
 func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) {
+	// Count each link's flows, lay the links' slab ranges out in
+	// first-use order, then fill the ranges in admission order.
 	wf.links = wf.links[:0]
 	for fi := 0; fi < active.n; fi++ {
 		f := active.at(fi)
@@ -55,10 +62,23 @@ func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) 
 			if wf.nflows[e] == 0 {
 				wf.links = append(wf.links, e)
 				wf.capRem[e] = capEdge[e]
-				wf.lflows[e] = wf.lflows[e][:0]
 			}
 			wf.nflows[e]++
-			wf.lflows[e] = append(wf.lflows[e], int32(fi))
+		}
+	}
+	arcs := int32(0)
+	for _, e := range wf.links {
+		wf.lstart[e], wf.lend[e] = arcs, arcs
+		arcs += wf.nflows[e]
+	}
+	if int(arcs) > cap(wf.slab) {
+		wf.slab = make([]int32, arcs, max(int(arcs), 2*cap(wf.slab)))
+	}
+	wf.slab = wf.slab[:arcs]
+	for fi := 0; fi < active.n; fi++ {
+		for _, e := range arena.path(active.at(fi).path) {
+			wf.slab[wf.lend[e]] = int32(fi)
+			wf.lend[e]++
 		}
 	}
 	for unfixed := active.n; unfixed > 0; {
@@ -79,7 +99,7 @@ func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) 
 		if bestShare < 0 {
 			bestShare = 0 // floating-point slack
 		}
-		for _, fi := range wf.lflows[best] {
+		for _, fi := range wf.slab[wf.lstart[best]:wf.lend[best]] {
 			f := active.at(int(fi))
 			if f.rate >= 0 {
 				continue

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,6 +45,67 @@ func TestProcessorSharingMeanFCT(t *testing.T) {
 							t.Errorf("rho %.1f seed %d: mean FCT %.4f is %.3f× the PS value %.4f (tolerance %.0f%%)",
 								rho, seed, rep.MeanFCT, ratio, 1/(1-rho), 100*tol)
 						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStabilityBoundary checks both engines against the stability
+// region of fair-sharing networks (Feuillet; Bonald and Massoulié):
+// with Poisson arrivals the active-flow count stays bounded while every
+// link's load is below 1 and grows linearly once a link's load exceeds
+// it. Two linear networks: a single link, and a two-link line under
+// uniform masses, where a third of the flows cross both links and each
+// link carries 4/3 of the load factor per unit capacity, so the load
+// factor is scaled by 3/4 to put each link at ρ. Sizes are exponential
+// with mean 1 on unit links: the remaining work of each flow is then
+// again Exp(1), so the work above ρ = 1 — drifting up at ρ − 1 per unit
+// time on each link — is carried by about as many flows. At ρ = 0.8 the
+// count never exceeds 150 (a single M/M/1 link holds k or more flows
+// with stationary probability 0.8^k); at ρ = 1.2 the final count must
+// reach half the drift's (ρ − 1)·T, about five standard deviations
+// below its mean. Seeds are fixed.
+func TestStabilityBoundary(t *testing.T) {
+	const (
+		epochLen = 0.1
+		epochs   = 50000
+		horizon  = epochLen * epochs
+	)
+	for _, eng := range bothEngines {
+		for _, links := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/%d-link", eng, links), func(t *testing.T) {
+				t.Parallel()
+				s := pathGraph(links + 1).Freeze()
+				// Load factor per link load ρ: the offered rate is
+				// LoadFactor × total capacity, spread over the lines' paths.
+				perLink := 1.0
+				if links == 2 {
+					perLink = 3.0 / 4
+				}
+				for _, rho := range []float64{0.8, 1.2} {
+					spec := WorkloadSpec{Engine: eng, Sizes: "exp", LoadFactor: rho * perLink,
+						EpochLen: epochLen, Epochs: epochs}
+					rep, err := Simulate(s, uniformMasses(links+1), spec, rng.New(uint64(7*links)), 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					peak := 0
+					for _, ep := range rep.Epochs {
+						peak = max(peak, ep.Active)
+					}
+					final := rep.Epochs[len(rep.Epochs)-1].Active
+					t.Logf("rho %.1f: peak %d, final %d active flows", rho, peak, final)
+					if rho < 1 {
+						if peak > 150 {
+							t.Errorf("rho %.1f: active flows peaked at %d, want a bounded count (≤ 150)", rho, peak)
+						}
+						continue
+					}
+					if want := 0.5 * (rho - 1) * horizon; float64(final) < want {
+						t.Errorf("rho %.1f: %d active flows after time %.0f, want at least half the drift, %.0f",
+							rho, final, horizon, want)
 					}
 				}
 			})

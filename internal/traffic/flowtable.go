@@ -1,58 +1,76 @@
 package traffic
 
 // This file holds the engines' flow storage: the epoch engine's flow
-// records in a chunked table, and both engines' flow paths in one arena.
-// Neither holds a pointer per flow, so a few hundred thousand live flows
-// cost one record and their path ids each, growth never copies the
-// records, and the collector has nothing to scan.
+// records in a chunked two-column table, and both engines' flow paths in
+// one arena. Neither holds a pointer per flow, so a few hundred thousand
+// live flows cost 48 bytes and their path ids each, growth never copies
+// the records, and the collector has nothing to scan.
 
-// simFlow is one in-flight flow of the epoch engine. Its path is a span
-// of the run's pathArena, which keeps the record at 48 bytes.
-type simFlow struct {
+// flowHot is the part of an epoch-engine flow the water-filler reads:
+// its path, a span of the run's pathArena, and its rate. 16 bytes, so
+// the filler's random reads by table index stay within a column a third
+// the size of the whole records.
+type flowHot struct {
+	path pathSpan // snapshot edge ids
+	rate float64  // current max-min rate; -1 while unallocated
+}
+
+// flowCold is the rest of an epoch-engine flow, read when it advances,
+// completes, reroutes or is re-admitted. 32 bytes.
+type flowCold struct {
 	src, dst  int32
-	id        int32    // admission index, the trace identity
-	retries   int32    // re-admission attempts consumed so far
-	path      pathSpan // snapshot edge ids
+	id        int32 // admission index, the trace identity
+	retries   int32 // re-admission attempts consumed so far
 	remaining float64
 	arrived   float64 // arrival instant
-	rate      float64 // current max-min rate; -1 while unallocated
 }
 
-// flowChunkBits sizes a flowTable chunk: 4096 records, 192 KiB.
+// flowChunkBits sizes a flowTable chunk: 4096 flows, 64 KiB of hot and
+// 128 KiB of cold column.
 const flowChunkBits = 12
 
-// flowTable is the epoch engine's active-flow list: simFlow records in
-// admission order, held in fixed-size chunks. Growing it adds a chunk
-// and never copies the records; leaving flows are compacted out in
-// place (put), which keeps the order — it fixes the water-fill's link
-// order and the completion sums — exactly that of a slice compacted the
-// same way. Chunks past the length stay for reuse, so a table pooled
-// across runs allocates only when a run outgrows every earlier one.
+// flowTable is the epoch engine's active-flow list in admission order,
+// held as two columns of fixed-size chunks side by side: flow i is
+// hotAt(i) and coldAt(i). Growing it adds one chunk to each column and
+// never copies a flow; leaving flows are compacted out in place (put),
+// which moves both columns and keeps the order — it fixes the
+// water-fill's link order and the completion sums — exactly that of a
+// slice compacted the same way. Chunks past the length stay for reuse,
+// so a table pooled across runs allocates only when a run outgrows
+// every earlier one.
 type flowTable struct {
-	chunks [][]simFlow
-	n      int
+	hot  [][]flowHot
+	cold [][]flowCold
+	n    int
 }
 
-// at returns record i (i < n).
-func (t *flowTable) at(i int) *simFlow {
-	return &t.chunks[i>>flowChunkBits][i&(1<<flowChunkBits-1)]
+const flowChunkMask = 1<<flowChunkBits - 1
+
+// hotAt returns flow i's hot record (i < n).
+func (t *flowTable) hotAt(i int) *flowHot {
+	return &t.hot[i>>flowChunkBits][i&flowChunkMask]
 }
 
-// add appends a record and returns it for the caller to fill.
-func (t *flowTable) add() *simFlow {
-	if t.n == len(t.chunks)<<flowChunkBits {
-		t.chunks = append(t.chunks, make([]simFlow, 1<<flowChunkBits))
+// coldAt returns flow i's cold record (i < n).
+func (t *flowTable) coldAt(i int) *flowCold {
+	return &t.cold[i>>flowChunkBits][i&flowChunkMask]
+}
+
+// add appends a flow.
+func (t *flowTable) add(h flowHot, c flowCold) {
+	if t.n == len(t.hot)<<flowChunkBits {
+		t.hot = append(t.hot, make([]flowHot, 1<<flowChunkBits))
+		t.cold = append(t.cold, make([]flowCold, 1<<flowChunkBits))
 	}
 	t.n++
-	return t.at(t.n - 1)
+	*t.hotAt(t.n - 1), *t.coldAt(t.n - 1) = h, c
 }
 
-// put stores f, a record at index >= w, at index w of a compaction
-// pass and returns the next write index. The pass ends with
-// t.n = the final write index.
-func (t *flowTable) put(w int, f *simFlow) int {
-	if g := t.at(w); g != f {
-		*g = *f
+// put moves flow i (i >= w) to index w of a compaction pass and returns
+// the next write index. The pass ends with t.n = the final write index.
+func (t *flowTable) put(w, i int) int {
+	if w != i {
+		*t.hotAt(w), *t.coldAt(w) = *t.hotAt(i), *t.coldAt(i)
 	}
 	return w + 1
 }

@@ -71,3 +71,76 @@ func TestPathArenaMatchesModel(t *testing.T) {
 		t.Fatalf("compactions in place %d, via the spare slab %d: want both", compactions[0], compactions[1])
 	}
 }
+
+// TestFlowTableMatchesModel drives a flowTable through random scripts of
+// admissions, in-place updates and compaction passes — each keeping a
+// random subset of the flows in order, as the failure walk and the
+// advance loop do — and checks both columns of every flow against a
+// slice-of-structs model after each step. The table is pooled across
+// scripts: each script after the first starts from the previous one's
+// chunks at length zero and stays smaller, so every chunk it reads was
+// written by an earlier, larger run and only add and put may make it
+// right.
+func TestFlowTableMatchesModel(t *testing.T) {
+	type flow struct {
+		hot  flowHot
+		cold flowCold
+	}
+	r := rng.New(23)
+	var ft flowTable
+	randomFlow := func() flow {
+		return flow{
+			hot: flowHot{path: pathSpan{int32(r.Intn(1 << 20)), int32(1 + r.Intn(9))}, rate: r.Float64()},
+			cold: flowCold{src: int32(r.Intn(1000)), dst: int32(r.Intn(1000)), id: int32(r.Intn(1 << 30)),
+				retries: int32(r.Intn(3)), remaining: r.Float64(), arrived: r.Float64()},
+		}
+	}
+	for script, target := range []int{3 << flowChunkBits, 1 << flowChunkBits, 100} {
+		ft.n = 0
+		var model []flow
+		for step := 0; len(model) < target; step++ {
+			switch op := r.Intn(4); {
+			case op < 2:
+				for k := r.Intn(2 * target / 10); k >= 0; k-- {
+					f := randomFlow()
+					ft.add(f.hot, f.cold)
+					model = append(model, f)
+				}
+			case op == 2:
+				i := r.Intn(len(model) + 1)
+				if i == len(model) {
+					continue
+				}
+				g := randomFlow()
+				*ft.hotAt(i), *ft.coldAt(i) = g.hot, g.cold
+				model[i] = g
+			default:
+				keep := r.Float64()
+				w := 0
+				kept := model[:0]
+				for i, f := range model {
+					if r.Float64() < keep {
+						w = ft.put(w, i)
+						kept = append(kept, f)
+					}
+				}
+				ft.n, model = w, kept
+			}
+			if ft.n != len(model) {
+				t.Fatalf("script %d step %d: table holds %d flows, model %d", script, step, ft.n, len(model))
+			}
+			for i, f := range model {
+				if *ft.hotAt(i) != f.hot || *ft.coldAt(i) != f.cold {
+					t.Fatalf("script %d step %d: flow %d reads %+v %+v, want %+v %+v",
+						script, step, i, *ft.hotAt(i), *ft.coldAt(i), f.hot, f.cold)
+				}
+			}
+		}
+		if script == 0 && len(ft.hot) < 3 {
+			t.Fatalf("first script grew %d chunks, want at least 3", len(ft.hot))
+		}
+	}
+	if len(ft.hot) != len(ft.cold) {
+		t.Fatalf("%d hot chunks, %d cold", len(ft.hot), len(ft.cold))
+	}
+}

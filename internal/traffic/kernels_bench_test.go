@@ -945,6 +945,102 @@ func kernelsTrajectoryRows(t *testing.T, n int) []benchutil.Row {
 	}
 }
 
+// kernelsWaterfillPopulation captures a load-dense-shaped flow
+// population: the flows still in flight after the given epochs of the
+// epoch engine at load 1.2 over a BA map of n nodes (M=2, degree
+// masses: topoload's load-dense defaults), left in the run's scratch
+// table and arena, with the map's link capacities.
+func kernelsWaterfillPopulation(t *testing.T, n, epochs int) (*flowTable, *pathArena, []float64) {
+	t.Helper()
+	top, err := gen.BA{N: n, M: 2}.Generate(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := top.G.Freeze()
+	masses := make([]float64, snap.N())
+	for u := range masses {
+		masses[u] = float64(snap.Degree(u))
+	}
+	spec := WorkloadSpec{LoadFactor: 1.2, Epochs: epochs}
+	ctx, err := newSimContext(snap, nil, masses, spec, rng.New(1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := NewSimScratch()
+	if _, err := Simulate(snap, masses, spec, rng.New(1), 1, WithRouting(ctx.rt), WithSimScratch(scr)); err != nil {
+		t.Fatal(err)
+	}
+	return &scr.flows, &scr.paths, ctx.capEdge
+}
+
+// kernelsWaterfillRows times one epoch's max-min water-fill over a
+// captured load-dense population (kernelsWaterfillPopulation): the
+// record-major fill over 48-byte flow records (fillRecords, the
+// oracle) against the column fill, which reads only the table's
+// 16-byte hot column and tracks fixed flows in a bitset. One op is one
+// fill plus the observation pass's reset of the link counts. Both arms
+// are warmed, then five passes of fills alternate the arms at one
+// worker and each reports its median pass; the two arms' rates and
+// unclaimed capacities are asserted bit-identical after every pass,
+// and three more passes count the column arm's allocations: a warm
+// fill allocates nothing.
+func kernelsWaterfillRows(t *testing.T, n, epochs int) []benchutil.Row {
+	t.Helper()
+	const (
+		passes = 5
+		fills  = 8
+	)
+	ft, arena, capEdge := kernelsWaterfillPopulation(t, n, epochs)
+	var rec recordTable
+	rec.loadRecords(ft)
+	cols, recs := newWFState(len(capEdge)), newWFState(len(capEdge))
+	columns := func() {
+		for range fills {
+			cols.fill(ft, arena, capEdge)
+			cols.endFill()
+		}
+	}
+	records := func() {
+		for range fills {
+			fillRecords(recs, &rec, arena, capEdge)
+			recs.endFill()
+		}
+	}
+	check := func() {
+		if msg, ok := sameFill(cols, recs, ft, &rec); !ok {
+			t.Fatalf("waterfill n=%d, %d flows: %s", n, ft.n, msg)
+		}
+	}
+	columns()
+	records()
+	check()
+	recTimes := make([]time.Duration, passes)
+	colTimes := make([]time.Duration, passes)
+	for p := range passes {
+		start := time.Now()
+		records()
+		recTimes[p] = time.Since(start)
+		start = time.Now()
+		columns()
+		colTimes[p] = time.Since(start)
+		check()
+	}
+	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		a, b := benchutil.MeasureAllocs(columns)
+		allocs, bytes = min(allocs, a), min(bytes, b)
+	}
+	slices.Sort(recTimes)
+	slices.Sort(colTimes)
+	row := benchutil.Row{N: n, Model: "ba", FlowsPerEpoch: ft.n, Links: len(cols.links)}
+	recRow := row.As("kernels-waterfill-records", 1, recTimes[passes/2]/fills)
+	colRow := row.As("kernels-waterfill-columns", 1, colTimes[passes/2]/fills).Against(recRow).
+		WithAllocs(float64(allocs)/fills, float64(bytes)/fills)
+	t.Logf("waterfill n=%d: %d flows over %d links, records %v, columns %v per fill (%.2fx), warm columns %d allocs / %d B per pass",
+		n, ft.n, len(cols.links), recTimes[passes/2]/fills, colTimes[passes/2]/fills, colRow.Speedup, allocs, bytes)
+	return []benchutil.Row{recRow, colRow}
+}
+
 // TestBenchJSON emits BENCH_kernels.json into the -bench-out
 // directory: cold-tree-build speedup rows (hybrid vs classic BFS, 10k
 // smoke plus the 100k acceptance size), pair-search vs tree-path,
@@ -965,6 +1061,7 @@ func TestBenchJSON(t *testing.T) {
 		rows = append(rows, kernelsTrajectoryRows(t, n)...)
 		rows = append(rows, kernelsDistMapLanesRows(t, n)...)
 	}
+	rows = append(rows, kernelsWaterfillRows(t, benchutil.Scale(300, 1000), benchutil.Scale(10, 50))...)
 	rows = append(rows, kernelsEngineSteadyRow(t, EngineEpoch), kernelsEngineSteadyRow(t, EngineEvent))
 	rows = append(rows, kernelsRefreshRows(t)...)
 	rows = append(rows, kernelsRoutingResetRow(t))

@@ -877,16 +877,14 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 	// admitPending's paths live only as long as the call.
 	admitFlow := func(p pending, path []int32) {
 		admitted++
-		f := active.add()
-		*f = simFlow{
-			src: int32(p.src), dst: int32(p.dst), id: flowID,
-			remaining: p.size, arrived: now, rate: -1,
-		}
 		var xlate []int32
 		if ctx.fail != nil {
 			xlate = ctx.fail.curToBase
 		}
-		f.path = arena.push(path, xlate)
+		active.add(flowHot{path: arena.push(path, xlate), rate: -1}, flowCold{
+			src: int32(p.src), dst: int32(p.dst), id: flowID,
+			remaining: p.size, arrived: now,
+		})
 		if ctx.cfg.trace {
 			rep.Flows = append(rep.Flows, FlowRecord{
 				Src: p.src, Dst: p.dst, Size: p.size, Arrived: now,
@@ -895,12 +893,10 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		flowID++
 	}
 	readmitFlow := func(rf failFlow, path []int32) {
-		f := active.add()
-		*f = simFlow{
+		active.add(flowHot{path: arena.push(path, nil), rate: -1}, flowCold{
 			src: rf.src, dst: rf.dst, id: rf.id, retries: rf.retries,
-			remaining: rf.remaining, arrived: rf.arrived, rate: -1,
-		}
-		f.path = arena.push(path, nil)
+			remaining: rf.remaining, arrived: rf.arrived,
+		})
 	}
 	for epoch := 0; epoch < spec.Epochs; epoch++ {
 		now = float64(epoch) * dt
@@ -918,17 +914,18 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 			if fail.flipped {
 				w := 0
 				for i := 0; i < active.n; i++ {
-					f := active.at(i)
-					if fail.pathBroken(arena.path(f.path)) {
-						path, ok := fail.reroute(failFlow{id: f.id, src: f.src, dst: f.dst,
-							remaining: f.remaining, arrived: f.arrived, retries: f.retries}, rep.Flows)
+					h := active.hotAt(i)
+					if fail.pathBroken(arena.path(h.path)) {
+						c := active.coldAt(i)
+						path, ok := fail.reroute(failFlow{id: c.id, src: c.src, dst: c.dst,
+							remaining: c.remaining, arrived: c.arrived, retries: c.retries}, rep.Flows)
 						if !ok {
-							arena.drop(f.path)
+							arena.drop(h.path)
 							continue
 						}
-						f.path = arena.replace(f.path, path)
+						h.path = arena.replace(h.path, path)
 					}
-					w = active.put(w, f)
+					w = active.put(w, i)
 				}
 				active.n = w
 			}
@@ -970,31 +967,31 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 		completedNow := 0
 		w := 0
 		for i := 0; i < active.n; i++ {
-			f := active.at(i)
-			send := f.rate * dt
-			if f.rate > 0 && f.remaining <= send {
-				finish := now + f.remaining/f.rate
-				obs.fctSum += finish - f.arrived
+			h, c := active.hotAt(i), active.coldAt(i)
+			send := h.rate * dt
+			if h.rate > 0 && c.remaining <= send {
+				finish := now + c.remaining/h.rate
+				obs.fctSum += finish - c.arrived
 				completedNow++
 				if ctx.fail != nil {
-					ctx.fail.noteFCT(f.arrived, finish-f.arrived)
+					ctx.fail.noteFCT(c.arrived, finish-c.arrived)
 				}
 				if ctx.cfg.trace {
-					rep.Flows[f.id].Done = true
-					rep.Flows[f.id].Finished = finish
+					rep.Flows[c.id].Done = true
+					rep.Flows[c.id].Finished = finish
 				}
-				arena.drop(f.path)
+				arena.drop(h.path)
 				continue
 			}
-			f.remaining -= send
-			w = active.put(w, f)
+			c.remaining -= send
+			w = active.put(w, i)
 		}
 		active.n = w
 		if arena.crowded() {
 			arena.begin()
 			for i := 0; i < active.n; i++ {
-				f := active.at(i)
-				f.path = arena.relocate(f.path)
+				h := active.hotAt(i)
+				h.path = arena.relocate(h.path)
 			}
 			arena.end()
 		}
@@ -1005,7 +1002,7 @@ func simulateEpoch(ctx *simContext) (*SimReport, error) {
 
 	rep.ResidualFlows = active.n
 	for i := 0; i < active.n; i++ {
-		rep.ResidualSize += active.at(i).remaining
+		rep.ResidualSize += active.coldAt(i).remaining
 	}
 	scratch.pend = pend[:0] // park the arrival buffer for the next run
 	obs.finishReport(rep)

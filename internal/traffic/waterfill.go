@@ -3,13 +3,18 @@ package traffic
 // This file is the epoch engine's max-min water-filling allocator,
 // extracted behind a pooled scratch so a steady-state epoch allocates
 // nothing: the per-link flow lists share one link-major slab instead of
-// a per-epoch map, and the link/capacity arrays persist across epochs.
-// The arithmetic — bottleneck selection by strict < over links in
-// first-use order, flows fixed in per-link admission order, the
-// exhausted bottleneck's residue snapped to exactly zero — is the
-// epoch engine's original, bit for bit; the event engine's lazy-heap
-// solver is validated against it. Max-min fairness is the only sharing
-// rule either engine implements.
+// a per-epoch map, the link/capacity arrays persist across epochs, and
+// which flows are already fixed is one bit per table index rather than
+// a read of the flow. The filler reads only the flow table's hot column
+// (path span and rate, flowtable.go), so most slab visits — a flow
+// fixed at an earlier bottleneck — touch the bitset alone. The
+// arithmetic — bottleneck selection by strict < over links in first-use
+// order, flows fixed in per-link admission order, the exhausted
+// bottleneck's residue snapped to exactly zero — is the epoch engine's
+// original, bit for bit (the record-major fill it replaced is the test
+// oracle, FuzzWaterfill); the event engine's lazy-heap solver is
+// validated against it. Max-min fairness is the only sharing rule
+// either engine implements.
 
 // wfState is the pooled state of the water-filling allocator.
 type wfState struct {
@@ -20,6 +25,7 @@ type wfState struct {
 	// slab[lstart[e]:lend[e]]; links take slab ranges in first-use order.
 	lstart, lend []int32
 	slab         []int32
+	fixed        []uint64 // bit i: table index i already has its rate
 }
 
 func newWFState(nlinks int) *wfState {
@@ -56,9 +62,9 @@ func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) 
 	// first-use order, then fill the ranges in admission order.
 	wf.links = wf.links[:0]
 	for fi := 0; fi < active.n; fi++ {
-		f := active.at(fi)
-		f.rate = -1
-		for _, e := range arena.path(f.path) {
+		h := active.hotAt(fi)
+		h.rate = -1
+		for _, e := range arena.path(h.path) {
 			if wf.nflows[e] == 0 {
 				wf.links = append(wf.links, e)
 				wf.capRem[e] = capEdge[e]
@@ -76,11 +82,17 @@ func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) 
 	}
 	wf.slab = wf.slab[:arcs]
 	for fi := 0; fi < active.n; fi++ {
-		for _, e := range arena.path(active.at(fi).path) {
+		for _, e := range arena.path(active.hotAt(fi).path) {
 			wf.slab[wf.lend[e]] = int32(fi)
 			wf.lend[e]++
 		}
 	}
+	words := (active.n + 63) >> 6
+	if words > cap(wf.fixed) {
+		wf.fixed = make([]uint64, words, max(words, 2*cap(wf.fixed)))
+	}
+	wf.fixed = wf.fixed[:words]
+	clear(wf.fixed)
 	for unfixed := active.n; unfixed > 0; {
 		best := int32(-1)
 		var bestShare float64
@@ -100,13 +112,15 @@ func (wf *wfState) fill(active *flowTable, arena *pathArena, capEdge []float64) 
 			bestShare = 0 // floating-point slack
 		}
 		for _, fi := range wf.slab[wf.lstart[best]:wf.lend[best]] {
-			f := active.at(int(fi))
-			if f.rate >= 0 {
+			word, bit := fi>>6, uint64(1)<<(fi&63)
+			if wf.fixed[word]&bit != 0 {
 				continue
 			}
-			f.rate = bestShare
+			wf.fixed[word] |= bit
+			h := active.hotAt(int(fi))
+			h.rate = bestShare
 			unfixed--
-			for _, e := range arena.path(f.path) {
+			for _, e := range arena.path(h.path) {
 				wf.capRem[e] -= bestShare
 				wf.nflows[e]--
 			}
